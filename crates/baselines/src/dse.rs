@@ -17,7 +17,7 @@
 
 use serde::{Deserialize, Serialize};
 use watos::scheduler::{schedule_plan, RecomputeMode, ScheduledConfig, SchedulerOptions};
-use watos::Explorer;
+use watos::{Explorer, ProfileCache};
 use wsc_arch::wafer::WaferConfig;
 use wsc_mesh::collective::CollectiveAlgo;
 use wsc_workload::parallel::ParallelPlan;
@@ -106,6 +106,7 @@ pub fn run(method: DseMethod, wafer: &WaferConfig, job: &TrainingJob) -> Option<
                 &ParallelPlan::intra(tp, dies / tp, TpSplitStrategy::Megatron),
                 &opts,
                 None,
+                &ProfileCache::new(),
             )
         }
         DseMethod::DfModel => {
@@ -222,12 +223,14 @@ fn flat_network_pick(
     }
     let (_, tp, pp) = best?;
     // The flat model tends to overrate big TP; deploy its choice as-is.
+    let cache = ProfileCache::new();
     schedule_plan(
         wafer,
         job,
         &ParallelPlan::intra(tp, pp, opts.strategies[0]),
         opts,
         None,
+        &cache,
     )
     .or_else(|| {
         // If the flat choice is infeasible on the real machine, the tool
@@ -238,6 +241,7 @@ fn flat_network_pick(
             &ParallelPlan::intra((tp / 2).max(1), pp, opts.strategies[0]),
             opts,
             None,
+            &cache,
         )
     })
 }

@@ -7,7 +7,7 @@ use crate::util::{f2, f3, normalize_min1, watos_options, TextTable};
 use watos::ga::GaParams;
 use watos::robust::FaultKind;
 use watos::scheduler::{schedule_plan, SchedulerOptions};
-use watos::Explorer;
+use watos::{Explorer, ProfileCache};
 use wsc_arch::enumerate::die_granularity_sweep;
 use wsc_arch::presets;
 use wsc_baselines::dse::{run as run_dse, DseMethod};
@@ -382,6 +382,7 @@ pub fn fig24b_data(steps: usize) -> Vec<(f64, Vec<f64>)> {
                 &ParallelPlan::intra(4, 14, TpSplitStrategy::Megatron),
                 &opts,
                 None,
+                &ProfileCache::new(),
             );
             // Re-run the GA standalone for the history curve.
             let hist = cfg

@@ -6,7 +6,7 @@ use crate::util::{f2, f3, normalize_min1, watos_options, TextTable};
 use watos::ga::GaParams;
 use watos::placement::{global_cost, optimize, row_major, PairDemand};
 use watos::scheduler::{schedule_plan, RecomputeMode, SchedulerOptions};
-use watos::Explorer;
+use watos::{Explorer, ProfileCache};
 use wsc_arch::presets;
 use wsc_arch::units::Bandwidth;
 use wsc_baselines::analytic::estimate as analytic_estimate;
@@ -332,6 +332,7 @@ pub fn fig17(quick: bool) -> String {
         &ParallelPlan::intra(4, 14, TpSplitStrategy::SequenceParallel),
         &opts,
         None,
+        &ProfileCache::new(),
     )
     .expect("watos tp4");
     let mw = mg_wafer(&wafer, &job).expect("mg wafer");
@@ -411,7 +412,7 @@ pub fn fig18_data(model: wsc_workload::model::LlmModel, quick: bool) -> Vec<(Str
         .into_iter()
         .map(|(label, opts)| {
             let plan = ParallelPlan::intra(8, 7, TpSplitStrategy::Megatron);
-            let t = schedule_plan(&wafer, &job, &plan, &opts, None)
+            let t = schedule_plan(&wafer, &job, &plan, &opts, None, &ProfileCache::new())
                 .map(|c| c.report.iteration.as_secs())
                 .unwrap_or(f64::INFINITY);
             (label.to_string(), t)

@@ -3,6 +3,7 @@
 
 use crate::util::{f2, f3, normalize_min1, TextTable};
 use watos::scheduler::{schedule_plan, RecomputeMode, SchedulerOptions};
+use watos::ProfileCache;
 use wsc_arch::dram::DramStack;
 use wsc_arch::presets;
 use wsc_arch::units::{Bandwidth, Bytes, Time};
@@ -55,7 +56,7 @@ pub fn fig5a_data(model: wsc_workload::model::LlmModel, dies: usize) -> Vec<(Str
         .map(|(tp, pp)| {
             let label = format!("({tp},{pp})");
             let plan = ParallelPlan::intra(tp, pp, TpSplitStrategy::Megatron);
-            let t = schedule_plan(&wafer, &job, &plan, &opts, None)
+            let t = schedule_plan(&wafer, &job, &plan, &opts, None, &ProfileCache::new())
                 .map(|cfg| cfg.report.iteration.as_secs())
                 .unwrap_or(f64::INFINITY);
             (label, t)

@@ -20,9 +20,8 @@ use wsc_workload::parallel::{ParallelSpec, TpSplitStrategy};
 use wsc_workload::training::TrainingJob;
 use wsc_workload::zoo;
 
-/// One search-engine benchmark preset — the single source of truth
-/// shared by the criterion `search` group and the `bench_search` JSON
-/// harness, so both always measure the same workload per name.
+/// One search-engine benchmark preset — the single source of truth of
+/// the `bench_search` JSON harness per preset name.
 pub struct SearchPreset {
     /// Preset name (`small` / `medium` / `large`).
     pub name: &'static str,
@@ -59,8 +58,7 @@ pub fn search_presets() -> Vec<SearchPreset> {
 }
 
 /// One multi-wafer search-benchmark preset — the §VI-F engine analogue
-/// of [`SearchPreset`], shared by the criterion `search` group and the
-/// `bench_search` JSON harness.
+/// of [`SearchPreset`] for the `bench_search` JSON harness.
 pub struct MultiWaferSearchPreset {
     /// Preset name (`multiwafer`).
     pub name: &'static str,
@@ -146,9 +144,9 @@ pub fn serve_presets() -> Vec<ServePreset> {
 }
 
 /// One GA-refinement benchmark preset — the single source of truth
-/// shared by the criterion `ga` group, the `bench_ga` JSON harness and
-/// the GA leg of the thread-determinism test, so all three always
-/// measure the same workload per name.
+/// shared by the `bench_ga` JSON harness and the GA leg of the
+/// thread-determinism test, so both always measure the same workload
+/// per name.
 pub struct GaRefinePreset {
     /// Preset name (`refine-llama2-30b` / `refine-llama3-70b`).
     pub name: &'static str,

@@ -14,18 +14,18 @@
 //! component is seeded per candidate).
 
 use crate::cache::{CacheStats, ProfileCache};
-use crate::goodput::{ensemble_effective_secs, FaultAwareSpec, FaultEnsemble, RobustObjective};
+use crate::goodput::{FaultEnsemble, RobustObjective};
 use crate::inject::Injection;
-use crate::multiwafer::{
-    explore_multi_wafer_impl, wafer_loss_sweep_impl, MultiWaferOutcome, MultiWaferReport,
-};
+use crate::multiwafer::{explore_multi_wafer_impl, wafer_loss_sweep_impl, MultiWaferReport};
 use crate::robust::{fault_sweep_impl, FaultKind, FaultPoint};
 use crate::scheduler::{
-    explore_impl, PlanFilter, RecomputeMode, ScheduledConfig, SchedulerOptions, SearchStats,
+    explore_impl, Objective, PlanFilter, RecomputeMode, ScheduledConfig, SchedulerOptions,
+    SearchStats,
 };
 use crate::serving::ServingModel;
-use crate::wave::{CandidateFailure, Outcome, SearchBudget, SessionCtx, WaveCheckpoint, WaveSink};
-use rayon::prelude::*;
+use crate::wave::{
+    run_items, CandidateFailure, Outcome, SearchBudget, SessionCtx, WaveCheckpoint, WaveSink,
+};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -98,11 +98,6 @@ pub enum ExplorationError {
         /// Human-readable description of the offending field.
         reason: String,
     },
-    /// Fault-aware and serving ranking overrides were both requested.
-    /// The wave search ranks on exactly one scalar; combining the two
-    /// objectives has no defined winner — run two sessions instead.
-    #[error("fault-aware and serving objectives cannot be combined in one session")]
-    ConflictingObjectives,
 }
 
 /// A pluggable comparison system for [`ExplorerBuilder::with_baselines`].
@@ -372,25 +367,21 @@ impl CheckpointSink for MemorySink {
 
 /// Adapter handed to the wave engine while one leg runs under
 /// checkpointing: wraps each [`WaveCheckpoint`] into a session-level
-/// [`SearchCheckpoint`] carrying the legs already completed.
+/// [`SearchCheckpoint`] carrying the legs already completed (`done`).
 struct LegSink<'a> {
     sink: &'a dyn CheckpointSink,
-    seed: u64,
-    completed_single: &'a [ArchRecord],
-    completed_multi: &'a [MultiWaferRecord],
+    done: &'a SearchCheckpoint,
     multi: bool,
 }
 
 impl WaveSink for LegSink<'_> {
     fn emit(&self, checkpoint: &WaveCheckpoint) {
         self.sink.write(&SearchCheckpoint {
-            seed: self.seed,
-            completed_single: self.completed_single.to_vec(),
-            completed_multi: self.completed_multi.to_vec(),
             frontier: Some(SearchFrontier {
                 multi: self.multi,
                 wave: checkpoint.clone(),
             }),
+            ..self.done.clone()
         });
     }
 }
@@ -442,14 +433,12 @@ pub struct ExplorerBuilder {
     nodes: Vec<MultiWaferConfig>,
     options: Option<SchedulerOptions>,
     faults: Option<FaultSweepSpec>,
-    fault_aware: Option<FaultAwareSpec>,
-    serving: Option<Arc<dyn ServingModel>>,
+    objective: Objective,
     baselines: Vec<Box<dyn BaselineModel>>,
     budget: Option<SearchBudget>,
     inject: Option<Injection>,
     checkpoint_every: Option<usize>,
     sink: Option<Arc<dyn CheckpointSink>>,
-    sequential: bool,
     skip_validation: bool,
 }
 
@@ -564,12 +553,14 @@ impl ExplorerBuilder {
     /// that trains fastest on the wafers the fab actually yields. The
     /// clean analytic bound stays a true lower bound of the ensemble
     /// score, so pruning semantics (and the pruned ≡ exhaustive
-    /// equivalence) are unchanged.
+    /// equivalence) are unchanged. A session ranks by one objective:
+    /// this call replaces an earlier [`Self::serving_model`] (and a later
+    /// one replaces it).
     pub fn fault_aware(mut self, ensemble: FaultEnsemble, objective: RobustObjective) -> Self {
-        self.fault_aware = Some(FaultAwareSpec {
+        self.objective = Objective::FaultAware {
             ensemble,
             objective,
-        });
+        };
         self
     }
 
@@ -582,10 +573,11 @@ impl ExplorerBuilder {
     /// low-level hook; the ergonomic
     /// `Explorer::builder().serving(workload, slo)` entry point is the
     /// `ServingExplorerExt` extension trait in `wsc-serve`, which also
-    /// derives the profile job for you. Mutually exclusive with
-    /// [`ExplorerBuilder::fault_aware`].
+    /// derives the profile job for you. A session ranks by one
+    /// objective: this call replaces an earlier [`Self::fault_aware`]
+    /// (and a later one replaces it).
     pub fn serving_model(mut self, model: Arc<dyn ServingModel>) -> Self {
-        self.serving = Some(model);
+        self.objective = Objective::Serving(model);
         self
     }
 
@@ -647,13 +639,13 @@ impl ExplorerBuilder {
         self
     }
 
-    /// Force sequential evaluation everywhere — both the candidate
-    /// fan-out and the inner `TP × PP × strategy` work-list (default:
-    /// rayon fan-outs at both levels). Reports are identical either way;
-    /// this knob exists for debugging, benchmarking and the determinism
-    /// tests.
+    /// Force sequential evaluation everywhere — the candidate fan-out,
+    /// the inner `TP × PP × strategy` work-list and the fault-sweep grid
+    /// (default: rayon fan-outs at every level). Sets
+    /// [`SchedulerOptions::sequential`], the one knob all three read.
+    /// Reports are identical either way; this knob exists for
+    /// debugging, benchmarking and the determinism tests.
     pub fn sequential(mut self) -> Self {
-        self.sequential = true;
         self.opts_mut().sequential = true;
         self
     }
@@ -710,16 +702,13 @@ impl ExplorerBuilder {
                 punish: options.punish,
             });
         }
-        if self.fault_aware.is_some() && self.serving.is_some() {
-            return Err(ExplorationError::ConflictingObjectives);
-        }
-        if let Some(fa) = &self.fault_aware {
-            if !(0.0..=1.0).contains(&fa.ensemble.rate) {
+        if let Objective::FaultAware { ensemble, .. } = &self.objective {
+            if !(0.0..=1.0).contains(&ensemble.rate) {
                 return Err(ExplorationError::InvalidFaultRate {
-                    rate: fa.ensemble.rate,
+                    rate: ensemble.rate,
                 });
             }
-            if fa.ensemble.samples == 0 {
+            if ensemble.samples == 0 {
                 return Err(ExplorationError::EmptyOptionList {
                     list: "fault ensemble samples".into(),
                 });
@@ -784,14 +773,12 @@ impl ExplorerBuilder {
             nodes: self.nodes,
             options,
             faults: self.faults,
-            fault_aware: self.fault_aware,
-            serving: self.serving,
+            objective: self.objective,
             baselines: self.baselines,
             budget: self.budget,
             inject: self.inject,
             checkpoint_every: self.checkpoint_every,
             sink: self.sink,
-            sequential: self.sequential,
         })
     }
 }
@@ -806,14 +793,12 @@ pub struct Explorer {
     nodes: Vec<MultiWaferConfig>,
     options: SchedulerOptions,
     faults: Option<FaultSweepSpec>,
-    fault_aware: Option<FaultAwareSpec>,
-    serving: Option<Arc<dyn ServingModel>>,
+    objective: Objective,
     baselines: Vec<Box<dyn BaselineModel>>,
     budget: Option<SearchBudget>,
     inject: Option<Injection>,
     checkpoint_every: Option<usize>,
     sink: Option<Arc<dyn CheckpointSink>>,
-    sequential: bool,
 }
 
 impl std::fmt::Debug for Explorer {
@@ -824,14 +809,12 @@ impl std::fmt::Debug for Explorer {
             .field("nodes", &self.nodes.len())
             .field("options", &self.options)
             .field("faults", &self.faults)
-            .field("fault_aware", &self.fault_aware)
-            .field("serving", &self.serving.as_ref().map(|m| m.name()))
+            .field("objective", &self.objective)
             .field("baselines", &self.baselines.len())
             .field("budget", &self.budget)
             .field("inject", &self.inject)
             .field("checkpoint_every", &self.checkpoint_every)
             .field("sink", &self.sink.is_some())
-            .field("sequential", &self.sequential)
             .finish()
     }
 }
@@ -899,50 +882,37 @@ impl Explorer {
         // Checkpointing (or resuming) runs the legs sequentially so
         // every snapshot has a well-defined completed-prefix; reports
         // are identical either way, as everywhere else in the engine.
-        let checkpointing = self.sink.is_some() || resume.is_some();
-        let outcomes: Vec<(ArchRecord, ProfileCache)> = if checkpointing {
-            self.run_single_checkpointed(&ctx, resume)
-        } else if self.sequential {
-            self.wafers
-                .iter()
-                .map(|w| self.explore_one(w, &ctx))
-                .collect()
+        let (single_wafer, caches, multi_wafer) = if self.sink.is_some() || resume.is_some() {
+            self.run_checkpointed(&ctx, resume)
         } else {
-            self.wafers
-                .par_iter()
-                .map(|w| self.explore_one(w, &ctx))
-                .collect()
+            let (single, caches): (Vec<ArchRecord>, Vec<ProfileCache>) =
+                run_items(&self.wafers, self.options.sequential, |w| {
+                    self.explore_one(w, &ctx)
+                })
+                .into_iter()
+                .unzip();
+            let multi: Vec<MultiWaferRecord> = self
+                .nodes
+                .iter()
+                .map(|node| self.explore_node(node, &ctx))
+                .collect();
+            (single, caches, multi)
         };
-        let (single_wafer, caches): (Vec<ArchRecord>, Vec<ProfileCache>) =
-            outcomes.into_iter().unzip();
 
-        // The ranking key per feasible candidate: clean iteration
-        // seconds, or — fault-aware — the ensemble-aggregated effective
-        // seconds (re-using each candidate's own search cache), or —
-        // serving — the serving model's score (where a non-finite score
-        // marks the candidate unserveable and drops it). Lowest key
-        // wins; ties keep the earliest index so the winner does not
-        // depend on evaluation order.
+        // The ranking key per feasible candidate: the session objective's
+        // score, re-using each candidate's own search cache; a
+        // non-finite score marks the candidate unscoreable and drops it.
+        // Lowest key wins; ties keep the earliest index so the winner
+        // does not depend on evaluation order.
         let keys: Vec<Option<f64>> = single_wafer
             .iter()
             .zip(&caches)
             .map(|(rec, cache)| {
                 let cfg = rec.best.as_ref().filter(|c| c.report.feasible)?;
-                if let Some(model) = &self.serving {
-                    let key = model.score(&rec.wafer, &self.job, cfg, cache);
-                    return key.is_finite().then_some(key);
-                }
-                Some(match &self.fault_aware {
-                    Some(fa) => ensemble_effective_secs(
-                        &rec.wafer,
-                        &self.job,
-                        cfg,
-                        &fa.ensemble,
-                        fa.objective,
-                        cache,
-                    ),
-                    None => cfg.report.iteration.as_secs(),
-                })
+                let key = self
+                    .objective
+                    .score(&rec.wafer, &self.job, cfg, cache, None);
+                key.is_finite().then_some(key)
             })
             .collect();
         let mut best_index: Option<usize> = None;
@@ -956,20 +926,6 @@ impl Explorer {
                 best_index = Some(i);
             }
         }
-
-        let multi_wafer: Vec<MultiWaferRecord> = if checkpointing {
-            self.run_multi_checkpointed(&ctx, resume, &single_wafer)
-        } else {
-            self.nodes
-                .iter()
-                .map(|node| {
-                    Self::multi_record(
-                        node,
-                        explore_multi_wafer_impl(node, &self.job, &self.options, &ctx),
-                    )
-                })
-                .collect()
-        };
 
         let mut fault_sweeps = Vec::new();
         if let Some(spec) = &self.faults {
@@ -1059,150 +1015,106 @@ impl Explorer {
         ))
     }
 
+    /// One single-wafer leg, with the cache its winner's ranking, fault
+    /// sweeps and baselines reuse.
     fn explore_one(&self, wafer: &WaferConfig, ctx: &SessionCtx<'_>) -> (ArchRecord, ProfileCache) {
-        let outcome = explore_impl(
-            wafer,
-            &self.job,
-            &self.options,
-            self.fault_aware.as_ref(),
-            self.serving.as_deref(),
-            ctx,
-        );
-        let cache_stats = outcome.cache.stats();
-        (
-            ArchRecord {
-                arch: wafer.name.clone(),
-                wafer: wafer.clone(),
-                best: outcome.best,
-                stats: outcome.stats,
-                outcome: outcome.outcome,
-                failures: outcome.failures,
-                cache_stats,
-            },
-            outcome.cache,
-        )
+        let (leg, cache) = explore_impl(wafer, &self.job, &self.options, &self.objective, ctx);
+        let record = ArchRecord {
+            arch: wafer.name.clone(),
+            wafer: wafer.clone(),
+            best: leg.best.map(|(cfg, _)| cfg),
+            stats: leg.stats,
+            outcome: leg.outcome,
+            failures: leg.failures,
+            cache_stats: cache.stats(),
+        };
+        (record, cache)
     }
 
-    fn multi_record(node: &MultiWaferConfig, outcome: MultiWaferOutcome) -> MultiWaferRecord {
+    /// One node leg; its cache is dropped when the leg ends.
+    fn explore_node(&self, node: &MultiWaferConfig, ctx: &SessionCtx<'_>) -> MultiWaferRecord {
+        let (leg, cache) = explore_multi_wafer_impl(node, &self.job, &self.options, ctx);
         MultiWaferRecord {
             name: format!("{}x {}", node.wafers, node.wafer.name),
             node: node.clone(),
-            best: outcome.best,
-            stats: outcome.stats,
-            outcome: outcome.outcome,
-            failures: outcome.failures,
-            cache_stats: outcome.cache_stats,
+            best: leg.best.map(|(report, _)| report),
+            stats: leg.stats,
+            outcome: leg.outcome,
+            failures: leg.failures,
+            cache_stats: cache.stats(),
         }
     }
 
-    /// Sequential single-wafer leg loop used whenever a sink or a resume
-    /// checkpoint is present. Completed legs from the checkpoint are
-    /// reused verbatim; a fresh [`ProfileCache`] re-memoizes the ranking
-    /// lookups from scratch and cannot change their values (entries are
-    /// pure functions of their keys).
-    fn run_single_checkpointed(
+    /// The sequential leg loop used whenever a sink or a resume
+    /// checkpoint is present: every single-wafer leg, then every node
+    /// leg. Legs `resume` records as completed are reused verbatim, with
+    /// a fresh [`ProfileCache`] for the ranking lookups (entries are pure
+    /// functions of their keys, so re-memoizing cannot change them); the
+    /// first other leg on the frontier's side restarts from the wave
+    /// frontier. The completed legs accumulate in `done`, which every
+    /// wave snapshot carries as its completed prefix and every finished
+    /// leg writes as a leg-boundary snapshot (frontier `None`: start the
+    /// next leg from scratch on resume).
+    fn run_checkpointed(
         &self,
         ctx: &SessionCtx<'_>,
         resume: Option<&SearchCheckpoint>,
-    ) -> Vec<(ArchRecord, ProfileCache)> {
-        let mut out: Vec<(ArchRecord, ProfileCache)> = Vec::with_capacity(self.wafers.len());
-        for (i, wafer) in self.wafers.iter().enumerate() {
-            if resume.is_some_and(|cp| i < cp.completed_single.len()) {
-                if let Some(cp) = resume {
-                    out.push((cp.completed_single[i].clone(), ProfileCache::new()));
+    ) -> (Vec<ArchRecord>, Vec<ProfileCache>, Vec<MultiWaferRecord>) {
+        let mut done = SearchCheckpoint {
+            seed: self.options.seed,
+            completed_single: Vec::with_capacity(self.wafers.len()),
+            completed_multi: Vec::with_capacity(self.nodes.len()),
+            frontier: None,
+        };
+        let mut caches = Vec::with_capacity(self.wafers.len());
+        let legs = (0..self.wafers.len())
+            .map(|i| (false, i))
+            .chain((0..self.nodes.len()).map(|i| (true, i)));
+        for (multi, i) in legs {
+            let completed = |cp: &SearchCheckpoint| {
+                if multi {
+                    cp.completed_multi.len()
+                } else {
+                    cp.completed_single.len()
+                }
+            };
+            if let Some(cp) = resume.filter(|cp| i < completed(cp)) {
+                if multi {
+                    done.completed_multi.push(cp.completed_multi[i].clone());
+                } else {
+                    done.completed_single.push(cp.completed_single[i].clone());
+                    caches.push(ProfileCache::new());
                 }
                 continue;
             }
-            // The wave frontier applies only to the first non-completed
-            // leg, and only when it was taken on this side (single vs
-            // multi) of the session.
-            let at_frontier = resume.is_some_and(|cp| i == cp.completed_single.len());
             let frontier = resume
+                .filter(|cp| i == completed(cp))
                 .and_then(|cp| cp.frontier.as_ref())
-                .filter(|f| !f.multi && at_frontier)
+                .filter(|f| f.multi == multi)
                 .map(|f| &f.wave);
-            let completed: Vec<ArchRecord> = out.iter().map(|(r, _)| r.clone()).collect();
-            let entry = {
-                let leg_sink = self.sink.as_deref().map(|sink| LegSink {
-                    sink,
-                    seed: self.options.seed,
-                    completed_single: &completed,
-                    completed_multi: &[],
-                    multi: false,
-                });
-                let leg_ctx = SessionCtx {
-                    sink: leg_sink.as_ref().map(|s| s as &dyn WaveSink),
-                    resume: frontier,
-                    ..*ctx
-                };
-                self.explore_one(wafer, &leg_ctx)
+            let leg_sink = self.sink.as_deref().map(|sink| LegSink {
+                sink,
+                done: &done,
+                multi,
+            });
+            let leg_ctx = SessionCtx {
+                sink: leg_sink.as_ref().map(|s| s as &dyn WaveSink),
+                resume: frontier,
+                ..*ctx
             };
-            out.push(entry);
-            // Leg-boundary snapshot: frontier `None` means "start the
-            // next leg from scratch on resume".
+            if multi {
+                let record = self.explore_node(&self.nodes[i], &leg_ctx);
+                done.completed_multi.push(record);
+            } else {
+                let (record, cache) = self.explore_one(&self.wafers[i], &leg_ctx);
+                done.completed_single.push(record);
+                caches.push(cache);
+            }
             if let Some(sink) = &self.sink {
-                sink.write(&SearchCheckpoint {
-                    seed: self.options.seed,
-                    completed_single: out.iter().map(|(r, _)| r.clone()).collect(),
-                    completed_multi: Vec::new(),
-                    frontier: None,
-                });
+                sink.write(&done);
             }
         }
-        out
-    }
-
-    /// Sequential multi-wafer counterpart of
-    /// [`Self::run_single_checkpointed`]; snapshots carry the full
-    /// single-wafer prefix so a resumed session never re-runs it.
-    fn run_multi_checkpointed(
-        &self,
-        ctx: &SessionCtx<'_>,
-        resume: Option<&SearchCheckpoint>,
-        single_wafer: &[ArchRecord],
-    ) -> Vec<MultiWaferRecord> {
-        let mut out: Vec<MultiWaferRecord> = Vec::with_capacity(self.nodes.len());
-        for (i, node) in self.nodes.iter().enumerate() {
-            if resume.is_some_and(|cp| i < cp.completed_multi.len()) {
-                if let Some(cp) = resume {
-                    out.push(cp.completed_multi[i].clone());
-                }
-                continue;
-            }
-            let at_frontier = resume.is_some_and(|cp| i == cp.completed_multi.len());
-            let frontier = resume
-                .and_then(|cp| cp.frontier.as_ref())
-                .filter(|f| f.multi && at_frontier)
-                .map(|f| &f.wave);
-            let record = {
-                let leg_sink = self.sink.as_deref().map(|sink| LegSink {
-                    sink,
-                    seed: self.options.seed,
-                    completed_single: single_wafer,
-                    completed_multi: &out,
-                    multi: true,
-                });
-                let leg_ctx = SessionCtx {
-                    sink: leg_sink.as_ref().map(|s| s as &dyn WaveSink),
-                    resume: frontier,
-                    ..*ctx
-                };
-                Self::multi_record(
-                    node,
-                    explore_multi_wafer_impl(node, &self.job, &self.options, &leg_ctx),
-                )
-            };
-            out.push(record);
-            if let Some(sink) = &self.sink {
-                sink.write(&SearchCheckpoint {
-                    seed: self.options.seed,
-                    completed_single: single_wafer.to_vec(),
-                    completed_multi: out.clone(),
-                    frontier: None,
-                });
-            }
-        }
-        out
+        (done.completed_single, caches, done.completed_multi)
     }
 }
 

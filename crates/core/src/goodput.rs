@@ -37,7 +37,7 @@
 //! pruned ≡ exhaustive byte-identity with the fault axes enabled.
 
 use crate::cache::ProfileCache;
-use crate::scheduler::{evaluate_scheduled_cached, ScheduledConfig};
+use crate::scheduler::{evaluate_scheduled, ScheduledConfig};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use thiserror::Error;
@@ -147,21 +147,6 @@ impl CheckpointSpec {
     }
 }
 
-/// A fault-aware search request: the ensemble to score candidates
-/// against plus the objective folding its per-sample effective times
-/// into the scalar the wave engine minimizes. Built by
-/// [`crate::ExplorerBuilder::fault_aware`] and threaded (by reference)
-/// through the single-wafer search — deliberately *not* a
-/// [`crate::SchedulerOptions`] field, so serialized option sets stay
-/// oblivious to whether a run was fault-aware.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultAwareSpec {
-    /// The wafer population every candidate is scored against.
-    pub ensemble: FaultEnsemble,
-    /// How per-sample effective times become one score.
-    pub objective: RobustObjective,
-}
-
 /// How the ensemble of per-sample effective times is folded into one
 /// score (lower = better; the search minimizes it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -261,7 +246,7 @@ pub fn effective_iteration_secs(
     checkpoint: &CheckpointSpec,
     cache: &ProfileCache,
 ) -> f64 {
-    let rep = evaluate_scheduled_cached(wafer, job, cfg, Some(map), true, cache);
+    let rep = evaluate_scheduled(wafer, job, cfg, Some(map), true, cache);
     if !rep.feasible {
         return f64::INFINITY;
     }
@@ -356,7 +341,7 @@ pub fn ensemble_goodput(
             samples: per_sample.len(),
         });
     }
-    let clean = evaluate_scheduled_cached(wafer, job, cfg, None, true, cache);
+    let clean = evaluate_scheduled(wafer, job, cfg, None, true, cache);
     Ok(clean.useful_flops.as_f64() / eff)
 }
 
@@ -382,6 +367,7 @@ mod tests {
             &ParallelPlan::intra(4, 14, TpSplitStrategy::Megatron),
             &opts,
             None,
+            &ProfileCache::new(),
         )
         .expect("schedulable");
         (wafer, job, cfg)
@@ -451,7 +437,7 @@ mod tests {
         // at or above the clean iteration time.
         let (wafer, job, cfg) = setup();
         let cache = ProfileCache::new();
-        let clean = evaluate_scheduled_cached(&wafer, &job, &cfg, None, true, &cache)
+        let clean = evaluate_scheduled(&wafer, &job, &cfg, None, true, &cache)
             .iteration
             .as_secs();
         let ensemble = FaultEnsemble::clustered(0.2, 5, 11);
@@ -474,7 +460,7 @@ mod tests {
     fn goodput_is_positive_and_below_clean_throughput() {
         let (wafer, job, cfg) = setup();
         let cache = ProfileCache::new();
-        let clean = evaluate_scheduled_cached(&wafer, &job, &cfg, None, true, &cache);
+        let clean = evaluate_scheduled(&wafer, &job, &cfg, None, true, &cache);
         let ensemble = FaultEnsemble::clustered(0.2, 5, 11);
         let g = ensemble_goodput(&wafer, &job, &cfg, &ensemble, RobustObjective::Mean, &cache)
             .expect("a mildly degraded ensemble is feasible");

@@ -44,13 +44,13 @@
 //! (from `wsc-workload`) carries `dp`/`tp`/`pp`, the TP partition
 //! strategy, the stage→wafer [`StageMap`] and the TP span, and is the
 //! one type threaded through the scheduler, the wave engine, the
-//! profile cache, the multi-wafer search and every report record. The
-//! seed-era `(tp, pp, strategy)` entry points (`schedule_fixed`,
-//! `evaluate_multi_wafer` and their `_cached` variants), like the PR 1
-//! facade shims before them, have completed their one-release
-//! deprecation window and are gone; their migration tables live in
-//! `docs/ARCHITECTURE.md`, and `wsc-lint` rule A001 now enforces the
-//! window mechanically for any future `#[deprecated]` item.
+//! profile cache, the multi-wafer search and every report record.
+//!
+//! Each evaluator has one entry point, and it takes the
+//! [`ProfileCache`] it memoizes stage profiles in: [`schedule_plan`],
+//! [`evaluate_scheduled`] and [`evaluate_multi_wafer_plan`]. A one-off
+//! call passes `&ProfileCache::new()`; a sweep over one `(wafer, job)`
+//! pair shares one cache.
 
 pub mod cache;
 pub mod costmodel;
@@ -80,13 +80,13 @@ pub use crate::explorer::{
 };
 pub use crate::ga::{GaParams, GaResult};
 pub use crate::goodput::{
-    ensemble_effective_secs, ensemble_goodput, CheckpointSpec, FaultAwareSpec, FaultEnsemble,
-    GoodputError, RobustObjective,
+    ensemble_effective_secs, ensemble_goodput, CheckpointSpec, FaultEnsemble, GoodputError,
+    RobustObjective,
 };
 pub use crate::inject::Injection;
 pub use crate::multiwafer::{
-    evaluate_multi_wafer_plan, evaluate_multi_wafer_plan_cached, evaluate_multi_wafer_plan_placed,
-    seam_borrow_penalty, MultiWaferReport, NodePlacementStats,
+    evaluate_multi_wafer_plan, evaluate_multi_wafer_plan_placed, seam_borrow_penalty,
+    MultiWaferReport, NodePlacementStats,
 };
 pub use crate::placement::{
     global_cost, node_serpentine, optimize_node, serpentine, NodePlacementOutcome, PairDemand,
@@ -94,11 +94,11 @@ pub use crate::placement::{
 };
 pub use crate::robust::{FaultKind, FaultPoint};
 pub use crate::scheduler::{
-    evaluate_scheduled, evaluate_scheduled_cached, schedule_plan, schedule_plan_cached, PlanFilter,
-    RecomputeMode, ScheduledConfig, SchedulerOptions, SearchStats,
+    evaluate_scheduled, schedule_plan, PlanFilter, RecomputeMode, ScheduledConfig,
+    SchedulerOptions, SearchStats,
 };
 pub use crate::serving::ServingModel;
-pub use crate::stage::{build_stage_profiles, build_stage_profiles_with, LayerData, StageProfile};
+pub use crate::stage::{build_stage_profiles, LayerData, StageProfile};
 pub use crate::stats::{percentile, splitmix64, unit_open, SummaryStats};
 pub use crate::wave::{
     CandidateFailure, Outcome, PlanKey, SearchBudget, TruncationReason, WaveCheckpoint,

@@ -62,18 +62,16 @@
 //! are sorted by an analytic lower bound (1F1B steady state + pipeline
 //! critical path + DP all-reduce — recomputation and p2p only ever add
 //! time) and evaluated in deterministic ramped waves. Winner and
-//! [`SearchStats`] are byte-identical across thread counts and match
-//! the exhaustive sequential sweep.
+//! [`SearchStats`](crate::SearchStats) are byte-identical across thread
+//! counts and match the exhaustive sequential sweep.
 
-use crate::cache::{CacheStats, ProfileCache};
+use crate::cache::ProfileCache;
 use crate::costmodel::NodeCostModel;
 use crate::dram_alloc::allocate_node;
 use crate::placement::{choose_tile, optimize_node, PairDemand};
-use crate::scheduler::{
-    memory_precheck_fails, tp_candidates, PlanFilter, SchedulerOptions, SearchStats,
-};
+use crate::scheduler::{memory_precheck_fails, tp_candidates, PlanFilter, SchedulerOptions};
 use crate::stage::{boundary_bytes, StageProfile};
-use crate::wave::{bounded_search, CandidateFailure, Outcome, SessionCtx, WaveResult, WorkItem};
+use crate::wave::{bounded_search, LegOutcome, SessionCtx, WorkItem};
 use serde::{Deserialize, Serialize};
 use wsc_arch::units::{Bytes, FlopRate, Time};
 use wsc_arch::wafer::MultiWaferConfig;
@@ -228,24 +226,13 @@ fn node_geometry(
 
 /// Evaluate a fixed [`ParallelPlan`] on a multi-wafer node.
 ///
-/// One-shot wrapper around [`evaluate_multi_wafer_plan_cached`] with a
-/// private cache; searches and sweeps that revisit configurations
-/// should hold a [`ProfileCache`] and call the cached variant.
+/// Layer profiles per `(tp, strategy)`, stage profiles per
+/// `(tp, pp, strategy, microbatches)` and collective-time lookups go
+/// through `cache`, so they are reused across every plan the cache has
+/// seen for this `(wafer, job)` pair — including plans that differ only
+/// in stage map or TP span; a one-off call passes
+/// `&ProfileCache::new()`.
 pub fn evaluate_multi_wafer_plan(
-    node: &MultiWaferConfig,
-    job: &TrainingJob,
-    plan: &ParallelPlan,
-) -> Option<MultiWaferReport> {
-    let cache = ProfileCache::new();
-    evaluate_multi_wafer_plan_cached(node, job, plan, &cache)
-}
-
-/// [`evaluate_multi_wafer_plan`] with a shared [`ProfileCache`]: layer
-/// profiles per `(tp, strategy)`, stage profiles per
-/// `(tp, pp, strategy, microbatches)` and collective-time lookups are
-/// reused across every plan the cache has seen for this `(wafer, job)`
-/// pair — including plans that differ only in stage map or TP span.
-pub fn evaluate_multi_wafer_plan_cached(
     node: &MultiWaferConfig,
     job: &TrainingJob,
     plan: &ParallelPlan,
@@ -254,7 +241,7 @@ pub fn evaluate_multi_wafer_plan_cached(
     evaluate_multi_wafer_plan_impl(node, job, plan, cache, None)
 }
 
-/// [`evaluate_multi_wafer_plan_cached`] plus the node-level Alg. 3 pass
+/// [`evaluate_multi_wafer_plan`] plus the node-level Alg. 3 pass
 /// (§VI-F): after the baseline evaluation, the plan's stages are
 /// hill-climb placed on the seam-extended [`NodeCostModel`]
 /// ([`optimize_node`], seeded by `seed`), Sender→Helper DRAM borrowing
@@ -573,12 +560,12 @@ fn dp_allreduce_time(
 fn node_lower_bound(
     node: &MultiWaferConfig,
     job: &TrainingJob,
-    item: &WorkItem,
+    plan: &ParallelPlan,
     cache: &ProfileCache,
 ) -> Option<f64> {
     let wafer = &node.wafer;
-    let geo = node_geometry(node, job, &item.plan)?;
-    let stages = cache.stage_profiles(wafer, job, &item.plan, geo.n_mb);
+    let geo = node_geometry(node, job, plan)?;
+    let stages = cache.stage_profiles(wafer, job, plan, geo.n_mb);
     let link_bw = wafer.d2d_link_bw();
     let alpha = wafer.d2d_link_latency;
     let mut max_mb = 0.0f64;
@@ -592,33 +579,9 @@ fn node_lower_bound(
     }
     let mut bound = (geo.n_mb as f64 * max_mb).max(sum_mb);
     if geo.parallel.dp > 1 {
-        bound += dp_allreduce_time(
-            node,
-            job,
-            item.plan.tp,
-            item.plan.pp,
-            geo.parallel.dp,
-            cache,
-        )
-        .as_secs();
+        bound += dp_allreduce_time(node, job, plan.tp, plan.pp, geo.parallel.dp, cache).as_secs();
     }
     Some(bound)
-}
-
-/// Outcome of one multi-wafer search: the winner plus instrumentation.
-#[derive(Debug, Clone)]
-pub(crate) struct MultiWaferOutcome {
-    /// Best feasible multi-wafer schedule, if any.
-    pub best: Option<MultiWaferReport>,
-    /// How much of the space was evaluated vs pruned.
-    pub stats: SearchStats,
-    /// Whether the search ran to completion or its budget truncated it.
-    pub outcome: Outcome,
-    /// Candidates whose evaluation panicked (isolated, never winners).
-    pub failures: Vec<CandidateFailure>,
-    /// Degradation counters of the leg's profile cache (all-zero on a
-    /// panic-free, injection-free run).
-    pub cache_stats: CacheStats,
 }
 
 /// The stage-map family one `(span, tp, pp)` point emits, as
@@ -645,38 +608,27 @@ fn stage_map_family(pp: usize, groups: usize, filter: &PlanFilter) -> Vec<(Stage
     family
 }
 
-/// Implementation of the multi-wafer search (driven by
-/// [`crate::Explorer`]).
-///
-/// The baseline plan space — intra-wafer TP degrees that embed in one
-/// wafer, PP in multiples of the wafer count with balanced stage maps,
-/// every strategy in `opts.strategies` — is exactly the seed-era
-/// `TP × PP × strategy` sweep. `opts.plans` enlarges it: cross-wafer TP
-/// adds a `tp_span` axis over the divisors of the wafer count
-/// (per-wafer degrees scaled by the span), and uneven stage maps add
-/// every PP plus the remainder-shift family of explicit maps. The
-/// work-list is run through the shared bounded wave engine, honoring
-/// `opts.prune` / `opts.sequential` exactly like the single-wafer
-/// search. The result — winner *and* [`SearchStats`] — is identical to
-/// the exhaustive sequential sweep (`prune: false, sequential: true`) up
-/// to the instrumentation counters, and byte-identical across thread
-/// counts.
-pub(crate) fn explore_multi_wafer_impl(
+/// The §VI-F work-list of `node`. The baseline plan space — intra-wafer
+/// TP degrees that embed in one wafer, PP in multiples of the wafer
+/// count with balanced stage maps, every strategy in `opts.strategies`
+/// — is exactly the seed-era `TP × PP × strategy` sweep. `opts.plans`
+/// enlarges it: cross-wafer TP adds a `tp_span` axis over the divisors
+/// of the wafer count (per-wafer degrees scaled by the span), and uneven
+/// stage maps add every PP plus the remainder-shift family of explicit
+/// maps. `decided[i]` marks points the per-die aggregate-memory
+/// precheck alone decides; they are never profiled in either sweep
+/// mode. Empty when modelP cannot fit the node's total DRAM.
+fn node_work_list(
     node: &MultiWaferConfig,
     job: &TrainingJob,
     opts: &SchedulerOptions,
-    ctx: &SessionCtx<'_>,
-) -> MultiWaferOutcome {
+) -> (Vec<WorkItem>, Vec<bool>) {
+    let mut items: Vec<WorkItem> = Vec::new();
+    let mut decided: Vec<bool> = Vec::new();
     // Aggregate-memory precheck at the node level: if modelP cannot fit
     // the node's total DRAM, no plan can help.
     if model_p_total(&job.model).as_f64() > node.total_dram().as_f64() {
-        return MultiWaferOutcome {
-            best: None,
-            stats: SearchStats::default(),
-            outcome: Outcome::Complete,
-            failures: Vec::new(),
-            cache_stats: CacheStats::default(),
-        };
+        return (items, decided);
     }
     let dies = node.total_dies();
     let wafers = node.wafers.max(1);
@@ -688,14 +640,9 @@ pub(crate) fn explore_multi_wafer_impl(
         .filter(|&k| k == 1 || (opts.plans.cross_wafer_tp && wafers.is_multiple_of(k)))
         .collect();
 
-    // ---- Flatten the search space. ----
-    // `decided[i]` marks points the per-die aggregate-memory precheck
-    // alone decides; they are never profiled in either sweep mode. The
-    // precheck quantity (`modelP / (tp·pp)` vs per-die DRAM) is
+    // The precheck quantity (`modelP / (tp·pp)` vs per-die DRAM) is
     // independent of stage map and TP span, so one verdict decides the
     // whole plan family of a `(tp, pp)` pair.
-    let mut items: Vec<WorkItem> = Vec::new();
-    let mut decided: Vec<bool> = Vec::new();
     for span in spans {
         let groups = wafers / span;
         // Balanced-only sweeps keep PP in multiples of the group count
@@ -739,53 +686,42 @@ pub(crate) fn explore_multi_wafer_impl(
             }
         }
     }
+    (items, decided)
+}
 
-    // An armed injection schedule builds its corrupted/poisoned cache
-    // (test/bench-only); production runs take the plain memo.
-    let cache = match ctx.inject {
-        Some(inj) if inj.is_armed() => inj.build_cache(),
-        _ => ProfileCache::new(),
-    };
-    // Checkpoints emitted from this leg carry this cache's generation
-    // tag.
-    let ctx = SessionCtx {
-        generation: Some(cache.generation_handle()),
-        ..*ctx
-    };
-
-    // Bound-ordered evaluation waves on the shared engine. With the
-    // `node_placement` knob on, every evaluated plan gets the node-level
-    // Alg. 3 pass (seeded by `opts.seed`, so the sweep stays a pure
-    // deterministic function of its inputs); the bound is unchanged —
-    // the refined schedule still dominates it, see [`node_lower_bound`].
-    let WaveResult {
-        best,
-        stats,
-        outcome,
-        failures,
-    } = bounded_search(
+/// Implementation of the multi-wafer search (driven by
+/// [`crate::Explorer`]).
+///
+/// The [`node_work_list`] runs through the one search-leg loop
+/// (`crate::wave::bounded_search`), honoring `opts.prune` /
+/// `opts.sequential` exactly like the single-wafer search and ranking
+/// by clean iteration time. The result — winner *and* `SearchStats` —
+/// is identical to the exhaustive sequential sweep (`prune: false,
+/// sequential: true`) up to the instrumentation counters, and
+/// byte-identical across thread counts. With the `node_placement` knob
+/// on, every evaluated plan gets the node-level Alg. 3 pass (seeded by
+/// `opts.seed`, so the sweep stays a pure deterministic function of its
+/// inputs); the bound is unchanged — the refined schedule still
+/// dominates it, see [`node_lower_bound`].
+pub(crate) fn explore_multi_wafer_impl(
+    node: &MultiWaferConfig,
+    job: &TrainingJob,
+    opts: &SchedulerOptions,
+    ctx: &SessionCtx<'_>,
+) -> (LegOutcome<(MultiWaferReport, f64)>, ProfileCache) {
+    let (items, decided) = node_work_list(node, job, opts);
+    bounded_search(
         &items,
         &decided,
-        opts.prune,
-        opts.sequential,
-        &ctx,
-        |it| node_lower_bound(node, job, it, &cache),
-        |it| {
-            if opts.node_placement {
-                evaluate_multi_wafer_plan_placed(node, job, &it.plan, &cache, opts.seed)
-            } else {
-                evaluate_multi_wafer_plan_cached(node, job, &it.plan, &cache)
-            }
+        opts,
+        ctx,
+        |it, cache| node_lower_bound(node, job, &it.plan, cache),
+        |it, cache| {
+            let seed = opts.node_placement.then_some(opts.seed);
+            evaluate_multi_wafer_plan_impl(node, job, &it.plan, cache, seed)
         },
-        |r| r.iteration.as_secs(),
-    );
-    MultiWaferOutcome {
-        best,
-        stats,
-        outcome,
-        failures,
-        cache_stats: cache.stats(),
-    }
+        |r, _| r.iteration.as_secs(),
+    )
 }
 
 /// Binomial coefficient `C(n, k)` as an f64 (exact for the wafer counts
@@ -865,8 +801,7 @@ pub(crate) fn wafer_loss_sweep_impl(
                             tp_span: span,
                             ..best.plan.clone()
                         };
-                        if let Some(r) = evaluate_multi_wafer_plan_cached(&sub, job, &plan, &cache)
-                        {
+                        if let Some(r) = evaluate_multi_wafer_plan(&sub, job, &plan, &cache) {
                             best_tp = best_tp.max(r.useful_throughput.as_f64() / clean_tp);
                         }
                     }
@@ -911,6 +846,7 @@ pub(crate) fn wafer_loss_sweep_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::SearchStats;
     use wsc_arch::presets;
     use wsc_workload::parallel::TpSplitStrategy;
     use wsc_workload::zoo;
@@ -924,8 +860,23 @@ mod tests {
         }
     }
 
+    /// One node search leg, its winner's score and cache dropped.
+    fn search(
+        node: &MultiWaferConfig,
+        job: &TrainingJob,
+        opts: &SchedulerOptions,
+    ) -> LegOutcome<MultiWaferReport> {
+        let (leg, _) = explore_multi_wafer_impl(node, job, opts, &SessionCtx::none());
+        LegOutcome {
+            best: leg.best.map(|(r, _)| r),
+            stats: leg.stats,
+            outcome: leg.outcome,
+            failures: leg.failures,
+        }
+    }
+
     fn best_of(node: &MultiWaferConfig, job: &TrainingJob) -> Option<MultiWaferReport> {
-        explore_multi_wafer_impl(node, job, &seq_par_opts(), &SessionCtx::none()).best
+        search(node, job, &seq_par_opts()).best
     }
 
     #[test]
@@ -968,7 +919,8 @@ mod tests {
         assert!(evaluate_multi_wafer_plan(
             &node,
             &job,
-            &ParallelPlan::balanced(4, 1000, TpSplitStrategy::SequenceParallel, node.wafers)
+            &ParallelPlan::balanced(4, 1000, TpSplitStrategy::SequenceParallel, node.wafers),
+            &ProfileCache::new(),
         )
         .is_none());
     }
@@ -1005,18 +957,18 @@ mod tests {
         let job = TrainingJob::standard(zoo::gpt_175b());
         // tp_span must divide tp.
         let p = ParallelPlan::balanced(6, 8, TpSplitStrategy::SequenceParallel, 2).with_tp_span(4);
-        assert!(evaluate_multi_wafer_plan(&node, &job, &p).is_none());
+        assert!(evaluate_multi_wafer_plan(&node, &job, &p, &ProfileCache::new()).is_none());
         // tp_span must divide the wafer count.
         let p = ParallelPlan::balanced(9, 8, TpSplitStrategy::SequenceParallel, 1).with_tp_span(3);
-        assert!(evaluate_multi_wafer_plan(&node, &job, &p).is_none());
+        assert!(evaluate_multi_wafer_plan(&node, &job, &p, &ProfileCache::new()).is_none());
         // Explicit map of the wrong length.
         let p = ParallelPlan::intra(4, 8, TpSplitStrategy::SequenceParallel)
             .with_stage_map(StageMap::Explicit(vec![0, 0, 1, 1]));
-        assert!(evaluate_multi_wafer_plan(&node, &job, &p).is_none());
+        assert!(evaluate_multi_wafer_plan(&node, &job, &p, &ProfileCache::new()).is_none());
         // Explicit map using more groups than the node has.
         let p = ParallelPlan::intra(4, 8, TpSplitStrategy::SequenceParallel)
             .with_stage_map(StageMap::Explicit(vec![0, 0, 1, 1, 2, 2, 3, 4]));
-        assert!(evaluate_multi_wafer_plan(&node, &job, &p).is_none());
+        assert!(evaluate_multi_wafer_plan(&node, &job, &p, &ProfileCache::new()).is_none());
     }
 
     #[test]
@@ -1033,8 +985,10 @@ mod tests {
             ParallelPlan::balanced(8, 28, TpSplitStrategy::SequenceParallel, 2).with_tp_span(2);
         let intra = ParallelPlan::balanced(8, 28, TpSplitStrategy::SequenceParallel, 4);
         let (cf, cs) = (
-            evaluate_multi_wafer_plan(&fast, &job, &cross).expect("cross feasible"),
-            evaluate_multi_wafer_plan(&slow, &job, &cross).expect("cross feasible"),
+            evaluate_multi_wafer_plan(&fast, &job, &cross, &ProfileCache::new())
+                .expect("cross feasible"),
+            evaluate_multi_wafer_plan(&slow, &job, &cross, &ProfileCache::new())
+                .expect("cross feasible"),
         );
         assert!(
             cs.iteration.as_secs() > cf.iteration.as_secs() * 1.01,
@@ -1043,8 +997,8 @@ mod tests {
             cf.iteration
         );
         let (ifa, isl) = (
-            evaluate_multi_wafer_plan(&fast, &job, &intra),
-            evaluate_multi_wafer_plan(&slow, &job, &intra),
+            evaluate_multi_wafer_plan(&fast, &job, &intra, &ProfileCache::new()),
+            evaluate_multi_wafer_plan(&slow, &job, &intra, &ProfileCache::new()),
         );
         // Intra-wafer TP collectives never touch the seam; only the
         // (few) boundary p2p transfers do.
@@ -1064,22 +1018,16 @@ mod tests {
         // search can never return a slower winner.
         let node = presets::multi_wafer_4();
         let job = TrainingJob::standard(zoo::llama3_405b());
-        let base = explore_multi_wafer_impl(
-            &node,
-            &job,
-            &SchedulerOptions::default(),
-            &SessionCtx::none(),
-        )
-        .best
-        .expect("baseline feasible");
-        let enlarged = explore_multi_wafer_impl(
+        let base = search(&node, &job, &SchedulerOptions::default())
+            .best
+            .expect("baseline feasible");
+        let enlarged = search(
             &node,
             &job,
             &SchedulerOptions {
                 plans: PlanFilter::all(),
                 ..SchedulerOptions::default()
             },
-            &SessionCtx::none(),
         )
         .best
         .expect("enlarged feasible");
@@ -1098,17 +1046,16 @@ mod tests {
         // pruning only changes the instrumentation counters.
         let node = presets::multi_wafer_18();
         let job = TrainingJob::standard(zoo::llama3_405b());
-        let pruned = explore_multi_wafer_impl(&node, &job, &seq_par_opts(), &SessionCtx::none());
-        let pruned_seq = explore_multi_wafer_impl(
+        let pruned = search(&node, &job, &seq_par_opts());
+        let pruned_seq = search(
             &node,
             &job,
             &SchedulerOptions {
                 sequential: true,
                 ..seq_par_opts()
             },
-            &SessionCtx::none(),
         );
-        let exhaustive = explore_multi_wafer_impl(
+        let exhaustive = search(
             &node,
             &job,
             &SchedulerOptions {
@@ -1116,7 +1063,6 @@ mod tests {
                 sequential: true,
                 ..seq_par_opts()
             },
-            &SessionCtx::none(),
         );
         assert_eq!(pruned.best, pruned_seq.best);
         assert_eq!(pruned.stats, pruned_seq.stats);
@@ -1133,23 +1079,17 @@ mod tests {
         // than either single-strategy sweep (it searches a superset).
         let node = presets::multi_wafer_18();
         let job = TrainingJob::standard(zoo::llama3_405b());
-        let both = explore_multi_wafer_impl(
-            &node,
-            &job,
-            &SchedulerOptions::default(),
-            &SessionCtx::none(),
-        )
-        .best
-        .expect("feasible");
+        let both = search(&node, &job, &SchedulerOptions::default())
+            .best
+            .expect("feasible");
         for strategy in [TpSplitStrategy::Megatron, TpSplitStrategy::SequenceParallel] {
-            let single = explore_multi_wafer_impl(
+            let single = search(
                 &node,
                 &job,
                 &SchedulerOptions {
                     strategies: vec![strategy],
                     ..SchedulerOptions::default()
                 },
-                &SessionCtx::none(),
             )
             .best;
             if let Some(single) = single {
@@ -1165,12 +1105,7 @@ mod tests {
     fn search_stats_are_consistent() {
         let node = presets::multi_wafer_18();
         let job = TrainingJob::standard(zoo::llama3_405b());
-        let out = explore_multi_wafer_impl(
-            &node,
-            &job,
-            &SchedulerOptions::default(),
-            &SessionCtx::none(),
-        );
+        let out = search(&node, &job, &SchedulerOptions::default());
         let s = out.stats;
         assert!(s.visited > 0);
         assert_eq!(s.visited, s.pruned + s.evaluated);
@@ -1186,12 +1121,7 @@ mod tests {
         let mut model = zoo::deepseek_v3();
         model.layers *= 8;
         let job = TrainingJob::standard(model);
-        let out = explore_multi_wafer_impl(
-            &node,
-            &job,
-            &SchedulerOptions::default(),
-            &SessionCtx::none(),
-        );
+        let out = search(&node, &job, &SchedulerOptions::default());
         assert!(out.best.is_none());
         assert_eq!(out.stats, SearchStats::default());
     }
@@ -1209,6 +1139,7 @@ mod tests {
                 &node,
                 &job,
                 &ParallelPlan::balanced(4, pp, TpSplitStrategy::SequenceParallel, node.wafers),
+                &ProfileCache::new(),
             ) {
                 evaluated += 1;
                 assert!(r.feasible);
@@ -1281,8 +1212,7 @@ mod tests {
             ParallelPlan::balanced(8, 28, TpSplitStrategy::SequenceParallel, 4),
             ParallelPlan::balanced(8, 28, TpSplitStrategy::SequenceParallel, 2).with_tp_span(2),
         ] {
-            let base =
-                evaluate_multi_wafer_plan_cached(&node, &job, &plan, &cache).expect("feasible");
+            let base = evaluate_multi_wafer_plan(&node, &job, &plan, &cache).expect("feasible");
             let placed =
                 evaluate_multi_wafer_plan_placed(&node, &job, &plan, &cache, 7).expect("feasible");
             // Keep-if-strictly-better: placement can only shrink the
@@ -1319,17 +1249,14 @@ mod tests {
     fn node_placement_search_never_loses_to_baseline() {
         let node = presets::multi_wafer_18();
         let job = TrainingJob::standard(zoo::llama3_405b());
-        let base = explore_multi_wafer_impl(&node, &job, &seq_par_opts(), &SessionCtx::none())
-            .best
-            .expect("feasible");
-        let placed = explore_multi_wafer_impl(
+        let base = search(&node, &job, &seq_par_opts()).best.expect("feasible");
+        let placed = search(
             &node,
             &job,
             &SchedulerOptions {
                 node_placement: true,
                 ..seq_par_opts()
             },
-            &SessionCtx::none(),
         )
         .best
         .expect("feasible");
@@ -1355,8 +1282,8 @@ mod tests {
             node_placement: true,
             ..seq_par_opts()
         };
-        let pruned = explore_multi_wafer_impl(&node, &job, &opts, &SessionCtx::none());
-        let exhaustive = explore_multi_wafer_impl(
+        let pruned = search(&node, &job, &opts);
+        let exhaustive = search(
             &node,
             &job,
             &SchedulerOptions {
@@ -1364,7 +1291,6 @@ mod tests {
                 sequential: true,
                 ..opts.clone()
             },
-            &SessionCtx::none(),
         );
         assert_eq!(pruned.best, exhaustive.best);
         assert_eq!(pruned.stats.visited, exhaustive.stats.visited);
@@ -1384,12 +1310,8 @@ mod tests {
         one_slow.w2w_latency = Time::from_millis(10.0);
         let job = TrainingJob::standard(zoo::llama2_30b());
         let opts = SchedulerOptions::default();
-        let r = explore_multi_wafer_impl(&one, &job, &opts, &SessionCtx::none())
-            .best
-            .expect("fits one wafer");
-        let r_slow = explore_multi_wafer_impl(&one_slow, &job, &opts, &SessionCtx::none())
-            .best
-            .expect("fits one wafer");
+        let r = search(&one, &job, &opts).best.expect("fits one wafer");
+        let r_slow = search(&one_slow, &job, &opts).best.expect("fits one wafer");
         assert_eq!(r.w2w_boundary_fraction, 0.0);
         assert_eq!(r, r_slow, "W2W parameters must be irrelevant at wafers=1");
         // The node-placement pass keeps that property: one group means
@@ -1398,10 +1320,10 @@ mod tests {
             node_placement: true,
             ..opts
         };
-        let p = explore_multi_wafer_impl(&one, &job, &placed_opts, &SessionCtx::none())
+        let p = search(&one, &job, &placed_opts)
             .best
             .expect("fits one wafer");
-        let p_slow = explore_multi_wafer_impl(&one_slow, &job, &placed_opts, &SessionCtx::none())
+        let p_slow = search(&one_slow, &job, &placed_opts)
             .best
             .expect("fits one wafer");
         assert_eq!(

@@ -15,7 +15,7 @@
 //!
 //! Since the degradation-aware placement landed, the robust leg of a
 //! sweep point additionally *re-places* the same plan against the
-//! injected fault map ([`crate::scheduler::schedule_plan_cached`] with
+//! injected fault map ([`crate::scheduler::schedule_plan`] with
 //! faults builds a quality-weighted cost model with dead-die slots
 //! masked out) and keeps whichever robust policy — re-evaluate in place
 //! or re-place around the damage — is faster. Each mitigation is floored
@@ -40,9 +40,7 @@
 //! say so, byte-identical either way.
 
 use crate::cache::ProfileCache;
-use crate::scheduler::{
-    evaluate_scheduled_cached, schedule_plan_cached, ScheduledConfig, SchedulerOptions,
-};
+use crate::scheduler::{evaluate_scheduled, schedule_plan, ScheduledConfig, SchedulerOptions};
 use serde::{Deserialize, Serialize};
 use wsc_arch::fault::FaultMap;
 use wsc_arch::wafer::WaferConfig;
@@ -113,7 +111,7 @@ pub(crate) fn fault_sweep_impl(
     opts: &SchedulerOptions,
     cache: &ProfileCache,
 ) -> Vec<FaultPoint> {
-    let clean = evaluate_scheduled_cached(wafer, job, cfg, None, true, cache);
+    let clean = evaluate_scheduled(wafer, job, cfg, None, true, cache);
     let clean_tp = clean.useful_throughput.as_f64().max(1e-9);
     let clean_secs = clean.iteration.as_secs();
     // The degradation-aware re-placement leg must not recurse into the
@@ -146,8 +144,8 @@ pub(crate) fn fault_sweep_impl(
             FaultKind::Link => FaultMap::inject_link_faults(wafer.nx, wafer.ny, rate, opts.seed),
             _ => FaultMap::inject_die_faults(wafer.nx, wafer.ny, rate, opts.seed),
         };
-        let robust_rep = evaluate_scheduled_cached(wafer, job, cfg, Some(&fm), true, cache);
-        let baseline_rep = evaluate_scheduled_cached(wafer, job, cfg, Some(&fm), false, cache);
+        let robust_rep = evaluate_scheduled(wafer, job, cfg, Some(&fm), true, cache);
+        let baseline_rep = evaluate_scheduled(wafer, job, cfg, Some(&fm), false, cache);
         let mut robust_tp = robust_rep.useful_throughput.as_f64();
         let mut robust_secs = robust_rep.iteration.as_secs();
         // Not mitigating is always an available robust policy: floor the
@@ -162,8 +160,7 @@ pub(crate) fn fault_sweep_impl(
         // against the fault map (quality-weighted distances, dead-die
         // slots masked) and keep the faster robust leg. Strictly a
         // maximum, so the robust curve can only move up.
-        if let Some(resched) = schedule_plan_cached(wafer, job, &cfg.plan, &inner, Some(&fm), cache)
-        {
+        if let Some(resched) = schedule_plan(wafer, job, &cfg.plan, &inner, Some(&fm), cache) {
             let tp = resched.report.useful_throughput.as_f64();
             if resched.report.feasible && tp > robust_tp {
                 robust_tp = tp;
@@ -185,7 +182,6 @@ pub(crate) fn fault_sweep_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::schedule_plan;
     use rand::rngs::StdRng;
     use rand::{Rng as _, SeedableRng as _};
     use wsc_arch::presets;
@@ -228,6 +224,7 @@ mod tests {
             &ParallelPlan::intra(4, 14, TpSplitStrategy::Megatron),
             &opts,
             None,
+            &ProfileCache::new(),
         )
         .expect("schedulable");
         (wafer, job, cfg)
@@ -371,6 +368,7 @@ mod tests {
             &ParallelPlan::intra(2, 7, TpSplitStrategy::SequenceParallel),
             &opts,
             None,
+            &ProfileCache::new(),
         )
         .expect("schedulable");
         let rates = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6];
@@ -422,6 +420,7 @@ mod tests {
                 &ParallelPlan::intra(tp, pp, strategy),
                 &opts,
                 None,
+                &ProfileCache::new(),
             ) else {
                 // Infeasible draw (the model may not fit this plan);
                 // redraw rather than count it toward the sample budget.

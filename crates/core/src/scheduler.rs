@@ -23,13 +23,14 @@ use crate::costmodel::PlacementCostModel;
 use crate::dram_alloc::{allocate, DramGrant};
 use crate::evaluator::{self, evaluate, EvalInput, EvalOptions, PerfReport};
 use crate::ga::{self, GaParams};
-use crate::goodput::{ensemble_effective_secs_within, FaultAwareSpec};
+use crate::goodput::{ensemble_effective_secs_within, FaultEnsemble, RobustObjective};
 use crate::placement::{self, PairDemand, Placement};
 use crate::serving::ServingModel;
 use crate::stage::{boundary_bytes, StageProfile};
-use crate::wave::{bounded_search, CandidateFailure, Outcome, SessionCtx, WaveResult, WorkItem};
+use crate::wave::{bounded_search, LegOutcome, Outcome, SessionCtx, WorkItem};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
+use std::time::Instant;
 use wsc_arch::fault::FaultMap;
 use wsc_arch::units::Bytes;
 use wsc_arch::wafer::WaferConfig;
@@ -162,8 +163,10 @@ pub struct SchedulerOptions {
     /// (builder: [`crate::ExplorerBuilder::no_prune`]) only to measure
     /// the exhaustive sweep or stress the equivalence tests.
     pub prune: bool,
-    /// Force sequential evaluation of the search work-list (default: a
-    /// rayon fan-out in bound-ordered ramped waves). Results and
+    /// Force sequential evaluation of the [`crate::Explorer`]'s
+    /// candidate fan-out, the search work-list and the fault-sweep rate
+    /// grid (default: rayon fan-outs, the work-list in bound-ordered
+    /// ramped waves). Results and
     /// [`SearchStats`] are identical either way; enable (builder:
     /// [`crate::ExplorerBuilder::sequential`]) for single-threaded
     /// benchmarking baselines and determinism tests, or to keep a shared
@@ -307,7 +310,7 @@ fn config_geometry(
 
 /// The collective algorithm the scheduler uses for a point: cheapest
 /// supported algorithm at the first stage's typical per-op volume.
-/// Shared by [`schedule_fixed_cached`] and the lower-bound pruner.
+/// Shared by [`schedule_plan`] and the lower-bound pruner.
 fn choose_collective(
     opts: &SchedulerOptions,
     wafer: &WaferConfig,
@@ -352,24 +355,10 @@ fn pick_collective(
 /// evaluate. This is the Alg. 1 loop body, also used directly by the
 /// ablation and baseline experiments.
 ///
-/// One-shot wrapper around [`schedule_plan_cached`] with a private
-/// cache; searches and sweeps that revisit configurations should hold a
-/// [`ProfileCache`] and call the cached variant.
+/// Stage profiles and collective-time lookups go through `cache`, so
+/// they are reused across every plan the cache has seen for this
+/// `(wafer, job)` pair; a one-off call passes `&ProfileCache::new()`.
 pub fn schedule_plan(
-    wafer: &WaferConfig,
-    job: &TrainingJob,
-    plan: &ParallelPlan,
-    opts: &SchedulerOptions,
-    faults: Option<&FaultMap>,
-) -> Option<ScheduledConfig> {
-    let cache = ProfileCache::new();
-    schedule_plan_cached(wafer, job, plan, opts, faults, &cache)
-}
-
-/// [`schedule_plan`] with a shared [`ProfileCache`]: stage profiles and
-/// collective-time lookups are reused across every plan the cache has
-/// seen for this `(wafer, job)` pair.
-pub fn schedule_plan_cached(
     wafer: &WaferConfig,
     job: &TrainingJob,
     plan: &ParallelPlan,
@@ -545,26 +534,9 @@ pub fn schedule_plan_cached(
     })
 }
 
-/// Outcome of one Alg. 1 search: the winner plus instrumentation.
-#[derive(Debug)]
-pub(crate) struct SearchOutcome {
-    /// Best feasible configuration, if any.
-    pub best: Option<ScheduledConfig>,
-    /// How much of the space was scheduled vs pruned.
-    pub stats: SearchStats,
-    /// Whether the search ran to completion or its budget truncated it.
-    pub outcome: Outcome,
-    /// Candidates whose evaluation panicked (isolated, never winners).
-    pub failures: Vec<CandidateFailure>,
-    /// The search's own profile cache, handed back so downstream sweeps
-    /// (fault sweeps, ensemble scoring, baselines) reuse the winner's
-    /// stage profiles instead of rebuilding them from scratch.
-    pub cache: ProfileCache,
-}
-
 /// Analytic lower bound (seconds) on the iteration time any feasible
-/// schedule of `(tp, pp, strategy)` can achieve, from
-/// compute-plus-collective totals of the cached stage profiles:
+/// schedule of `plan` can achieve, from compute-plus-collective totals
+/// of the cached stage profiles:
 ///
 /// * 1F1B steady state — the bottleneck stage serializes all `n` micro-
 ///   batches: `n · max_s(fwd_s + bwd_s)`;
@@ -579,18 +551,18 @@ pub(crate) struct SearchOutcome {
 fn config_lower_bound(
     wafer: &WaferConfig,
     job: &TrainingJob,
-    item: &WorkItem,
+    plan: &ParallelPlan,
     opts: &SchedulerOptions,
     cache: &ProfileCache,
 ) -> Option<f64> {
-    let (tp, pp) = (item.plan.tp, item.plan.pp);
+    let (tp, pp) = (plan.tp, plan.pp);
     let ConfigGeometry {
         shape,
         parallel,
         n_mb,
         ctx: _,
-    } = config_geometry(wafer, job, &item.plan)?;
-    let stages = cache.stage_profiles(wafer, job, &item.plan, n_mb);
+    } = config_geometry(wafer, job, plan)?;
+    let stages = cache.stage_profiles(wafer, job, plan, n_mb);
     let link_bw = wafer.d2d_link_bw();
     let alpha = wafer.d2d_link_latency;
     // Same collective the full scheduler will pick for this shape.
@@ -624,65 +596,120 @@ fn config_lower_bound(
     Some(bound)
 }
 
-/// Implementation of the Alg. 1 single-wafer search (driven by
-/// [`crate::Explorer`]).
-///
-/// The intra-wafer [`ParallelPlan`] space (`TP × PP × strategy`, all
-/// stages on this wafer) is flattened into a work-list,
-/// lower-bounded analytically (memory-precheck-decided points are
-/// short-circuited without building stage profiles), sorted by bound,
-/// and evaluated in deterministic ramped parallel waves; after each wave
-/// the incumbent best prunes every remaining point whose bound it beats.
-/// The result — winner *and*
-/// [`SearchStats`] — is identical to the exhaustive sequential sweep
-/// (`prune: false`, `sequential: true`) up to the instrumentation
-/// counters, and byte-identical across thread counts.
-///
-/// With `fault_aware` set, candidates are ranked by
-/// [`crate::goodput::ensemble_effective_secs`] — the checkpoint-aware effective
-/// iteration time over the spec's Monte-Carlo wafer population — instead
-/// of the clean iteration time. The analytic bound stays the *clean*
-/// lower bound, which remains sound because every fault/checkpoint
-/// transformation only ever adds time (`crate::goodput` module docs);
-/// the pruned ≡ exhaustive equivalence therefore holds unchanged, and
-/// the `search_equivalence` proptests pin it with the fault axes on.
-///
-/// With `serving` set, candidates are instead ranked by the
-/// [`ServingModel`]'s score (e.g. negated goodput-under-SLO from the
-/// `wsc-serve` continuous-batching simulator) and bounded by its
-/// analytic serving bound — the trait carries its own soundness
-/// obligation (`crate::serving` module docs), and `tests/serving.rs`
-/// pins pruned ≡ exhaustive for that leg. The two ranking overrides
-/// are mutually exclusive; [`crate::ExplorerBuilder::build`] rejects
-/// the combination.
-pub(crate) fn explore_impl(
+/// What a single-wafer search ranks its candidates by, with the sound
+/// lower bound it prunes with — the only place the clean, fault-aware
+/// and serving objectives differ. Set by
+/// [`crate::ExplorerBuilder::fault_aware`] /
+/// [`crate::ExplorerBuilder::serving_model`] and deliberately *not* a
+/// [`SchedulerOptions`] field, so serialized option sets stay oblivious
+/// to it. Node legs always rank by clean iteration time.
+#[derive(Default)]
+pub(crate) enum Objective {
+    /// Clean iteration seconds.
+    #[default]
+    Clean,
+    /// [`crate::goodput::ensemble_effective_secs`]: the checkpoint-aware
+    /// effective iteration time over the ensemble's Monte-Carlo wafer
+    /// population, folded by `objective`.
+    FaultAware {
+        /// The wafer population every candidate is scored against.
+        ensemble: FaultEnsemble,
+        /// How per-sample effective times become one score.
+        objective: RobustObjective,
+    },
+    /// The serving model's score (e.g. negated goodput-under-SLO from the
+    /// `wsc-serve` continuous-batching simulator).
+    Serving(Arc<dyn ServingModel>),
+}
+
+impl std::fmt::Debug for Objective {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Objective::Clean => f.write_str("Clean"),
+            Objective::FaultAware {
+                ensemble,
+                objective,
+            } => f
+                .debug_struct("FaultAware")
+                .field("ensemble", ensemble)
+                .field("objective", objective)
+                .finish(),
+            Objective::Serving(model) => f.debug_tuple("Serving").field(&model.name()).finish(),
+        }
+    }
+}
+
+impl Objective {
+    /// Analytic lower bound on [`Objective::score`] for any feasible
+    /// schedule of `plan`; `None` = statically infeasible.
+    fn bound(
+        &self,
+        wafer: &WaferConfig,
+        job: &TrainingJob,
+        plan: &ParallelPlan,
+        opts: &SchedulerOptions,
+        cache: &ProfileCache,
+    ) -> Option<f64> {
+        match self {
+            // Serving ranks on another axis than iteration seconds, so
+            // the model brings its own sound bound (`crate::serving`).
+            // The training geometry gate still applies — a plan that
+            // cannot be laid out cannot be scheduled, let alone served.
+            Objective::Serving(model) => {
+                config_geometry(wafer, job, plan)?;
+                model.bound(wafer, job, plan, cache)
+            }
+            // Every fault/checkpoint transformation only adds time
+            // (`crate::goodput`), so the clean bound also bounds the
+            // ensemble score.
+            Objective::Clean | Objective::FaultAware { .. } => {
+                config_lower_bound(wafer, job, plan, opts, cache)
+            }
+        }
+    }
+
+    /// The score `cfg` competes on; lower is better. Past `cutoff` the
+    /// fault-aware ensemble loop stops and scores `INFINITY`, which the
+    /// search drops as unscoreable.
+    pub(crate) fn score(
+        &self,
+        wafer: &WaferConfig,
+        job: &TrainingJob,
+        cfg: &ScheduledConfig,
+        cache: &ProfileCache,
+        cutoff: Option<Instant>,
+    ) -> f64 {
+        match self {
+            Objective::Clean => cfg.report.iteration.as_secs(),
+            Objective::FaultAware {
+                ensemble,
+                objective,
+            } => {
+                ensemble_effective_secs_within(wafer, job, cfg, ensemble, *objective, cache, cutoff)
+            }
+            Objective::Serving(model) => model.score(wafer, job, cfg, cache),
+        }
+    }
+}
+
+/// The Alg. 1 work-list of `wafer`: the intra-wafer `TP × PP × strategy`
+/// points, each with its `decided` flag — set when the Alg. 1 line 1–2
+/// aggregate-memory precheck alone decides the point (modelP per die
+/// cannot fit the die's DRAM), so the bound phase, the pruned waves AND
+/// the exhaustive sweep all short-circuit it without building stage
+/// profiles. Empty when modelP cannot fit the whole wafer.
+fn work_list(
     wafer: &WaferConfig,
     job: &TrainingJob,
     opts: &SchedulerOptions,
-    fault_aware: Option<&FaultAwareSpec>,
-    serving: Option<&dyn ServingModel>,
-    ctx: &SessionCtx<'_>,
-) -> SearchOutcome {
-    // Alg. 1 line 1–2 at the wafer level.
+) -> (Vec<WorkItem>, Vec<bool>) {
     let dies = wafer.die_count();
-    if model_p_total(&job.model).as_f64() / dies as f64 > wafer.dram.capacity.as_f64() {
-        return SearchOutcome {
-            best: None,
-            stats: SearchStats::default(),
-            outcome: Outcome::Complete,
-            failures: Vec::new(),
-            cache: ProfileCache::new(),
-        };
-    }
-
-    // ---- Flatten the search space. ----
-    // `decided[i]` marks points the Alg. 1 line 1–2 aggregate-memory
-    // precheck alone decides (modelP per die cannot fit the die's DRAM):
-    // the bound phase, the pruned waves AND the exhaustive sweep all
-    // short-circuit them without building stage profiles or running the
-    // downstream schedulers.
     let mut items: Vec<WorkItem> = Vec::new();
     let mut decided: Vec<bool> = Vec::new();
+    // Alg. 1 line 1–2 at the wafer level.
+    if model_p_total(&job.model).as_f64() / dies as f64 > wafer.dram.capacity.as_f64() {
+        return (items, decided);
+    }
     for tp in tp_candidates(wafer, opts) {
         let max_pp = (dies / tp).min(job.model.layers);
         for pp in 1..=max_pp {
@@ -705,97 +732,63 @@ pub(crate) fn explore_impl(
             }
         }
     }
+    (items, decided)
+}
 
-    // An armed injection schedule builds its corrupted/poisoned cache
-    // (test/bench-only); production runs take the plain memo.
-    let cache = match ctx.inject {
-        Some(inj) if inj.is_armed() => inj.build_cache(),
-        _ => ProfileCache::new(),
-    };
-    // Checkpoints emitted from this leg carry this cache's generation
-    // tag.
-    let ctx = SessionCtx {
-        generation: Some(cache.generation_handle()),
-        ..*ctx
-    };
-
-    // The score the incumbent competes on: clean iteration seconds, or —
-    // fault-aware — the ensemble-aggregated effective seconds. Computed
-    // once per evaluated candidate and carried alongside it, so the wave
-    // loop's repeated incumbent reads never re-run the ensemble. The
-    // ensemble loop honors the session deadline: a candidate the budget
-    // interrupts mid-ensemble scores INFINITY and is dropped below.
-    let score_of = |cfg: &ScheduledConfig| {
-        if let Some(model) = serving {
-            return model.score(wafer, job, cfg, &cache);
-        }
-        match fault_aware {
-            Some(fa) => ensemble_effective_secs_within(
-                wafer,
-                job,
-                cfg,
-                &fa.ensemble,
-                fa.objective,
-                &cache,
-                ctx.deadline,
-            ),
-            None => cfg.report.iteration.as_secs(),
-        }
-    };
-
-    // Bound-ordered evaluation waves on the shared engine. The loop body
-    // runs without the GA; the GA refines the winner once.
+/// Implementation of the Alg. 1 single-wafer search (driven by
+/// [`crate::Explorer`]).
+///
+/// The intra-wafer [`ParallelPlan`] space ([`work_list`]) runs through
+/// the one search-leg loop (`crate::wave::bounded_search`), ranked and
+/// bounded by `objective`; the winner — and [`SearchStats`] — is
+/// identical to the exhaustive sequential sweep (`prune: false`,
+/// `sequential: true`) up to the instrumentation counters, and
+/// byte-identical across thread counts. The loop body runs without the
+/// GA; with `opts.ga` set, the GA then refines the winner once.
+///
+/// The fault-aware objective keeps the *clean* bound, which stays sound
+/// because every fault/checkpoint transformation only ever adds time
+/// (`crate::goodput` module docs); a serving model brings its own bound
+/// with its own soundness obligation (`crate::serving` module docs).
+/// `tests/search_equivalence.rs` and `tests/serving.rs` pin pruned ≡
+/// exhaustive for both. Returns the leg outcome (winner with its score)
+/// and the leg's profile cache, which downstream sweeps (ranking, fault
+/// sweeps, baselines) reuse.
+pub(crate) fn explore_impl(
+    wafer: &WaferConfig,
+    job: &TrainingJob,
+    opts: &SchedulerOptions,
+    objective: &Objective,
+    ctx: &SessionCtx<'_>,
+) -> (LegOutcome<(ScheduledConfig, f64)>, ProfileCache) {
+    let (items, decided) = work_list(wafer, job, opts);
     let inner = SchedulerOptions {
         ga: None,
         ..opts.clone()
     };
-    let WaveResult {
-        mut best,
-        stats,
-        outcome,
-        failures,
-    } = bounded_search(
+    // The ensemble loop honors the session deadline.
+    let score = |cfg: &ScheduledConfig, cache: &ProfileCache| {
+        objective.score(wafer, job, cfg, cache, ctx.deadline)
+    };
+    let (mut leg, cache) = bounded_search(
         &items,
         &decided,
-        opts.prune,
-        opts.sequential,
-        &ctx,
-        |it| match serving {
-            // Serving runs rank on a different axis than iteration
-            // seconds, so the clean training bound is meaningless for
-            // them; the model brings its own sound bound. The training
-            // geometry gate still applies — a plan that cannot be laid
-            // out cannot be scheduled, let alone served.
-            Some(model) => {
-                config_geometry(wafer, job, &it.plan)?;
-                model.bound(wafer, job, &it.plan, &cache)
-            }
-            None => config_lower_bound(wafer, job, it, opts, &cache),
-        },
-        |it| {
-            let cfg = schedule_plan_cached(wafer, job, &it.plan, &inner, None, &cache)?;
-            let score = score_of(&cfg);
-            // A non-finite score cannot rank (deadline-interrupted
-            // ensemble, or every sample infeasible): treat the candidate
-            // as unscoreable rather than letting INFINITY win a search
-            // with no finite competitor.
-            if !score.is_finite() {
-                return None;
-            }
-            Some((cfg, score))
-        },
-        |(_, score)| *score,
+        opts,
+        ctx,
+        |it, cache| objective.bound(wafer, job, &it.plan, opts, cache),
+        |it, cache| schedule_plan(wafer, job, &it.plan, &inner, None, cache),
+        score,
     );
 
     // GA refinement of the winner, kept only when it wins on the same
     // score the search ranked by. A truncated leg skips it: refinement
     // is unbudgeted work, and anytime semantics promise best-so-far.
-    if opts.ga.is_some() && outcome == Outcome::Complete {
-        if let Some((b, bscore)) = best.take() {
-            best = Some(
-                match schedule_plan_cached(wafer, job, &b.plan, opts, None, &cache) {
+    if opts.ga.is_some() && leg.outcome == Outcome::Complete {
+        if let Some((b, bscore)) = leg.best.take() {
+            leg.best = Some(
+                match schedule_plan(wafer, job, &b.plan, opts, None, &cache) {
                     Some(refined) => {
-                        let rscore = score_of(&refined);
+                        let rscore = score(&refined, &cache);
                         if rscore <= bscore {
                             (refined, rscore)
                         } else {
@@ -807,32 +800,14 @@ pub(crate) fn explore_impl(
             );
         }
     }
-    SearchOutcome {
-        best: best.map(|(cfg, _)| cfg),
-        stats,
-        outcome,
-        failures,
-        cache,
-    }
+    (leg, cache)
 }
 
 /// Re-evaluate a scheduled configuration under faults (Fig. 22) or with a
-/// different robustness policy.
+/// different robustness policy. Stage profiles come from `cache`, so
+/// sweeps that re-evaluate the same configuration many times (fault
+/// rates, robust vs baseline policies) build them exactly once.
 pub fn evaluate_scheduled(
-    wafer: &WaferConfig,
-    job: &TrainingJob,
-    cfg: &ScheduledConfig,
-    faults: Option<&FaultMap>,
-    robust: bool,
-) -> PerfReport {
-    let cache = ProfileCache::new();
-    evaluate_scheduled_cached(wafer, job, cfg, faults, robust, &cache)
-}
-
-/// [`evaluate_scheduled`] with a shared [`ProfileCache`], so sweeps that
-/// re-evaluate the same configuration many times (fault rates, robust vs
-/// baseline policies) build its stage profiles exactly once.
-pub fn evaluate_scheduled_cached(
     wafer: &WaferConfig,
     job: &TrainingJob,
     cfg: &ScheduledConfig,
@@ -876,6 +851,15 @@ mod tests {
         }
     }
 
+    /// One clean-objective search leg, its cache dropped.
+    fn search(
+        wafer: &WaferConfig,
+        job: &TrainingJob,
+        opts: &SchedulerOptions,
+    ) -> LegOutcome<(ScheduledConfig, f64)> {
+        explore_impl(wafer, job, opts, &Objective::Clean, &SessionCtx::none()).0
+    }
+
     #[test]
     fn schedule_fixed_produces_feasible_config() {
         let wafer = presets::config(3);
@@ -886,6 +870,7 @@ mod tests {
             &ParallelPlan::intra(4, 14, TpSplitStrategy::Megatron),
             &quick_opts(),
             None,
+            &ProfileCache::new(),
         )
         .expect("schedulable");
         assert!(cfg.report.feasible);
@@ -900,11 +885,7 @@ mod tests {
         // 3.92 TB wafer: every candidate must be pruned.
         let wafer = presets::config(3);
         let job = TrainingJob::standard(zoo::deepseek_v3());
-        assert!(
-            explore_impl(&wafer, &job, &quick_opts(), None, None, &SessionCtx::none())
-                .best
-                .is_none()
-        );
+        assert!(search(&wafer, &job, &quick_opts()).best.is_none());
     }
 
     #[test]
@@ -912,9 +893,7 @@ mod tests {
         // Fig. 5a / §V-C: the optimum uses a small TP (not 8/16).
         let wafer = presets::config(3);
         let job = TrainingJob::standard(zoo::llama2_30b());
-        let best = explore_impl(&wafer, &job, &quick_opts(), None, None, &SessionCtx::none())
-            .best
-            .expect("feasible");
+        let (best, _) = search(&wafer, &job, &quick_opts()).best.expect("feasible");
         assert!(
             best.parallel.tp <= 4,
             "expected small TP, got {}",
@@ -930,19 +909,16 @@ mod tests {
         // changes the instrumentation counters.
         let wafer = presets::config(3);
         let job = TrainingJob::standard(zoo::llama2_30b());
-        let pruned = explore_impl(&wafer, &job, &quick_opts(), None, None, &SessionCtx::none());
-        let pruned_seq = explore_impl(
+        let pruned = search(&wafer, &job, &quick_opts());
+        let pruned_seq = search(
             &wafer,
             &job,
             &SchedulerOptions {
                 sequential: true,
                 ..quick_opts()
             },
-            None,
-            None,
-            &SessionCtx::none(),
         );
-        let exhaustive = explore_impl(
+        let exhaustive = search(
             &wafer,
             &job,
             &SchedulerOptions {
@@ -950,9 +926,6 @@ mod tests {
                 sequential: true,
                 ..quick_opts()
             },
-            None,
-            None,
-            &SessionCtx::none(),
         );
         assert_eq!(pruned.best, pruned_seq.best);
         assert_eq!(pruned.stats, pruned_seq.stats);
@@ -968,22 +941,16 @@ mod tests {
         // Clean-bound pruning stays sound when candidates are ranked by
         // ensemble effective seconds: the pruned fault-aware search and
         // the exhaustive one return the identical winner.
-        use crate::goodput::{ensemble_effective_secs, FaultEnsemble, RobustObjective};
+        use crate::goodput::ensemble_effective_secs;
         let wafer = presets::config(3);
         let job = TrainingJob::standard(zoo::llama2_30b());
-        let fa = FaultAwareSpec {
-            ensemble: FaultEnsemble::clustered(0.2, 3, 11),
+        let ensemble = FaultEnsemble::clustered(0.2, 3, 11);
+        let fa = Objective::FaultAware {
+            ensemble: ensemble.clone(),
             objective: RobustObjective::Mean,
         };
-        let pruned = explore_impl(
-            &wafer,
-            &job,
-            &quick_opts(),
-            Some(&fa),
-            None,
-            &SessionCtx::none(),
-        );
-        let exhaustive = explore_impl(
+        let (pruned, _) = explore_impl(&wafer, &job, &quick_opts(), &fa, &SessionCtx::none());
+        let (exhaustive, _) = explore_impl(
             &wafer,
             &job,
             &SchedulerOptions {
@@ -991,18 +958,25 @@ mod tests {
                 sequential: true,
                 ..quick_opts()
             },
-            Some(&fa),
-            None,
+            &fa,
             &SessionCtx::none(),
         );
         assert_eq!(pruned.best, exhaustive.best);
         assert_eq!(pruned.stats.visited, exhaustive.stats.visited);
         assert!(pruned.stats.pruned > 0, "{:?}", pruned.stats);
-        let best = pruned.best.expect("feasible");
+        let (best, score) = pruned.best.expect("feasible");
         // The ensemble score the winner was ranked by dominates its
         // clean iteration time (the pruning-soundness inequality).
         let cache = ProfileCache::new();
-        let s = ensemble_effective_secs(&wafer, &job, &best, &fa.ensemble, fa.objective, &cache);
+        let s = ensemble_effective_secs(
+            &wafer,
+            &job,
+            &best,
+            &ensemble,
+            RobustObjective::Mean,
+            &cache,
+        );
+        assert_eq!(s, score);
         assert!(s >= best.report.iteration.as_secs());
     }
 
@@ -1010,7 +984,7 @@ mod tests {
     fn search_stats_are_consistent() {
         let wafer = presets::config(3);
         let job = TrainingJob::standard(zoo::llama2_30b());
-        let out = explore_impl(&wafer, &job, &quick_opts(), None, None, &SessionCtx::none());
+        let out = search(&wafer, &job, &quick_opts());
         let s = out.stats;
         assert!(s.visited > 0);
         assert_eq!(s.visited, s.pruned + s.evaluated);
@@ -1026,22 +1000,19 @@ mod tests {
         // parallel.
         let wafer = presets::config(3);
         let job = TrainingJob::standard(zoo::llama2_30b());
-        let plain = explore_impl(&wafer, &job, &quick_opts(), None, None, &SessionCtx::none());
+        let plain = search(&wafer, &job, &quick_opts());
         let dup_opts = SchedulerOptions {
             strategies: vec![TpSplitStrategy::Megatron, TpSplitStrategy::Megatron],
             ..quick_opts()
         };
-        let dup_par = explore_impl(&wafer, &job, &dup_opts, None, None, &SessionCtx::none());
-        let dup_seq = explore_impl(
+        let dup_par = search(&wafer, &job, &dup_opts);
+        let dup_seq = search(
             &wafer,
             &job,
             &SchedulerOptions {
                 sequential: true,
                 ..dup_opts
             },
-            None,
-            None,
-            &SessionCtx::none(),
         );
         assert_eq!(dup_par.best, dup_seq.best);
         assert_eq!(dup_par.stats, dup_seq.stats);
@@ -1061,9 +1032,25 @@ mod tests {
         let bad_map = ParallelPlan::intra(4, 14, TpSplitStrategy::Megatron)
             .with_stage_map(StageMap::Explicit(vec![0]));
         assert!(bad_map.validate().is_err());
-        assert!(schedule_plan(&wafer, &job, &bad_map, &quick_opts(), None).is_none());
+        assert!(schedule_plan(
+            &wafer,
+            &job,
+            &bad_map,
+            &quick_opts(),
+            None,
+            &ProfileCache::new()
+        )
+        .is_none());
         let bad_span = ParallelPlan::intra(4, 14, TpSplitStrategy::Megatron).with_tp_span(3);
-        assert!(schedule_plan(&wafer, &job, &bad_span, &quick_opts(), None).is_none());
+        assert!(schedule_plan(
+            &wafer,
+            &job,
+            &bad_span,
+            &quick_opts(),
+            None,
+            &ProfileCache::new()
+        )
+        .is_none());
     }
 
     #[test]
@@ -1076,7 +1063,8 @@ mod tests {
             &job,
             &ParallelPlan::intra(4, 61, TpSplitStrategy::Megatron),
             &quick_opts(),
-            None
+            None,
+            &ProfileCache::new(),
         )
         .is_none());
     }
@@ -1090,8 +1078,8 @@ mod tests {
         let mut without = quick_opts();
         without.memory_scheduler = false;
         let plan = ParallelPlan::intra(4, 14, TpSplitStrategy::Megatron);
-        let a = schedule_plan(&wafer, &job, &plan, &with, None);
-        let b = schedule_plan(&wafer, &job, &plan, &without, None);
+        let a = schedule_plan(&wafer, &job, &plan, &with, None, &ProfileCache::new());
+        let b = schedule_plan(&wafer, &job, &plan, &without, None, &ProfileCache::new());
         if let (Some(a), Some(b)) = (a, b) {
             assert!(a.report.iteration.as_secs() <= b.report.iteration.as_secs() * 1.05);
         }
@@ -1106,8 +1094,10 @@ mod tests {
         let mut naive_opts = quick_opts();
         naive_opts.recompute = RecomputeMode::Naive;
         let plan = ParallelPlan::intra(4, 14, TpSplitStrategy::Megatron);
-        let g = schedule_plan(&wafer, &job, &plan, &gcmr_opts, None).expect("gcmr feasible");
-        let n = schedule_plan(&wafer, &job, &plan, &naive_opts, None).expect("naive feasible");
+        let g = schedule_plan(&wafer, &job, &plan, &gcmr_opts, None, &ProfileCache::new())
+            .expect("gcmr feasible");
+        let n = schedule_plan(&wafer, &job, &plan, &naive_opts, None, &ProfileCache::new())
+            .expect("naive feasible");
         assert!(
             g.report.iteration.as_secs() <= n.report.iteration.as_secs() * 1.001,
             "gcmr {} vs naive {}",

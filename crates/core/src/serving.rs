@@ -41,10 +41,10 @@
 //! over the serving leg just as `tests/search_equivalence.rs` does for
 //! the fault-aware one.
 //!
-//! Like [`crate::FaultAwareSpec`], the model is threaded through the
-//! search by reference and is deliberately *not* a
-//! [`crate::SchedulerOptions`] field: serialized option sets stay
-//! oblivious to whether a run was serving-aware.
+//! Like the fault-aware ensemble, the model is one of the search's
+//! ranking objectives ([`crate::ExplorerBuilder::serving_model`]) and
+//! deliberately *not* a [`crate::SchedulerOptions`] field: serialized
+//! option sets stay oblivious to whether a run was serving-aware.
 
 use crate::cache::ProfileCache;
 use crate::scheduler::ScheduledConfig;

@@ -1,14 +1,15 @@
-//! The shared bounded wave-search engine behind both design-space sweeps:
-//! the single-wafer Alg. 1 search ([`crate::scheduler::explore`] via
-//! `explore_impl`) and the §VI-F multi-wafer node search
-//! ([`crate::multiwafer`]).
+//! The one bounded search-leg loop behind both design-space sweeps:
+//! the single-wafer Alg. 1 search (`crate::scheduler::explore_impl`) and
+//! the §VI-F multi-wafer node search (`crate::multiwafer`).
 //!
 //! Both searches have the same shape — flatten a `TP × PP × strategy`
 //! space into a work-list, compute an analytic lower bound per point,
 //! sort by bound, and evaluate in deterministic parallel waves, letting
 //! the incumbent best prune every remaining point whose bound it beats.
-//! This module owns that shape once, so the two searches can never drift
-//! apart on determinism or pruning semantics:
+//! [`bounded_search`] owns that shape once — the leg's [`ProfileCache`],
+//! the bound phase, the waves and the outcome — so a leg supplies only
+//! its work-list, its bound and its evaluator, and the two searches can
+//! never drift apart on determinism or pruning semantics:
 //!
 //! * **Determinism.** Pruning decisions consult only the incumbent from
 //!   *completed* waves, wave boundaries are fixed (independent of the
@@ -18,9 +19,11 @@
 //!   and identical to the exhaustive sequential sweep (modulo the
 //!   counters, which legitimately differ when pruning is disabled).
 //! * **Soundness.** A point is pruned only when its bound *strictly*
-//!   exceeds the incumbent iteration time; a point whose bound equals
-//!   the incumbent could still tie and win on the key, so it is never
-//!   pruned.
+//!   exceeds the incumbent score; a point whose bound equals the
+//!   incumbent could still tie and win on the key, so it is never
+//!   pruned. Every bound is first lowered by [`BOUND_MARGIN`] so float
+//!   rounding cannot lift a bound above the score it bounds, and debug
+//!   builds check `bound <= score` on every evaluated candidate.
 //! * **Ramped waves.** Wave widths ramp `1, 2, 4, 8, 16, 16, …`
 //!   ([`SEARCH_WAVE`] caps the width). The first wave used to evaluate
 //!   16 points with no incumbent at all; since the work-list is sorted
@@ -48,7 +51,9 @@
 //! A run with no budget, no injection and no checkpointing takes none of
 //! these paths and is byte-identical to the pre-resilience engine.
 
+use crate::cache::ProfileCache;
 use crate::inject::Injection;
+use crate::scheduler::SchedulerOptions;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::any::Any;
@@ -298,10 +303,11 @@ pub(crate) trait WaveSink: Sync {
     fn emit(&self, checkpoint: &WaveCheckpoint);
 }
 
-/// What one bounded search hands back: the winner, the counters, the
-/// completion outcome and the isolated candidate failures.
+/// What one search leg hands back: the winner, the counters, the
+/// completion outcome and the isolated candidate failures. The one
+/// outcome type of both legs and of the wave loop under them.
 #[derive(Debug)]
-pub(crate) struct WaveResult<C> {
+pub(crate) struct LegOutcome<C> {
     /// Best feasible candidate (never a failed one), if any.
     pub best: Option<C>,
     /// Honest counters (`visited = pruned + evaluated + skipped`).
@@ -370,62 +376,98 @@ fn panic_payload(e: Box<dyn Any + Send>) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// Run one bounded search over a flattened work-list: bound phase plus
-/// wave loop, with the prune/short-circuit semantics held in one place
-/// for every caller.
+/// Relative margin every analytic bound is lowered by before the waves
+/// compare it with a score. The bounds charge the 1F1B steady state as
+/// `n_mb ×` the per-micro-batch time, while the simulator adds that time
+/// once per micro-batch; the two round differently, so an exact bound
+/// can exceed the score it bounds by about one ulp (2.9e-16 relative at
+/// most, measured over the equivalence and resilience suites). A margin
+/// four orders of magnitude above that keeps pruning sound and is far
+/// below any real gap between two plans.
+const BOUND_MARGIN: f64 = 1e-12;
+
+/// `bound` lowered by [`BOUND_MARGIN`] of its magnitude (one monotone
+/// multiplication, so the bound order is preserved).
+fn lower_by_margin(bound: f64) -> f64 {
+    if bound > 0.0 {
+        bound * (1.0 - BOUND_MARGIN)
+    } else {
+        bound * (1.0 + BOUND_MARGIN)
+    }
+}
+
+/// Run one search leg over a flattened work-list: the leg's
+/// [`ProfileCache`], the bound phase and the wave loop, with the
+/// prune/short-circuit semantics held in one place for both legs.
 ///
 /// `decided[i]` marks points the caller's static precheck alone decides
 /// (e.g. Alg. 1 line 1–2 aggregate memory): they are never handed to
 /// `bound` or `eval`, so they cost nothing in either sweep mode — in the
 /// pruned mode they count as pruned, in the exhaustive mode they flow
 /// through the (skipped) evaluation path and count as evaluated, since
-/// an exhaustive sweep by definition skips nothing. With `prune` set,
-/// `bound` computes an analytic lower bound per surviving point (`None`
-/// = statically infeasible, counted as pruned); with it unset, every
-/// point gets a `-inf` bound and the wave loop degenerates to the
-/// exhaustive sweep. `eval` runs the full scheduler on one point;
-/// `score` extracts the iteration time the incumbent competes on. `ctx`
+/// an exhaustive sweep by definition skips nothing. With `opts.prune`
+/// set, `bound` computes an analytic lower bound on `score` per
+/// surviving point (`None` = statically infeasible, counted as pruned);
+/// with it unset, every point gets a `-inf` bound and the wave loop
+/// degenerates to the exhaustive sweep. `eval` schedules one point;
+/// `score` is what the incumbent competes on (lower is better), and a
+/// candidate whose score is not finite — a deadline-interrupted
+/// ensemble, an unserveable plan — is dropped as unscoreable rather
+/// than allowed to win a leg with no finite competitor.
+/// `opts.sequential` picks sequential or fan-out evaluation. `ctx`
 /// carries the resilience layer (budget, injection, checkpointing,
 /// resume); pass [`SessionCtx::none`] for the seed-era behavior.
-/// Returns the winner (smallest score, ties to the smallest
-/// [`WorkItem::key`]) plus stats, outcome and any isolated failures.
-#[allow(clippy::too_many_arguments)]
+///
+/// Returns the winner with its score (smallest score, ties to the
+/// smallest [`WorkItem::key`]), stats, outcome and isolated failures,
+/// plus the leg's cache: an armed injection schedule corrupts or
+/// poisons it, and checkpoints carry its generation tag.
 pub(crate) fn bounded_search<C: Send>(
     items: &[WorkItem],
     decided: &[bool],
-    prune: bool,
-    sequential: bool,
+    opts: &SchedulerOptions,
     ctx: &SessionCtx<'_>,
-    bound: impl Fn(&WorkItem) -> Option<f64> + Sync,
-    eval: impl Fn(&WorkItem) -> Option<C> + Sync,
-    score: impl Fn(&C) -> f64,
-) -> WaveResult<C> {
+    bound: impl Fn(&WorkItem, &ProfileCache) -> Option<f64> + Sync,
+    eval: impl Fn(&WorkItem, &ProfileCache) -> Option<C> + Sync,
+    score: impl Fn(&C, &ProfileCache) -> f64 + Sync,
+) -> (LegOutcome<(C, f64)>, ProfileCache) {
     debug_assert_eq!(items.len(), decided.len());
+    let cache = match ctx.inject {
+        Some(inj) if inj.is_armed() => inj.build_cache(),
+        _ => ProfileCache::new(),
+    };
+    let ctx = SessionCtx {
+        generation: Some(cache.generation_handle()),
+        ..*ctx
+    };
     let idxs: Vec<usize> = (0..items.len()).collect();
-    let bounds: Vec<Option<f64>> = if prune {
-        run_items(&idxs, sequential, |&i| {
+    let bounds: Vec<Option<f64>> = if opts.prune {
+        run_items(&idxs, opts.sequential, |&i| {
             if decided[i] {
                 None
             } else {
-                bound(&items[i])
+                bound(&items[i], &cache).map(lower_by_margin)
             }
         })
     } else {
         vec![Some(f64::NEG_INFINITY); items.len()]
     };
-    wave_search(
+    let leg = wave_search(
         items,
         &bounds,
-        sequential,
-        ctx,
+        opts.sequential,
+        &ctx,
         |i, it| {
             if decided[i] {
                 return None;
             }
-            eval(it)
+            let c = eval(it, &cache)?;
+            let s = score(&c, &cache);
+            s.is_finite().then_some((c, s))
         },
-        score,
-    )
+        |&(_, s)| s,
+    );
+    (leg, cache)
 }
 
 /// The bound-ordered wave loop behind [`bounded_search`].
@@ -435,9 +477,12 @@ pub(crate) fn bounded_search<C: Send>(
 /// evaluated). `eval` receives the work-list index alongside the item so
 /// the wrapper can consult per-point side tables; it runs inside a
 /// `catch_unwind` guard, so a panicking candidate is recorded as a
-/// [`CandidateFailure`] instead of unwinding out of the search. Returns
-/// the winner (smallest score, ties to the smallest [`WorkItem::key`])
-/// plus the [`SearchStats`], the [`Outcome`] and the failure log.
+/// [`CandidateFailure`] instead of unwinding out of the search. Debug
+/// builds check every scored candidate's bound against its score
+/// outside that guard, so an unsound bound fails loudly instead of
+/// becoming an incident. Returns the winner (smallest score, ties to the
+/// smallest [`WorkItem::key`]) plus the [`SearchStats`], the
+/// [`Outcome`] and the failure log.
 fn wave_search<C: Send>(
     items: &[WorkItem],
     bounds: &[Option<f64>],
@@ -445,7 +490,7 @@ fn wave_search<C: Send>(
     ctx: &SessionCtx<'_>,
     eval: impl Fn(usize, &WorkItem) -> Option<C> + Sync,
     score: impl Fn(&C) -> f64,
-) -> WaveResult<C> {
+) -> LegOutcome<C> {
     debug_assert_eq!(items.len(), bounds.len());
     // Pair each surviving index with its bound up front: past this point
     // the bounds are plain `f64`s — no later lookup can miss, and
@@ -564,18 +609,19 @@ fn wave_search<C: Send>(
         let width = SEARCH_WAVE.min(1usize << wave_no.min(31));
         wave_no += 1;
         let wave_end = order.len().min(idx + width);
-        let wave: Vec<usize> = order[idx..wave_end]
+        let wave: Vec<(usize, f64)> = order[idx..wave_end]
             .iter()
             .filter(|&&(_, b)| match &best {
                 Some(best) => b <= score(best),
                 None => true,
             })
-            .map(|&(i, _)| i)
+            .copied()
             .collect();
         stats.pruned += (wave_end - idx) - wave.len();
         stats.evaluated += wave.len();
-        let results: Vec<Result<Option<C>, String>> = run_items(&wave, sequential, |&i| guarded(i));
-        for (&i, res) in wave.iter().zip(results) {
+        let results: Vec<Result<Option<C>, String>> =
+            run_items(&wave, sequential, |&(i, _)| guarded(i));
+        for (&(i, bound), res) in wave.iter().zip(results) {
             let cfg = match res {
                 Err(payload) => {
                     // Isolated panic: record it (deterministic order —
@@ -593,6 +639,11 @@ fn wave_search<C: Send>(
             };
             let key = items[i].key();
             let s = score(&cfg);
+            debug_assert!(
+                bound <= s,
+                "bound {bound} exceeds score {s} of {}",
+                items[i].plan
+            );
             let better = match &best {
                 None => true,
                 Some(b) => {
@@ -614,7 +665,7 @@ fn wave_search<C: Send>(
             }
         }
     }
-    WaveResult {
+    LegOutcome {
         best,
         stats,
         outcome,
@@ -763,17 +814,21 @@ mod tests {
             Some(it.plan.tp as f64)
         };
         for prune in [true, false] {
-            let r = bounded_search(
+            let opts = SchedulerOptions {
+                prune,
+                sequential: true,
+                ..SchedulerOptions::default()
+            };
+            let (r, _) = bounded_search(
                 &its,
                 &decided,
-                prune,
-                true,
+                &opts,
                 &SessionCtx::none(),
-                bound,
-                eval,
-                |&c: &f64| c,
+                |it, _| bound(it),
+                |it, _| eval(it),
+                |&c: &f64, _| c,
             );
-            assert_eq!(r.best, Some(0.0));
+            assert_eq!(r.best, Some((0.0, 0.0)));
             assert_eq!(r.stats.visited, 6);
             if prune {
                 assert!(r.stats.pruned >= 3, "decided points count as pruned");
@@ -790,7 +845,10 @@ mod tests {
     #[test]
     fn sequential_and_parallel_agree() {
         let its = items(50);
-        let bounds: Vec<Option<f64>> = (0..50).map(|i| Some((i % 7) as f64)).collect();
+        // Sound bounds: each sits `i % 7` below its point's score.
+        let bounds: Vec<Option<f64>> = (0..50)
+            .map(|i| Some(((i * 13) % 11) as f64 - (i % 7) as f64))
+            .collect();
         let eval = |_: usize, it: &WorkItem| Some(((it.plan.tp * 13) % 11) as f64);
         let seq = wave_search(&its, &bounds, true, &SessionCtx::none(), eval, |&c: &f64| c);
         let par = wave_search(
@@ -913,7 +971,10 @@ mod tests {
         // from each snapshot must reproduce the uninterrupted winner,
         // stats and failure log exactly.
         let its = items(60);
-        let bounds: Vec<Option<f64>> = (0..60).map(|i| Some(((i * 7) % 23) as f64)).collect();
+        // Sound bounds: each sits `(i * 7) % 5` below its point's score.
+        let bounds: Vec<Option<f64>> = (0..60)
+            .map(|i| Some(((i * 13) % 29) as f64 - ((i * 7) % 5) as f64))
+            .collect();
         let eval = |_: usize, it: &WorkItem| {
             if it.plan.tp.is_multiple_of(17) && it.plan.tp > 0 {
                 panic!("wsc-inject: seeded failure");

@@ -3,7 +3,7 @@
 //! facade.
 
 use watos::scheduler::{schedule_plan, RecomputeMode, SchedulerOptions};
-use watos::Explorer;
+use watos::{Explorer, ProfileCache};
 use wsc_arch::enumerate::Enumerator;
 use wsc_arch::presets;
 use wsc_arch::AreaModel;
@@ -128,6 +128,7 @@ fn recompute_ladder_is_consistent() {
             &ParallelPlan::intra(4, 14, TpSplitStrategy::SequenceParallel),
             &opts,
             None,
+            &ProfileCache::new(),
         )
         .map(|c| c.report.iteration.as_secs())
     };

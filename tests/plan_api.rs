@@ -7,7 +7,7 @@
 
 use watos::{
     evaluate_multi_wafer_plan, ExplorationReport, Explorer, ParallelPlan, PlanError, PlanFilter,
-    StageMap, TpSplitStrategy,
+    ProfileCache, StageMap, TpSplitStrategy,
 };
 use wsc_arch::presets;
 use wsc_arch::units::Bandwidth;
@@ -203,11 +203,12 @@ fn probe_strict_win_candidates() {
                 // Also try explicit maps directly around the balanced
                 // winner's pp.
                 let bp = &b.plan;
+                let cache = ProfileCache::new();
                 for pp in [bp.pp.saturating_sub(2), bp.pp - 1, bp.pp + 1, bp.pp + 2] {
                     for shift in 0..4usize {
                         let p = ParallelPlan::intra(bp.tp, pp, bp.strategy)
                             .with_stage_map(StageMap::remainder_shifted(pp, 4, shift));
-                        if let Some(r) = evaluate_multi_wafer_plan(&node, &job, &p) {
+                        if let Some(r) = evaluate_multi_wafer_plan(&node, &job, &p, &cache) {
                             if r.iteration.as_secs() < b.iteration.as_secs() {
                                 println!("  strict: {} -> {}", r.plan, r.iteration);
                             }

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Once};
 use watos::{Explorer, ExplorerBuilder, Injection, MemorySink, SearchBudget, SearchCheckpoint};
 use wsc_arch::presets;
-use wsc_arch::wafer::WaferConfig;
+use wsc_arch::wafer::{MultiWaferConfig, WaferConfig};
 use wsc_workload::training::TrainingJob;
 use wsc_workload::zoo;
 
@@ -40,6 +40,15 @@ fn small_wafer(cfg_idx: usize) -> WaferConfig {
     wafer.nx = 3;
     wafer.ny = 3;
     wafer
+}
+
+/// A two-wafer node of the shrunken fixture wafer.
+fn small_node(wafer: &WaferConfig) -> MultiWaferConfig {
+    MultiWaferConfig {
+        wafers: 2,
+        wafer: wafer.clone(),
+        ..presets::multi_wafer_18()
+    }
 }
 
 fn small_job(layers: usize) -> TrainingJob {
@@ -133,21 +142,23 @@ proptest! {
     ) {
         let wafer = small_wafer(cfg_idx);
         let job = small_job(layers);
+        // A wafer leg, then a node leg: frontiers land on both sides.
+        let session = || base(&wafer, &job, seed).multi_wafer(small_node(&wafer));
 
         // The uninterrupted reference run.
-        let full = base(&wafer, &job, seed).build().expect("valid session").run();
+        let full = session().build().expect("valid session").run();
 
         // The "killed" run: an evaluation cap plays the part of the
         // kill, with a checkpoint written at every wave so the kill
         // point lands at an arbitrary depth of the search.
         let sink = Arc::new(MemorySink::new());
-        let killed = base(&wafer, &job, seed)
+        let killed = session()
             .budget(SearchBudget::none().max_evaluations(cap))
             .checkpoint_every(1, sink.clone())
             .build()
             .expect("valid session")
             .run();
-        let k = killed.search_stats();
+        let k = killed.search_stats().merge(killed.multi_wafer_search_stats());
         prop_assert_eq!(k.visited, k.pruned + k.evaluated + k.skipped);
         if killed.truncated() {
             prop_assert!(k.evaluated >= cap, "truncation fired before the cap");
@@ -158,14 +169,17 @@ proptest! {
 
         // Resume a budget-free twin from an arbitrary mid-leg snapshot:
         // the session must converge to the uninterrupted winner
-        // bit-for-bit. (Leg-boundary snapshots of a truncated leg carry
-        // the truncated record verbatim by design — resuming those
-        // resumes the *decision* to truncate, so they are not
-        // equivalence candidates.)
+        // bit-for-bit. (A snapshot's completed legs are reused verbatim
+        // by design, so one that carries a truncated leg resumes the
+        // *decision* to truncate; those are not equivalence candidates.)
         let frontiers: Vec<SearchCheckpoint> = sink
             .all()
             .into_iter()
-            .filter(|cp| cp.frontier.is_some())
+            .filter(|cp| {
+                let truncated = cp.completed_single.iter().any(|r| r.outcome.is_truncated())
+                    || cp.completed_multi.iter().any(|r| r.outcome.is_truncated());
+                cp.frontier.is_some() && !truncated
+            })
             .collect();
         if !frontiers.is_empty() {
             let cp = &frontiers[pick % frontiers.len()];
@@ -178,26 +192,28 @@ proptest! {
             .expect("checkpoint deserializes");
             prop_assert_eq!(&back, cp);
 
-            let resumed = base(&wafer, &job, seed)
-                .build()
-                .expect("valid session")
-                .resume(&back);
+            let resumed = session().build().expect("valid session").resume(&back);
             prop_assert_eq!(resumed.to_json(), full.to_json());
         }
     }
 }
 
 /// Guard against a vacuous fixture: the shrunken-wafer sessions the
-/// properties above run must actually visit and evaluate candidates,
-/// otherwise every property holds trivially.
+/// properties above run must actually visit and evaluate candidates, on
+/// the wafer and on the node, otherwise every property holds trivially.
 #[test]
 fn shrunken_fixture_searches_a_real_space() {
     let wafer = small_wafer(2);
     let job = small_job(6);
-    let report = base(&wafer, &job, 42).build().expect("valid session").run();
-    let s = report.search_stats();
-    assert!(s.visited > 0, "no candidates visited");
-    assert!(s.evaluated > 0, "no candidates evaluated");
+    let report = base(&wafer, &job, 42)
+        .multi_wafer(small_node(&wafer))
+        .build()
+        .expect("valid session")
+        .run();
+    for s in [report.search_stats(), report.multi_wafer_search_stats()] {
+        assert!(s.visited > 0, "no candidates visited");
+        assert!(s.evaluated > 0, "no candidates evaluated");
+    }
 }
 
 /// Guard against a silently disconnected harness: a high-rate seeded

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use watos::scheduler::SchedulerOptions;
-use watos::{Explorer, ProfileCache};
+use watos::{ExplorationError, Explorer, FaultEnsemble, ProfileCache, RobustObjective};
 use wsc_arch::presets;
 use wsc_serve::{
     simulate, PhaseCost, ServingExplorerExt, ServingSlo, SimConfig, SloServingModel, Trace,
@@ -53,6 +53,31 @@ fn pruned_serving_search_equals_exhaustive() {
         "serving bound never pruned a candidate"
     );
     assert_eq!(exhaustive.search_stats().pruned, 0);
+}
+
+/// A session ranks by one objective: `.serving(..)` and
+/// `.fault_aware(..)` each set it, and a later call replaces an earlier
+/// one. `build()` validates the fault ensemble only while it is the
+/// objective.
+#[test]
+fn a_later_objective_replaces_an_earlier_one() {
+    let bad = FaultEnsemble {
+        rate: 1.5,
+        ..FaultEnsemble::clustered(0.2, 2, 1)
+    };
+    let serving = || Explorer::builder().serving(small_workload(8.0, 24), ServingSlo::ttft(1.0));
+    let err = serving()
+        .wafer(presets::config(3))
+        .fault_aware(bad.clone(), RobustObjective::Mean)
+        .build()
+        .unwrap_err();
+    assert_eq!(err, ExplorationError::InvalidFaultRate { rate: 1.5 });
+    let replaced = Explorer::builder()
+        .fault_aware(bad, RobustObjective::Mean)
+        .serving(small_workload(8.0, 24), ServingSlo::ttft(1.0))
+        .wafer(presets::config(3))
+        .build();
+    assert!(replaced.is_ok(), "{replaced:?}");
 }
 
 /// The co-exploration payoff the subsystem exists for: under a
