@@ -14,25 +14,41 @@
 //! ```text
 //! cargo run -p wsc-bench --release --bin bench_fault -- \
 //!     [--preset small|medium|large|all] \
-//!     [--output BENCH_fault.json] \
-//!     [--rate 0.2] [--samples 4] [--seed 7] \
-//!     [--objective mean|worst|p95] [--min-gap X]
+//!     [--output BENCH_fault.json] [--min-gap X]
 //! ```
 //!
-//! `--min-gap X` exits non-zero unless at least one selected preset's
-//! fault-aware winner beats the fault-oblivious winner's ensemble
-//! goodput by the fraction `X` (the CI smoke contract, and the
+//! The ensemble is fixed — a 20% clustered-defect rate, 4 sampled
+//! wafers, seed 7, ranked by worst-case goodput — and recorded in every
+//! entry. Only the wafer presets run: node legs have no fault-aware
+//! ranking. `--min-gap X` exits non-zero unless at least one selected
+//! preset's fault-aware winner beats the fault-oblivious winner's
+//! ensemble goodput by the fraction `X` (the CI smoke contract, and the
 //! acceptance criterion of the fault-aware co-exploration PR).
 
-use std::time::Instant;
+use std::process::ExitCode;
 
 use serde::Serialize;
-use watos::{
-    ensemble_goodput, ExplorationReport, Explorer, FaultEnsemble, ParallelPlan, ProfileCache,
-    RobustObjective, ScheduledConfig,
-};
-use wsc_bench::util::{search_presets, SearchPreset};
+use watos::{ensemble_goodput, FaultEnsemble, ParallelPlan, ProfileCache, RobustObjective};
+use wsc_arch::wafer::WaferConfig;
+use wsc_bench::driver::{run_timed, winner, Bench, Opt, Pools, Spec};
+use wsc_bench::util::{search_presets, SearchCandidate, SearchPreset};
 use wsc_workload::training::TrainingJob;
+
+const SPEC: Spec = Spec {
+    bin: "bench_fault",
+    output: "BENCH_fault.json",
+    pools: Pools::Default,
+    opts: &[Opt::Number("--min-gap")],
+};
+
+/// Clustered-defect rate of the scoring ensemble.
+const RATE: f64 = 0.2;
+/// Monte-Carlo wafer samples per candidate score.
+const SAMPLES: usize = 4;
+/// Ensemble base seed.
+const SEED: u64 = 7;
+/// Robust objective the fault-aware search optimizes, with its name.
+const OBJECTIVE: (RobustObjective, &str) = (RobustObjective::Worst, "worst");
 
 /// One preset's measurements.
 #[derive(Debug, Serialize)]
@@ -74,171 +90,86 @@ struct BenchReport {
     presets: Vec<BenchEntry>,
 }
 
-fn objective_of(name: &str) -> RobustObjective {
-    match name {
-        "mean" => RobustObjective::Mean,
-        "worst" => RobustObjective::Worst,
-        "p95" => RobustObjective::P95,
-        other => {
-            eprintln!("unknown objective `{other}` (mean|worst|p95)");
-            std::process::exit(2);
+fn main() -> ExitCode {
+    let wafer_presets = search_presets()
+        .into_iter()
+        .filter_map(|p| match &p.candidate {
+            SearchCandidate::Wafer(w) => Some((w.clone(), p)),
+            SearchCandidate::Node(_) => None,
+        })
+        .collect();
+    let (bench, presets) = Bench::from_env(&SPEC, wafer_presets, |(_, p)| p.name);
+    let ensemble = FaultEnsemble::clustered(RATE, SAMPLES, SEED);
+    let entries: Vec<BenchEntry> = presets
+        .iter()
+        .map(|(wafer, p)| measure(wafer, p, &ensemble))
+        .collect();
+    if let Some(min) = bench.args.number("--min-gap") {
+        let best_gap = entries
+            .iter()
+            .map(|e| e.goodput_gap)
+            .fold(f64::NEG_INFINITY, f64::max);
+        if best_gap < min {
+            bench.fail(format!(
+                "FAULT-AWARE GAP CONTRACT FAILED: best goodput gap {best_gap:.4} below required {min}"
+            ));
         }
     }
-}
-
-fn presets_for(which: &str) -> Vec<SearchPreset> {
-    let all = search_presets();
-    if which == "all" {
-        return all;
-    }
-    let selected: Vec<SearchPreset> = all.into_iter().filter(|p| p.name == which).collect();
-    if selected.is_empty() {
-        eprintln!("unknown preset `{which}` (small|medium|large|all)");
-        std::process::exit(2);
-    }
-    selected
-}
-
-fn run_once(
-    preset: &SearchPreset,
-    job: &TrainingJob,
-    fault_aware: Option<(&FaultEnsemble, RobustObjective)>,
-) -> (ExplorationReport, f64) {
-    let mut b = Explorer::builder()
-        .job(job.clone())
-        .wafer(preset.wafer.clone())
-        .strategies(preset.strategies.clone())
-        .no_ga();
-    if let Some((ensemble, objective)) = fault_aware {
-        b = b.fault_aware(ensemble.clone(), objective);
-    }
-    let explorer = b.build().expect("valid benchmark configuration");
-    let t0 = Instant::now();
-    let report = explorer.run();
-    (report, t0.elapsed().as_secs_f64())
-}
-
-fn winner(report: &ExplorationReport) -> Option<&ScheduledConfig> {
-    report
-        .best()
-        .ok()
-        .and_then(|rec| rec.best.as_ref())
-        .filter(|cfg| cfg.report.feasible)
-}
-
-fn main() {
-    let mut preset_arg = "all".to_string();
-    let mut output = "BENCH_fault.json".to_string();
-    let mut rate = 0.2f64;
-    let mut samples = 4usize;
-    let mut seed = 7u64;
-    let mut objective_arg = "worst".to_string();
-    let mut min_gap: Option<f64> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut take = |what: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{what} needs a value"))
-        };
-        match a.as_str() {
-            "--preset" => preset_arg = take("--preset"),
-            "--output" => output = take("--output"),
-            "--rate" => rate = take("--rate").parse().expect("--rate must be a number"),
-            "--samples" => {
-                samples = take("--samples")
-                    .parse()
-                    .expect("--samples must be an integer")
-            }
-            "--seed" => seed = take("--seed").parse().expect("--seed must be an integer"),
-            "--objective" => objective_arg = take("--objective"),
-            "--min-gap" => {
-                min_gap = Some(
-                    take("--min-gap")
-                        .parse()
-                        .expect("--min-gap must be a number"),
-                )
-            }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                std::process::exit(2);
-            }
-        }
-    }
-    let objective = objective_of(&objective_arg);
-
-    let mut entries = Vec::new();
-    let mut best_gap = f64::NEG_INFINITY;
-    for preset in presets_for(&preset_arg) {
-        let job = TrainingJob::standard(preset.model.clone());
-        let ensemble = FaultEnsemble::clustered(rate, samples, seed);
-        let (oblivious_report, oblivious_secs) = run_once(&preset, &job, None);
-        let (aware_report, aware_secs) = run_once(&preset, &job, Some((&ensemble, objective)));
-
-        // Score both winners against the SAME wafer population. A fresh
-        // cache per preset: goodput numbers must not depend on which
-        // search ran first.
-        let cache = ProfileCache::new();
-        let score = |cfg: Option<&ScheduledConfig>| -> f64 {
-            cfg.map_or(0.0, |c| {
-                match ensemble_goodput(&preset.wafer, &job, c, &ensemble, objective, &cache) {
-                    Ok(goodput) => goodput,
-                    Err(err) => {
-                        eprintln!("[{:8}] degenerate ensemble: {err}", preset.name);
-                        0.0
-                    }
-                }
-            })
-        };
-        let (ow, aw) = (winner(&oblivious_report), winner(&aware_report));
-        let (og, ag) = (score(ow), score(aw));
-        let gap = if og > 0.0 { ag / og - 1.0 } else { 0.0 };
-        best_gap = best_gap.max(gap);
-        println!(
-            "[{:8}] {:12} oblivious {:>10.3e} FLOP/s  aware {:>10.3e} FLOP/s  gap {:+6.2}%  \
-             ({} vs {})",
-            preset.name,
-            preset.model.name,
-            og,
-            ag,
-            gap * 100.0,
-            ow.map_or_else(|| "-".into(), |c| c.plan.to_string()),
-            aw.map_or_else(|| "-".into(), |c| c.plan.to_string()),
-        );
-        entries.push(BenchEntry {
-            preset: preset.name.to_string(),
-            model: preset.model.name.clone(),
-            wafer: preset.wafer.name.clone(),
-            rate,
-            samples,
-            seed,
-            objective: objective_arg.clone(),
-            oblivious_plan: ow.map(|c| c.plan.clone()),
-            aware_plan: aw.map(|c| c.plan.clone()),
-            oblivious_clean_secs: ow.map(|c| c.report.iteration.as_secs()),
-            aware_clean_secs: aw.map(|c| c.report.iteration.as_secs()),
-            oblivious_goodput: og,
-            aware_goodput: ag,
-            goodput_gap: gap,
-            oblivious_search_secs: oblivious_secs,
-            aware_search_secs: aware_secs,
-        });
-    }
-
-    let report = BenchReport {
+    bench.finish(&BenchReport {
         benchmark: "fault-aware search vs fault-oblivious winner, ensemble goodput".to_string(),
         presets: entries,
-    };
-    let json = serde::json::to_text(&report.to_value());
-    std::fs::write(&output, json + "\n").expect("write benchmark report");
-    println!("wrote {output}");
+    })
+}
 
-    if let Some(min) = min_gap {
-        if best_gap < min {
-            eprintln!(
-                "FAULT-AWARE GAP CONTRACT FAILED: best goodput gap {:.4} below required {min}",
-                best_gap
-            );
-            std::process::exit(1);
-        }
+/// Search one preset fault-oblivious and fault-aware, then score both
+/// winners against the same wafer population.
+fn measure(wafer: &WaferConfig, preset: &SearchPreset, ensemble: &FaultEnsemble) -> BenchEntry {
+    let (objective, objective_name) = OBJECTIVE;
+    let (oblivious_report, oblivious_secs) = run_timed(preset.builder());
+    let (aware_report, aware_secs) =
+        run_timed(preset.builder().fault_aware(ensemble.clone(), objective));
+
+    // A fresh cache per preset: goodput numbers must not depend on which
+    // search ran first.
+    let job = TrainingJob::standard(preset.model.clone());
+    let cache = ProfileCache::new();
+    let (ow, aw) = (winner(&oblivious_report), winner(&aware_report));
+    let [og, ag] = [ow, aw].map(|cfg| {
+        cfg.map_or(0.0, |c| {
+            ensemble_goodput(wafer, &job, c, ensemble, objective, &cache).unwrap_or_else(|err| {
+                eprintln!("[{:8}] degenerate ensemble: {err}", preset.name);
+                0.0
+            })
+        })
+    });
+    let gap = if og > 0.0 { ag / og - 1.0 } else { 0.0 };
+    println!(
+        "[{:8}] {:12} oblivious {:>10.3e} FLOP/s  aware {:>10.3e} FLOP/s  gap {:+6.2}%  \
+         ({} vs {})",
+        preset.name,
+        preset.model.name,
+        og,
+        ag,
+        gap * 100.0,
+        ow.map_or_else(|| "-".into(), |c| c.plan.to_string()),
+        aw.map_or_else(|| "-".into(), |c| c.plan.to_string()),
+    );
+    BenchEntry {
+        preset: preset.name.to_string(),
+        model: preset.model.name.clone(),
+        wafer: preset.candidate_name(),
+        rate: RATE,
+        samples: SAMPLES,
+        seed: SEED,
+        objective: objective_name.to_string(),
+        oblivious_plan: ow.map(|c| c.plan.clone()),
+        aware_plan: aw.map(|c| c.plan.clone()),
+        oblivious_clean_secs: ow.map(|c| c.report.iteration.as_secs()),
+        aware_clean_secs: aw.map(|c| c.report.iteration.as_secs()),
+        oblivious_goodput: og,
+        aware_goodput: ag,
+        goodput_gap: gap,
+        oblivious_search_secs: oblivious_secs,
+        aware_search_secs: aware_secs,
     }
 }

@@ -12,22 +12,35 @@
 //! ```text
 //! cargo run -p wsc-bench --release --bin bench_ga -- \
 //!     [--preset refine-llama2-30b|refine-llama3-70b|hillclimb|all] \
-//!     [--output BENCH_ga.json] [--reps N] [--min-speedup X] [--threads N]
+//!     [--output BENCH_ga.json] [--threads N] [--reps N] [--min-speedup X]
 //! ```
 //!
 //! The equivalence contract always applies (any divergence exits
 //! non-zero); `--min-speedup` additionally exits non-zero when a
-//! measured speedup falls below `X` (the CI smoke contract).
+//! measured speedup falls below `X` (the CI smoke contract). `--reps`
+//! sets the timed repetitions after one untimed warm-up (default 3).
 //!
 //! [`PlacementCostModel`]: watos::PlacementCostModel
 
+use std::process::ExitCode;
 use std::time::Instant;
-use watos::ga::{refine, refine_naive, GaResult};
-use watos::placement::{global_cost, optimize, optimize_naive};
-use wsc_bench::util::{ga_refine_presets, ga_setup, hill_climb_preset};
-use wsc_workload::training::TrainingJob;
 
 use serde::Serialize;
+use watos::ga::{refine, refine_naive, GaResult};
+use watos::placement::{global_cost, optimize, optimize_naive};
+use wsc_arch::units::Bytes;
+use wsc_bench::driver::{Bench, Opt, Pools, Spec};
+use wsc_bench::util::{
+    ga_refine_presets, ga_setup, hill_climb_preset, GaRefinePreset, HillClimbPreset,
+};
+use wsc_workload::training::TrainingJob;
+
+const SPEC: Spec = Spec {
+    bin: "bench_ga",
+    output: "BENCH_ga.json",
+    pools: Pools::One,
+    opts: &[Opt::Count("--reps"), Opt::Number("--min-speedup")],
+};
 
 /// One preset's measurements.
 #[derive(Debug, Serialize)]
@@ -57,6 +70,21 @@ struct BenchReport {
     presets: Vec<BenchEntry>,
 }
 
+/// One benchmark case: a GA refinement or the placement hill climb.
+enum Case {
+    Refine(Box<GaRefinePreset>),
+    HillClimb(HillClimbPreset),
+}
+
+impl Case {
+    fn name(&self) -> &str {
+        match self {
+            Case::Refine(p) => p.name,
+            Case::HillClimb(h) => h.name,
+        }
+    }
+}
+
 fn time<R>(reps: usize, mut f: impl FnMut() -> R) -> (R, f64) {
     let mut out = f(); // warm-up (fills caches, faults pages) — untimed
     let t0 = Instant::now();
@@ -75,8 +103,131 @@ fn ga_identical(a: &GaResult, b: &GaResult) -> bool {
         && a.recompute == b.recompute
 }
 
-fn record(entry: BenchEntry, min_speedup: Option<f64>, entries: &mut Vec<BenchEntry>) -> bool {
-    let mut failed = false;
+fn main() -> ExitCode {
+    let cases = ga_refine_presets()
+        .into_iter()
+        .map(|p| Case::Refine(Box::new(p)))
+        .chain([Case::HillClimb(hill_climb_preset())])
+        .collect();
+    let (bench, cases) = Bench::from_env(&SPEC, cases, Case::name);
+    let reps = bench.args.count("--reps").unwrap_or(3);
+    let entries = bench.sweep_pools(
+        |threads, entries| {
+            for case in &cases {
+                entries.push(record(&bench, measure(case, reps, threads)));
+            }
+        },
+        |e| (e.preset.clone(), e.objective.to_bits()),
+    );
+    bench.finish(&BenchReport {
+        benchmark: "ga refinement + placement hill climb: incremental cost engine vs naive decode"
+            .to_string(),
+        threads: rayon::current_num_threads(),
+        presets: entries,
+    })
+}
+
+/// Time one case on both engines at the current pool size.
+fn measure(case: &Case, reps: usize, threads: usize) -> BenchEntry {
+    let (workload, naive_secs, incremental_secs, demand_sites, objective, identical) = match case {
+        Case::Refine(preset) => {
+            let job = TrainingJob::standard(preset.model.clone());
+            let s = ga_setup(&preset.wafer, &job, preset.tp, preset.pp);
+            let (naive, naive_secs) = time(reps, || {
+                refine_naive(
+                    &s.mesh,
+                    &s.stages,
+                    &s.plan,
+                    &s.placement,
+                    &s.overflow,
+                    &s.spare,
+                    s.pp_volume,
+                    s.capacity,
+                    &preset.params,
+                )
+            });
+            let (inc, inc_secs) = time(reps, || {
+                refine(
+                    &s.mesh,
+                    &s.stages,
+                    &s.plan,
+                    &s.placement,
+                    &s.overflow,
+                    &s.spare,
+                    s.pp_volume,
+                    s.capacity,
+                    &preset.params,
+                )
+            });
+            (
+                format!("{} D(1)T({})P({})", job.model.name, preset.tp, preset.pp),
+                naive_secs,
+                inc_secs,
+                s.overflow.iter().filter(|o| **o > Bytes::ZERO).count(),
+                inc.fitness,
+                ga_identical(&inc, &naive),
+            )
+        }
+        Case::HillClimb(h) => {
+            let (naive, naive_secs) = time(reps, || {
+                optimize_naive(
+                    &h.mesh,
+                    h.pp,
+                    h.tile_w,
+                    h.tile_h,
+                    h.pp_volume,
+                    &h.pairs,
+                    h.seed,
+                )
+                .expect("preset fits")
+            });
+            let (inc, inc_secs) = time(reps, || {
+                optimize(
+                    &h.mesh,
+                    h.pp,
+                    h.tile_w,
+                    h.tile_h,
+                    h.pp_volume,
+                    &h.pairs,
+                    h.seed,
+                )
+                .expect("preset fits")
+            });
+            let naive_cost = global_cost(&h.mesh, &naive, h.pp_volume, &h.pairs);
+            let inc_cost = global_cost(&h.mesh, &inc, h.pp_volume, &h.pairs);
+            (
+                format!(
+                    "{}x{} mesh, {} stages, {} pairs",
+                    h.mesh.nx,
+                    h.mesh.ny,
+                    h.pp,
+                    h.pairs.len()
+                ),
+                naive_secs,
+                inc_secs,
+                h.pairs.len(),
+                inc_cost,
+                inc == naive && inc_cost.to_bits() == naive_cost.to_bits(),
+            )
+        }
+    };
+    BenchEntry {
+        preset: case.name().to_string(),
+        workload,
+        naive_secs,
+        incremental_secs,
+        speedup: naive_secs / incremental_secs.max(1e-12),
+        reps,
+        threads,
+        demand_sites,
+        objective,
+        identical,
+    }
+}
+
+/// Print one entry's row and check its equivalence and speedup
+/// contracts.
+fn record(bench: &Bench, entry: BenchEntry) -> BenchEntry {
     println!(
         "[{:16}] {:12} naive {:8.4}s  incremental {:8.4}s  speedup {:6.2}x  identical {}",
         entry.preset,
@@ -87,193 +238,18 @@ fn record(entry: BenchEntry, min_speedup: Option<f64>, entries: &mut Vec<BenchEn
         entry.identical,
     );
     if !entry.identical {
-        eprintln!(
+        bench.fail(format!(
             "[{}] EQUIVALENCE BUG: incremental result differs from the naive reference",
             entry.preset
-        );
-        failed = true;
+        ));
     }
-    if let Some(min) = min_speedup {
+    if let Some(min) = bench.args.number("--min-speedup") {
         if entry.speedup < min {
-            eprintln!(
+            bench.fail(format!(
                 "[{}] speedup {:.2}x below required {min}x",
                 entry.preset, entry.speedup
-            );
-            failed = true;
+            ));
         }
     }
-    entries.push(entry);
-    failed
-}
-
-fn main() {
-    let mut preset_arg = "all".to_string();
-    let mut output = "BENCH_ga.json".to_string();
-    let mut min_speedup: Option<f64> = None;
-    let mut reps = 3usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--preset" => preset_arg = args.next().expect("--preset needs a value"),
-            "--output" => output = args.next().expect("--output needs a value"),
-            "--reps" => {
-                reps = args
-                    .next()
-                    .expect("--reps needs a value")
-                    .parse()
-                    .expect("--reps must be an integer")
-            }
-            "--min-speedup" => {
-                min_speedup = Some(
-                    args.next()
-                        .expect("--min-speedup needs a value")
-                        .parse()
-                        .expect("--min-speedup must be a number"),
-                )
-            }
-            "--threads" => {
-                // Honored by the vendored rayon at call time; set before
-                // any parallel work starts.
-                std::env::set_var(
-                    "RAYON_NUM_THREADS",
-                    args.next().expect("--threads needs a value"),
-                );
-            }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let refine_presets: Vec<_> = ga_refine_presets()
-        .into_iter()
-        .filter(|p| preset_arg == "all" || p.name == preset_arg)
-        .collect();
-    let hill = hill_climb_preset();
-    let run_hill = preset_arg == "all" || hill.name == preset_arg;
-    if refine_presets.is_empty() && !run_hill {
-        eprintln!(
-            "unknown preset `{preset_arg}` (refine-llama2-30b|refine-llama3-70b|hillclimb|all)"
-        );
-        std::process::exit(2);
-    }
-
-    let mut entries = Vec::new();
-    let mut failed = false;
-    for preset in &refine_presets {
-        let s = ga_setup(preset);
-        let (naive_result, naive_secs) = time(reps, || {
-            refine_naive(
-                &s.mesh,
-                &s.stages,
-                &s.plan,
-                &s.placement,
-                &s.overflow,
-                &s.spare,
-                s.pp_volume,
-                s.capacity,
-                &preset.params,
-            )
-        });
-        let (inc_result, inc_secs) = time(reps, || {
-            refine(
-                &s.mesh,
-                &s.stages,
-                &s.plan,
-                &s.placement,
-                &s.overflow,
-                &s.spare,
-                s.pp_volume,
-                s.capacity,
-                &preset.params,
-            )
-        });
-        let job = TrainingJob::standard(preset.model.clone());
-        failed |= record(
-            BenchEntry {
-                preset: preset.name.to_string(),
-                workload: format!("{} D(1)T({})P({})", job.model.name, preset.tp, preset.pp),
-                naive_secs,
-                incremental_secs: inc_secs,
-                speedup: naive_secs / inc_secs.max(1e-12),
-                reps,
-                threads: rayon::current_num_threads(),
-                demand_sites: s
-                    .overflow
-                    .iter()
-                    .filter(|o| **o > wsc_arch::units::Bytes::ZERO)
-                    .count(),
-                objective: inc_result.fitness,
-                identical: ga_identical(&inc_result, &naive_result),
-            },
-            min_speedup,
-            &mut entries,
-        );
-    }
-
-    if run_hill {
-        let h = hill;
-        let (naive_p, naive_secs) = time(reps, || {
-            optimize_naive(
-                &h.mesh,
-                h.pp,
-                h.tile_w,
-                h.tile_h,
-                h.pp_volume,
-                &h.pairs,
-                h.seed,
-            )
-            .expect("preset fits")
-        });
-        let (inc_p, inc_secs) = time(reps, || {
-            optimize(
-                &h.mesh,
-                h.pp,
-                h.tile_w,
-                h.tile_h,
-                h.pp_volume,
-                &h.pairs,
-                h.seed,
-            )
-            .expect("preset fits")
-        });
-        let naive_cost = global_cost(&h.mesh, &naive_p, h.pp_volume, &h.pairs);
-        let inc_cost = global_cost(&h.mesh, &inc_p, h.pp_volume, &h.pairs);
-        failed |= record(
-            BenchEntry {
-                preset: h.name.to_string(),
-                workload: format!(
-                    "{}x{} mesh, {} stages, {} pairs",
-                    h.mesh.nx,
-                    h.mesh.ny,
-                    h.pp,
-                    h.pairs.len()
-                ),
-                naive_secs,
-                incremental_secs: inc_secs,
-                speedup: naive_secs / inc_secs.max(1e-12),
-                reps,
-                threads: rayon::current_num_threads(),
-                demand_sites: h.pairs.len(),
-                objective: inc_cost,
-                identical: inc_p == naive_p && inc_cost.to_bits() == naive_cost.to_bits(),
-            },
-            min_speedup,
-            &mut entries,
-        );
-    }
-
-    let report = BenchReport {
-        benchmark: "ga refinement + placement hill climb: incremental cost engine vs naive decode"
-            .to_string(),
-        threads: rayon::current_num_threads(),
-        presets: entries,
-    };
-    let json = serde::json::to_text(&report.to_value());
-    std::fs::write(&output, json + "\n").expect("write benchmark report");
-    println!("wrote {output}");
-    if failed {
-        std::process::exit(1);
-    }
+    entry
 }

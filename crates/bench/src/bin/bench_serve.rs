@@ -18,24 +18,29 @@
 //!     [--threads N[,M,...]] [--require-divergence]
 //! ```
 //!
-//! `--threads N[,M,...]` pins the rayon pool (the vendored rayon honors
-//! `RAYON_NUM_THREADS` at call time) and runs the whole sweep once per
-//! count; any divergence in winners or serving digests across pool
-//! sizes exits non-zero (the determinism contract, measured).
+//! `--threads N[,M,...]` runs the whole sweep once per pool size; any
+//! divergence in winners or serving digests across pool sizes exits
+//! non-zero (the determinism contract, measured).
 //! `--require-divergence` exits non-zero unless at least one selected
 //! (preset, rate) cell's SLO-optimal plan differs from the
 //! training-optimal plan *and* strictly beats its goodput — the
 //! co-exploration payoff this subsystem exists to demonstrate.
 
-use std::time::Instant;
+use std::process::ExitCode;
 
 use serde::Serialize;
-use watos::{
-    ExplorationReport, Explorer, ParallelPlan, ProfileCache, ScheduledConfig, SummaryStats,
-};
+use watos::{Explorer, ExplorerBuilder, ParallelPlan, ProfileCache, ScheduledConfig, SummaryStats};
+use wsc_bench::driver::{run_timed, winner, Bench, Opt, Pools, Spec};
 use wsc_bench::util::{serve_presets, ServePreset};
 use wsc_serve::{simulate, PhaseCost, ServingExplorerExt, ServingSlo, SimConfig, SloServingModel};
 use wsc_workload::serving::ServingWorkload;
+
+const SPEC: Spec = Spec {
+    bin: "bench_serve",
+    output: "BENCH_serve.json",
+    pools: Pools::Many,
+    opts: &[Opt::Switch("--require-divergence")],
+};
 
 /// One winner's serving outcome on the shared trace (everything the
 /// determinism cross-check compares, so no wall times here).
@@ -88,25 +93,39 @@ struct BenchReport {
     presets: Vec<BenchEntry>,
 }
 
-fn presets_for(which: &str) -> Vec<ServePreset> {
-    let all = serve_presets();
-    if which == "all" {
-        return all;
+fn main() -> ExitCode {
+    let (bench, presets) = Bench::from_env(&SPEC, serve_presets(), |p| p.name);
+    // The determinism contract, measured: a cell's winners and every
+    // digit of its serving digests must not depend on the pool size.
+    let entries = bench.sweep_pools(
+        |threads, entries| {
+            for preset in &presets {
+                measure(preset, threads, entries);
+            }
+        },
+        |e| {
+            (
+                (e.preset.clone(), e.rate_rps),
+                (e.slo.clone(), e.train.clone()),
+            )
+        },
+    );
+    if bench.args.switch("--require-divergence")
+        && !entries
+            .iter()
+            .any(|e| e.plans_differ && e.goodput_gain > 0.0)
+    {
+        bench.fail(
+            "SERVING DIVERGENCE CONTRACT FAILED: no (preset, rate) cell had the SLO-optimal \
+             plan differ from and beat the training-optimal plan",
+        );
     }
-    let selected: Vec<ServePreset> = all.into_iter().filter(|p| p.name == which).collect();
-    if selected.is_empty() {
-        eprintln!("unknown preset `{which}` (small|large|all)");
-        std::process::exit(2);
-    }
-    selected
-}
-
-fn winner(report: &ExplorationReport) -> Option<&ScheduledConfig> {
-    report
-        .best()
-        .ok()
-        .and_then(|rec| rec.best.as_ref())
-        .filter(|cfg| cfg.report.feasible)
+    bench.finish(&BenchReport {
+        benchmark: "SLO-aware serving search vs training-optimal winner, goodput under SLO"
+            .to_string(),
+        thread_counts: bench.pools(),
+        presets: entries,
+    })
 }
 
 /// Serve the model's trace on one winner and digest the outcome.
@@ -135,166 +154,63 @@ fn serve_on(
     })
 }
 
-/// One full pass over the selected presets at the current pool size.
-fn run_sweep(preset_arg: &str, entries: &mut Vec<BenchEntry>) {
-    let threads = rayon::current_num_threads();
-    for preset in presets_for(preset_arg) {
-        for &rate in &preset.rates_rps {
-            let workload =
-                ServingWorkload::poisson(preset.model.clone(), rate, preset.requests, preset.seed);
-            let slo = ServingSlo::ttft(preset.slo_ttft_secs);
-            let sim = SimConfig {
-                max_batch_tokens: preset.max_batch_tokens,
-            };
-            let model = SloServingModel::with_sim(workload.clone(), slo, sim);
-
-            let t0 = Instant::now();
-            let slo_report = Explorer::builder()
-                .serving_with(workload, slo, sim)
-                .wafer(preset.wafer.clone())
-                .no_ga()
-                .seed(preset.seed)
-                .build()
-                .expect("valid serving benchmark configuration")
-                .run();
-            let slo_secs = t0.elapsed().as_secs_f64();
-
-            let t1 = Instant::now();
-            let train_report = Explorer::builder()
-                .job(model.profile_job())
-                .wafer(preset.wafer.clone())
-                .no_ga()
-                .seed(preset.seed)
-                .build()
-                .expect("valid training benchmark configuration")
-                .run();
-            let train_secs = t1.elapsed().as_secs_f64();
-
-            let slo_digest = serve_on(&preset, &model, winner(&slo_report));
-            let train_digest = serve_on(&preset, &model, winner(&train_report));
-            let plans_differ = match (&slo_digest, &train_digest) {
-                (Some(s), Some(t)) => s.plan != t.plan,
-                _ => false,
-            };
-            let goodput_gain = match (&slo_digest, &train_digest) {
-                (Some(s), Some(t)) if t.goodput_rps > 0.0 => s.goodput_rps / t.goodput_rps - 1.0,
-                _ => 0.0,
-            };
-            let fmt = |d: &Option<ServingDigest>| {
-                d.as_ref().map_or_else(
-                    || "-".into(),
-                    |d| format!("{} ({:.3} rps)", d.plan, d.goodput_rps),
-                )
-            };
-            println!(
-                "[{:5}] {:12} rate {:>5.1} rps  slo {:<24} train {:<24} gain {:+6.2}%{}",
-                preset.name,
-                preset.model.name,
-                rate,
-                fmt(&slo_digest),
-                fmt(&train_digest),
-                goodput_gain * 100.0,
-                if plans_differ { "  DIVERGED" } else { "" },
-            );
-            entries.push(BenchEntry {
-                preset: preset.name.to_string(),
-                model: preset.model.name.clone(),
-                wafer: preset.wafer.name.clone(),
-                rate_rps: rate,
-                requests: preset.requests,
-                slo_ttft_secs: preset.slo_ttft_secs,
-                max_batch_tokens: preset.max_batch_tokens,
-                seed: preset.seed,
-                threads,
-                slo: slo_digest,
-                train: train_digest,
-                plans_differ,
-                goodput_gain,
-                slo_search_secs: slo_secs,
-                train_search_secs: train_secs,
-            });
-        }
-    }
-}
-
-fn main() {
-    let mut preset_arg = "all".to_string();
-    let mut output = "BENCH_serve.json".to_string();
-    let mut thread_counts: Vec<usize> = Vec::new();
-    let mut require_divergence = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut take = |what: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{what} needs a value"))
+/// Measure every rate of one preset at the current pool size.
+fn measure(preset: &ServePreset, threads: usize, entries: &mut Vec<BenchEntry>) {
+    for &rate in &preset.rates_rps {
+        let workload =
+            ServingWorkload::poisson(preset.model.clone(), rate, preset.requests, preset.seed);
+        let slo = ServingSlo::ttft(preset.slo_ttft_secs);
+        let sim = SimConfig {
+            max_batch_tokens: preset.max_batch_tokens,
         };
-        match a.as_str() {
-            "--preset" => preset_arg = take("--preset"),
-            "--output" => output = take("--output"),
-            "--threads" => {
-                thread_counts = take("--threads")
-                    .split(',')
-                    .map(|t| t.trim().parse().expect("--threads must be numbers"))
-                    .collect()
-            }
-            "--require-divergence" => require_divergence = true,
-            other => {
-                eprintln!("unknown argument `{other}`");
-                std::process::exit(2);
-            }
-        }
-    }
+        let model = SloServingModel::with_sim(workload.clone(), slo, sim);
+        let search =
+            |b: ExplorerBuilder| run_timed(b.wafer(preset.wafer.clone()).no_ga().seed(preset.seed));
+        let (slo_report, slo_secs) = search(Explorer::builder().serving_with(workload, slo, sim));
+        let (train_report, train_secs) = search(Explorer::builder().job(model.profile_job()));
 
-    if thread_counts.is_empty() {
-        thread_counts.push(rayon::current_num_threads());
-    }
-
-    let mut entries = Vec::new();
-    for &t in &thread_counts {
-        // rayon honors RAYON_NUM_THREADS at call time.
-        std::env::set_var("RAYON_NUM_THREADS", t.to_string());
-        run_sweep(&preset_arg, &mut entries);
-    }
-
-    // The determinism contract, measured: a cell's winners and every
-    // digit of its serving digests must not depend on the pool size.
-    let mut failed = false;
-    for e in &entries {
-        if let Some(first) = entries
-            .iter()
-            .find(|o| o.preset == e.preset && o.rate_rps == e.rate_rps)
-        {
-            if first.slo != e.slo || first.train != e.train {
-                eprintln!(
-                    "DIVERGENT SERVING DIGEST for `{}` @ {} rps: threads={} vs threads={}",
-                    e.preset, e.rate_rps, first.threads, e.threads
-                );
-                failed = true;
-            }
-        }
-    }
-
-    let diverged = entries
-        .iter()
-        .any(|e| e.plans_differ && e.goodput_gain > 0.0);
-    let report = BenchReport {
-        benchmark: "SLO-aware serving search vs training-optimal winner, goodput under SLO"
-            .to_string(),
-        thread_counts,
-        presets: entries,
-    };
-    let json = serde::json::to_text(&report.to_value());
-    std::fs::write(&output, json + "\n").expect("write benchmark report");
-    println!("wrote {output}");
-
-    if require_divergence && !diverged {
-        eprintln!(
-            "SERVING DIVERGENCE CONTRACT FAILED: no (preset, rate) cell had the SLO-optimal \
-             plan differ from and beat the training-optimal plan"
+        let slo_digest = serve_on(preset, &model, winner(&slo_report));
+        let train_digest = serve_on(preset, &model, winner(&train_report));
+        let plans_differ = match (&slo_digest, &train_digest) {
+            (Some(s), Some(t)) => s.plan != t.plan,
+            _ => false,
+        };
+        let goodput_gain = match (&slo_digest, &train_digest) {
+            (Some(s), Some(t)) if t.goodput_rps > 0.0 => s.goodput_rps / t.goodput_rps - 1.0,
+            _ => 0.0,
+        };
+        let fmt = |d: &Option<ServingDigest>| {
+            d.as_ref().map_or_else(
+                || "-".into(),
+                |d| format!("{} ({:.3} rps)", d.plan, d.goodput_rps),
+            )
+        };
+        println!(
+            "[{:5}] {:12} rate {:>5.1} rps  slo {:<24} train {:<24} gain {:+6.2}%{}",
+            preset.name,
+            preset.model.name,
+            rate,
+            fmt(&slo_digest),
+            fmt(&train_digest),
+            goodput_gain * 100.0,
+            if plans_differ { "  DIVERGED" } else { "" },
         );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
+        entries.push(BenchEntry {
+            preset: preset.name.to_string(),
+            model: preset.model.name.clone(),
+            wafer: preset.wafer.name.clone(),
+            rate_rps: rate,
+            requests: preset.requests,
+            slo_ttft_secs: preset.slo_ttft_secs,
+            max_batch_tokens: preset.max_batch_tokens,
+            seed: preset.seed,
+            threads,
+            slo: slo_digest,
+            train: train_digest,
+            plans_differ,
+            goodput_gain,
+            slo_search_secs: slo_secs,
+            train_search_secs: train_secs,
+        });
     }
 }

@@ -2,7 +2,7 @@
 //! generality, robustness, mesh-switch topology, multi-wafer scaling, GA
 //! trade-off and the die-granularity hardware DSE.
 
-use crate::util::{explore_node, explore_one};
+use crate::util::{explore_node, explore_one, ga_setup};
 use crate::util::{f2, f3, normalize_min1, watos_options, TextTable};
 use watos::ga::GaParams;
 use watos::robust::FaultKind;
@@ -404,36 +404,16 @@ pub fn ga_history(
     omega: f64,
     steps: usize,
 ) -> Vec<f64> {
-    use watos::stage::build_stage_profiles;
-    use wsc_mesh::topology::Mesh2D;
-    use wsc_workload::graph::ShardingCtx;
-    use wsc_workload::parallel::ParallelSpec;
-
-    let tp = 4;
-    let pp = 14;
-    let ctx = ShardingCtx::new(job.micro_batch, job.seq, tp, TpSplitStrategy::Megatron);
-    let stages = build_stage_profiles(
-        wafer,
-        job,
-        ParallelSpec::model_parallel(tp, pp),
-        &ctx,
-        job.microbatches(1),
-    );
-    let inputs: Vec<_> = stages.iter().map(|s| s.as_recompute_input()).collect();
-    let cap = wafer.dram.capacity;
-    let plan = wsc_pipeline::gcmr::gcmr(&inputs, cap, 12).as_recompute_plan();
-    let (tw, th) = watos::placement::choose_tile(wafer.nx, wafer.ny, tp, pp).expect("tile");
-    let placement = watos::placement::serpentine(wafer.nx, wafer.ny, pp, tw, th).expect("fits");
-    let (overflow, spare) = wsc_pipeline::recompute::overflow_and_spare(&inputs, &plan, cap);
+    let s = ga_setup(wafer, job, 4, 14);
     let r = watos::ga::refine(
-        &Mesh2D::new(wafer.nx, wafer.ny),
-        &stages,
-        &plan,
-        &placement,
-        &overflow,
-        &spare,
-        1e8,
-        cap,
+        &s.mesh,
+        &s.stages,
+        &s.plan,
+        &s.placement,
+        &s.overflow,
+        &s.spare,
+        s.pp_volume,
+        s.capacity,
         &GaParams {
             population: 12,
             steps,

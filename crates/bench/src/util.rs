@@ -1,12 +1,15 @@
-//! Shared helpers for the figure harness: text tables, normalization,
-//! common scheduler option sets, and thin wrappers over the `Explorer`
-//! facade for single-candidate figure runs.
+//! Shared helpers for the figure harness and the benchmark binaries:
+//! the benchmark presets, text tables, normalization, common scheduler
+//! option sets, and thin wrappers over the `Explorer` facade for
+//! single-candidate figure runs.
 
 use watos::ga::GaParams;
 use watos::placement::{choose_tile, serpentine, PairDemand};
 use watos::scheduler::{PlanFilter, RecomputeMode, ScheduledConfig, SchedulerOptions};
 use watos::stage::{build_stage_profiles, StageProfile};
-use watos::{Explorer, MultiWaferReport, Placement};
+use watos::{
+    ExplorationReport, Explorer, ExplorerBuilder, MultiWaferReport, Placement, SearchStats,
+};
 use wsc_arch::presets;
 use wsc_arch::units::Bytes;
 use wsc_arch::wafer::{MultiWaferConfig, WaferConfig};
@@ -16,80 +19,119 @@ use wsc_pipeline::gcmr::gcmr;
 use wsc_pipeline::recompute::{overflow_and_spare, RecomputePlan};
 use wsc_workload::graph::ShardingCtx;
 use wsc_workload::model::LlmModel;
-use wsc_workload::parallel::{ParallelSpec, TpSplitStrategy};
+use wsc_workload::parallel::{ParallelPlan, ParallelSpec, TpSplitStrategy};
 use wsc_workload::training::TrainingJob;
 use wsc_workload::zoo;
 
+/// What a search-benchmark preset searches: one wafer (the Alg. 1
+/// single-wafer leg) or one multi-wafer node (the §VI-F node leg).
+pub enum SearchCandidate {
+    /// A single-wafer candidate.
+    Wafer(WaferConfig),
+    /// A multi-wafer node candidate, searched over the full plan space
+    /// (cross-wafer TP and uneven stage maps, [`PlanFilter::all`]) with
+    /// the node-level Alg. 3 pass on every evaluated plan
+    /// ([`watos::ExplorerBuilder::node_placement`]), so the committed
+    /// numbers and the CI smoke cover the enlarged search, not just the
+    /// seed-era balanced intra-wafer space.
+    Node(MultiWaferConfig),
+}
+
 /// One search-engine benchmark preset — the single source of truth of
-/// the `bench_search` JSON harness per preset name.
+/// the `bench_search` and `bench_fault` JSON harnesses per preset name.
 pub struct SearchPreset {
-    /// Preset name (`small` / `medium` / `large`).
+    /// Preset name (`small` / `medium` / `large` / `multiwafer`).
     pub name: &'static str,
-    /// Candidate wafer.
-    pub wafer: WaferConfig,
+    /// The one candidate the preset searches.
+    pub candidate: SearchCandidate,
     /// Training model.
     pub model: LlmModel,
     /// TP partition strategies to sweep.
     pub strategies: Vec<TpSplitStrategy>,
 }
 
-/// The small/medium/large search-benchmark presets, in size order.
+/// One search leg read back from a report: its counters and its winning
+/// plan with the winner's iteration seconds.
+pub type SearchLeg = (SearchStats, Option<(ParallelPlan, f64)>);
+
+impl SearchPreset {
+    /// The candidate's display name (`Config 3`, `4x Config 3`).
+    pub fn candidate_name(&self) -> String {
+        match &self.candidate {
+            SearchCandidate::Wafer(w) => w.name.clone(),
+            SearchCandidate::Node(n) => format!("{}x {}", n.wafers, n.wafer.name),
+        }
+    }
+
+    /// The preset's search, configured and ready to build: the standard
+    /// training job of the model over the candidate, with the preset's
+    /// strategies and GA refinement off.
+    pub fn builder(&self) -> ExplorerBuilder {
+        let b = Explorer::builder()
+            .job(TrainingJob::standard(self.model.clone()))
+            .strategies(self.strategies.clone())
+            .no_ga();
+        match &self.candidate {
+            SearchCandidate::Wafer(w) => b.wafer(w.clone()),
+            SearchCandidate::Node(n) => b
+                .multi_wafer(n.clone())
+                .plans(PlanFilter::all())
+                .node_placement(),
+        }
+    }
+
+    /// Read this preset's leg from a report of [`Self::builder`]'s
+    /// search.
+    pub fn leg(&self, report: &ExplorationReport) -> SearchLeg {
+        match self.candidate {
+            SearchCandidate::Wafer(_) => (
+                report.search_stats(),
+                crate::driver::winner(report)
+                    .map(|b| (b.plan.clone(), b.report.iteration.as_secs())),
+            ),
+            SearchCandidate::Node(_) => (
+                report.multi_wafer_search_stats(),
+                report
+                    .multi_wafer
+                    .first()
+                    .and_then(|r| r.best.as_ref())
+                    .map(|b| (b.plan.clone(), b.iteration.as_secs())),
+            ),
+        }
+    }
+}
+
+/// The search-benchmark presets: the small/medium/large wafer presets
+/// in size order, then the multi-wafer node preset (a model that does
+/// not fit one wafer).
 pub fn search_presets() -> Vec<SearchPreset> {
+    let both = || vec![TpSplitStrategy::Megatron, TpSplitStrategy::SequenceParallel];
     vec![
         SearchPreset {
             name: "small",
-            wafer: presets::config(3),
+            candidate: SearchCandidate::Wafer(presets::config(3)),
             model: zoo::llama2_30b(),
             strategies: vec![TpSplitStrategy::SequenceParallel],
         },
         SearchPreset {
             name: "medium",
-            wafer: presets::config(3),
+            candidate: SearchCandidate::Wafer(presets::config(3)),
             model: zoo::llama3_70b(),
-            strategies: vec![TpSplitStrategy::Megatron, TpSplitStrategy::SequenceParallel],
+            strategies: both(),
         },
         SearchPreset {
             name: "large",
-            wafer: presets::config(3),
+            candidate: SearchCandidate::Wafer(presets::config(3)),
             model: zoo::gpt_175b(),
-            strategies: vec![TpSplitStrategy::Megatron, TpSplitStrategy::SequenceParallel],
+            strategies: both(),
+        },
+        SearchPreset {
+            name: "multiwafer",
+            candidate: SearchCandidate::Node(presets::multi_wafer_18()),
+            model: zoo::llama3_405b(),
+            strategies: both(),
         },
     ]
-}
-
-/// One multi-wafer search-benchmark preset — the §VI-F engine analogue
-/// of [`SearchPreset`] for the `bench_search` JSON harness.
-pub struct MultiWaferSearchPreset {
-    /// Preset name (`multiwafer`).
-    pub name: &'static str,
-    /// Candidate multi-wafer node.
-    pub node: MultiWaferConfig,
-    /// Training model (one that does *not* fit a single wafer).
-    pub model: LlmModel,
-    /// TP partition strategies to sweep.
-    pub strategies: Vec<TpSplitStrategy>,
-    /// Plan-space axes to enable (cross-wafer TP, uneven stage maps).
-    pub plans: PlanFilter,
-    /// Run the node-level Alg. 3 pass on every evaluated plan
-    /// ([`watos::ExplorerBuilder::node_placement`]). `bench_search`'s
-    /// `--no-node-placement` flag overrides this to `false`.
-    pub node_placement: bool,
-}
-
-/// The multi-wafer search-benchmark presets. The node sweep runs with
-/// the full plan space enabled — cross-wafer TP, uneven stage maps and
-/// the node-level Alg. 3 placement pass — so the committed numbers (and
-/// the CI smoke) cover the enlarged search, not just the seed-era
-/// balanced intra-wafer space.
-pub fn multi_wafer_search_presets() -> Vec<MultiWaferSearchPreset> {
-    vec![MultiWaferSearchPreset {
-        name: "multiwafer",
-        node: presets::multi_wafer_18(),
-        model: zoo::llama3_405b(),
-        strategies: vec![TpSplitStrategy::Megatron, TpSplitStrategy::SequenceParallel],
-        plans: PlanFilter::all(),
-        node_placement: true,
-    }]
 }
 
 /// One serving benchmark preset — the single source of truth shared by
@@ -187,9 +229,10 @@ pub fn ga_refine_presets() -> Vec<GaRefinePreset> {
     ]
 }
 
-/// Everything `ga::refine` needs for one preset, derived the same way
-/// the scheduler derives it (GCMR plan, serpentine seed placement,
-/// per-stage overflow/spare against the wafer DRAM capacity).
+/// Everything `ga::refine` needs for one `(wafer, job, tp, pp)`
+/// configuration, derived the same way the scheduler derives it (GCMR
+/// plan, serpentine seed placement, per-stage overflow/spare against the
+/// wafer DRAM capacity).
 pub struct GaSetup {
     /// The wafer fabric.
     pub mesh: Mesh2D,
@@ -209,32 +252,25 @@ pub struct GaSetup {
     pub capacity: Bytes,
 }
 
-/// Build the GA inputs for one refinement preset.
-pub fn ga_setup(preset: &GaRefinePreset) -> GaSetup {
-    let job = TrainingJob::standard(preset.model.clone());
-    let ctx = ShardingCtx::new(
-        job.micro_batch,
-        job.seq,
-        preset.tp,
-        TpSplitStrategy::Megatron,
-    );
+/// Build the GA inputs for a Megatron `D(1)T(tp)P(pp)` configuration of
+/// `job` on `wafer`.
+pub fn ga_setup(wafer: &WaferConfig, job: &TrainingJob, tp: usize, pp: usize) -> GaSetup {
+    let ctx = ShardingCtx::new(job.micro_batch, job.seq, tp, TpSplitStrategy::Megatron);
     let stages = build_stage_profiles(
-        &preset.wafer,
-        &job,
-        ParallelSpec::model_parallel(preset.tp, preset.pp),
+        wafer,
+        job,
+        ParallelSpec::model_parallel(tp, pp),
         &ctx,
         job.microbatches(1),
     );
     let inputs: Vec<_> = stages.iter().map(|s| s.as_recompute_input()).collect();
-    let capacity = preset.wafer.dram.capacity;
+    let capacity = wafer.dram.capacity;
     let plan = gcmr(&inputs, capacity, 12).as_recompute_plan();
-    let (tw, th) = choose_tile(preset.wafer.nx, preset.wafer.ny, preset.tp, preset.pp)
-        .expect("preset tile must embed");
-    let placement =
-        serpentine(preset.wafer.nx, preset.wafer.ny, preset.pp, tw, th).expect("preset fits");
+    let (tw, th) = choose_tile(wafer.nx, wafer.ny, tp, pp).expect("stage tile must embed");
+    let placement = serpentine(wafer.nx, wafer.ny, pp, tw, th).expect("stages fit the wafer");
     let (overflow, spare) = overflow_and_spare(&inputs, &plan, capacity);
     GaSetup {
-        mesh: Mesh2D::new(preset.wafer.nx, preset.wafer.ny),
+        mesh: Mesh2D::new(wafer.nx, wafer.ny),
         stages,
         plan,
         placement,

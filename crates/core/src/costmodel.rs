@@ -84,26 +84,6 @@ impl LinkSet {
     }
 }
 
-/// The pipeline link set of a placement as a [`LinkSet`] bitmap: the
-/// bidirectional union over every consecutive-stage XY route. The one
-/// shared builder behind [`crate::placement::conflict_factor`] — kept
-/// here so bitmap-based consumers can never drift from each other
-/// (the `HashSet` construction inside
-/// [`crate::placement::global_cost`] is deliberately left alone as the
-/// measured naive baseline).
-pub(crate) fn pipeline_link_bitmap(mesh: &Mesh2D, placement: &Placement) -> LinkSet {
-    let mut set = LinkSet::new(mesh);
-    for w in placement.stages.windows(2) {
-        let a = w[0].center_node(mesh);
-        let b = w[1].center_node(mesh);
-        for l in path_links(&xy_path(mesh, a, b)) {
-            set.insert(link_id(mesh, l));
-            set.insert(link_id(mesh, l.reversed()));
-        }
-    }
-    set
-}
-
 /// The memoized XY route between two slots, as directed-link ids.
 struct PathFrag {
     /// Links of the route a→b, each once, in path order — what a

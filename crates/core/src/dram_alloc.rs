@@ -88,7 +88,7 @@ pub fn allocate(placement: &Placement, overflow: &[Bytes], spare: &[Bytes]) -> D
 /// node distance — the greedy loop (heaviest sender first, nearest
 /// helper first, grants split on exhausted spare, stable tie order) is
 /// byte-identical either way.
-pub fn allocate_by(
+pub(crate) fn allocate_by(
     dist: impl Fn(usize, usize) -> f64,
     overflow: &[Bytes],
     spare: &[Bytes],

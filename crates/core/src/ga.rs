@@ -26,7 +26,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
-use wsc_arch::units::{Bytes, Time};
+use wsc_arch::units::Bytes;
 use wsc_mesh::topology::Mesh2D;
 use wsc_pipeline::recompute::RecomputePlan;
 
@@ -627,11 +627,6 @@ fn refine_engine(
         fitness,
         history,
     }
-}
-
-/// The recompute-time helper used by fitness decoding; exposed for tests.
-pub fn stage_mb_time(sp: &StageProfile, recompute: Time) -> Time {
-    sp.fwd_compute + sp.bwd_compute + recompute
 }
 
 #[cfg(test)]

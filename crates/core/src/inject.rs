@@ -34,6 +34,7 @@
 //!   recovery path.
 
 use crate::cache::ProfileCache;
+use crate::stats::splitmix64;
 
 /// Domain separators so the panic, delay and corruption streams of one
 /// seed are decorrelated.
@@ -41,20 +42,10 @@ const DOMAIN_PANIC: u64 = 0x50414e49; // "PANI"
 const DOMAIN_DELAY: u64 = 0x44454c41; // "DELA"
 const DOMAIN_CORRUPT: u64 = 0x434f5252; // "CORR"
 
-/// SplitMix64 over `(seed, index)` — one decorrelated draw per key.
-fn splitmix(seed: u64, index: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(index.wrapping_mul(0xbf58_476d_1ce4_e5b9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Fold a work-item tie-break key into one u64 injection index.
 fn fold_key(key: (usize, usize, usize, usize)) -> u64 {
     let (tp, pp, sidx, pidx) = key;
-    splitmix(
+    splitmix64(
         (tp as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (pp as u64),
         ((sidx as u64) << 32) | pidx as u64,
     )
@@ -140,7 +131,7 @@ impl Injection {
         if rate >= 1.0 {
             return true;
         }
-        let draw = splitmix(self.seed ^ domain, key);
+        let draw = splitmix64(self.seed ^ domain, key);
         // Map the top 53 bits to [0, 1) — exact on f64.
         ((draw >> 11) as f64 / (1u64 << 53) as f64) < rate
     }

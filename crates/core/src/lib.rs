@@ -71,7 +71,7 @@ mod wave;
 
 pub use crate::cache::{CacheStats, ProfileCache};
 pub use crate::costmodel::{CostState, NodeCostModel, PlacementCostModel};
-pub use crate::dram_alloc::{allocate, allocate_by, allocate_node, DramAllocation, DramGrant};
+pub use crate::dram_alloc::{allocate, allocate_node, DramAllocation, DramGrant};
 pub use crate::evaluator::{evaluate, EvalInput, EvalOptions, PerfReport};
 pub use crate::explorer::{
     ArchRecord, BaselineModel, BaselineOutcome, BaselineRecord, CandidateSource, CheckpointSink,

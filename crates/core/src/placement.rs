@@ -12,7 +12,7 @@
 //! where γ counts routing conflicts between activation-balance paths and
 //! pipeline paths.
 
-use crate::costmodel::{link_id, pipeline_link_bitmap, NodeCostModel, PlacementCostModel};
+use crate::costmodel::{NodeCostModel, PlacementCostModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -78,13 +78,6 @@ impl Rect {
 pub struct Placement {
     /// Per-stage die rectangles, indexed by stage.
     pub stages: Vec<Rect>,
-}
-
-impl Placement {
-    /// Total pipeline-path hops (consecutive-stage distances).
-    pub fn pipeline_hops(&self) -> f64 {
-        self.stages.windows(2).map(|w| w[0].dist(&w[1])).sum()
-    }
 }
 
 /// Enumerate the tile slots a `tile_w × tile_h` stage rectangle can occupy
@@ -228,22 +221,6 @@ fn pair_conflicts(
     path_links(&xy_path(mesh, s, h))
         .into_iter()
         .filter(|l| pipeline_links.contains(l))
-        .count()
-}
-
-/// Count routing conflicts γ: links shared between the XY routes of
-/// activation-balance paths and pipeline paths.
-///
-/// Runs on the cost-model's dense link-id bitmap instead of rebuilding a
-/// `HashSet<DirLink>` per call; the count is identical (the bitmap holds
-/// exactly the naive pipeline link set).
-pub fn conflict_factor(mesh: &Mesh2D, placement: &Placement, pair: &PairDemand) -> usize {
-    let pipeline = pipeline_link_bitmap(mesh, placement);
-    let s = placement.stages[pair.sender].center_node(mesh);
-    let h = placement.stages[pair.helper].center_node(mesh);
-    path_links(&xy_path(mesh, s, h))
-        .into_iter()
-        .filter(|&l| pipeline.contains(link_id(mesh, l)))
         .count()
 }
 
@@ -824,20 +801,6 @@ mod tests {
         // Impossible demands yield None.
         assert_eq!(choose_tile(7, 8, 4, 15), None);
         assert_eq!(choose_tile(7, 8, 64, 1), None);
-    }
-
-    #[test]
-    fn conflict_factor_counts_shared_links() {
-        let mesh = Mesh2D::new(8, 1);
-        // A line of 4 stages of 2x1 tiles: balance path (0 -> 3) must ride
-        // the pipeline path: conflicts are inevitable.
-        let p = serpentine(8, 1, 4, 2, 1).unwrap();
-        let pair = PairDemand {
-            sender: 0,
-            helper: 3,
-            volume: 1.0,
-        };
-        assert!(conflict_factor(&mesh, &p, &pair) > 0);
     }
 
     #[test]

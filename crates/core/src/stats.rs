@@ -65,8 +65,9 @@ impl SummaryStats {
 /// from one base seed. The same construction as the GA's per-genome
 /// streams and the fault ensemble's per-sample wafers; the serving
 /// trace driver uses it for Poisson inter-arrival and token-length
-/// draws. Pure arithmetic on the inputs: no clocks, no entropy, so
-/// every consumer stays wsc-lint D004 clean.
+/// draws, and the fault-injection harness for its per-candidate draws.
+/// Pure arithmetic on the inputs: no clocks, no entropy, so every
+/// consumer stays wsc-lint D004 clean.
 pub fn splitmix64(seed: u64, index: u64) -> u64 {
     let mut z = seed
         .wrapping_add(0x9e37_79b9_7f4a_7c15)

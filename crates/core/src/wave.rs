@@ -902,6 +902,52 @@ mod tests {
     }
 
     #[test]
+    fn expired_deadline_truncates_before_the_first_wave() {
+        // A deadline that has already passed trips at the first wave
+        // boundary: nothing is evaluated, every bound survivor lands in
+        // `skipped`, and the snapshot is emitted before that tail is
+        // charged.
+        let its = items(20);
+        let bounds: Vec<Option<f64>> = (0..20).map(|i| (i % 4 != 0).then_some(i as f64)).collect();
+        let survivors = bounds.iter().flatten().count();
+        let sink = Capture(Mutex::new(Vec::new()));
+        let ctx = SessionCtx {
+            deadline: Some(Instant::now()),
+            sink: Some(&sink),
+            ..SessionCtx::none()
+        };
+        let r = wave_search(
+            &its,
+            &bounds,
+            true,
+            &ctx,
+            |_, it| Some(it.plan.tp as f64),
+            |&c: &f64| c,
+        );
+        assert_eq!(
+            r.outcome,
+            Outcome::Truncated {
+                reason: TruncationReason::Deadline
+            }
+        );
+        assert_eq!(r.stats.evaluated, 0);
+        assert_eq!(r.stats.skipped, survivors);
+        assert_eq!(
+            r.stats.visited,
+            r.stats.pruned + r.stats.evaluated + r.stats.skipped
+        );
+        assert_eq!(r.best, None);
+        let cps = sink
+            .0
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .clone();
+        assert_eq!(cps.len(), 1, "truncation emits one snapshot");
+        assert_eq!(cps[0].stats.skipped, 0, "snapshot precedes the tail");
+        assert_eq!(cps[0].cursor, 0);
+    }
+
+    #[test]
     fn pruned_ratio_early_stops() {
         // 100 points, 98 statically infeasible: the pre-loop prune
         // already exceeds the 0.5 threshold, so the first boundary

@@ -94,7 +94,8 @@ fn report_is_identical_across_thread_counts() {
         .into_iter()
         .find(|p| p.name == "refine-llama3-70b")
         .expect("preset table always carries the Llama3-70B entry");
-    let s = ga_setup(&preset);
+    let job = TrainingJob::standard(preset.model.clone());
+    let s = ga_setup(&preset.wafer, &job, preset.tp, preset.pp);
     let params = GaParams {
         population: 10,
         steps: 15,

@@ -2,16 +2,23 @@
 //! `docs/ARCHITECTURE.md`): across randomized injection schedules the
 //! engine must return a valid report with every panic isolated, a failed
 //! candidate must never be crowned, a disarmed harness must leave the
-//! report byte-identical to a run without one, and killing a session at
+//! report byte-identical to a run without one, killing a session at
 //! any checkpoint then resuming must reproduce the uninterrupted run
-//! bit-for-bit.
+//! bit-for-bit, an expired deadline must truncate with honest counters,
+//! and every decoder of untrusted input — reports, checkpoints, serving
+//! traces — must be total.
 
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, Once};
-use watos::{Explorer, ExplorerBuilder, Injection, MemorySink, SearchBudget, SearchCheckpoint};
+use std::sync::{Arc, Once, OnceLock};
+use watos::{
+    ExplorationReport, Explorer, ExplorerBuilder, Injection, MemorySink, SearchBudget,
+    SearchCheckpoint,
+};
 use wsc_arch::presets;
 use wsc_arch::wafer::{MultiWaferConfig, WaferConfig};
+use wsc_serve::{Trace, TraceError};
+use wsc_workload::serving::ServingWorkload;
 use wsc_workload::training::TrainingJob;
 use wsc_workload::zoo;
 
@@ -233,4 +240,113 @@ fn high_rate_storms_actually_produce_incidents() {
         !report.incidents().is_empty(),
         "a 95% panic storm produced no incidents: the harness is not wired in"
     );
+}
+
+/// A wall-clock deadline that has passed before the first wave
+/// truncates the run: the best-so-far report keeps honest counters and
+/// still round-trips through JSON.
+#[test]
+fn an_expired_deadline_truncates_with_honest_counters() {
+    let report = Explorer::builder()
+        .job(TrainingJob::standard(zoo::llama2_30b()))
+        .wafer(presets::config(3))
+        .no_ga()
+        .budget(SearchBudget::none().deadline(1e-9))
+        .build()
+        .expect("valid session")
+        .run();
+    assert!(report.truncated());
+    let s = report.search_stats();
+    assert!(s.skipped > 0, "the unexamined tail is skipped: {s:?}");
+    assert_eq!(s.visited, s.pruned + s.evaluated + s.skipped);
+    assert_eq!(ExplorationReport::from_json(&report.to_json()), Ok(report));
+}
+
+/// Checkpoint decoding as a resume reads it.
+fn decode_checkpoint(text: &str) -> Result<SearchCheckpoint, serde::Error> {
+    SearchCheckpoint::from_value(&serde::json::from_text(text)?)
+}
+
+/// Feed `text` to every decoder; a panic fails the calling test.
+fn decode_everything(text: &str) {
+    let _ = ExplorationReport::from_json(text);
+    let _ = decode_checkpoint(text);
+    let _ = Trace::from_json(text);
+}
+
+/// A real report (wafer and node legs), a mid-leg checkpoint and a
+/// serving trace, as the JSON texts the decoders read.
+fn real_documents() -> &'static [String; 3] {
+    static DOCS: OnceLock<[String; 3]> = OnceLock::new();
+    DOCS.get_or_init(|| {
+        let wafer = small_wafer(2);
+        let sink = Arc::new(MemorySink::new());
+        let report = base(&wafer, &small_job(6), 7)
+            .multi_wafer(small_node(&wafer))
+            .checkpoint_every(1, sink.clone())
+            .build()
+            .expect("valid session")
+            .run();
+        let checkpoint = sink
+            .all()
+            .into_iter()
+            .find(|cp| cp.frontier.is_some())
+            .expect("the session writes mid-leg snapshots");
+        let trace = Trace::synthesize(&ServingWorkload::poisson(zoo::llama_7b(), 4.0, 8, 7));
+        [
+            report.to_json(),
+            serde::json::to_text(&checkpoint.to_value()),
+            trace.to_json(),
+        ]
+    })
+}
+
+#[test]
+fn deep_nesting_is_an_error_in_every_decoder() {
+    for opener in ["[", "{\"a\":"] {
+        let text = opener.repeat(1 << 20);
+        assert!(ExplorationReport::from_json(&text).is_err());
+        assert!(decode_checkpoint(&text).is_err());
+        assert!(matches!(
+            Trace::from_json(&text),
+            Err(TraceError::Malformed { .. })
+        ));
+    }
+}
+
+/// Guard against a vacuous corpus: the documents the proptest below
+/// truncates and mutates must decode, and re-encode byte-identically.
+#[test]
+fn real_documents_round_trip_through_their_decoders() {
+    let [report, checkpoint, trace] = real_documents();
+    let decoded = ExplorationReport::from_json(report).expect("report decodes");
+    assert_eq!(&decoded.to_json(), report);
+    let decoded = decode_checkpoint(checkpoint).expect("checkpoint decodes");
+    assert_eq!(&serde::json::to_text(&decoded.to_value()), checkpoint);
+    let decoded = Trace::from_json(trace).expect("trace decodes");
+    assert_eq!(&decoded.to_json(), trace);
+}
+
+proptest! {
+    #[test]
+    fn truncated_or_mutated_documents_never_panic_a_decoder(
+        doc in 0usize..3,
+        cut in 0.0f64..1.0,
+        at in 0.0f64..1.0,
+        byte in 0u8..128,
+    ) {
+        let text = &real_documents()[doc];
+        let mut end = (cut * text.len() as f64) as usize;
+        while !text.is_char_boundary(end) {
+            end -= 1;
+        }
+        decode_everything(&text[..end]);
+
+        let mut bytes = text.clone().into_bytes();
+        let i = ((at * bytes.len() as f64) as usize).min(bytes.len() - 1);
+        bytes[i] = byte;
+        if let Ok(mutated) = String::from_utf8(bytes) {
+            decode_everything(&mutated);
+        }
+    }
 }
