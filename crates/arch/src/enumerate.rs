@@ -9,7 +9,7 @@ use crate::core::CoreConfig;
 use crate::die::ComputeDieConfig;
 use crate::dram::DramStack;
 use crate::presets;
-use crate::units::{Bandwidth, Bytes, FlopRate, Mm, Time};
+use crate::units::{Bandwidth, Bytes, Mm, Time};
 use crate::wafer::WaferConfig;
 use serde::{Deserialize, Serialize};
 
@@ -235,11 +235,6 @@ pub fn die_granularity_sweep() -> Vec<GranularityPoint> {
         }
     }
     out
-}
-
-/// Convenience: the peak FLOPS a synthesized wafer delivers.
-pub fn wafer_peak(wafer: &WaferConfig) -> FlopRate {
-    wafer.total_flops()
 }
 
 #[cfg(test)]

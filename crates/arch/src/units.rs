@@ -49,11 +49,6 @@ impl Bytes {
         Bytes(n * 1024 * 1024 * 1024)
     }
 
-    /// Construct from a fractional gibibyte count (useful for model sizes).
-    pub fn from_gib_f64(g: f64) -> Self {
-        Bytes((g * 1024.0 * 1024.0 * 1024.0).round().max(0.0) as u64)
-    }
-
     /// Raw byte count.
     pub const fn as_u64(self) -> u64 {
         self.0

@@ -1,5 +1,6 @@
 //! The seven prior DSE frameworks of Fig. 20, reproduced as *search-scope
-//! restrictions* over the common evaluator (see DESIGN.md).
+//! restrictions* over the common evaluator (see the §VI-B baselines row of
+//! the paper → code map in `docs/ARCHITECTURE.md`).
 //!
 //! Each method keeps exactly the optimization axes the paper credits it
 //! with and loses the ones it lacks:

@@ -10,13 +10,12 @@
 use serde::{Deserialize, Serialize};
 use watos::evaluator::{evaluate, EvalInput, EvalOptions, PerfReport};
 use watos::placement::{row_major, Placement};
-use watos::stage::build_stage_profiles;
+use watos::ProfileCache;
 use wsc_arch::wafer::WaferConfig;
 use wsc_mesh::collective::CollectiveAlgo;
 use wsc_pipeline::recompute::naive_recompute;
-use wsc_workload::graph::ShardingCtx;
 use wsc_workload::memory::model_p_total;
-use wsc_workload::parallel::{ParallelSpec, TpSplitStrategy};
+use wsc_workload::parallel::{ParallelPlan, ParallelSpec, TpSplitStrategy};
 use wsc_workload::training::TrainingJob;
 
 /// MG-wafer evaluation result.
@@ -58,6 +57,9 @@ pub fn mg_parallelism(job: &TrainingJob, devices: usize, capacity: f64) -> (usiz
 pub fn mg_wafer(wafer: &WaferConfig, job: &TrainingJob) -> Option<MgWaferResult> {
     let dies = wafer.die_count();
     let (tp, pp0) = mg_parallelism(job, dies, wafer.dram.capacity.as_f64());
+    // One cache for every depth and shape tried: the `(tp, Megatron)`
+    // layers are profiled once.
+    let cache = ProfileCache::new();
     let mut best: Option<MgWaferResult> = None;
     // Megatron sticks to its heuristic PP, doubling only when the naive
     // recompute plan cannot fit (an OOM retry, as a user would).
@@ -87,9 +89,9 @@ pub fn mg_wafer(wafer: &WaferConfig, job: &TrainingJob) -> Option<MgWaferResult>
             }
             let dp = (slots / pp).max(1).min(job.global_batch / job.micro_batch);
             let parallel = ParallelSpec::new(dp, tp, pp);
-            let ctx = ShardingCtx::new(job.micro_batch, job.seq, tp, TpSplitStrategy::Megatron);
+            let megatron = ParallelPlan::intra(tp, pp, TpSplitStrategy::Megatron);
             let n_mb = job.microbatches(dp);
-            let stages = build_stage_profiles(wafer, job, parallel, &ctx, n_mb);
+            let stages = cache.stage_profiles(wafer, job, &megatron, n_mb);
             let inputs: Vec<_> = stages.iter().map(|s| s.as_recompute_input()).collect();
             let plan = naive_recompute(&inputs, wafer.dram.capacity);
             if !plan.feasible {
@@ -102,7 +104,7 @@ pub fn mg_wafer(wafer: &WaferConfig, job: &TrainingJob) -> Option<MgWaferResult>
                 wafer,
                 job,
                 parallel,
-                ctx,
+                ctx: megatron.sharding_ctx(job),
                 stages: &stages,
                 recompute: &plan,
                 placement: &placement,
@@ -115,7 +117,7 @@ pub fn mg_wafer(wafer: &WaferConfig, job: &TrainingJob) -> Option<MgWaferResult>
                     punish: 0.0, // and no contention avoidance
                     robust: false,
                 },
-                cache: None,
+                cache: Some(&cache),
             });
             if !report.feasible {
                 continue;

@@ -1,9 +1,11 @@
 //! Measured-benchmark harness for the §IV-C/§IV-D refinement hot path.
 //!
 //! Runs each GA preset twice in the same process — once on the
-//! incremental [`PlacementCostModel`] cost engine (`ga::refine` /
-//! `placement::optimize`) and once on the naive re-derive-everything
-//! reference (`ga::refine_naive` / `placement::optimize_naive`) —
+//! incremental [`PlacementCostModel`] cost engine
+//! (`ga::refine_with_model` / `placement::optimize_with`, the model
+//! built inside the timed run) and once on the naive
+//! re-derive-everything reference (`ga::refine_naive` /
+//! `placement::optimize_naive` on a clean wafer) —
 //! verifies the results are **bit-identical** (fitness, history,
 //! placement, grants for the GA; placement and Eq. 2 cost for the hill
 //! climb), and writes the wall times to `BENCH_ga.json` so the perf
@@ -26,8 +28,9 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use serde::Serialize;
-use watos::ga::{refine, refine_naive, GaResult};
-use watos::placement::{global_cost, optimize, optimize_naive};
+use watos::ga::{refine_naive, refine_with_model, GaResult};
+use watos::placement::{global_cost, optimize_naive, optimize_with};
+use watos::PlacementCostModel;
 use wsc_arch::units::Bytes;
 use wsc_bench::driver::{Bench, Opt, Pools, Spec};
 use wsc_bench::util::{
@@ -147,7 +150,7 @@ fn measure(case: &Case, reps: usize, threads: usize) -> BenchEntry {
                 )
             });
             let (inc, inc_secs) = time(reps, || {
-                refine(
+                refine_with_model(
                     &s.mesh,
                     &s.stages,
                     &s.plan,
@@ -156,6 +159,7 @@ fn measure(case: &Case, reps: usize, threads: usize) -> BenchEntry {
                     &s.spare,
                     s.pp_volume,
                     s.capacity,
+                    &s.cost_model(),
                     &preset.params,
                 )
             });
@@ -177,24 +181,17 @@ fn measure(case: &Case, reps: usize, threads: usize) -> BenchEntry {
                     h.tile_h,
                     h.pp_volume,
                     &h.pairs,
+                    None,
                     h.seed,
                 )
                 .expect("preset fits")
             });
             let (inc, inc_secs) = time(reps, || {
-                optimize(
-                    &h.mesh,
-                    h.pp,
-                    h.tile_w,
-                    h.tile_h,
-                    h.pp_volume,
-                    &h.pairs,
-                    h.seed,
-                )
-                .expect("preset fits")
+                let model = PlacementCostModel::new(h.mesh, h.tile_w, h.tile_h, h.pp_volume);
+                optimize_with(&model, h.pp, &h.pairs, h.seed).expect("preset fits")
             });
-            let naive_cost = global_cost(&h.mesh, &naive, h.pp_volume, &h.pairs);
-            let inc_cost = global_cost(&h.mesh, &inc, h.pp_volume, &h.pairs);
+            let naive_cost = global_cost(&h.mesh, &naive, h.pp_volume, &h.pairs, None);
+            let inc_cost = global_cost(&h.mesh, &inc, h.pp_volume, &h.pairs, None);
             (
                 format!(
                     "{}x{} mesh, {} stages, {} pairs",

@@ -6,7 +6,6 @@ use crate::util::{explore_node, explore_one, ga_setup};
 use crate::util::{f2, f3, normalize_min1, watos_options, TextTable};
 use watos::ga::GaParams;
 use watos::robust::FaultKind;
-use watos::scheduler::{schedule_plan, SchedulerOptions};
 use watos::{Explorer, ProfileCache};
 use wsc_arch::enumerate::die_granularity_sweep;
 use wsc_arch::presets;
@@ -204,12 +203,10 @@ pub fn fig22(quick: bool) -> String {
 /// inside a group; Megatron's TP=8 spans two groups and pays switch-bound
 /// all-reduces; Cerebras streams weights through the switch.
 pub fn fig23(quick: bool) -> String {
-    use watos::stage::{boundary_bytes, build_stage_profiles};
+    use watos::stage::boundary_bytes;
     use wsc_arch::units::Bytes;
     use wsc_mesh::collective::{all_reduce_time, GroupShape};
     use wsc_pipeline::onefb::{simulate, StageTiming};
-    use wsc_workload::graph::ShardingCtx;
-    use wsc_workload::parallel::ParallelSpec;
 
     let topo = MeshSwitchTopology::fig23();
     // A group looks like a tiny 2×2 wafer of Config-3 dies.
@@ -236,32 +233,22 @@ pub fn fig23(quick: bool) -> String {
         let job = TrainingJob::standard(model);
         let link_bw = group_wafer.d2d_link_bw();
         let alpha = group_wafer.d2d_link_latency;
+        let cache = ProfileCache::new();
 
         // Evaluate one system: TP inside/spanning groups, PP via switch.
         let run = |tp: usize, pp: usize, tp_crosses_switch: bool, extra: f64| -> f64 {
             if pp > job.model.layers || pp == 0 {
                 return f64::INFINITY;
             }
-            let ctx = ShardingCtx::new(
-                job.micro_batch,
-                job.seq,
-                tp,
-                TpSplitStrategy::SequenceParallel,
-            );
+            let plan = ParallelPlan::intra(tp, pp, TpSplitStrategy::SequenceParallel);
             let n_mb = job.microbatches(1);
-            let stages = build_stage_profiles(
-                &group_wafer,
-                &job,
-                ParallelSpec::model_parallel(tp, pp),
-                &ctx,
-                n_mb,
-            );
+            let stages = cache.stage_profiles(&group_wafer, &job, &plan, n_mb);
             // Memory check: modelP must fit the group dies.
             let cap = group_wafer.dram.capacity;
             if stages.iter().any(|s| s.model_p > cap) {
                 return f64::INFINITY;
             }
-            let boundary = boundary_bytes(&job, &ctx);
+            let boundary = boundary_bytes(&job, &plan.sharding_ctx(&job));
             let timings: Vec<StageTiming> = stages
                 .iter()
                 .map(|sp| {
@@ -358,45 +345,6 @@ pub fn fig24a(quick: bool) -> String {
     out
 }
 
-/// Fig. 24b data: GA convergence histories for each ω.
-pub fn fig24b_data(steps: usize) -> Vec<(f64, Vec<f64>)> {
-    let wafer = presets::config(3);
-    let job = TrainingJob::with_batch(zoo::llama3_70b(), 512, 4, 4096);
-    [0.0, 0.25, 0.5, 0.75, 1.0]
-        .into_iter()
-        .map(|omega| {
-            let opts = SchedulerOptions {
-                ga: Some(GaParams {
-                    population: 12,
-                    steps,
-                    omega,
-                    seed: 11,
-                }),
-                strategies: vec![TpSplitStrategy::Megatron],
-                ..SchedulerOptions::default()
-            };
-            // GA history via a fixed schedule (the GA runs inside).
-            let cfg = schedule_plan(
-                &wafer,
-                &job,
-                &ParallelPlan::intra(4, 14, TpSplitStrategy::Megatron),
-                &opts,
-                None,
-                &ProfileCache::new(),
-            );
-            // Re-run the GA standalone for the history curve.
-            let hist = cfg
-                .map(|_| {
-                    // Histories come from the GA result captured during
-                    // refinement; reconstruct by running refine directly.
-                    crate::figures::discussion::ga_history(&wafer, &job, omega, steps)
-                })
-                .unwrap_or_default();
-            (omega, hist)
-        })
-        .collect()
-}
-
 /// Run the GA directly and return its normalized improvement history.
 pub fn ga_history(
     wafer: &wsc_arch::wafer::WaferConfig,
@@ -405,7 +353,7 @@ pub fn ga_history(
     steps: usize,
 ) -> Vec<f64> {
     let s = ga_setup(wafer, job, 4, 14);
-    let r = watos::ga::refine(
+    let r = watos::ga::refine_with_model(
         &s.mesh,
         &s.stages,
         &s.plan,
@@ -414,6 +362,7 @@ pub fn ga_history(
         &s.spare,
         s.pp_volume,
         s.capacity,
+        &s.cost_model(),
         &GaParams {
             population: 12,
             steps,

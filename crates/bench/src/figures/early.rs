@@ -3,12 +3,11 @@
 use crate::util::{f2, f3, TextTable};
 use watos::evaluator::{evaluate, EvalInput, EvalOptions};
 use watos::placement::{choose_tile, serpentine};
-use watos::stage::build_stage_profiles;
+use watos::ProfileCache;
 use wsc_arch::presets;
 use wsc_baselines::gpu::evaluate_gpu;
 use wsc_pipeline::recompute::RecomputePlan;
-use wsc_workload::graph::ShardingCtx;
-use wsc_workload::parallel::{ParallelSpec, TpSplitStrategy};
+use wsc_workload::parallel::{ParallelPlan, ParallelSpec, TpSplitStrategy};
 use wsc_workload::training::TrainingJob;
 use wsc_workload::zoo;
 
@@ -59,6 +58,7 @@ pub fn fig1_data(model: wsc_workload::model::LlmModel) -> Vec<Fig1Row> {
     let job = TrainingJob::standard(model);
     let wafer = presets::config(3);
     let gpu = presets::nvl72_gb300(56);
+    let cache = ProfileCache::new();
     let mut rows = Vec::new();
     for (dp, tp, pp) in [(1usize, 4usize, 14usize), (1, 8, 7), (2, 4, 7), (1, 2, 28)] {
         // GPU side.
@@ -68,23 +68,23 @@ pub fn fig1_data(model: wsc_workload::model::LlmModel) -> Vec<Fig1Row> {
         let Some((tw, th)) = choose_tile(wafer.nx, wafer.ny, tp, pp) else {
             continue;
         };
-        let ctx = ShardingCtx::new(job.micro_batch, job.seq, tp, TpSplitStrategy::Megatron);
+        let plan = ParallelPlan::intra(tp, pp, TpSplitStrategy::Megatron);
         let parallel = ParallelSpec::new(dp, tp, pp);
         let n_mb = job.microbatches(dp);
-        let stages = build_stage_profiles(&wafer, &job, parallel, &ctx, n_mb);
+        let stages = cache.stage_profiles(&wafer, &job, &plan, n_mb);
         let placement = serpentine(wafer.nx, wafer.ny, pp, tw, th).expect("tile chosen to fit");
         let report = evaluate(&EvalInput {
             wafer: &wafer,
             job: &job,
             parallel,
-            ctx,
+            ctx: plan.sharding_ctx(&job),
             stages: &stages,
             recompute: &RecomputePlan::none(pp),
             placement: &placement,
             grants: &[],
             faults: None,
             options: EvalOptions::default(),
-            cache: None,
+            cache: Some(&cache),
         });
         rows.push(Fig1Row {
             config: format!("D({dp})T({tp})P({pp})"),

@@ -4,9 +4,9 @@
 use crate::util::explore_one;
 use crate::util::{f2, f3, normalize_min1, watos_options, TextTable};
 use watos::ga::GaParams;
-use watos::placement::{global_cost, optimize, row_major, PairDemand};
+use watos::placement::{global_cost, optimize_with, row_major, PairDemand, Placement};
 use watos::scheduler::{schedule_plan, RecomputeMode, SchedulerOptions};
-use watos::{Explorer, ProfileCache};
+use watos::{Explorer, PlacementCostModel, ProfileCache};
 use wsc_arch::presets;
 use wsc_arch::units::Bandwidth;
 use wsc_baselines::analytic::estimate as analytic_estimate;
@@ -91,22 +91,24 @@ pub fn fig11(_quick: bool) -> String {
         },
     ];
     let naive = row_major(8, 4, 8, 2, 2).expect("fits");
-    let opt = optimize(&mesh, 8, 2, 2, 1.0, &pairs, 42).expect("fits");
-    let hops = |p: &watos::placement::Placement, s: usize, h: usize| p.stages[s].dist(&p.stages[h]);
+    let model = PlacementCostModel::new(mesh, 2, 2, 1.0);
+    let opt = optimize_with(&model, 8, &pairs, 42).expect("fits");
+    let hops = |p: &Placement, s: usize, h: usize| p.stages[s].dist(&p.stages[h]);
+    let cost = |p: &Placement| global_cost(&mesh, p, 1.0, &pairs, None);
     let mut t = TextTable::new(vec!["placement", "S1-S8 hops", "S2-S7 hops", "GlobalCost"]);
     t.row(vec![
         "left-to-right (Fig. 11a)".to_string(),
         f2(hops(&naive, 0, 7)),
         f2(hops(&naive, 1, 6)),
-        f2(global_cost(&mesh, &naive, 1.0, &pairs)),
+        f2(cost(&naive)),
     ]);
     t.row(vec![
         "location-aware (Fig. 11b)".to_string(),
         f2(hops(&opt, 0, 7)),
         f2(hops(&opt, 1, 6)),
-        f2(global_cost(&mesh, &opt, 1.0, &pairs)),
+        f2(cost(&opt)),
     ]);
-    let red = 1.0 - global_cost(&mesh, &opt, 1.0, &pairs) / global_cost(&mesh, &naive, 1.0, &pairs);
+    let red = 1.0 - cost(&opt) / cost(&naive);
     format!(
         "Fig. 11: spatial location-aware placement (paper: ~30% total-hop reduction)\n{}total-cost reduction: {:.0}%\n",
         t.render(),

@@ -3,12 +3,14 @@
 //! option sets, and thin wrappers over the `Explorer` facade for
 //! single-candidate figure runs.
 
+use std::sync::Arc;
 use watos::ga::GaParams;
 use watos::placement::{choose_tile, serpentine, PairDemand};
 use watos::scheduler::{PlanFilter, RecomputeMode, ScheduledConfig, SchedulerOptions};
-use watos::stage::{build_stage_profiles, StageProfile};
+use watos::stage::StageProfile;
 use watos::{
-    ExplorationReport, Explorer, ExplorerBuilder, MultiWaferReport, Placement, SearchStats,
+    ExplorationReport, Explorer, ExplorerBuilder, MultiWaferReport, Placement, PlacementCostModel,
+    ProfileCache, SearchStats,
 };
 use wsc_arch::presets;
 use wsc_arch::units::Bytes;
@@ -17,9 +19,8 @@ use wsc_mesh::collective::CollectiveAlgo;
 use wsc_mesh::topology::Mesh2D;
 use wsc_pipeline::gcmr::gcmr;
 use wsc_pipeline::recompute::{overflow_and_spare, RecomputePlan};
-use wsc_workload::graph::ShardingCtx;
 use wsc_workload::model::LlmModel;
-use wsc_workload::parallel::{ParallelPlan, ParallelSpec, TpSplitStrategy};
+use wsc_workload::parallel::{ParallelPlan, TpSplitStrategy};
 use wsc_workload::training::TrainingJob;
 use wsc_workload::zoo;
 
@@ -229,7 +230,7 @@ pub fn ga_refine_presets() -> Vec<GaRefinePreset> {
     ]
 }
 
-/// Everything `ga::refine` needs for one `(wafer, job, tp, pp)`
+/// Everything `ga::refine_with_model` needs for one `(wafer, job, tp, pp)`
 /// configuration, derived the same way the scheduler derives it (GCMR
 /// plan, serpentine seed placement, per-stage overflow/spare against the
 /// wafer DRAM capacity).
@@ -237,7 +238,7 @@ pub struct GaSetup {
     /// The wafer fabric.
     pub mesh: Mesh2D,
     /// Per-stage profiles.
-    pub stages: Vec<StageProfile>,
+    pub stages: Arc<Vec<StageProfile>>,
     /// GCMR base recomputation plan.
     pub plan: RecomputePlan,
     /// Serpentine seed placement.
@@ -255,14 +256,8 @@ pub struct GaSetup {
 /// Build the GA inputs for a Megatron `D(1)T(tp)P(pp)` configuration of
 /// `job` on `wafer`.
 pub fn ga_setup(wafer: &WaferConfig, job: &TrainingJob, tp: usize, pp: usize) -> GaSetup {
-    let ctx = ShardingCtx::new(job.micro_batch, job.seq, tp, TpSplitStrategy::Megatron);
-    let stages = build_stage_profiles(
-        wafer,
-        job,
-        ParallelSpec::model_parallel(tp, pp),
-        &ctx,
-        job.microbatches(1),
-    );
+    let megatron = ParallelPlan::intra(tp, pp, TpSplitStrategy::Megatron);
+    let stages = ProfileCache::new().stage_profiles(wafer, job, &megatron, job.microbatches(1));
     let inputs: Vec<_> = stages.iter().map(|s| s.as_recompute_input()).collect();
     let capacity = wafer.dram.capacity;
     let plan = gcmr(&inputs, capacity, 12).as_recompute_plan();
@@ -281,7 +276,15 @@ pub fn ga_setup(wafer: &WaferConfig, job: &TrainingJob, tp: usize, pp: usize) ->
     }
 }
 
-/// The hill-climb benchmark preset: `placement::optimize` on a Config-1
+impl GaSetup {
+    /// A fresh clean Eq. 2 cost model for the seed placement's tile grid.
+    pub fn cost_model(&self) -> PlacementCostModel {
+        let tile = self.placement.stages[0];
+        PlacementCostModel::new(self.mesh, tile.w, tile.h, self.pp_volume)
+    }
+}
+
+/// The hill-climb benchmark preset: `placement::optimize_with` on a Config-1
 /// geometry (8×8 dies) with per-die stages — a 48-stage pipeline whose
 /// first eight stages borrow DRAM from the last eight (the Fig. 11
 /// Mem_pair pattern at scale), so every swap candidate pays the full

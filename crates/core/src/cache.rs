@@ -54,7 +54,7 @@ use wsc_arch::units::{Bandwidth, Bytes, Time};
 use wsc_arch::wafer::WaferConfig;
 use wsc_mesh::collective::{all_reduce_time, CollectiveAlgo, GroupShape};
 use wsc_mesh::topology::Mesh2D;
-use wsc_workload::parallel::{ParallelPlan, ParallelSpec, TpSplitStrategy};
+use wsc_workload::parallel::{ParallelPlan, TpSplitStrategy};
 use wsc_workload::training::TrainingJob;
 
 /// Lock a memo map for reading, recovering from poison: a panicking
@@ -310,13 +310,7 @@ impl ProfileCache {
         microbatches: usize,
     ) -> Arc<Vec<StageProfile>> {
         let layers = self.layer_data(wafer, job, plan);
-        Arc::new(build_stage_profiles_with(
-            &layers,
-            job,
-            ParallelSpec::new(plan.dp.max(1), plan.tp, plan.pp),
-            &plan.sharding_ctx(job),
-            microbatches,
-        ))
+        Arc::new(build_stage_profiles_with(&layers, job, plan, microbatches))
     }
 
     /// Memoized [`all_reduce_time`].
@@ -382,7 +376,7 @@ impl ProfileCache {
 
 /// [`all_reduce_time`] through an optional cache (the evaluator runs both
 /// cached — inside a search — and standalone).
-pub fn cached_all_reduce(
+pub(crate) fn cached_all_reduce(
     cache: Option<&ProfileCache>,
     algo: CollectiveAlgo,
     shape: GroupShape,
@@ -409,14 +403,8 @@ mod tests {
         let plan = crate::testutil::megatron_plan(4, 14);
         let cache = ProfileCache::new();
         let cached = cache.stage_profiles(&wafer, &job, &plan, 16);
-        let direct = crate::stage::build_stage_profiles(
-            &wafer,
-            &job,
-            ParallelSpec::model_parallel(4, 14),
-            &plan.sharding_ctx(&job),
-            16,
-        );
-        assert_eq!(*cached, direct);
+        let layers = build_layer_data(&wafer, &job, &plan.sharding_ctx(&job));
+        assert_eq!(*cached, build_stage_profiles_with(&layers, &job, &plan, 16));
         // Second lookup hits the same Arc.
         let again = cache.stage_profiles(&wafer, &job, &plan, 16);
         assert!(Arc::ptr_eq(&cached, &again));

@@ -331,7 +331,9 @@ impl PlacementCostModel {
     pub fn placement_cost(&self, placement: &Placement, pairs: &[PairDemand]) -> f64 {
         match self.slot_ids(placement) {
             Some(slots) => self.cost_of_slots(&slots, pairs),
-            None => crate::placement::global_cost(&self.mesh, placement, self.pp_volume, pairs),
+            None => {
+                crate::placement::global_cost(&self.mesh, placement, self.pp_volume, pairs, None)
+            }
         }
     }
 
@@ -770,7 +772,7 @@ mod tests {
         let model = PlacementCostModel::new(mesh, 2, 2, 3.0);
         let p = serpentine(8, 4, 8, 2, 2).unwrap();
         let pairs = pairs_fig11();
-        let naive = global_cost(&mesh, &p, 3.0, &pairs);
+        let naive = global_cost(&mesh, &p, 3.0, &pairs, None);
         let slots = model.slot_ids(&p).unwrap();
         assert_eq!(
             model.cost_of_slots(&slots, &pairs).to_bits(),
@@ -802,7 +804,7 @@ mod tests {
                     state.apply_move(i, slot);
                 }
             }
-            let naive = global_cost(&mesh, &state.placement(), 1.0, &pairs);
+            let naive = global_cost(&mesh, &state.placement(), 1.0, &pairs, None);
             assert_eq!(
                 state.cost().to_bits(),
                 naive.to_bits(),
@@ -813,7 +815,6 @@ mod tests {
 
     #[test]
     fn faulted_state_cost_matches_naive_through_random_mutations() {
-        use crate::placement::degraded_global_cost;
         let mesh = Mesh2D::new(8, 4);
         let mut faults = FaultMap::none();
         faults.set_link_quality((3, 0), (4, 0), 0.3);
@@ -847,7 +848,7 @@ mod tests {
                     state.apply_move(i, slot);
                 }
             }
-            let naive = degraded_global_cost(&mesh, &state.placement(), 1.5, &pairs, &faults);
+            let naive = global_cost(&mesh, &state.placement(), 1.5, &pairs, Some(&faults));
             assert_eq!(
                 state.cost().to_bits(),
                 naive.to_bits(),
@@ -896,7 +897,7 @@ mod tests {
         let state = model.state(&p, &[]).unwrap();
         assert_eq!(
             state.cost().to_bits(),
-            global_cost(&mesh, &p, 7.0, &[]).to_bits()
+            global_cost(&mesh, &p, 7.0, &[], None).to_bits()
         );
     }
 
@@ -910,7 +911,7 @@ mod tests {
         assert!(model.slot_ids(&p).is_none());
         assert_eq!(
             model.placement_cost(&p, &pairs).to_bits(),
-            global_cost(&mesh, &p, 1.0, &pairs).to_bits()
+            global_cost(&mesh, &p, 1.0, &pairs, None).to_bits()
         );
     }
 

@@ -485,7 +485,7 @@ pub fn evaluate(input: &EvalInput<'_>) -> PerfReport {
 mod tests {
     use super::*;
     use crate::placement::serpentine;
-    use crate::stage::build_stage_profiles;
+    use crate::testutil::megatron_plan;
     use wsc_arch::presets;
 
     use wsc_workload::zoo;
@@ -506,7 +506,7 @@ mod tests {
         let ctx = crate::testutil::megatron_ctx(&job, tp);
         let parallel = ParallelSpec::model_parallel(tp, pp);
         let n_mb = job.microbatches(1);
-        let stages = build_stage_profiles(&wafer, &job, parallel, &ctx, n_mb);
+        let stages = ProfileCache::new().stage_profiles(&wafer, &job, &megatron_plan(tp, pp), n_mb);
         let (tw, th) = crate::placement::choose_tile(wafer.nx, wafer.ny, tp, pp)
             .expect("tp embeds with this pp");
         let placement = serpentine(wafer.nx, wafer.ny, pp, tw, th).expect("fits");
@@ -609,7 +609,7 @@ mod tests {
         let job = TrainingJob::standard(zoo::llama2_30b());
         let ctx = crate::testutil::megatron_ctx(&job, 4);
         let parallel = ParallelSpec::model_parallel(4, 2);
-        let stages = build_stage_profiles(&wafer, &job, parallel, &ctx, 8);
+        let stages = ProfileCache::new().stage_profiles(&wafer, &job, &megatron_plan(4, 2), 8);
         let placement = serpentine(wafer.nx, wafer.ny, 2, 2, 2).unwrap();
         let rp = RecomputePlan {
             saved_per_mb: vec![Bytes::ZERO; 2],

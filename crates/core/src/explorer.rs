@@ -213,6 +213,15 @@ pub struct ExplorationReport {
     pub baselines: Vec<BaselineRecord>,
 }
 
+/// The node whose winner has the lowest iteration time (the first such
+/// node on a tie), with that winner.
+fn fastest_node(records: &[MultiWaferRecord]) -> Option<(&MultiWaferRecord, &MultiWaferReport)> {
+    records
+        .iter()
+        .filter_map(|r| r.best.as_ref().map(|b| (r, b)))
+        .min_by(|a, b| a.1.iteration.as_secs().total_cmp(&b.1.iteration.as_secs()))
+}
+
 impl ExplorationReport {
     /// The best single-wafer record, as a typed error instead of `None`.
     pub fn best(&self) -> Result<&ArchRecord, ExplorationError> {
@@ -225,11 +234,7 @@ impl ExplorationReport {
 
     /// The best multi-wafer record across nodes, if any succeeded.
     pub fn best_multi_wafer(&self) -> Option<&MultiWaferRecord> {
-        self.multi_wafer
-            .iter()
-            .filter_map(|r| r.best.as_ref().map(|b| (r, b.iteration.as_secs())))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(r, _)| r)
+        fastest_node(&self.multi_wafer).map(|(r, _)| r)
     }
 
     /// Aggregate search instrumentation across all single-wafer
@@ -605,14 +610,14 @@ impl ExplorerBuilder {
     }
 
     /// Bound the session with an anytime [`SearchBudget`]: a wall-clock
-    /// deadline, an evaluation cap, and/or a prune-dominance early-stop.
-    /// Budgets are checked at wave boundaries; when one trips, the run
-    /// keeps its deterministic best-so-far incumbent and reports
-    /// [`Outcome::Truncated`] on the affected legs instead of failing.
-    /// Evaluation caps and prune ratios truncate reproducibly; the
-    /// wall-clock deadline is inherently machine-dependent, but counters
-    /// stay honest (`visited == pruned + evaluated + skipped`) and the
-    /// incumbent is always a fully evaluated candidate.
+    /// deadline and/or an evaluation cap. Budgets are checked at wave
+    /// boundaries; when one trips, the run keeps its deterministic
+    /// best-so-far incumbent and reports [`Outcome::Truncated`] on the
+    /// affected legs instead of failing. Evaluation caps truncate
+    /// reproducibly; the wall-clock deadline is inherently
+    /// machine-dependent, but counters stay honest
+    /// (`visited == pruned + evaluated + skipped`) and the incumbent is
+    /// always a fully evaluated candidate.
     pub fn budget(mut self, budget: SearchBudget) -> Self {
         self.budget = Some(budget);
         self
@@ -732,13 +737,6 @@ impl ExplorerBuilder {
                 if !secs.is_finite() || secs <= 0.0 {
                     return Err(ExplorationError::InvalidBudget {
                         reason: format!("deadline must be finite and positive, got {secs}"),
-                    });
-                }
-            }
-            if let Some(ratio) = budget.max_pruned_ratio {
-                if !(0.0..=1.0).contains(&ratio) {
-                    return Err(ExplorationError::InvalidBudget {
-                        reason: format!("max_pruned_ratio must lie in [0, 1], got {ratio}"),
                     });
                 }
             }
@@ -870,7 +868,6 @@ impl Explorer {
         SessionCtx {
             deadline,
             max_evaluations: budget.max_evaluations,
-            max_pruned_ratio: budget.max_pruned_ratio,
             inject: self.inject.as_ref(),
             checkpoint_every: self.checkpoint_every,
             ..SessionCtx::none()
@@ -956,14 +953,7 @@ impl Explorer {
             // via explicit stage maps (exact binomial expectation over
             // survivor counts — no Monte Carlo).
             if spec.kinds.contains(&FaultKind::Wafer) {
-                let best_node = multi_wafer
-                    .iter()
-                    .filter_map(|r| r.best.as_ref().map(|b| (r, b.iteration.as_secs())))
-                    .min_by(|a, b| a.1.total_cmp(&b.1))
-                    .map(|(r, _)| r);
-                if let Some(rec) = best_node {
-                    // wsc-lint: allow(S001, "best_node is filtered on best.is_some() above")
-                    let best = rec.best.as_ref().expect("filtered on Some");
+                if let Some((rec, best)) = fastest_node(&multi_wafer) {
                     fault_sweeps.push(FaultSweepRecord {
                         kind: FaultKind::Wafer,
                         arch: rec.name.clone(),

@@ -281,9 +281,9 @@ fn decode_fitness(ctx: &GaCtx<'_>, g: &Genome) -> f64 {
                     let gc = model.cost_of_slots(&ids, &grant_pairs(&grants));
                     fitness_of(ctx, t_max, gc, complete)
                 }
-                // Off the slot grid (unreachable from `refine`, which
-                // mutates over the model's own slots): same values via
-                // the rectangle path.
+                // Off the slot grid (unreachable from
+                // `refine_with_model`, which mutates over the model's
+                // own slots): same values via the rectangle path.
                 None => {
                     let d = |s: usize, h: usize| g.placement.stages[s].dist(&g.placement.stages[h]);
                     let (grants, complete) = biased_allocate(ctx, &d, overflow, &g.bias);
@@ -305,7 +305,7 @@ fn decode_full(ctx: &GaCtx<'_>, g: &Genome) -> (RecomputePlan, Vec<DramGrant>, f
     let t_max = plan_t_max(ctx.stages, &plan);
     let pairs = grant_pairs(&grants);
     let gc = match &ctx.engine {
-        Engine::Naive => global_cost(ctx.mesh, &g.placement, ctx.pp_volume, &pairs),
+        Engine::Naive => global_cost(ctx.mesh, &g.placement, ctx.pp_volume, &pairs, None),
         Engine::Model { model, .. } => model.placement_cost(&g.placement, &pairs),
     };
     let fitness = fitness_of(ctx, t_max, gc, complete);
@@ -397,48 +397,18 @@ fn stream_seed(seed: u64, generation: u64, slot: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Run the GA refinement.
+/// Run the GA refinement on a caller-provided (typically cached, see
+/// [`crate::cache::ProfileCache::cost_model`]) [`PlacementCostModel`]
+/// built for the base placement's mesh, tile shape and `pp_volume`, so
+/// path-fragment and distance tables are shared with the placement hill
+/// climb and across search points.
 ///
 /// Offspring are generated and fitness-decoded in parallel, one rayon
 /// task per genome; each genome's randomness comes from its own
 /// splitmix stream keyed by `(seed, generation, slot)`, so the outcome
 /// is a pure function of `params.seed` regardless of thread count.
-///
-/// Fitness decoding runs on an incremental [`PlacementCostModel`] built
-/// for the base placement's tile grid; results are bit-identical to
-/// [`refine_naive`] (enforced by `tests/ga_cost_equivalence.rs`).
-#[allow(clippy::too_many_arguments)]
-pub fn refine(
-    mesh: &Mesh2D,
-    stages: &[StageProfile],
-    base_plan: &RecomputePlan,
-    base_placement: &Placement,
-    overflow: &[Bytes],
-    spare: &[Bytes],
-    pp_volume: f64,
-    capacity: Bytes,
-    params: &GaParams,
-) -> GaResult {
-    let tile = base_placement.stages[0];
-    let model = PlacementCostModel::new(*mesh, tile.w, tile.h, pp_volume);
-    refine_with_model(
-        mesh,
-        stages,
-        base_plan,
-        base_placement,
-        overflow,
-        spare,
-        pp_volume,
-        capacity,
-        &model,
-        params,
-    )
-}
-
-/// [`refine`] on a caller-provided (typically cached) cost model, so
-/// path-fragment and distance tables are shared with the placement hill
-/// climb and across search points (see
-/// [`crate::cache::ProfileCache::cost_model`]).
+/// On a clean model the result is bit-identical to [`refine_naive`]
+/// (enforced by `tests/ga_cost_equivalence.rs`).
 #[allow(clippy::too_many_arguments)]
 pub fn refine_with_model(
     mesh: &Mesh2D,
@@ -492,8 +462,8 @@ pub fn refine_with_model(
 /// The pre-cost-model refinement: every genome decode clones the plan,
 /// re-derives overflow and rebuilds the Eq. 2 link set from scratch.
 /// Kept as the reference implementation — `tests/ga_cost_equivalence.rs`
-/// pins `refine ≡ refine_naive` bit-for-bit (fitness, history, placement,
-/// grants), and `bench_ga` measures the gap.
+/// pins `refine_with_model ≡ refine_naive` bit-for-bit (fitness,
+/// history, placement, grants), and `bench_ga` measures the gap.
 #[allow(clippy::too_many_arguments)]
 pub fn refine_naive(
     mesh: &Mesh2D,
@@ -632,11 +602,10 @@ fn refine_engine(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::ProfileCache;
     use crate::placement::serpentine;
-    use crate::stage::build_stage_profiles;
     use wsc_arch::presets;
 
-    use wsc_workload::parallel::ParallelSpec;
     use wsc_workload::training::TrainingJob;
     use wsc_workload::zoo;
 
@@ -653,14 +622,9 @@ mod tests {
     ) {
         let wafer = presets::config(3);
         let job = TrainingJob::standard(zoo::llama3_70b());
-        let ctx = crate::testutil::megatron_ctx(&job, 4);
-        let stages = build_stage_profiles(
-            &wafer,
-            &job,
-            ParallelSpec::model_parallel(4, 8),
-            &ctx,
-            job.microbatches(1),
-        );
+        let megatron = crate::testutil::megatron_plan(4, 8);
+        let stages =
+            ProfileCache::new().stage_profiles(&wafer, &job, &megatron, job.microbatches(1));
         let inputs: Vec<_> = stages.iter().map(|s| s.as_recompute_input()).collect();
         let cap = wafer.dram.capacity;
         let plan = wsc_pipeline::gcmr::gcmr(&inputs, cap, 12);
@@ -670,7 +634,7 @@ mod tests {
         let ppv = 1e8;
         (
             Mesh2D::new(wafer.nx, wafer.ny),
-            stages,
+            stages.to_vec(),
             rp,
             placement,
             overflow,
@@ -682,7 +646,8 @@ mod tests {
 
     fn run(omega: f64, steps: usize, seed: u64) -> GaResult {
         let (mesh, stages, plan, placement, overflow, spare, ppv, cap) = setup();
-        refine(
+        let model = PlacementCostModel::new(mesh, 2, 2, ppv);
+        refine_with_model(
             &mesh,
             &stages,
             &plan,
@@ -691,6 +656,7 @@ mod tests {
             &spare,
             ppv,
             cap,
+            &model,
             &GaParams {
                 population: 12,
                 steps,
@@ -763,8 +729,9 @@ mod tests {
             omega: 0.5,
             seed: 21,
         };
-        let inc = refine(
-            &mesh, &stages, &plan, &placement, &overflow, &spare, ppv, cap, &params,
+        let model = PlacementCostModel::new(mesh, 2, 2, ppv);
+        let inc = refine_with_model(
+            &mesh, &stages, &plan, &placement, &overflow, &spare, ppv, cap, &model, &params,
         );
         let naive = refine_naive(
             &mesh, &stages, &plan, &placement, &overflow, &spare, ppv, cap, &params,

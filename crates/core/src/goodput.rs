@@ -278,11 +278,26 @@ pub(crate) fn ensemble_effective_secs_within(
     cache: &ProfileCache,
     cutoff: Option<Instant>,
 ) -> f64 {
+    per_sample_secs(wafer, job, cfg, ensemble, cache, cutoff).map_or(f64::INFINITY, |per_sample| {
+        objective.aggregate_secs(&per_sample)
+    })
+}
+
+/// The effective seconds of `cfg` on every ensemble sample, in sample
+/// order; `None` once the wall-clock `cutoff` passes.
+fn per_sample_secs(
+    wafer: &WaferConfig,
+    job: &TrainingJob,
+    cfg: &ScheduledConfig,
+    ensemble: &FaultEnsemble,
+    cache: &ProfileCache,
+    cutoff: Option<Instant>,
+) -> Option<Vec<f64>> {
     let mut per_sample = Vec::with_capacity(ensemble.samples);
     for m in ensemble.sample_maps(wafer.nx, wafer.ny) {
         // wsc-lint: allow(D004, "the anytime deadline must be able to interrupt the per-sample ensemble loop; an expired cutoff degrades the score to INFINITY rather than blocking past the budget")
         if cutoff.is_some_and(|dl| Instant::now() >= dl) {
-            return f64::INFINITY;
+            return None;
         }
         per_sample.push(effective_iteration_secs(
             wafer,
@@ -293,7 +308,7 @@ pub(crate) fn ensemble_effective_secs_within(
             cache,
         ));
     }
-    objective.aggregate_secs(&per_sample)
+    Some(per_sample)
 }
 
 /// Ensemble goodput of `cfg` in useful FLOP/s: the clean iteration's
@@ -313,11 +328,8 @@ pub fn ensemble_goodput(
     if ensemble.samples == 0 {
         return Err(GoodputError::EmptySamples);
     }
-    let per_sample: Vec<f64> = ensemble
-        .sample_maps(wafer.nx, wafer.ny)
-        .iter()
-        .map(|m| effective_iteration_secs(wafer, job, cfg, m, &ensemble.checkpoint, cache))
-        .collect();
+    // No cutoff, so every sample is scored.
+    let per_sample = per_sample_secs(wafer, job, cfg, ensemble, cache, None).unwrap_or_default();
     let infeasible = per_sample.iter().filter(|s| !s.is_finite()).count();
     if infeasible == per_sample.len() {
         return Err(GoodputError::AllSamplesInfeasible {

@@ -50,7 +50,10 @@
 //! [`ProfileCache`] it memoizes stage profiles in: [`schedule_plan`],
 //! [`evaluate_scheduled`] and [`evaluate_multi_wafer_plan`]. A one-off
 //! call passes `&ProfileCache::new()`; a sweep over one `(wafer, job)`
-//! pair shares one cache.
+//! pair shares one cache. The layers beneath have one entry point each
+//! too: stage profiles come from [`ProfileCache::stage_profiles`], the
+//! Eq. 2 hill climb from [`placement::optimize_with`] and GA refinement
+//! from [`ga::refine_with_model`], both on a [`PlacementCostModel`].
 
 pub mod cache;
 pub mod costmodel;
@@ -98,7 +101,7 @@ pub use crate::scheduler::{
     SchedulerOptions, SearchStats,
 };
 pub use crate::serving::ServingModel;
-pub use crate::stage::{build_stage_profiles, LayerData, StageProfile};
+pub use crate::stage::{LayerData, StageProfile};
 pub use crate::stats::{percentile, splitmix64, unit_open, SummaryStats};
 pub use crate::wave::{
     CandidateFailure, Outcome, PlanKey, SearchBudget, TruncationReason, WaveCheckpoint,

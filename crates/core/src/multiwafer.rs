@@ -69,7 +69,10 @@ use crate::cache::ProfileCache;
 use crate::costmodel::NodeCostModel;
 use crate::dram_alloc::allocate_node;
 use crate::placement::{choose_tile, optimize_node, PairDemand};
-use crate::scheduler::{memory_precheck_fails, tp_candidates, PlanFilter, SchedulerOptions};
+use crate::scheduler::{
+    gcmr_quanta, memory_precheck_fails, one_f_one_b_floor, tp_candidates, PlanFilter,
+    SchedulerOptions,
+};
 use crate::stage::{boundary_bytes, StageProfile};
 use crate::wave::{bounded_search, LegOutcome, SessionCtx, WorkItem};
 use serde::{Deserialize, Serialize};
@@ -284,7 +287,7 @@ fn evaluate_multi_wafer_plan_impl(
     let dp = parallel.dp;
     let stages = cache.stage_profiles(wafer, job, plan, n_mb);
     let inputs: Vec<_> = stages.iter().map(|s| s.as_recompute_input()).collect();
-    let gplan = gcmr(&inputs, wafer.dram.capacity, (160 / pp).clamp(3, 16));
+    let gplan = gcmr(&inputs, wafer.dram.capacity, gcmr_quanta(pp));
     if !gplan.feasible {
         return None;
     }
@@ -535,13 +538,9 @@ fn dp_allreduce_time(
 }
 
 /// Analytic lower bound (seconds) on the iteration time of one
-/// multi-wafer point, from the cached stage profiles:
-///
-/// * 1F1B steady state — the bottleneck stage serializes all `n` micro-
-///   batches: `n · max_s(fwd_s + bwd_s)`;
-/// * pipeline critical path — micro-batch 0 traverses every stage down
-///   and back: `Σ_s (fwd_s + bwd_s)`;
-/// * plus the DP gradient all-reduce, which the evaluator adds verbatim.
+/// multi-wafer point: the [`one_f_one_b_floor`] of the cached stage
+/// profiles' compute-plus-collective times, plus the DP gradient
+/// all-reduce, which the evaluator adds verbatim.
 ///
 /// Per-stage times use the evaluator's own collective formula
 /// (including the cross-wafer hierarchical step for `tp_span > 1`), so
@@ -568,16 +567,12 @@ fn node_lower_bound(
     let stages = cache.stage_profiles(wafer, job, plan, geo.n_mb);
     let link_bw = wafer.d2d_link_bw();
     let alpha = wafer.d2d_link_latency;
-    let mut max_mb = 0.0f64;
-    let mut sum_mb = 0.0f64;
-    for sp in stages.iter() {
+    let mb_secs = stages.iter().map(|sp| {
         let (fwd_comm, bwd_comm) =
             stage_tp_comm(cache, node, geo.shape, geo.span, sp, link_bw, alpha);
-        let mb = (sp.fwd_compute + fwd_comm + sp.bwd_compute + bwd_comm).as_secs();
-        max_mb = max_mb.max(mb);
-        sum_mb += mb;
-    }
-    let mut bound = (geo.n_mb as f64 * max_mb).max(sum_mb);
+        (sp.fwd_compute + fwd_comm + sp.bwd_compute + bwd_comm).as_secs()
+    });
+    let mut bound = one_f_one_b_floor(geo.n_mb, mb_secs);
     if geo.parallel.dp > 1 {
         bound += dp_allreduce_time(node, job, plan.tp, plan.pp, geo.parallel.dp, cache).as_secs();
     }

@@ -154,7 +154,7 @@ pub fn row_major(
 
 /// Boustrophedon placement: row-major with alternating row direction, so
 /// consecutive stages stay mesh-adjacent even across row wraps. Used as
-/// the seed for [`optimize`].
+/// the seed for [`optimize_with`].
 pub fn serpentine(
     nx: usize,
     ny: usize,
@@ -224,20 +224,29 @@ fn pair_conflicts(
         .count()
 }
 
-/// The Eq. 2 global communication cost of a placement.
+/// The Eq. 2 global communication cost of a placement — the naive
+/// reference the incremental [`PlacementCostModel`] is pinned against.
 ///
 /// `pp_volume` is the per-iteration inter-stage pipeline traffic (bytes);
 /// pair volumes come from the Mem_pair plan. Conflicted balance paths are
-/// punished by `(1 + γ)`.
+/// punished by `(1 + γ)`. On a degraded wafer (`faults` is `Some`) every
+/// distance term is [`degraded_rect_dist`]; the γ conflict counts are
+/// unchanged — faults re-price links, they do not re-route the XY paths.
+/// `None` charges the plain [`Rect::dist`].
 pub fn global_cost(
     mesh: &Mesh2D,
     placement: &Placement,
     pp_volume: f64,
     pairs: &[PairDemand],
+    faults: Option<&FaultMap>,
 ) -> f64 {
+    let dist = |a: &Rect, b: &Rect| match faults {
+        Some(f) => degraded_rect_dist(mesh, f, a, b),
+        None => a.dist(b),
+    };
     let mut cost = 0.0;
     for w in placement.stages.windows(2) {
-        cost += w[0].dist(&w[1]) * pp_volume;
+        cost += dist(&w[0], &w[1]) * pp_volume;
     }
     if pairs.is_empty() {
         return cost;
@@ -245,8 +254,10 @@ pub fn global_cost(
     let pipeline_links = pipeline_link_set(mesh, placement);
     for pair in pairs {
         let gamma = pair_conflicts(mesh, placement, &pipeline_links, pair) as f64;
-        cost += placement.stages[pair.sender].dist(&placement.stages[pair.helper])
-            * pair.volume
+        cost += dist(
+            &placement.stages[pair.sender],
+            &placement.stages[pair.helper],
+        ) * pair.volume
             * (1.0 + gamma);
     }
     cost
@@ -262,8 +273,8 @@ pub fn global_cost(
 /// This is the one definition of "degraded distance" in the crate: the
 /// fault-aware [`PlacementCostModel`]
 /// fills its distance table from this exact function, so the incremental
-/// engine and the naive [`degraded_global_cost`] reference read the same
-/// `f64` bits.
+/// engine and the naive [`global_cost`] reference read the same `f64`
+/// bits.
 pub fn degraded_rect_dist(mesh: &Mesh2D, faults: &FaultMap, a: &Rect, b: &Rect) -> f64 {
     let base = a.dist(b);
     let links = path_links(&xy_path(mesh, a.center_node(mesh), b.center_node(mesh)));
@@ -286,38 +297,6 @@ pub fn slot_is_dead(mesh: &Mesh2D, faults: &FaultMap, slot: &Rect) -> bool {
     slot.nodes(mesh)
         .iter()
         .any(|&n| faults.die_health(mesh.pos(n)) <= 0.0)
-}
-
-/// The Eq. 2 global cost on a degraded wafer: [`global_cost`] with every
-/// distance term replaced by [`degraded_rect_dist`]. The γ conflict
-/// counts are unchanged — faults re-price links, they do not re-route
-/// the XY paths.
-pub fn degraded_global_cost(
-    mesh: &Mesh2D,
-    placement: &Placement,
-    pp_volume: f64,
-    pairs: &[PairDemand],
-    faults: &FaultMap,
-) -> f64 {
-    let mut cost = 0.0;
-    for w in placement.stages.windows(2) {
-        cost += degraded_rect_dist(mesh, faults, &w[0], &w[1]) * pp_volume;
-    }
-    if pairs.is_empty() {
-        return cost;
-    }
-    let pipeline_links = pipeline_link_set(mesh, placement);
-    for pair in pairs {
-        let gamma = pair_conflicts(mesh, placement, &pipeline_links, pair) as f64;
-        cost += degraded_rect_dist(
-            mesh,
-            faults,
-            &placement.stages[pair.sender],
-            &placement.stages[pair.helper],
-        ) * pair.volume
-            * (1.0 + gamma);
-    }
-    cost
 }
 
 /// Spare-die remapping: move every stage sitting on a masked slot to the
@@ -364,30 +343,19 @@ pub(crate) fn remap_dead_slots(slots: &[Rect], masked: &[bool], placement: &mut 
 }
 
 /// Location-aware placement (§IV-C-1): start from serpentine and
-/// hill-climb over stage↔slot swaps to minimize [`global_cost`], keeping
+/// hill-climb over stage↔slot swaps to minimize the Eq. 2 cost, keeping
 /// the pipeline path intact as a first-class cost term.
 ///
-/// Runs on the incremental [`PlacementCostModel`] engine — each swap or
-/// move candidate is priced in O(Δ) instead of re-deriving the whole
-/// Eq. 2 sum — and is bit-identical to [`optimize_naive`] for every
-/// seed (same RNG stream, same acceptance decisions, same placement).
-pub fn optimize(
-    mesh: &Mesh2D,
-    pp: usize,
-    tile_w: usize,
-    tile_h: usize,
-    pp_volume: f64,
-    pairs: &[PairDemand],
-    seed: u64,
-) -> Option<Placement> {
-    let model = PlacementCostModel::new(*mesh, tile_w, tile_h, pp_volume);
-    optimize_with(&model, pp, pairs, seed)
-}
-
-/// [`optimize`] on a caller-provided (typically cached, see
-/// [`crate::cache::ProfileCache::cost_model`]) cost model, so path
-/// fragments and distance tables are shared across every search point
-/// and GA refinement with the same tile shape.
+/// Runs on a caller-provided (typically cached, see
+/// [`crate::cache::ProfileCache::cost_model`]) incremental
+/// [`PlacementCostModel`], so path fragments and distance tables are
+/// shared across every search point and GA refinement with the same
+/// tile shape, and each swap or move candidate is priced in O(Δ)
+/// instead of re-deriving the whole Eq. 2 sum. Bit-identical to
+/// [`optimize_naive`] for every seed (same RNG stream, same acceptance
+/// decisions, same placement); on a
+/// [`PlacementCostModel::with_faults`] model the climb also routes
+/// around dead slots and prices degraded links.
 pub fn optimize_with(
     model: &PlacementCostModel,
     pp: usize,
@@ -595,10 +563,18 @@ pub fn optimize_node(
     })
 }
 
-/// The pre-cost-model hill climb: every candidate recomputes
-/// [`global_cost`] from scratch. Kept as the reference implementation —
-/// `tests/ga_cost_equivalence.rs` pins `optimize ≡ optimize_naive`
-/// bit-for-bit, and `bench_ga` measures the gap.
+/// The naive reference hill climb: every candidate recomputes
+/// [`global_cost`] from scratch. [`optimize_with`] must retrace it
+/// exactly — same seed placement, same RNG stream, same acceptance
+/// bits — on a clean model with `faults = None` and on a
+/// [`PlacementCostModel::with_faults`] model with the same map
+/// (`tests/ga_cost_equivalence.rs`); `bench_ga` measures the gap.
+///
+/// With `faults = None` the climb charges plain [`Rect::dist`] and never
+/// scans for dead slots. With a map, stages seeded on dead-die slots
+/// are first moved by `remap_dead_slots`, masked slots never enter the
+/// free-slot pool, and every distance is degraded.
+#[allow(clippy::too_many_arguments)]
 pub fn optimize_naive(
     mesh: &Mesh2D,
     pp: usize,
@@ -606,17 +582,25 @@ pub fn optimize_naive(
     tile_h: usize,
     pp_volume: f64,
     pairs: &[PairDemand],
+    faults: Option<&FaultMap>,
     seed: u64,
 ) -> Option<Placement> {
-    let base = serpentine(mesh.nx, mesh.ny, pp, tile_w, tile_h)?;
-    if pairs.is_empty() {
+    let slots = tile_slots(mesh.nx, mesh.ny, tile_w, tile_h);
+    let masked: Vec<bool> = match faults {
+        Some(f) => slots.iter().map(|s| slot_is_dead(mesh, f, s)).collect(),
+        None => Vec::new(),
+    };
+    let mut base = serpentine(mesh.nx, mesh.ny, pp, tile_w, tile_h)?;
+    if masked.contains(&true) && !remap_dead_slots(&slots, &masked, &mut base) {
+        return None;
+    }
+    if pairs.is_empty() && faults.is_none_or(FaultMap::is_empty) {
         // No balance traffic: the boustrophedon layout already minimizes
         // the pipeline term (all consecutive stages adjacent).
         return Some(base);
     }
-    let slots = tile_slots(mesh.nx, mesh.ny, tile_w, tile_h);
     let mut best = base;
-    let mut best_cost = global_cost(mesh, &best, pp_volume, pairs);
+    let mut best_cost = global_cost(mesh, &best, pp_volume, pairs, faults);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9a1e_77a7);
     // Swap moves: either two stages exchange slots, or one stage moves to
     // an unused slot.
@@ -628,75 +612,8 @@ pub fn optimize_naive(
             let used: HashSet<Rect> = cand.stages.iter().copied().collect();
             let free: Vec<Rect> = slots
                 .iter()
-                .copied()
-                .filter(|s| !used.contains(s))
-                .collect();
-            if let Some(&slot) = free.get(
-                rng.gen_range(0..free.len().max(1))
-                    .min(free.len().saturating_sub(1)),
-            ) {
-                let idx = rng.gen_range(0..pp);
-                cand.stages[idx] = slot;
-            }
-        } else {
-            let i = rng.gen_range(0..pp);
-            let j = rng.gen_range(0..pp);
-            if i == j {
-                continue;
-            }
-            cand.stages.swap(i, j);
-        }
-        let c = global_cost(mesh, &cand, pp_volume, pairs);
-        if c < best_cost {
-            best_cost = c;
-            best = cand;
-        }
-    }
-    Some(best)
-}
-
-/// The naive fault-aware reference hill climb: [`optimize_with`] on a
-/// [`PlacementCostModel::with_faults`](crate::costmodel::PlacementCostModel::with_faults)
-/// model must retrace this exactly — same `remap_dead_slots` seed,
-/// same RNG stream, same masked-slot exclusions, same
-/// [`degraded_global_cost`] acceptance bits (pinned by
-/// `tests/ga_cost_equivalence.rs` and the placement unit tests). Every
-/// candidate recomputes the degraded Eq. 2 sum from scratch.
-#[allow(clippy::too_many_arguments)]
-pub fn optimize_naive_with_faults(
-    mesh: &Mesh2D,
-    pp: usize,
-    tile_w: usize,
-    tile_h: usize,
-    pp_volume: f64,
-    pairs: &[PairDemand],
-    faults: &FaultMap,
-    seed: u64,
-) -> Option<Placement> {
-    let slots = tile_slots(mesh.nx, mesh.ny, tile_w, tile_h);
-    let masked: Vec<bool> = slots
-        .iter()
-        .map(|s| slot_is_dead(mesh, faults, s))
-        .collect();
-    let mut base = serpentine(mesh.nx, mesh.ny, pp, tile_w, tile_h)?;
-    if masked.iter().any(|&m| m) && !remap_dead_slots(&slots, &masked, &mut base) {
-        return None;
-    }
-    if pairs.is_empty() && faults.is_empty() {
-        return Some(base);
-    }
-    let mut best = base;
-    let mut best_cost = degraded_global_cost(mesh, &best, pp_volume, pairs, faults);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x9a1e_77a7);
-    let iters = 60 + 40 * pp;
-    for _ in 0..iters {
-        let mut cand = best.clone();
-        if slots.len() > pp && rng.gen_bool(0.3) {
-            let used: HashSet<Rect> = cand.stages.iter().copied().collect();
-            let free: Vec<Rect> = slots
-                .iter()
                 .enumerate()
-                .filter(|&(id, s)| !used.contains(s) && !masked[id])
+                .filter(|&(id, s)| !used.contains(s) && masked.get(id) != Some(&true))
                 .map(|(_, s)| *s)
                 .collect();
             if let Some(&slot) = free.get(
@@ -714,7 +631,7 @@ pub fn optimize_naive_with_faults(
             }
             cand.stages.swap(i, j);
         }
-        let c = degraded_global_cost(mesh, &cand, pp_volume, pairs, faults);
+        let c = global_cost(mesh, &cand, pp_volume, pairs, faults);
         if c < best_cost {
             best_cost = c;
             best = cand;
@@ -768,9 +685,10 @@ mod tests {
         let mesh = Mesh2D::new(8, 4);
         let pairs = fig11_pairs();
         let naive = row_major(8, 4, 8, 2, 2).unwrap();
-        let naive_cost = global_cost(&mesh, &naive, 1.0, &pairs);
-        let opt = optimize(&mesh, 8, 2, 2, 1.0, &pairs, 42).unwrap();
-        let opt_cost = global_cost(&mesh, &opt, 1.0, &pairs);
+        let naive_cost = global_cost(&mesh, &naive, 1.0, &pairs, None);
+        let model = PlacementCostModel::new(mesh, 2, 2, 1.0);
+        let opt = optimize_with(&model, 8, &pairs, 42).unwrap();
+        let opt_cost = global_cost(&mesh, &opt, 1.0, &pairs, None);
         assert!(
             opt_cost < naive_cost,
             "optimized {opt_cost} should beat naive {naive_cost}"
@@ -812,7 +730,7 @@ mod tests {
             helper: 3,
             volume: 1.0,
         }];
-        let with = global_cost(&mesh, &p, 0.0, &pair_conflicted);
+        let with = global_cost(&mesh, &p, 0.0, &pair_conflicted, None);
         let raw_dist = p.stages[0].dist(&p.stages[3]);
         assert!(with > raw_dist, "conflict punishment must inflate cost");
     }
@@ -834,8 +752,9 @@ mod tests {
     fn optimize_is_deterministic() {
         let mesh = Mesh2D::new(8, 4);
         let pairs = fig11_pairs();
-        let a = optimize(&mesh, 8, 2, 2, 1.0, &pairs, 7).unwrap();
-        let b = optimize(&mesh, 8, 2, 2, 1.0, &pairs, 7).unwrap();
+        let model = PlacementCostModel::new(mesh, 2, 2, 1.0);
+        let a = optimize_with(&model, 8, &pairs, 7).unwrap();
+        let b = optimize_with(&model, 8, &pairs, 7).unwrap();
         assert_eq!(a, b);
     }
 
@@ -885,17 +804,17 @@ mod tests {
         assert!(optimize_with(&model, 8, &[], 7).is_none());
     }
 
-    #[test]
-    fn fault_aware_optimize_matches_naive_reference() {
-        let mesh = Mesh2D::new(8, 4);
-        let mut faults = FaultMap::none();
-        faults.set_die_health((0, 0), 0.0); // masks slot 0
-        faults.set_die_health((5, 1), 0.4); // degraded but alive
-        faults.set_link_quality((2, 1), (3, 1), 0.2);
-        faults.set_link_quality((6, 2), (6, 3), 0.0);
+    /// The incremental hill climb must retrace the naive one exactly —
+    /// same RNG stream, same acceptances, same final placement — for
+    /// every seed, pipeline depth and pair set given.
+    fn assert_matches_naive(mesh: Mesh2D, faults: Option<&FaultMap>, pps: &[usize]) {
+        let model = match faults {
+            Some(f) => PlacementCostModel::with_faults(mesh, 2, 2, 1.0, f),
+            None => PlacementCostModel::new(mesh, 2, 2, 1.0),
+        };
         for seed in [0, 7, 42, 1234] {
-            for pp in [4usize, 6, 7] {
-                let pairs = vec![
+            for &pp in pps {
+                let pairs = [
                     PairDemand {
                         sender: 0,
                         helper: pp - 1,
@@ -907,41 +826,33 @@ mod tests {
                         volume: 2.5,
                     },
                 ];
-                let model = PlacementCostModel::with_faults(mesh, 2, 2, 1.0, &faults);
-                let inc = optimize_with(&model, pp, &pairs, seed).unwrap();
-                let naive = optimize_naive_with_faults(&mesh, pp, 2, 2, 1.0, &pairs, &faults, seed)
-                    .unwrap();
-                assert_eq!(inc, naive, "seed {seed} pp {pp}");
-                // Empty pair sets still climb (and still agree) on a
-                // degraded wafer.
-                let inc0 = optimize_with(&model, pp, &[], seed).unwrap();
-                let naive0 =
-                    optimize_naive_with_faults(&mesh, pp, 2, 2, 1.0, &[], &faults, seed).unwrap();
-                assert_eq!(inc0, naive0, "seed {seed} pp {pp} empty pairs");
+                // Empty pair sets return the seed on a clean wafer and
+                // still climb on a degraded one.
+                for pairs in [&pairs[..], &[]] {
+                    let inc = optimize_with(&model, pp, pairs, seed).unwrap();
+                    let naive = optimize_naive(&mesh, pp, 2, 2, 1.0, pairs, faults, seed).unwrap();
+                    assert_eq!(inc, naive, "seed {seed} pp {pp} pairs {}", pairs.len());
+                }
             }
         }
     }
 
     #[test]
     fn optimize_matches_naive_reference() {
-        // The incremental hill climb must retrace the naive one exactly:
-        // same RNG stream, same acceptances, same final placement.
-        let mesh = Mesh2D::new(8, 4);
-        let pairs = fig11_pairs();
-        for seed in [0, 7, 42, 1234] {
-            let inc = optimize(&mesh, 8, 2, 2, 1.0, &pairs, seed).unwrap();
-            let naive = optimize_naive(&mesh, 8, 2, 2, 1.0, &pairs, seed).unwrap();
-            assert_eq!(inc, naive, "seed {seed}");
-            // Free-slot moves engage when slots > pp.
-            let pairs6 = vec![PairDemand {
-                sender: 0,
-                helper: 5,
-                volume: 1.0,
-            }];
-            let inc6 = optimize(&mesh, 6, 2, 2, 1.0, &pairs6, seed).unwrap();
-            let naive6 = optimize_naive(&mesh, 6, 2, 2, 1.0, &pairs6, seed).unwrap();
-            assert_eq!(inc6, naive6, "seed {seed} with free slots");
-        }
+        // pp 8 fills every slot; 4, 6 and 7 leave free slots, so
+        // free-slot moves engage.
+        assert_matches_naive(Mesh2D::new(8, 4), None, &[4, 6, 7, 8]);
+    }
+
+    #[test]
+    fn fault_aware_optimize_matches_naive_reference() {
+        let mut faults = FaultMap::none();
+        faults.set_die_health((0, 0), 0.0); // masks slot 0
+        faults.set_die_health((5, 1), 0.4); // degraded but alive
+        faults.set_link_quality((2, 1), (3, 1), 0.2);
+        faults.set_link_quality((6, 2), (6, 3), 0.0);
+        // Only 7 healthy slots remain, so pp stops at 7.
+        assert_matches_naive(Mesh2D::new(8, 4), Some(&faults), &[4, 6, 7]);
     }
 
     #[test]

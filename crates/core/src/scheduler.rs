@@ -378,7 +378,7 @@ pub fn schedule_plan(
     let inputs: Vec<_> = stages.iter().map(|s| s.as_recompute_input()).collect();
 
     // Recomputation scheduler.
-    let quanta = (160 / pp).clamp(3, 16);
+    let quanta = gcmr_quanta(pp);
     let (rplan, mem_pairs) = match opts.recompute {
         RecomputeMode::None => {
             let fits = inputs.iter().all(|i| i.full_memory() <= cap);
@@ -534,16 +534,37 @@ pub fn schedule_plan(
     })
 }
 
-/// Analytic lower bound (seconds) on the iteration time any feasible
-/// schedule of `plan` can achieve, from compute-plus-collective totals
-/// of the cached stage profiles:
+/// The GCMR (Alg. 2) memory-quantum count for a `pp`-stage pipeline —
+/// the one value both search legs schedule recomputation with.
+pub(crate) fn gcmr_quanta(pp: usize) -> usize {
+    (160 / pp).clamp(3, 16)
+}
+
+/// The 1F1B floor of a pipeline whose stage `s` needs `t_s` seconds per
+/// micro-batch (`mb_secs`, in stage order):
 ///
-/// * 1F1B steady state — the bottleneck stage serializes all `n` micro-
-///   batches: `n · max_s(fwd_s + bwd_s)`;
+/// * 1F1B steady state — the bottleneck stage serializes all `n_mb`
+///   micro-batches: `n_mb · max_s t_s`;
 /// * pipeline critical path — micro-batch 0 traverses every stage down
-///   and back: `Σ_s (fwd_s + bwd_s)`;
-/// * plus the DP gradient all-reduce and the optimizer DRAM stream,
-///   which the evaluator adds verbatim.
+///   and back: `Σ_s t_s`.
+///
+/// Both legs' lower bounds start from it; each prices a stage's
+/// collectives into `t_s` its own way.
+pub(crate) fn one_f_one_b_floor(n_mb: usize, mb_secs: impl IntoIterator<Item = f64>) -> f64 {
+    let mut max_mb = 0.0f64;
+    let mut sum_mb = 0.0f64;
+    for mb in mb_secs {
+        max_mb = max_mb.max(mb);
+        sum_mb += mb;
+    }
+    (n_mb as f64 * max_mb).max(sum_mb)
+}
+
+/// Analytic lower bound (seconds) on the iteration time any feasible
+/// schedule of `plan` can achieve: the [`one_f_one_b_floor`] of the
+/// cached stage profiles' compute-plus-collective times, plus the DP
+/// gradient all-reduce and the optimizer DRAM stream, which the
+/// evaluator adds verbatim.
 ///
 /// Recomputation, p2p transfers and routing contention only ever add
 /// time, so the bound never exceeds the true evaluation.
@@ -571,16 +592,12 @@ fn config_lower_bound(
     // Per-micro-batch stage times at healthy link bandwidth, using the
     // evaluator's own comm-time formula (exact: the search evaluates
     // fault-free, and recompute/p2p only ever add time).
-    let mut max_mb = 0.0f64;
-    let mut sum_mb = 0.0f64;
-    for sp in stages.iter() {
+    let mb_secs = stages.iter().map(|sp| {
         let (fwd_comm, bwd_comm) =
             evaluator::stage_comm_times(Some(cache), collective, shape, sp, link_bw, alpha);
-        let mb = (sp.fwd_compute + fwd_comm + sp.bwd_compute + bwd_comm).as_secs();
-        max_mb = max_mb.max(mb);
-        sum_mb += mb;
-    }
-    let bound = (n_mb as f64 * max_mb).max(sum_mb)
+        (sp.fwd_compute + fwd_comm + sp.bwd_compute + bwd_comm).as_secs()
+    });
+    let bound = one_f_one_b_floor(n_mb, mb_secs)
         + evaluator::dp_allreduce_time(
             Some(cache),
             collective,

@@ -6,14 +6,14 @@
 //! recomputation menu — everything Alg. 1/2/3 and the evaluator need.
 
 use serde::{Deserialize, Serialize};
-use wsc_arch::units::{Bandwidth, Bytes, Flops, Time};
+use wsc_arch::units::{Bytes, Flops, Time};
 use wsc_arch::wafer::WaferConfig;
 use wsc_pipeline::recompute::StageRecomputeInput;
 use wsc_sim::op_cost::DieModel;
 use wsc_sim::profile::{profile_layer, LayerProfile, RecomputeMenu};
 use wsc_workload::graph::{self, ShardingCtx};
 use wsc_workload::memory;
-use wsc_workload::parallel::ParallelSpec;
+use wsc_workload::parallel::{ParallelPlan, ParallelSpec};
 use wsc_workload::training::TrainingJob;
 
 /// Aggregated profile of one pipeline stage (per die, per micro-batch).
@@ -71,9 +71,9 @@ impl StageProfile {
 /// everything about a layer that does not depend on the pipeline split.
 ///
 /// Both layer kinds of a model (dense and MoE) are profiled exactly once;
-/// [`build_stage_profiles_with`] then assembles stage profiles for any
-/// `pp` from pure arithmetic over this data. A [`crate::cache::ProfileCache`]
-/// shares one `LayerData` across every `pp` the search visits.
+/// [`crate::cache::ProfileCache::stage_profiles`] then assembles stage
+/// profiles for any `pp` from pure arithmetic over this data, sharing one
+/// `LayerData` across every `pp` the search visits.
 #[derive(Debug, Clone)]
 pub struct LayerData {
     /// Profile of the dense layer kind (when the model has one).
@@ -87,9 +87,13 @@ pub struct LayerData {
 }
 
 /// Profile both layer kinds of `job.model` for one `(tp, strategy)`
-/// sharding context (the expensive simulator calls behind
-/// [`build_stage_profiles`]).
-pub fn build_layer_data(wafer: &WaferConfig, job: &TrainingJob, ctx: &ShardingCtx) -> LayerData {
+/// sharding context (the expensive simulator calls behind a
+/// [`crate::cache::ProfileCache`] miss).
+pub(crate) fn build_layer_data(
+    wafer: &WaferConfig,
+    job: &TrainingJob,
+    ctx: &ShardingCtx,
+) -> LayerData {
     let dm = DieModel::new(wafer.die.clone(), wafer.dram.bandwidth);
     let model = &job.model;
     // Two possible layer kinds: dense and MoE. Profile each kind once —
@@ -113,34 +117,18 @@ pub fn build_layer_data(wafer: &WaferConfig, job: &TrainingJob, ctx: &ShardingCt
     }
 }
 
-/// Build the per-stage profiles for a parallel configuration.
-///
-/// Layer profiles are cached per distinct layer kind (dense vs MoE), so
-/// the cost is O(distinct kinds) simulator calls plus O(layers)
-/// arithmetic.
-pub fn build_stage_profiles(
-    wafer: &WaferConfig,
-    job: &TrainingJob,
-    parallel: ParallelSpec,
-    ctx: &ShardingCtx,
-    microbatches: usize,
-) -> Vec<StageProfile> {
-    let layers = build_layer_data(wafer, job, ctx);
-    build_stage_profiles_with(&layers, job, parallel, ctx, microbatches)
-}
-
-/// Assemble stage profiles from pre-profiled [`LayerData`]: O(layers)
-/// arithmetic, no simulator calls. Bit-identical to
-/// [`build_stage_profiles`] (which delegates here).
-pub fn build_stage_profiles_with(
+/// Assemble the stage profiles of `plan` from pre-profiled
+/// [`LayerData`]: O(layers) arithmetic, no simulator calls. Only
+/// `plan.tp` and `plan.pp` enter; the strategy is already baked into
+/// `layer_data`.
+pub(crate) fn build_stage_profiles_with(
     layer_data: &LayerData,
     job: &TrainingJob,
-    parallel: ParallelSpec,
-    ctx: &ShardingCtx,
+    plan: &ParallelPlan,
     microbatches: usize,
 ) -> Vec<StageProfile> {
     let model = &job.model;
-    let pp = parallel.pp;
+    let ParallelSpec { tp, pp, .. } = plan.spec();
     let dense_profile = &layer_data.dense;
     let moe_profile = &layer_data.moe;
     let profile_of = |layer_idx: usize| -> &LayerProfile {
@@ -215,7 +203,7 @@ pub fn build_stage_profiles_with(
                 fwd_collectives: fwd_coll,
                 bwd_collectives: bwd_coll,
                 ckpt_per_mb: ckpt,
-                model_p: memory::model_p_per_die(model, ctx.tp, pp, s),
+                model_p: memory::model_p_per_die(model, tp, pp, s),
                 in_flight: (pp - s).min(microbatches.max(1)),
                 fwd_flops,
                 bwd_flops,
@@ -230,23 +218,20 @@ pub fn boundary_bytes(job: &TrainingJob, ctx: &ShardingCtx) -> Bytes {
     graph::layer_input_bytes(&job.model, ctx)
 }
 
-/// The DRAM bandwidth available per die (helper for callers).
-pub fn die_dram_bw(wafer: &WaferConfig) -> Bandwidth {
-    wafer.dram.bandwidth
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::ProfileCache;
+    use crate::testutil::megatron_plan;
+    use std::sync::Arc;
     use wsc_arch::presets;
     use wsc_workload::parallel::TpSplitStrategy;
     use wsc_workload::zoo;
 
-    fn setup(pp: usize) -> Vec<StageProfile> {
+    fn setup(pp: usize) -> Arc<Vec<StageProfile>> {
         let wafer = presets::config(3);
         let job = TrainingJob::standard(zoo::llama2_30b());
-        let ctx = crate::testutil::megatron_ctx(&job, 4);
-        build_stage_profiles(&wafer, &job, ParallelSpec::model_parallel(4, pp), &ctx, 16)
+        ProfileCache::new().stage_profiles(&wafer, &job, &megatron_plan(4, pp), 16)
     }
 
     #[test]
@@ -272,7 +257,7 @@ mod tests {
     #[test]
     fn compute_times_are_positive_and_layer_proportional() {
         let stages = setup(4);
-        for s in &stages {
+        for s in stages.iter() {
             assert!(s.fwd_compute.as_secs() > 0.0);
             assert!(s.bwd_compute > s.fwd_compute);
         }
@@ -284,10 +269,8 @@ mod tests {
     fn moe_stages_have_shuffle_volume() {
         let wafer = presets::config(3);
         let job = TrainingJob::standard(zoo::gshard_137b());
-        let ctx = crate::testutil::megatron_ctx(&job, 4);
-        let stages =
-            build_stage_profiles(&wafer, &job, ParallelSpec::model_parallel(4, 4), &ctx, 8);
-        for s in &stages {
+        let stages = ProfileCache::new().stage_profiles(&wafer, &job, &megatron_plan(4, 4), 8);
+        for s in stages.iter() {
             assert!(s.fwd_comm_bytes > Bytes::ZERO);
             assert!(!s.menu.items().is_empty());
         }

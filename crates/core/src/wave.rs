@@ -118,11 +118,6 @@ pub struct SearchBudget {
     /// same limit truncates at the same wave on every machine and thread
     /// count.
     pub max_evaluations: Option<usize>,
-    /// Early-stop once this fraction of the leg's visited space has been
-    /// pruned: with the work-list sorted by lower bound, a dominant
-    /// incumbent rules out most of the space quickly, and past this
-    /// threshold further waves rarely change the winner. Deterministic.
-    pub max_pruned_ratio: Option<f64>,
 }
 
 impl SearchBudget {
@@ -142,17 +137,6 @@ impl SearchBudget {
         self.max_evaluations = Some(n);
         self
     }
-
-    /// Set the per-leg pruned-ratio early-stop threshold.
-    pub fn max_pruned_ratio(mut self, ratio: f64) -> Self {
-        self.max_pruned_ratio = Some(ratio);
-        self
-    }
-
-    /// Whether any limit is set.
-    pub fn is_limited(&self) -> bool {
-        self.deadline.is_some() || self.max_evaluations.is_some() || self.max_pruned_ratio.is_some()
-    }
 }
 
 /// Which [`SearchBudget`] limit truncated a search.
@@ -162,8 +146,6 @@ pub enum TruncationReason {
     Deadline,
     /// The evaluation cap was reached.
     MaxEvaluations,
-    /// The pruned-ratio early-stop threshold was crossed.
-    PrunedRatio,
 }
 
 /// Whether a search leg ran to completion or was truncated by its
@@ -273,8 +255,6 @@ pub(crate) struct SessionCtx<'a> {
     pub deadline: Option<Instant>,
     /// Per-leg evaluation cap.
     pub max_evaluations: Option<usize>,
-    /// Per-leg pruned-ratio early-stop.
-    pub max_pruned_ratio: Option<f64>,
     /// Fault-injection schedule (test/bench-only).
     pub inject: Option<&'a Injection>,
     /// Emit a [`WaveCheckpoint`] every this many completed waves.
@@ -586,10 +566,6 @@ fn wave_search<C: Send>(
             .is_some_and(|max| stats.evaluated >= max)
         {
             Some(TruncationReason::MaxEvaluations)
-        } else if ctx.max_pruned_ratio.is_some_and(|ratio| {
-            stats.visited > 0 && stats.pruned as f64 / stats.visited as f64 > ratio
-        }) {
-            Some(TruncationReason::PrunedRatio)
         } else {
             None
         };
@@ -945,36 +921,6 @@ mod tests {
         assert_eq!(cps.len(), 1, "truncation emits one snapshot");
         assert_eq!(cps[0].stats.skipped, 0, "snapshot precedes the tail");
         assert_eq!(cps[0].cursor, 0);
-    }
-
-    #[test]
-    fn pruned_ratio_early_stops() {
-        // 100 points, 98 statically infeasible: the pre-loop prune
-        // already exceeds the 0.5 threshold, so the first boundary
-        // truncates without evaluating anything.
-        let its = items(100);
-        let bounds: Vec<Option<f64>> = (0..100).map(|i| (i < 2).then_some(i as f64)).collect();
-        let ctx = SessionCtx {
-            max_pruned_ratio: Some(0.5),
-            ..SessionCtx::none()
-        };
-        let r = wave_search(
-            &its,
-            &bounds,
-            true,
-            &ctx,
-            |_, it| Some(it.plan.tp as f64),
-            |&c: &f64| c,
-        );
-        assert_eq!(
-            r.outcome,
-            Outcome::Truncated {
-                reason: TruncationReason::PrunedRatio
-            }
-        );
-        assert_eq!(r.stats.evaluated, 0);
-        assert_eq!(r.stats.skipped, 2);
-        assert_eq!(r.best, None);
     }
 
     #[test]

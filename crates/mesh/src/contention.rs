@@ -162,11 +162,6 @@ impl TrafficAssigner {
         &self.routed
     }
 
-    /// Bytes currently assigned to `l`.
-    pub fn link_load(&self, l: DirLink) -> Bytes {
-        Bytes::new(*self.link_bytes.get(&l).unwrap_or(&0.0) as u64)
-    }
-
     /// Number of links that carry both pipeline and activation-balance
     /// traffic (the conflict count γ of Eq. 2).
     pub fn conflict_links(&self) -> usize {

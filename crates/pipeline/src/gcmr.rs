@@ -56,11 +56,6 @@ impl GcmrPlan {
             feasible: self.feasible,
         }
     }
-
-    /// Total bytes shipped from Senders to Helpers per iteration.
-    pub fn balanced_bytes(&self) -> Bytes {
-        self.mem_pairs.iter().map(|p| p.bytes).sum()
-    }
 }
 
 /// Per-stage time as a function of allocated memory, precomputed on the

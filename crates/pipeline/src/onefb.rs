@@ -21,13 +21,6 @@ pub struct StageTiming {
     pub p2p: Time,
 }
 
-impl StageTiming {
-    /// Steady-state time per micro-batch.
-    pub fn per_microbatch(&self) -> Time {
-        self.fwd + self.bwd
-    }
-}
-
 /// Result of simulating one 1F1B iteration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PipelineTiming {

@@ -27,7 +27,6 @@
 use watos::cache::ProfileCache;
 use watos::dram_alloc::allocate;
 use watos::scheduler::ScheduledConfig;
-use watos::stage::die_dram_bw;
 use wsc_arch::units::Bytes;
 use wsc_arch::wafer::WaferConfig;
 use wsc_mesh::collective::GroupShape;
@@ -92,7 +91,7 @@ impl PhaseCost {
         if profile_tokens <= 0.0 {
             return None;
         }
-        let dram_bw = die_dram_bw(wafer).as_bytes_per_s();
+        let dram_bw = wafer.dram.bandwidth.as_bytes_per_s();
         let d2d_bw = wafer.d2d_link_bw().as_bytes_per_s();
         let capacity = wafer.dram.capacity;
         let shape = if spec.tp > 1 {
@@ -217,16 +216,5 @@ impl PhaseCost {
             traversal += t;
         }
         (cadence, traversal)
-    }
-
-    /// The slowest stage's compute seconds per token — the work term of
-    /// the serving pruning bound. Every simulated step costs at least
-    /// `batch_tokens * compute_per_token` on this stage by
-    /// construction of [`PhaseCost::step_secs`].
-    pub fn bottleneck_compute_per_token(&self) -> f64 {
-        self.stages
-            .iter()
-            .map(|s| s.compute_per_token)
-            .fold(0.0, f64::max)
     }
 }

@@ -1,6 +1,6 @@
 //! Die-level operator cost model: the "detailed simulator" that stands in
 //! for the paper's measured operator latencies (§IV-F substitution — see
-//! DESIGN.md).
+//! the paper → code map in `docs/ARCHITECTURE.md`).
 //!
 //! GEMM-class operators run on the MAC arrays under the best hybrid
 //! dataflow; vector-class operators run on the vector units. Cost is a

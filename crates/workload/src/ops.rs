@@ -100,13 +100,6 @@ pub struct OpInstance {
     pub recomputable: bool,
 }
 
-impl OpInstance {
-    /// Parameters held by this operator on this die.
-    pub fn param_count(&self) -> f64 {
-        self.weight_bytes.as_f64() / 2.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,7 +4,7 @@
 //! the only test in the binary, nothing reads the environment while it
 //! writes (worker threads are joined before each `set_var`).
 
-use watos::ga::{refine, GaParams};
+use watos::ga::{refine_with_model, GaParams};
 use watos::{Explorer, FaultEnsemble, FaultKind, PlanFilter, RobustObjective};
 use wsc_arch::presets;
 use wsc_bench::util::{ga_refine_presets, ga_setup};
@@ -86,7 +86,7 @@ fn report_is_identical_across_thread_counts() {
         serve_jsons.push(report.to_json());
     }
 
-    // GA leg: `refine` decodes genomes in parallel through the
+    // GA leg: `refine_with_model` decodes genomes in parallel through the
     // incremental cost engine (shared fragment table + plan memo);
     // fitness, history and placement must be byte-identical at every
     // pool size.
@@ -105,7 +105,7 @@ fn report_is_identical_across_thread_counts() {
     let mut ga_runs = Vec::new();
     for threads in ["1", "2", "4"] {
         std::env::set_var("RAYON_NUM_THREADS", threads);
-        let r = refine(
+        let r = refine_with_model(
             &s.mesh,
             &s.stages,
             &s.plan,
@@ -114,6 +114,7 @@ fn report_is_identical_across_thread_counts() {
             &s.spare,
             s.pp_volume,
             s.capacity,
+            &s.cost_model(),
             &params,
         );
         let history_bits: Vec<u64> = r.history.iter().map(|f| f.to_bits()).collect();

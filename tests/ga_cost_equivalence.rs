@@ -4,17 +4,21 @@
 //! seeds, the memoized/incremental paths are **bit-identical** to the
 //! naive re-derive-everything reference —
 //!
-//! * `placement::optimize` ≡ `placement::optimize_naive` (same hill-climb
-//!   trajectory, same final placement, same Eq. 2 cost bits), and
-//! * `ga::refine` ≡ `ga::refine_naive` (same fitness bits, same history,
-//!   same chosen placement, plan and grants for every seed).
+//! * `placement::optimize_with` ≡ `placement::optimize_naive` (same
+//!   hill-climb trajectory, same final placement, same Eq. 2 cost bits),
+//!   on clean wafers and on clustered-fault maps, and
+//! * `ga::refine_with_model` ≡ `ga::refine_naive` (same fitness bits,
+//!   same history, same chosen placement, plan and grants for every
+//!   seed).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use watos::ga::{refine, refine_naive, GaParams};
-use watos::placement::{global_cost, optimize, optimize_naive, serpentine, PairDemand};
+use watos::ga::{refine_naive, refine_with_model, GaParams};
+use watos::placement::{global_cost, optimize_naive, optimize_with, serpentine, PairDemand};
 use watos::stage::StageProfile;
+use watos::PlacementCostModel;
+use wsc_arch::fault::FaultMap;
 use wsc_arch::units::{Bytes, Flops, Time};
 use wsc_mesh::topology::Mesh2D;
 use wsc_pipeline::recompute::RecomputePlan;
@@ -42,6 +46,8 @@ proptest! {
         pp_raw in 2usize..16,
         n_pairs in 0usize..6,
         ppv in 0.0f64..5.0,
+        faulted in 0usize..2,
+        fault_rate in 0.0f64..0.4,
         seed in 0u64..1_000_000,
     ) {
         let (tw, th) = [(1, 1), (2, 1), (1, 2), (2, 2)][tile_idx];
@@ -51,13 +57,21 @@ proptest! {
         let mesh = Mesh2D::new(nx, ny);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x51ce_11fe);
         let pairs = random_pairs(&mut rng, pp, n_pairs);
+        // Half the cases climb a degraded wafer: dead slots are masked
+        // and remapped, every distance is quality-weighted.
+        let faults = (faulted == 1)
+            .then(|| FaultMap::inject_clustered_faults(nx, ny, fault_rate, seed));
+        let model = match &faults {
+            Some(f) => PlacementCostModel::with_faults(mesh, tw, th, ppv, f),
+            None => PlacementCostModel::new(mesh, tw, th, ppv),
+        };
 
-        let inc = optimize(&mesh, pp, tw, th, ppv, &pairs, seed);
-        let naive = optimize_naive(&mesh, pp, tw, th, ppv, &pairs, seed);
+        let inc = optimize_with(&model, pp, &pairs, seed);
+        let naive = optimize_naive(&mesh, pp, tw, th, ppv, &pairs, faults.as_ref(), seed);
         prop_assert_eq!(&inc, &naive, "hill climbs diverged");
         if let (Some(a), Some(b)) = (inc, naive) {
-            let ca = global_cost(&mesh, &a, ppv, &pairs);
-            let cb = global_cost(&mesh, &b, ppv, &pairs);
+            let ca = global_cost(&mesh, &a, ppv, &pairs, faults.as_ref());
+            let cb = global_cost(&mesh, &b, ppv, &pairs, faults.as_ref());
             prop_assert_eq!(ca.to_bits(), cb.to_bits(), "costs diverged");
         }
     }
@@ -163,9 +177,10 @@ proptest! {
             seed,
         };
 
-        let inc = refine(
+        let model = PlacementCostModel::new(mesh, tw, th, ppv);
+        let inc = refine_with_model(
             &mesh, &stages, &plan, &placement, &overflow, &spare, ppv,
-            Bytes::gib(64), &params,
+            Bytes::gib(64), &model, &params,
         );
         let naive = refine_naive(
             &mesh, &stages, &plan, &placement, &overflow, &spare, ppv,

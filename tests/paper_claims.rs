@@ -1,5 +1,6 @@
 //! Integration tests pinning the paper's qualitative claims — the shapes
-//! EXPERIMENTS.md reports. Each test names the figure it guards.
+//! the figure harness prints (`figures --quick all`, committed as
+//! `FIGURES_quick.txt`). Each test names the figure it guards.
 
 use watos::scheduler::SchedulerOptions;
 use watos::{Explorer, PlanFilter};
