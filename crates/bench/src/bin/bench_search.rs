@@ -13,7 +13,7 @@
 //! cargo run -p wsc-bench --release --bin bench_search -- \
 //!     [--preset small|medium|large|multiwafer|all] \
 //!     [--output BENCH_search.json] [--threads N[,M,...]] \
-//!     [--require-pruning] [--min-speedup X] [--inject-smoke]
+//!     [--require-pruning] [--min-speedup X] [--deadline-smoke]
 //! ```
 //!
 //! `--require-pruning` exits non-zero unless every preset pruned at
@@ -25,18 +25,17 @@
 //! differs between thread counts, so the byte-identity contract is
 //! measured on real multi-core hardware rather than assumed.
 //!
-//! `--inject-smoke` runs the CI resilience smoke instead: a seeded
-//! fault-injection storm (panics, delays, cache corruption) on the
-//! `small` preset that must stay isolated, plus a 100ms-deadline
-//! `multiwafer` run that must still emit valid best-so-far JSON. The
-//! contract there is anytime validity — the run returns, the counters
-//! stay honest (`visited == pruned + evaluated + skipped`), and the
-//! best-so-far report round-trips through JSON.
+//! `--deadline-smoke` runs the CI resilience smoke instead: a
+//! 100ms-deadline `multiwafer` run that must still emit valid
+//! best-so-far JSON. The contract there is anytime validity — the run
+//! returns, the counters stay honest
+//! (`visited == pruned + evaluated + skipped`), and the best-so-far
+//! report round-trips through JSON.
 
 use std::process::ExitCode;
 
 use serde::Serialize;
-use watos::{ExplorationReport, Injection, ParallelPlan, SearchBudget, SearchStats};
+use watos::{ExplorationReport, ParallelPlan, SearchBudget, SearchStats};
 use wsc_bench::driver::{run_timed, Bench, Opt, Pools, Spec};
 use wsc_bench::util::{search_presets, SearchPreset};
 
@@ -47,7 +46,7 @@ const SPEC: Spec = Spec {
     opts: &[
         Opt::Switch("--require-pruning"),
         Opt::Number("--min-speedup"),
-        Opt::Switch("--inject-smoke"),
+        Opt::Switch("--deadline-smoke"),
     ],
 };
 
@@ -80,7 +79,7 @@ struct BenchReport {
     presets: Vec<BenchEntry>,
 }
 
-/// One budgeted leg of the `--inject-smoke` run.
+/// The budgeted leg of the `--deadline-smoke` run.
 #[derive(Debug, Serialize)]
 struct AnytimeEntry {
     preset: String,
@@ -92,7 +91,7 @@ struct AnytimeEntry {
     best_plan: Option<ParallelPlan>,
 }
 
-/// The `--inject-smoke` output document.
+/// The `--deadline-smoke` output document.
 #[derive(Debug, Serialize)]
 struct AnytimeReport {
     benchmark: String,
@@ -101,10 +100,10 @@ struct AnytimeReport {
 
 fn main() -> ExitCode {
     let (bench, presets) = Bench::from_env(&SPEC, search_presets(), |p| p.name);
-    if bench.args.switch("--inject-smoke") {
+    if bench.args.switch("--deadline-smoke") {
         return bench.finish(&AnytimeReport {
-            benchmark: "resilience smoke: injection storm + 100ms deadline".to_string(),
-            presets: inject_smoke(&bench),
+            benchmark: "resilience smoke: 100ms deadline".to_string(),
+            presets: vec![deadline_smoke(&bench)],
         });
     }
     // The determinism contract, measured: a preset's winning plan must
@@ -176,32 +175,37 @@ fn measure(bench: &Bench, preset: &SearchPreset, threads: usize) -> BenchEntry {
     }
 }
 
-/// Check the anytime contract on one budgeted report — honest counters
-/// and a best-so-far report that round-trips through JSON — and build
-/// its row.
-fn anytime(
-    bench: &Bench,
-    name: &str,
-    preset: &SearchPreset,
-    report: &ExplorationReport,
-    deadline_secs: f64,
-    elapsed_secs: f64,
-) -> AnytimeEntry {
-    let (stats, best) = preset.leg(report);
+/// `--deadline-smoke`: the CI resilience smoke. The `multiwafer`
+/// preset runs under a 100ms deadline; the truncated run must still
+/// keep honest counters and emit a best-so-far report that round-trips
+/// through JSON.
+fn deadline_smoke(bench: &Bench) -> AnytimeEntry {
+    const DEADLINE_SECS: f64 = 0.1;
+    let node = search_presets()
+        .into_iter()
+        .find(|p| p.name == "multiwafer")
+        .expect("the preset table carries the smoke preset");
+    let (report, elapsed_secs) = run_timed(
+        node.builder()
+            .budget(SearchBudget::none().deadline(DEADLINE_SECS)),
+    );
+    let (stats, best) = node.leg(&report);
     let best = best.map(|(plan, _)| plan);
     if stats.visited != stats.pruned + stats.evaluated + stats.skipped {
-        bench.fail(format!("[{name}] DISHONEST COUNTERS: {stats:?}"));
+        bench.fail(format!("[{}] DISHONEST COUNTERS: {stats:?}", node.name));
     }
     match ExplorationReport::from_json(&report.to_json()) {
-        Ok(round) if &round == report => {}
+        Ok(round) if round == report => {}
         other => bench.fail(format!(
-            "[{name}] best-so-far report does not round-trip through JSON: {:?}",
+            "[{}] best-so-far report does not round-trip through JSON: {:?}",
+            node.name,
             other.err()
         )),
     }
     println!(
-        "[{name:10}] deadline {deadline_secs:6.3}s  elapsed {elapsed_secs:6.3}s  truncated {}  \
+        "[{:10}] deadline {DEADLINE_SECS:6.3}s  elapsed {elapsed_secs:6.3}s  truncated {}  \
          visited {} evaluated {} skipped {}  best {}",
+        node.name,
         report.truncated(),
         stats.visited,
         stats.evaluated,
@@ -209,70 +213,12 @@ fn anytime(
         best.as_ref().map_or_else(|| "-".into(), |p| p.to_string()),
     );
     AnytimeEntry {
-        preset: name.to_string(),
-        deadline_secs,
+        preset: node.name.to_string(),
+        deadline_secs: DEADLINE_SECS,
         elapsed_secs,
         truncated: report.truncated(),
         stats,
         best_parallel: best.as_ref().map(|p| p.to_string()),
         best_plan: best,
     }
-}
-
-/// Seeded `wsc-inject` panics are expected noise in the smoke run; keep
-/// the default hook for anything else.
-fn install_quiet_hook() {
-    let default = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let msg = info
-            .payload()
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| info.payload().downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        if !msg.contains("wsc-inject") {
-            default(info);
-        }
-    }));
-}
-
-/// `--inject-smoke`: the CI resilience smoke.
-///
-/// Leg 1 runs the `small` preset under a seeded injection storm (panics,
-/// delays, cache corruption): the run must return, the winner must not
-/// be a failed candidate, and the report must round-trip through JSON.
-/// Leg 2 runs the `multiwafer` preset under a 100ms deadline: a
-/// truncated run must still emit valid best-so-far JSON with honest
-/// counters.
-fn inject_smoke(bench: &Bench) -> Vec<AnytimeEntry> {
-    install_quiet_hook();
-    let presets = search_presets();
-    let preset = |name: &str| {
-        presets
-            .iter()
-            .find(|p| p.name == name)
-            .expect("the preset table carries the smoke presets")
-    };
-
-    let small = preset("small");
-    let storm = Injection::seeded(0xC0FFEE)
-        .panics(0.25)
-        .delays(0.10, 200)
-        .corruption(0.25);
-    let (report, elapsed) = run_timed(small.builder().inject(storm));
-    println!(
-        "[inject    ] {} isolated incidents under the storm",
-        report.incidents().len()
-    );
-    let storm_row = anytime(bench, "inject", small, &report, 0.0, elapsed);
-    if let Some(best) = &storm_row.best_plan {
-        if report.incidents().iter().any(|f| &f.plan == best) {
-            bench.fail(format!("[inject] FAILED CANDIDATE CROWNED: {best}"));
-        }
-    }
-
-    let node = preset("multiwafer");
-    let (report, elapsed) = run_timed(node.builder().budget(SearchBudget::none().deadline(0.1)));
-    let deadline_row = anytime(bench, node.name, node, &report, 0.1, elapsed);
-    vec![storm_row, deadline_row]
 }

@@ -32,19 +32,14 @@
 //! Because every entry is a pure function of its key, the cache treats
 //! its own contents as disposable: any shard whose lock was poisoned by
 //! a panicking holder is cleared and rebuilt on demand rather than
-//! trusted (`read_recover`/`write_recover`), and when the
-//! fault-injection harness arms entry-checksum validation
-//! (test/bench-only, see [`crate::inject`]), a stage-profile entry whose
-//! checksum no longer matches is detected on the next hit, rebuilt from
-//! scratch and replaced. Both events are counted in [`CacheStats`] and
-//! bump the cache *generation* tag — a monotone counter that is 0 for a
-//! pristine cache, recorded into search checkpoints so a resumed session
-//! knows whether its ancestor had already survived cache degradation.
-//! On a panic-free, injection-free run every counter is zero and every
-//! code path here is byte-identical to the plain memo.
+//! trusted (`read_recover`/`write_recover`). Each recovery is counted in
+//! [`CacheStats`] and bumps the cache *generation* tag — a monotone
+//! counter that is 0 for a pristine cache, recorded into search
+//! checkpoints so a resumed session knows whether its ancestor had
+//! already survived cache degradation. On a panic-free run every
+//! counter is zero.
 
 use crate::costmodel::PlacementCostModel;
-use crate::inject::Injection;
 use crate::stage::{build_layer_data, build_stage_profiles_with, LayerData, StageProfile};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -87,49 +82,24 @@ fn clear_poisoned<T: Default>(lock: &RwLock<T>) {
     *lock.write().unwrap_or_else(PoisonError::into_inner) = T::default();
 }
 
-/// FNV-1a over a byte string — the entry checksum of the corruption
-/// detector. Not cryptographic; it only needs to notice that a cached
-/// value no longer matches what was built for its key.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 type LayerKey = (usize, TpSplitStrategy);
 type StageKey = (usize, usize, TpSplitStrategy, usize);
 type CollectiveKey = (CollectiveAlgo, usize, usize, u64, u64, u64);
 type CostModelKey = (usize, usize, usize, usize, u64);
 
-/// Checksum of one stage-profile entry (via the `Debug` rendering, which
-/// is deterministic and covers every field the evaluator consumes).
-fn stage_checksum(value: &[StageProfile]) -> u64 {
-    fnv1a(format!("{value:?}").as_bytes())
-}
-
-/// Fold a stage key into the injection-stream index for
-/// [`Injection::corrupts`].
-fn fold_stage_key(key: &StageKey) -> u64 {
-    fnv1a(format!("{key:?}").as_bytes())
-}
-
 /// Observability counters of one [`ProfileCache`]: how often the cache
-/// had to distrust itself. All-zero (generation 0) on a panic-free,
-/// injection-free run; surfaced per search leg on the exploration
-/// report.
+/// had to distrust itself. All-zero (generation 0) on a panic-free run;
+/// surfaced per search leg on the exploration report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Poisoned shards cleared and rebuilt (a candidate panicked while
     /// holding a cache lock).
     pub recoveries: usize,
-    /// Corrupted entries caught by checksum validation and rebuilt
-    /// (only possible with the fault-injection harness armed).
+    /// Always 0: the cache stores nothing that could be corrupted after
+    /// insert. The field stays so reports keep their schema.
     pub corruptions: usize,
-    /// Monotone degradation tag: bumped once per recovery and per
-    /// corruption repair. 0 means the cache was pristine throughout.
+    /// Monotone degradation tag: bumped once per recovery. 0 means the
+    /// cache was pristine throughout.
     pub generation: u64,
 }
 
@@ -143,13 +113,7 @@ pub struct ProfileCache {
     stages: RwLock<HashMap<StageKey, Arc<Vec<StageProfile>>>>,
     collectives: RwLock<HashMap<CollectiveKey, Time>>,
     cost_models: RwLock<HashMap<CostModelKey, Arc<PlacementCostModel>>>,
-    /// Checksums of the *correct* stage-profile values, maintained only
-    /// while corruption injection is armed.
-    sums: RwLock<HashMap<StageKey, u64>>,
-    /// Corruption schedule (test/bench-only; `None` in production).
-    corrupt: Option<Injection>,
     recoveries: AtomicUsize,
-    corruptions: AtomicUsize,
     generation: AtomicU64,
 }
 
@@ -159,32 +123,20 @@ impl ProfileCache {
         ProfileCache::default()
     }
 
-    /// An empty cache with the injection schedule's corruption stream
-    /// armed: entry-checksum validation is on, and the schedule's
-    /// fraction of stage-profile inserts is written corrupted (the
-    /// correct value is still returned to the inserting caller; the
-    /// *next* hit detects the mismatch and rebuilds).
-    pub(crate) fn with_corruption(inject: Injection) -> Self {
-        ProfileCache {
-            corrupt: Some(inject),
-            ..ProfileCache::default()
-        }
-    }
-
-    /// Poison the stage shard's lock (test/bench-only): a throwaway
-    /// thread panics while holding the write guard, exactly what an
-    /// injected candidate panic inside a cache miss would do. The next
-    /// access takes the clear-and-count recovery path.
-    pub(crate) fn poison_stages(&self) {
+    /// Poison the stage shard's lock: a throwaway thread panics while
+    /// holding the write guard, exactly what a candidate panic inside a
+    /// cache miss would do. The next access takes the clear-and-count
+    /// recovery path.
+    #[cfg(test)]
+    fn poison_stages(&self) {
         let outcome = std::thread::scope(|s| {
             s.spawn(|| {
                 let _hold = self.stages.write().unwrap_or_else(PoisonError::into_inner);
-                // wsc-lint: allow(S001, "poisoning a lock requires panicking while holding it; the panic stays inside this throwaway scoped thread")
-                panic!("wsc-inject: poisoning the stage shard");
+                panic!("poisoning the stage shard");
             })
             .join()
         });
-        debug_assert!(outcome.is_err(), "the poisoning thread must panic");
+        assert!(outcome.is_err(), "the poisoning thread must panic");
     }
 
     /// Count a pending poison recovery on `lock` before the accessor
@@ -202,7 +154,7 @@ impl ProfileCache {
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             recoveries: self.recoveries.load(Ordering::Relaxed),
-            corruptions: self.corruptions.load(Ordering::Relaxed),
+            corruptions: 0,
             generation: self.generation.load(Ordering::Relaxed),
         }
     }
@@ -244,73 +196,13 @@ impl ProfileCache {
     ) -> Arc<Vec<StageProfile>> {
         let key = (plan.tp, plan.pp, plan.strategy, microbatches);
         self.note_poison(&self.stages);
-        // Bind the hit outside the `if let`: the scrutinee would otherwise
-        // keep the read guard alive across the repair path below, which
-        // needs the write lock on the same shard.
-        let hit = read_recover(&self.stages).get(&key).map(Arc::clone);
-        if let Some(hit) = hit {
-            if self.stage_entry_is_valid(&key, &hit) {
-                return hit;
-            }
-            // Checksum mismatch: the entry was corrupted after insert.
-            // Rebuild from the key (entries are pure), repair the shard
-            // and hand the caller the correct value.
-            self.corruptions.fetch_add(1, Ordering::Relaxed);
-            self.generation.fetch_add(1, Ordering::Relaxed);
-            let built = self.build_stage_value(wafer, job, plan, microbatches);
-            write_recover(&self.sums).insert(key, stage_checksum(&built));
-            write_recover(&self.stages).insert(key, Arc::clone(&built));
-            return built;
+        if let Some(hit) = read_recover(&self.stages).get(&key) {
+            return Arc::clone(hit);
         }
-        let built = self.build_stage_value(wafer, job, plan, microbatches);
-        match &self.corrupt {
-            // The plain memo: first insert wins, callers share its Arc.
-            None => Arc::clone(
-                write_recover(&self.stages)
-                    .entry(key)
-                    .or_insert(Arc::clone(&built)),
-            ),
-            // Validation armed: record the correct checksum, then let
-            // the injection stream decide whether the *stored* entry is
-            // corrupted. The caller always receives the correct value —
-            // corruption is only observable (and repairable) on a later
-            // hit, exactly like a bit flip landing after the insert.
-            Some(inject) => {
-                write_recover(&self.sums).insert(key, stage_checksum(&built));
-                let stored = if !built.is_empty() && inject.corrupts(fold_stage_key(&key)) {
-                    Arc::new(Vec::new())
-                } else {
-                    Arc::clone(&built)
-                };
-                write_recover(&self.stages).entry(key).or_insert(stored);
-                built
-            }
-        }
-    }
-
-    /// Whether a stage-shard hit passes checksum validation. Trivially
-    /// true when validation is unarmed or the entry predates it.
-    fn stage_entry_is_valid(&self, key: &StageKey, entry: &Arc<Vec<StageProfile>>) -> bool {
-        if self.corrupt.is_none() {
-            return true;
-        }
-        match read_recover(&self.sums).get(key) {
-            Some(&sum) => stage_checksum(entry) == sum,
-            None => true,
-        }
-    }
-
-    /// Build the correct stage-profile value for a key (shared by the
-    /// miss and the corruption-repair paths).
-    fn build_stage_value(
-        &self,
-        wafer: &WaferConfig,
-        job: &TrainingJob,
-        plan: &ParallelPlan,
-        microbatches: usize,
-    ) -> Arc<Vec<StageProfile>> {
+        // Build outside the lock: racing misses compute identical values.
         let layers = self.layer_data(wafer, job, plan);
-        Arc::new(build_stage_profiles_with(&layers, job, plan, microbatches))
+        let built = Arc::new(build_stage_profiles_with(&layers, job, plan, microbatches));
+        Arc::clone(write_recover(&self.stages).entry(key).or_insert(built))
     }
 
     /// Memoized [`all_reduce_time`].
@@ -358,18 +250,21 @@ impl ProfileCache {
         Arc::clone(write_recover(&self.cost_models).entry(key).or_insert(built))
     }
 
-    /// Number of cached cost models (for tests/introspection).
-    pub fn cost_model_entries(&self) -> usize {
+    /// Number of cached cost models.
+    #[cfg(test)]
+    fn cost_model_entries(&self) -> usize {
         read_recover(&self.cost_models).len()
     }
 
-    /// Number of cached stage-profile vectors (for tests/introspection).
-    pub fn stage_entries(&self) -> usize {
+    /// Number of cached stage-profile vectors.
+    #[cfg(test)]
+    fn stage_entries(&self) -> usize {
         read_recover(&self.stages).len()
     }
 
-    /// Number of cached layer-data entries (for tests/introspection).
-    pub fn layer_entries(&self) -> usize {
+    /// Number of cached layer-data entries.
+    #[cfg(test)]
+    fn layer_entries(&self) -> usize {
         read_recover(&self.layers).len()
     }
 }
@@ -501,42 +396,5 @@ mod tests {
         assert!(!lock.is_poisoned(), "poison flag cleared");
         write_recover(&lock).insert(3, 4);
         assert_eq!(read_recover(&lock).get(&3), Some(&4));
-    }
-
-    #[test]
-    fn corrupted_entries_are_detected_and_rebuilt_once() {
-        let wafer = presets::config(3);
-        let job = TrainingJob::standard(zoo::llama2_30b());
-        let plan = crate::testutil::megatron_plan(4, 14);
-        // Rate 1.0: every insert is written corrupted.
-        let cache = ProfileCache::with_corruption(Injection::seeded(7).corruption(1.0));
-        let clean = ProfileCache::new();
-        let expected = clean.stage_profiles(&wafer, &job, &plan, 16);
-        // The inserting caller always gets the correct value.
-        let first = cache.stage_profiles(&wafer, &job, &plan, 16);
-        assert_eq!(*first, *expected);
-        assert_eq!(cache.stats().corruptions, 0, "not yet observed");
-        // The first hit sees the corrupted entry, detects the checksum
-        // mismatch and repairs it.
-        let second = cache.stage_profiles(&wafer, &job, &plan, 16);
-        assert_eq!(*second, *expected, "repair returns the correct value");
-        assert_eq!(cache.stats().corruptions, 1);
-        assert!(cache.stats().generation >= 1);
-        // The repaired entry is stored clean: further hits are stable.
-        let third = cache.stage_profiles(&wafer, &job, &plan, 16);
-        assert_eq!(*third, *expected);
-        assert_eq!(cache.stats().corruptions, 1, "repaired entry stays clean");
-    }
-
-    #[test]
-    fn zero_rate_validation_never_fires() {
-        let wafer = presets::config(3);
-        let job = TrainingJob::standard(zoo::llama2_30b());
-        let plan = crate::testutil::megatron_plan(4, 14);
-        let cache = ProfileCache::with_corruption(Injection::seeded(7));
-        for _ in 0..3 {
-            cache.stage_profiles(&wafer, &job, &plan, 16);
-        }
-        assert_eq!(cache.stats(), CacheStats::default());
     }
 }

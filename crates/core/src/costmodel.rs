@@ -388,7 +388,7 @@ impl PlacementCostModel {
 /// intra-wafer link contention, dominates cross-group cost, and
 /// conflict modeling stays a single-wafer refinement.
 #[derive(Debug, Clone)]
-pub struct NodeCostModel {
+pub(crate) struct NodeCostModel {
     groups: usize,
     slots_per_group: usize,
     cols: usize,
@@ -448,17 +448,13 @@ impl NodeCostModel {
         self.groups * self.slots_per_group
     }
 
-    /// Seam-crossing price in intra-wafer hop equivalents.
-    pub fn seam_penalty(&self) -> f64 {
-        self.seam_penalty
-    }
-
     /// The wafer group a global slot id lives on.
     pub fn group_of(&self, slot: usize) -> usize {
         slot / self.slots_per_group
     }
 
     /// The wafer-local rectangle of a global slot id.
+    #[cfg(test)]
     pub fn local_rect(&self, slot: usize) -> Rect {
         self.rects[slot % self.slots_per_group]
     }
@@ -683,36 +679,6 @@ impl<'m> CostState<'m> {
         }
         self.apply_changes(&[(i, slot)]);
     }
-
-    /// Cost change a stage↔stage swap would cause (negative = cheaper),
-    /// leaving the state unchanged.
-    ///
-    /// Exact, not approximate: implemented as apply → re-sum → undo, so
-    /// the γ bookkeeping is O(Δ) but each probe still pays two
-    /// O(pp + pairs) term re-sums. Callers that commit on improvement
-    /// (like [`crate::placement::optimize_with`]) should instead
-    /// [`Self::apply_swap`], compare [`Self::cost`] against their
-    /// incumbent, and undo on rejection — one re-sum per probe and
-    /// exact-comparison semantics on the full cost value.
-    pub fn swap_delta(&mut self, i: usize, j: usize) -> f64 {
-        let before = self.cost();
-        self.apply_swap(i, j);
-        let after = self.cost();
-        self.apply_swap(i, j);
-        after - before
-    }
-
-    /// Cost change moving stage `i` to `slot` would cause, leaving the
-    /// state unchanged (same cost profile and caveats as
-    /// [`Self::swap_delta`]).
-    pub fn move_delta(&mut self, i: usize, slot: u32) -> f64 {
-        let before = self.cost();
-        let old = self.stage_slot[i];
-        self.apply_move(i, slot);
-        let after = self.cost();
-        self.apply_move(i, old);
-        after - before
-    }
 }
 
 #[cfg(test)]
@@ -855,38 +821,6 @@ mod tests {
                 "divergence at step {step}"
             );
         }
-    }
-
-    #[test]
-    fn deltas_leave_state_unchanged_and_predict_cost() {
-        let mesh = Mesh2D::new(8, 4);
-        let model = PlacementCostModel::new(mesh, 2, 2, 2.0);
-        let base = serpentine(8, 4, 8, 2, 2).unwrap();
-        let pairs = pairs_fig11();
-        let mut state = model.state(&base, &pairs).unwrap();
-        let c0 = state.cost();
-        let d = state.swap_delta(0, 5);
-        assert_eq!(state.cost().to_bits(), c0.to_bits(), "swap_delta must undo");
-        state.apply_swap(0, 5);
-        assert_eq!(state.cost().to_bits(), (c0 + d).to_bits());
-        state.apply_swap(0, 5);
-        // 8 stages fill all 8 slots on 8x4/2x2 — the move test needs a
-        // free slot, so shrink to 6 stages.
-        let base6 = serpentine(8, 4, 6, 2, 2).unwrap();
-        let pairs6 = vec![PairDemand {
-            sender: 0,
-            helper: 5,
-            volume: 1.0,
-        }];
-        let mut s6 = model.state(&base6, &pairs6).unwrap();
-        let c0 = s6.cost();
-        let free = (0..model.slot_count() as u32)
-            .find(|s| !s6.stage_slots().contains(s))
-            .unwrap();
-        let d = s6.move_delta(2, free);
-        assert_eq!(s6.cost().to_bits(), c0.to_bits(), "move_delta must undo");
-        s6.apply_move(2, free);
-        assert_eq!(s6.cost().to_bits(), (c0 + d).to_bits());
     }
 
     #[test]

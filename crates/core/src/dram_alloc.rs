@@ -143,7 +143,7 @@ pub(crate) fn allocate_by(
 /// its helpers on its own wafer the result is bit-for-bit what
 /// [`allocate`] produces for that wafer-local placement, since the
 /// distance closures agree on intra-group pairs.
-pub fn allocate_node(
+pub(crate) fn allocate_node(
     model: &NodeCostModel,
     stage_slots: &[usize],
     overflow: &[Bytes],

@@ -15,7 +15,6 @@
 
 use crate::cache::{CacheStats, ProfileCache};
 use crate::goodput::{FaultEnsemble, RobustObjective};
-use crate::inject::Injection;
 use crate::multiwafer::{explore_multi_wafer_impl, wafer_loss_sweep_impl, MultiWaferReport};
 use crate::robust::{fault_sweep_impl, FaultKind, FaultPoint};
 use crate::scheduler::{
@@ -98,6 +97,14 @@ pub enum ExplorationError {
         /// Human-readable description of the offending field.
         reason: String,
     },
+    /// [`Explorer::resume`] was handed a checkpoint another session
+    /// wrote: its seed differs, or a completed leg's wafer or node is not
+    /// the explorer's candidate at that index.
+    #[error("checkpoint was not written by this session: {reason}")]
+    ForeignCheckpoint {
+        /// Which field disagrees with the session.
+        reason: String,
+    },
 }
 
 /// A pluggable comparison system for [`ExplorerBuilder::with_baselines`].
@@ -141,7 +148,7 @@ pub struct ArchRecord {
     /// winners (empty on any panic-free run).
     pub failures: Vec<CandidateFailure>,
     /// Degradation counters of the leg's profile cache (all-zero on a
-    /// panic-free, injection-free run).
+    /// panic-free run).
     pub cache_stats: CacheStats,
 }
 
@@ -169,7 +176,7 @@ pub struct MultiWaferRecord {
     /// winners (empty on any panic-free run).
     pub failures: Vec<CandidateFailure>,
     /// Degradation counters of the leg's profile cache (all-zero on a
-    /// panic-free, injection-free run).
+    /// panic-free run).
     pub cache_stats: CacheStats,
 }
 
@@ -199,7 +206,7 @@ pub struct BaselineRecord {
 pub struct ExplorationReport {
     /// The training job explored.
     pub job: TrainingJob,
-    /// RNG seed the run used (placement, GA, fault injection).
+    /// RNG seed the run used (placement, GA, fault-sweep maps).
     pub seed: u64,
     /// Single-wafer outcomes, in candidate order.
     pub single_wafer: Vec<ArchRecord>,
@@ -293,8 +300,8 @@ impl ExplorationReport {
 /// [`Explorer::run`] (pinned by the `tests/resilience.rs` proptests).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SearchCheckpoint {
-    /// The session seed, for cross-checking against the resuming
-    /// explorer's configuration.
+    /// The session seed; [`Explorer::resume`] refuses a checkpoint
+    /// whose seed is not the resuming explorer's.
     pub seed: u64,
     /// Single-wafer legs already completed, in candidate order.
     pub completed_single: Vec<ArchRecord>,
@@ -441,7 +448,6 @@ pub struct ExplorerBuilder {
     objective: Objective,
     baselines: Vec<Box<dyn BaselineModel>>,
     budget: Option<SearchBudget>,
-    inject: Option<Injection>,
     checkpoint_every: Option<usize>,
     sink: Option<Arc<dyn CheckpointSink>>,
     skip_validation: bool,
@@ -623,16 +629,6 @@ impl ExplorerBuilder {
         self
     }
 
-    /// Arm the deterministic fault-injection harness (test/bench-only):
-    /// seeded per-candidate panics, delays and cache corruption, per
-    /// [`Injection`]. Panics are isolated per candidate and surface as
-    /// [`ExplorationReport::incidents`]; a disarmed (default) injection
-    /// leaves the report byte-identical to a run without one.
-    pub fn inject(mut self, inject: Injection) -> Self {
-        self.inject = Some(inject);
-        self
-    }
-
     /// Write a [`SearchCheckpoint`] to `sink` every `every` waves (and
     /// at every leg boundary), making the session resumable via
     /// [`Explorer::resume`]. Checkpointing runs the search legs
@@ -774,7 +770,6 @@ impl ExplorerBuilder {
             objective: self.objective,
             baselines: self.baselines,
             budget: self.budget,
-            inject: self.inject,
             checkpoint_every: self.checkpoint_every,
             sink: self.sink,
         })
@@ -794,7 +789,6 @@ pub struct Explorer {
     objective: Objective,
     baselines: Vec<Box<dyn BaselineModel>>,
     budget: Option<SearchBudget>,
-    inject: Option<Injection>,
     checkpoint_every: Option<usize>,
     sink: Option<Arc<dyn CheckpointSink>>,
 }
@@ -810,7 +804,6 @@ impl std::fmt::Debug for Explorer {
             .field("objective", &self.objective)
             .field("baselines", &self.baselines.len())
             .field("budget", &self.budget)
-            .field("inject", &self.inject)
             .field("checkpoint_every", &self.checkpoint_every)
             .field("sink", &self.sink.is_some())
             .finish()
@@ -848,17 +841,45 @@ impl Explorer {
     /// resulting report — winner included — is byte-identical to the
     /// uninterrupted run's, pinned by the `tests/resilience.rs`
     /// proptests.
-    pub fn resume(&self, checkpoint: &SearchCheckpoint) -> ExplorationReport {
-        debug_assert_eq!(
-            checkpoint.seed, self.options.seed,
-            "resuming under a different seed than the checkpoint was taken with"
-        );
-        self.run_with(Some(checkpoint))
+    ///
+    /// A checkpoint is untrusted input: one whose seed is not this
+    /// session's, or whose completed legs ran on other candidates than
+    /// this explorer's at the same index, fails with
+    /// [`ExplorationError::ForeignCheckpoint`] instead of splicing
+    /// another session's records into the report.
+    pub fn resume(
+        &self,
+        checkpoint: &SearchCheckpoint,
+    ) -> Result<ExplorationReport, ExplorationError> {
+        let foreign = |reason| Err(ExplorationError::ForeignCheckpoint { reason });
+        if checkpoint.seed != self.options.seed {
+            return foreign(format!(
+                "its seed is {}, the session's is {}",
+                checkpoint.seed, self.options.seed
+            ));
+        }
+        for (i, rec) in checkpoint.completed_single.iter().enumerate() {
+            if self.wafers.get(i) != Some(&rec.wafer) {
+                return foreign(format!(
+                    "its wafer leg {i} ran on `{}`, not on the session's candidate {i}",
+                    rec.arch
+                ));
+            }
+        }
+        for (i, rec) in checkpoint.completed_multi.iter().enumerate() {
+            if self.nodes.get(i) != Some(&rec.node) {
+                return foreign(format!(
+                    "its node leg {i} ran on `{}`, not on the session's node {i}",
+                    rec.name
+                ));
+            }
+        }
+        Ok(self.run_with(Some(checkpoint)))
     }
 
     /// The session-wide wave-engine context: budget limits and the
-    /// injection harness. The wall-clock deadline is anchored once here,
-    /// so every leg races the same instant.
+    /// checkpoint cadence. The wall-clock deadline is anchored once
+    /// here, so every leg races the same instant.
     fn base_ctx(&self) -> SessionCtx<'_> {
         let budget = self.budget.unwrap_or_default();
         let deadline = budget.deadline.map(|secs| {
@@ -868,7 +889,6 @@ impl Explorer {
         SessionCtx {
             deadline,
             max_evaluations: budget.max_evaluations,
-            inject: self.inject.as_ref(),
             checkpoint_every: self.checkpoint_every,
             ..SessionCtx::none()
         }

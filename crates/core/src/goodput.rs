@@ -204,12 +204,6 @@ impl FaultEnsemble {
         }
     }
 
-    /// Replace the checkpoint model.
-    pub fn with_checkpoint(mut self, checkpoint: CheckpointSpec) -> Self {
-        self.checkpoint = checkpoint;
-        self
-    }
-
     /// The ensemble's fault maps for an `nx × ny` wafer — a pure
     /// function of the ensemble parameters and the grid.
     pub fn sample_maps(&self, nx: usize, ny: usize) -> Vec<FaultMap> {

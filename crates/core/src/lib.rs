@@ -62,7 +62,6 @@ pub mod evaluator;
 pub mod explorer;
 pub mod ga;
 pub mod goodput;
-pub mod inject;
 pub mod multiwafer;
 pub mod placement;
 pub mod robust;
@@ -73,8 +72,8 @@ pub mod stats;
 mod wave;
 
 pub use crate::cache::{CacheStats, ProfileCache};
-pub use crate::costmodel::{CostState, NodeCostModel, PlacementCostModel};
-pub use crate::dram_alloc::{allocate, allocate_node, DramAllocation, DramGrant};
+pub use crate::costmodel::{CostState, PlacementCostModel};
+pub use crate::dram_alloc::{allocate, DramAllocation, DramGrant};
 pub use crate::evaluator::{evaluate, EvalInput, EvalOptions, PerfReport};
 pub use crate::explorer::{
     ArchRecord, BaselineModel, BaselineOutcome, BaselineRecord, CandidateSource, CheckpointSink,
@@ -86,15 +85,11 @@ pub use crate::goodput::{
     ensemble_effective_secs, ensemble_goodput, CheckpointSpec, FaultEnsemble, GoodputError,
     RobustObjective,
 };
-pub use crate::inject::Injection;
 pub use crate::multiwafer::{
-    evaluate_multi_wafer_plan, evaluate_multi_wafer_plan_placed, seam_borrow_penalty,
-    MultiWaferReport, NodePlacementStats,
+    evaluate_multi_wafer_plan, evaluate_multi_wafer_plan_placed, MultiWaferReport,
+    NodePlacementStats,
 };
-pub use crate::placement::{
-    global_cost, node_serpentine, optimize_node, serpentine, NodePlacementOutcome, PairDemand,
-    Placement, Rect,
-};
+pub use crate::placement::{global_cost, serpentine, PairDemand, Placement, Rect};
 pub use crate::robust::{FaultKind, FaultPoint};
 pub use crate::scheduler::{
     evaluate_scheduled, schedule_plan, PlanFilter, RecomputeMode, ScheduledConfig,

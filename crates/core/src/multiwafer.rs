@@ -40,10 +40,10 @@
 //! behind the `node_placement` knob
 //! ([`crate::ExplorerBuilder::node_placement`]) every evaluated plan
 //! additionally runs the **node-level Alg. 3 pass** — stages are
-//! hill-climb placed within their wafer groups on the seam-extended
-//! [`NodeCostModel`], Sender→Helper DRAM borrowing may cross the W2W
-//! boundary at the priced [`seam_borrow_penalty`], and the refined
-//! schedule replaces the baseline only when strictly faster
+//! hill-climb placed within their wafer groups on a seam-extended
+//! distance table, Sender→Helper DRAM borrowing may cross the W2W
+//! boundary at a priced seam transfer, and the refined schedule
+//! replaces the baseline only when strictly faster
 //! ([`evaluate_multi_wafer_plan_placed`]).
 //!
 //! # The search
@@ -141,7 +141,7 @@ pub struct NodePlacementStats {
 /// Zero for intra-wafer grants; otherwise the seam's α–β transfer
 /// ([`MultiWaferFabric::cross_wafer_time`]): strictly monotone in both
 /// the byte count and the crossing count.
-pub fn seam_borrow_penalty(node: &MultiWaferConfig, bytes: Bytes, crossings: usize) -> Time {
+pub(crate) fn seam_borrow_penalty(node: &MultiWaferConfig, bytes: Bytes, crossings: usize) -> Time {
     let fabric = MultiWaferFabric {
         wafers: node.wafers.max(1),
         wafer_mesh: Mesh2D::new(node.wafer.nx, node.wafer.ny),
@@ -246,12 +246,11 @@ pub fn evaluate_multi_wafer_plan(
 
 /// [`evaluate_multi_wafer_plan`] plus the node-level Alg. 3 pass
 /// (§VI-F): after the baseline evaluation, the plan's stages are
-/// hill-climb placed on the seam-extended [`NodeCostModel`]
-/// ([`optimize_node`], seeded by `seed`), Sender→Helper DRAM borrowing
-/// is re-granted across the W2W boundary ([`allocate_node`]), and a
-/// refined schedule — actual-placement p2p distances, priced
-/// activation-balance traffic including [`seam_borrow_penalty`] — is
-/// simulated. The refinement is **kept only when strictly better** than
+/// hill-climb placed within their wafer groups on a seam-extended
+/// distance table (seeded by `seed`), Sender→Helper DRAM borrowing is
+/// re-granted across the W2W boundary, and a refined schedule —
+/// actual-placement p2p distances, priced activation-balance traffic
+/// including the seam transfer of cross-wafer grants — is simulated. The refinement is **kept only when strictly better** than
 /// the baseline (the single-wafer GA-refinement idiom), so enabling
 /// placement can only shrink realized iteration time, never grow it —
 /// and never drops below the analytic `node_lower_bound`, which both

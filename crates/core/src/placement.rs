@@ -433,7 +433,7 @@ pub fn optimize_with(
 /// Outcome of the node-level Alg. 3 placement climb (§VI-F): one global
 /// slot per stage plus the node Eq. 2 cost before and after the climb.
 #[derive(Debug, Clone, PartialEq)]
-pub struct NodePlacementOutcome {
+pub(crate) struct NodePlacementOutcome {
     /// Global slot id per stage (`group * slots_per_group + local`).
     pub slots: Vec<usize>,
     /// Node Eq. 2 cost of the per-group serpentine seed.
@@ -446,7 +446,7 @@ pub struct NodePlacementOutcome {
 /// assigned wafer group's slot grid in boustrophedon order, in pipeline
 /// order. `None` when an assignment names a group outside the model or
 /// packs more stages onto a group than it has slots.
-pub fn node_serpentine(model: &NodeCostModel, assignment: &[usize]) -> Option<Vec<usize>> {
+pub(crate) fn node_serpentine(model: &NodeCostModel, assignment: &[usize]) -> Option<Vec<usize>> {
     let spw = model.slots_per_group();
     let cols = model.cols().max(1);
     let rows = spw / cols;
@@ -489,7 +489,7 @@ pub fn node_serpentine(model: &NodeCostModel, assignment: &[usize]) -> Option<Ve
 ///
 /// Deterministic in `(model, assignment, pairs, seed)`: same seeded RNG
 /// idiom as [`optimize_with`], strict-improvement acceptance only.
-pub fn optimize_node(
+pub(crate) fn optimize_node(
     model: &NodeCostModel,
     assignment: &[usize],
     pairs: &[PairDemand],

@@ -65,7 +65,7 @@ impl SummaryStats {
 /// from one base seed. The same construction as the GA's per-genome
 /// streams and the fault ensemble's per-sample wafers; the serving
 /// trace driver uses it for Poisson inter-arrival and token-length
-/// draws, and the fault-injection harness for its per-candidate draws.
+/// draws.
 /// Pure arithmetic on the inputs: no clocks, no entropy, so every
 /// consumer stays wsc-lint D004 clean.
 pub fn splitmix64(seed: u64, index: u64) -> u64 {

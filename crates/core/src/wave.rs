@@ -48,11 +48,10 @@
 //! restores the cursor, the counters and the failure log, re-derives the
 //! incumbent by re-evaluating its key (evaluation is a pure function),
 //! and provably converges to the same winner as the uninterrupted run.
-//! A run with no budget, no injection and no checkpointing takes none of
-//! these paths and is byte-identical to the pre-resilience engine.
+//! A run with no budget and no checkpointing takes none of these paths
+//! and is byte-identical to the pre-resilience engine.
 
 use crate::cache::ProfileCache;
-use crate::inject::Injection;
 use crate::scheduler::SchedulerOptions;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -197,8 +196,8 @@ impl From<(usize, usize, usize, usize)> for PlanKey {
 /// engine's `catch_unwind` isolation. A failed candidate produces no
 /// score, so it can never be crowned the winner; the search records the
 /// failure and keeps going. Failures are appended in wave-completion
-/// order, so the list is deterministic for a deterministic injection
-/// schedule (and empty on any panic-free run).
+/// order, so the list is deterministic whenever the panics are (and
+/// empty on any panic-free run).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CandidateFailure {
     /// The plan whose evaluation panicked.
@@ -236,18 +235,17 @@ pub struct WaveCheckpoint {
     pub failures: Vec<CandidateFailure>,
     /// The `ProfileCache` generation tag at emit time: 0 means the
     /// incumbent was found against a pristine cache; a nonzero tag means
-    /// poison recoveries or corruption repairs invalidated cache state
-    /// along the way. Resume always rebuilds caches from scratch, so the
-    /// tag is diagnostic — it tells you whether the checkpointed run had
-    /// already survived cache degradation.
+    /// poison recoveries invalidated cache state along the way. Resume
+    /// always rebuilds caches from scratch, so the tag is diagnostic — it
+    /// tells you whether the checkpointed run had already survived cache
+    /// degradation.
     pub generation: u64,
 }
 
 /// Per-search session context threaded from the `Explorer` facade down
 /// into the wave loop: the (already-resolved) deadline, deterministic
-/// budget limits, the optional fault-injection schedule, checkpoint
-/// cadence/sink, and the checkpoint to resume from. `SessionCtx::none()`
-/// is the seed-era behavior.
+/// budget limits, checkpoint cadence/sink, and the checkpoint to resume
+/// from. `SessionCtx::none()` is the seed-era behavior.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct SessionCtx<'a> {
     /// Absolute wall-clock deadline (resolved once per `Explorer` run,
@@ -255,8 +253,6 @@ pub(crate) struct SessionCtx<'a> {
     pub deadline: Option<Instant>,
     /// Per-leg evaluation cap.
     pub max_evaluations: Option<usize>,
-    /// Fault-injection schedule (test/bench-only).
-    pub inject: Option<&'a Injection>,
     /// Emit a [`WaveCheckpoint`] every this many completed waves.
     pub checkpoint_every: Option<usize>,
     /// Where checkpoints go.
@@ -269,7 +265,7 @@ pub(crate) struct SessionCtx<'a> {
 }
 
 impl SessionCtx<'_> {
-    /// No budget, no injection, no checkpointing — the seed-era engine.
+    /// No budget, no checkpointing — the seed-era engine.
     pub fn none() -> Self {
         SessionCtx::default()
     }
@@ -395,13 +391,12 @@ fn lower_by_margin(bound: f64) -> f64 {
 /// ensemble, an unserveable plan — is dropped as unscoreable rather
 /// than allowed to win a leg with no finite competitor.
 /// `opts.sequential` picks sequential or fan-out evaluation. `ctx`
-/// carries the resilience layer (budget, injection, checkpointing,
-/// resume); pass [`SessionCtx::none`] for the seed-era behavior.
+/// carries the resilience layer (budget, checkpointing, resume); pass
+/// [`SessionCtx::none`] for the seed-era behavior.
 ///
 /// Returns the winner with its score (smallest score, ties to the
 /// smallest [`WorkItem::key`]), stats, outcome and isolated failures,
-/// plus the leg's cache: an armed injection schedule corrupts or
-/// poisons it, and checkpoints carry its generation tag.
+/// plus the leg's cache, whose generation tag the checkpoints carry.
 pub(crate) fn bounded_search<C: Send>(
     items: &[WorkItem],
     decided: &[bool],
@@ -412,10 +407,7 @@ pub(crate) fn bounded_search<C: Send>(
     score: impl Fn(&C, &ProfileCache) -> f64 + Sync,
 ) -> (LegOutcome<(C, f64)>, ProfileCache) {
     debug_assert_eq!(items.len(), decided.len());
-    let cache = match ctx.inject {
-        Some(inj) if inj.is_armed() => inj.build_cache(),
-        _ => ProfileCache::new(),
-    };
+    let cache = ProfileCache::new();
     let ctx = SessionCtx {
         generation: Some(cache.generation_handle()),
         ..*ctx
@@ -485,19 +477,12 @@ fn wave_search<C: Send>(
             .then_with(|| items[a].key().cmp(&items[b].key()))
     });
 
-    // Every evaluation goes through the injection hook (a no-op without
-    // a schedule) and the catch_unwind guard. AssertUnwindSafe is sound
-    // here: the only state shared across the boundary is the memo
+    // Every evaluation runs under catch_unwind. AssertUnwindSafe is
+    // sound here: the only state shared across the boundary is the memo
     // caches, whose poison recovery clears any shard a panicking holder
     // left behind (`crate::cache`).
     let guarded = |i: usize| -> Result<Option<C>, String> {
-        catch_unwind(AssertUnwindSafe(|| {
-            if let Some(inj) = ctx.inject {
-                inj.apply(items[i].key());
-            }
-            eval(i, &items[i])
-        }))
-        .map_err(panic_payload)
+        catch_unwind(AssertUnwindSafe(|| eval(i, &items[i]))).map_err(panic_payload)
     };
 
     let mut stats;
@@ -931,7 +916,7 @@ mod tests {
         let bounds = vec![Some(f64::NEG_INFINITY); 10];
         let eval = |_: usize, it: &WorkItem| {
             if it.plan.tp == 0 {
-                panic!("wsc-inject: best candidate blows up");
+                panic!("seeded failure: best candidate blows up");
             }
             Some(it.plan.tp as f64)
         };
@@ -940,7 +925,7 @@ mod tests {
             assert_eq!(r.best, Some(1.0), "runner-up wins when the best panics");
             assert_eq!(r.failures.len(), 1);
             assert_eq!(r.failures[0].plan.tp, 0);
-            assert!(r.failures[0].payload.contains("wsc-inject"));
+            assert!(r.failures[0].payload.contains("seeded failure"));
             assert_eq!(r.stats.evaluated, 10, "a panicked eval still counts");
             assert_eq!(r.outcome, Outcome::Complete);
         }
@@ -969,7 +954,7 @@ mod tests {
             .collect();
         let eval = |_: usize, it: &WorkItem| {
             if it.plan.tp.is_multiple_of(17) && it.plan.tp > 0 {
-                panic!("wsc-inject: seeded failure");
+                panic!("seeded failure");
             }
             Some(((it.plan.tp * 13) % 29) as f64)
         };
@@ -1091,7 +1076,7 @@ mod tests {
             best_score: Some(1.25),
             failures: vec![CandidateFailure {
                 plan: ParallelPlan::intra(2, 2, TpSplitStrategy::Megatron),
-                payload: "wsc-inject: boom".to_string(),
+                payload: "seeded failure".to_string(),
                 wave: 2,
             }],
             generation: 1,

@@ -1,19 +1,28 @@
 //! Property tests for the resilience contract (see
-//! `docs/ARCHITECTURE.md`): across randomized injection schedules the
-//! engine must return a valid report with every panic isolated, a failed
-//! candidate must never be crowned, a disarmed harness must leave the
-//! report byte-identical to a run without one, killing a session at
-//! any checkpoint then resuming must reproduce the uninterrupted run
-//! bit-for-bit, an expired deadline must truncate with honest counters,
-//! and every decoder of untrusted input — reports, checkpoints, serving
-//! traces — must be total.
+//! `docs/ARCHITECTURE.md`): across randomized fault storms the engine
+//! must return a valid report with every panic isolated, a failed
+//! candidate must never be crowned, a storm must replay byte-identically
+//! in a sequential and a parallel session, killing a session at any
+//! checkpoint then resuming must reproduce the uninterrupted run
+//! bit-for-bit, a checkpoint from another session must be refused, an
+//! expired deadline must truncate with honest counters, and every
+//! decoder of untrusted input — reports, checkpoints, serving traces —
+//! must be total.
+//!
+//! The storms need no hook inside the library. They ride in through the
+//! public seam that substitutes the ranking objective,
+//! `ExplorerBuilder::serving_model`: a [`Storm`] ranks plans by clean
+//! iteration time and, on a seeded share of plans, sleeps or panics
+//! inside `score`, which the wave engine runs under `catch_unwind`.
 
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Once, OnceLock};
+use std::time::Duration;
 use watos::{
-    ExplorationReport, Explorer, ExplorerBuilder, Injection, MemorySink, SearchBudget,
-    SearchCheckpoint,
+    splitmix64, unit_open, ExplorationError, ExplorationReport, Explorer, ExplorerBuilder,
+    MemorySink, ParallelPlan, ProfileCache, ScheduledConfig, SearchBudget, SearchCheckpoint,
+    ServingModel, TpSplitStrategy,
 };
 use wsc_arch::presets;
 use wsc_arch::wafer::{MultiWaferConfig, WaferConfig};
@@ -22,8 +31,11 @@ use wsc_workload::serving::ServingWorkload;
 use wsc_workload::training::TrainingJob;
 use wsc_workload::zoo;
 
-/// Seeded `wsc-inject` panics are expected noise in these tests; keep
-/// the default hook for anything else (a real bug must still print).
+/// The marker every seeded storm panic carries.
+const STORM_PANIC: &str = "seeded storm panic";
+
+/// Seeded storm panics are expected noise in these tests; keep the
+/// default hook for anything else (a real bug must still print).
 fn quiet_panics() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
@@ -35,11 +47,86 @@ fn quiet_panics() {
                 .map(|s| s.to_string())
                 .or_else(|| info.payload().downcast_ref::<String>().cloned())
                 .unwrap_or_default();
-            if !msg.contains("wsc-inject") {
+            if !msg.contains(STORM_PANIC) {
                 default(info);
             }
         }));
     });
+}
+
+/// The search point of a plan. A failure records its work-list plan,
+/// whose DP is still derived, and a winner its resolved plan, so the two
+/// are compared on this.
+fn point(plan: &ParallelPlan) -> (usize, usize, TpSplitStrategy) {
+    (plan.tp, plan.pp, plan.strategy)
+}
+
+/// A ranking objective that storms the search: it scores a candidate by
+/// its clean iteration time, but `score` first sleeps on a seeded
+/// `delay_rate` share of plans and panics on a seeded `panic_rate`
+/// share. Each decision is a pure function of `(seed, plan)`, so a storm
+/// replays identically at any thread count, and a plan whose score
+/// returned once returns again when `Explorer::run` re-scores a leg's
+/// winner outside `catch_unwind`.
+#[derive(Debug, Clone, Copy)]
+struct Storm {
+    seed: u64,
+    panic_rate: f64,
+    delay_rate: f64,
+}
+
+impl Storm {
+    /// Whether the draw of stream `domain` for `plan` falls under `rate`.
+    fn fires(&self, domain: u64, plan: &ParallelPlan, rate: f64) -> bool {
+        let (tp, pp, strategy) = point(plan);
+        let key = splitmix64(tp as u64, ((pp as u64) << 8) | strategy as u64);
+        unit_open(splitmix64(self.seed ^ domain, key)) <= rate
+    }
+}
+
+impl ServingModel for Storm {
+    fn name(&self) -> String {
+        format!("storm(seed {})", self.seed)
+    }
+
+    /// The slowest stage's compute times the fewest micro-batches any DP
+    /// degree leaves. Every micro-batch passes through that stage, and
+    /// communication, recomputation and the DP all-reduce only add time,
+    /// so the floor is sound; it still prunes, as the clean bound does.
+    fn bound(
+        &self,
+        wafer: &WaferConfig,
+        job: &TrainingJob,
+        plan: &ParallelPlan,
+        cache: &ProfileCache,
+    ) -> Option<f64> {
+        let dp_ub = (wafer.die_count() / (plan.tp * plan.pp).max(1)).max(1);
+        let n_mb = job.microbatches(dp_ub);
+        let slowest = cache
+            .stage_profiles(wafer, job, plan, n_mb)
+            .iter()
+            .map(|sp| (sp.fwd_compute + sp.bwd_compute).as_secs())
+            .fold(0.0, f64::max);
+        Some(n_mb as f64 * slowest)
+    }
+
+    fn score(
+        &self,
+        _wafer: &WaferConfig,
+        _job: &TrainingJob,
+        cfg: &ScheduledConfig,
+        _cache: &ProfileCache,
+    ) -> f64 {
+        const DELAY: u64 = 0x44454c41; // "DELA"
+        const PANIC: u64 = 0x50414e49; // "PANI"
+        if self.fires(DELAY, &cfg.plan, self.delay_rate) {
+            std::thread::sleep(Duration::from_micros(20));
+        }
+        if self.fires(PANIC, &cfg.plan, self.panic_rate) {
+            panic!("{STORM_PANIC} for {}", cfg.plan);
+        }
+        cfg.report.iteration.as_secs()
+    }
 }
 
 fn small_wafer(cfg_idx: usize) -> WaferConfig {
@@ -64,17 +151,20 @@ fn small_job(layers: usize) -> TrainingJob {
     TrainingJob::with_batch(model, 8, 2, 1024)
 }
 
-/// The common base session: one shrunken wafer, sequential evaluation
-/// (so injection side-counters cannot race), no GA.
-fn base(wafer: &WaferConfig, job: &TrainingJob, seed: u64) -> ExplorerBuilder {
+/// The fixture session: one shrunken wafer, no GA, parallel evaluation.
+fn fixture(wafer: &WaferConfig, job: &TrainingJob, seed: u64) -> ExplorerBuilder {
     Explorer::builder()
         .job(job.clone())
         .wafer(wafer.clone())
         .no_ga()
         .seed(seed)
-        .sequential()
         // Shrunken wafers need not satisfy the full floorplan model.
         .allow_invalid_architectures()
+}
+
+/// The common base session: the fixture, evaluated sequentially.
+fn base(wafer: &WaferConfig, job: &TrainingJob, seed: u64) -> ExplorerBuilder {
+    fixture(wafer, job, seed).sequential()
 }
 
 proptest! {
@@ -84,25 +174,16 @@ proptest! {
         layers in 4usize..10,
         panic_rate in 0.0f64..1.0,
         delay_rate in 0.0f64..0.3,
-        corrupt_rate in 0.0f64..1.0,
         seed in 0u64..1_000_000,
     ) {
         quiet_panics();
         let wafer = small_wafer(cfg_idx);
         let job = small_job(layers);
-
-        let mut storm = Injection::seeded(seed)
-            .panics(panic_rate)
-            .delays(delay_rate, 20)
-            .corruption(corrupt_rate);
-        if seed % 4 == 0 {
-            storm = storm.poisoning();
-        }
-        let stormy = base(&wafer, &job, seed)
-            .inject(storm)
-            .build()
-            .expect("valid session")
-            .run();
+        let storm = Arc::new(Storm { seed, panic_rate, delay_rate });
+        let run = |session: ExplorerBuilder| {
+            session.serving_model(storm.clone()).build().expect("valid session").run()
+        };
+        let stormy = run(base(&wafer, &job, seed));
 
         // 1. The engine returned (every panic was isolated) and the
         //    report is still a valid, serializable document.
@@ -114,7 +195,7 @@ proptest! {
         let incidents = stormy.incidents();
         if let Some(best) = stormy.best().ok().and_then(|r| r.best.as_ref()) {
             prop_assert!(
-                incidents.iter().all(|f| f.plan != best.plan),
+                incidents.iter().all(|f| point(&f.plan) != point(&best.plan)),
                 "winner {} is among the {} failed candidates",
                 best.plan,
                 incidents.len()
@@ -126,15 +207,9 @@ proptest! {
         let s = stormy.search_stats();
         prop_assert_eq!(s.visited, s.pruned + s.evaluated + s.skipped);
 
-        // 4. A disarmed harness is a no-op: byte-identical to a run
-        //    with no harness at all.
-        let plain = base(&wafer, &job, seed).build().expect("valid session").run();
-        let disarmed = base(&wafer, &job, seed)
-            .inject(Injection::seeded(seed))
-            .build()
-            .expect("valid session")
-            .run();
-        prop_assert_eq!(plain.to_json(), disarmed.to_json());
+        // 4. The same storm replays byte-identically in a parallel
+        //    session: failures, counters and winner.
+        prop_assert_eq!(stormy.to_json(), run(fixture(&wafer, &job, seed)).to_json());
     }
 }
 
@@ -199,7 +274,11 @@ proptest! {
             .expect("checkpoint deserializes");
             prop_assert_eq!(&back, cp);
 
-            let resumed = session().build().expect("valid session").resume(&back);
+            let resumed = session()
+                .build()
+                .expect("valid session")
+                .resume(&back)
+                .expect("the checkpoint belongs to this session");
             prop_assert_eq!(resumed.to_json(), full.to_json());
         }
     }
@@ -223,7 +302,7 @@ fn shrunken_fixture_searches_a_real_space() {
     }
 }
 
-/// Guard against a silently disconnected harness: a high-rate seeded
+/// Guard against a silently disconnected storm: a high-rate seeded
 /// storm over the fixture must actually produce isolated incidents —
 /// otherwise "no failed candidate is ever crowned" holds vacuously.
 #[test]
@@ -231,14 +310,63 @@ fn high_rate_storms_actually_produce_incidents() {
     quiet_panics();
     let wafer = small_wafer(2);
     let job = small_job(6);
+    let storm = Storm {
+        seed: 7,
+        panic_rate: 0.95,
+        delay_rate: 0.0,
+    };
     let report = base(&wafer, &job, 7)
-        .inject(Injection::seeded(7).panics(0.95))
+        .serving_model(Arc::new(storm))
         .build()
         .expect("valid session")
         .run();
     assert!(
         !report.incidents().is_empty(),
-        "a 95% panic storm produced no incidents: the harness is not wired in"
+        "a 95% panic storm produced no incidents: the storm is not wired in"
+    );
+}
+
+/// The last snapshot of a complete checkpointed run of the fixture: a
+/// leg boundary whose one completed leg ran on `wafer`.
+fn final_checkpoint(wafer: &WaferConfig, seed: u64) -> SearchCheckpoint {
+    let sink = Arc::new(MemorySink::new());
+    base(wafer, &small_job(6), seed)
+        .checkpoint_every(1, sink.clone())
+        .build()
+        .expect("valid session")
+        .run();
+    sink.last().expect("the session writes snapshots")
+}
+
+/// A checkpoint written under another seed is refused, not resumed.
+#[test]
+fn resume_refuses_a_checkpoint_from_another_seed() {
+    let wafer = small_wafer(2);
+    let checkpoint = final_checkpoint(&wafer, 7);
+    let resumed = base(&wafer, &small_job(6), 8)
+        .build()
+        .expect("valid session")
+        .resume(&checkpoint);
+    assert!(
+        matches!(resumed, Err(ExplorationError::ForeignCheckpoint { .. })),
+        "{:?}",
+        resumed.map(|report| report.seed)
+    );
+}
+
+/// A checkpoint whose completed leg ran on another candidate is
+/// refused: reusing that leg would report another session's record.
+#[test]
+fn resume_refuses_a_checkpoint_from_another_candidate() {
+    let checkpoint = final_checkpoint(&small_wafer(2), 7);
+    let resumed = base(&small_wafer(3), &small_job(6), 7)
+        .build()
+        .expect("valid session")
+        .resume(&checkpoint);
+    assert!(
+        matches!(resumed, Err(ExplorationError::ForeignCheckpoint { .. })),
+        "{:?}",
+        resumed.map(|report| report.seed)
     );
 }
 
