@@ -640,12 +640,14 @@ impl ExplorerBuilder {
         self
     }
 
-    /// Force sequential evaluation everywhere — the candidate fan-out,
-    /// the inner `TP × PP × strategy` work-list and the fault-sweep grid
-    /// (default: rayon fan-outs at every level). Sets
+    /// Run three fan-outs sequentially: the candidate fan-out, each
+    /// leg's `TP × PP × strategy` work-list (bound phase and waves) and
+    /// the fault-sweep grid (default: rayon fan-outs). Sets
     /// [`SchedulerOptions::sequential`], the one knob all three read.
-    /// Reports are identical either way; this knob exists for
-    /// debugging, benchmarking and the determinism tests.
+    /// The GA's population decode ([`SchedulerOptions::ga`], on by
+    /// default) still uses the rayon pool. Reports are identical either
+    /// way; this knob exists for debugging, benchmarking and the
+    /// determinism tests.
     pub fn sequential(mut self) -> Self {
         self.opts_mut().sequential = true;
         self
@@ -825,10 +827,10 @@ impl Explorer {
     ///
     /// Single-wafer candidates fan out across threads, each running the
     /// pruned Alg. 1 wave search; multi-wafer nodes then run the §VI-F
-    /// sweep on the same engine (parallel within each node's work-list);
-    /// fault sweeps and baselines run on the single-wafer winner and are
-    /// cheap by comparison. Results are deterministic in the seed and
-    /// independent of thread count.
+    /// sweep on the same engine, one node leg after another, each with
+    /// parallel waves over its work-list; fault sweeps and baselines run
+    /// on the single-wafer winner and are cheap by comparison. Results
+    /// are deterministic in the seed and independent of thread count.
     pub fn run(&self) -> ExplorationReport {
         self.run_with(None)
     }

@@ -163,14 +163,15 @@ pub struct SchedulerOptions {
     /// (builder: [`crate::ExplorerBuilder::no_prune`]) only to measure
     /// the exhaustive sweep or stress the equivalence tests.
     pub prune: bool,
-    /// Force sequential evaluation of the [`crate::Explorer`]'s
-    /// candidate fan-out, the search work-list and the fault-sweep rate
-    /// grid (default: rayon fan-outs, the work-list in bound-ordered
-    /// ramped waves). Results and
+    /// Run three fan-outs sequentially: the [`crate::Explorer`]'s
+    /// candidate fan-out, the search work-list (its bound phase and its
+    /// bound-ordered ramped waves) and the fault-sweep rate grid
+    /// (default: rayon fan-outs). The GA's population decode (the `ga`
+    /// field, on by default) still uses the rayon pool, so a session
+    /// with the GA on is not single-threaded. Results and
     /// [`SearchStats`] are identical either way; enable (builder:
-    /// [`crate::ExplorerBuilder::sequential`]) for single-threaded
-    /// benchmarking baselines and determinism tests, or to keep a shared
-    /// machine responsive.
+    /// [`crate::ExplorerBuilder::sequential`]) for benchmarking
+    /// baselines and determinism tests.
     pub sequential: bool,
 }
 
