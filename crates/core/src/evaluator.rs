@@ -13,7 +13,7 @@ use crate::placement::Placement;
 use crate::stage::{boundary_bytes, StageProfile};
 use serde::{Deserialize, Serialize};
 use wsc_arch::fault::FaultMap;
-use wsc_arch::units::{Bytes, FlopRate, Flops, Time};
+use wsc_arch::units::{Bandwidth, Bytes, FlopRate, Flops, Time};
 use wsc_arch::wafer::WaferConfig;
 use wsc_mesh::collective::{CollectiveAlgo, GroupShape};
 use wsc_mesh::contention::{CommTask, TaskKind, TrafficAssigner};
@@ -126,44 +126,46 @@ pub struct EvalInput<'a> {
 }
 
 /// Forward/backward TP-collective times of one stage profile at the
-/// given effective link bandwidth. This is *the* formula — shared by the
-/// evaluator (fault-scaled bandwidth) and the scheduler's lower-bound
-/// pruner (healthy bandwidth), so the bound can never drift from what
-/// the evaluator actually charges.
+/// given effective link bandwidth. This is *the* formula — shared by
+/// both legs' evaluators and lower-bound pruners, so no bound can drift
+/// from what its evaluator actually charges. `shape` is the TP tile on
+/// one wafer; a TP group spanning `seam = Some((span, w2w_bw,
+/// w2w_latency))` wafers adds a ring all-reduce over its `span` wafer
+/// segments to every collective.
 pub(crate) fn stage_comm_times(
     cache: Option<&ProfileCache>,
     collective: CollectiveAlgo,
     shape: GroupShape,
     sp: &StageProfile,
-    eff_link: wsc_arch::units::Bandwidth,
+    eff_link: Bandwidth,
     alpha: Time,
+    seam: Option<(usize, Bandwidth, Time)>,
 ) -> (Time, Time) {
-    let fwd_coll = sp.fwd_collectives.max(1);
-    let bwd_coll = sp.bwd_collectives.max(1);
-    let fwd = cached_all_reduce(
-        cache,
-        collective,
-        shape,
-        sp.fwd_comm_bytes / fwd_coll as u64,
-        eff_link,
-        alpha,
+    let price = |bytes: Bytes, collectives: usize| {
+        let collectives = collectives.max(1);
+        let volume = bytes / collectives as u64;
+        let mut t = cached_all_reduce(cache, collective, shape, volume, eff_link, alpha);
+        if let Some((span, w2w_bw, w2w_latency)) = seam {
+            t += cached_all_reduce(
+                cache,
+                CollectiveAlgo::RingBi,
+                GroupShape::new(span, 1),
+                volume,
+                w2w_bw,
+                w2w_latency,
+            );
+        }
+        t.scale(collectives as f64)
+    };
+    (
+        price(sp.fwd_comm_bytes, sp.fwd_collectives),
+        price(sp.bwd_comm_bytes, sp.bwd_collectives),
     )
-    .scale(fwd_coll as f64);
-    let bwd = cached_all_reduce(
-        cache,
-        collective,
-        shape,
-        sp.bwd_comm_bytes / bwd_coll as u64,
-        eff_link,
-        alpha,
-    )
-    .scale(bwd_coll as f64);
-    (fwd, bwd)
 }
 
 /// DP gradient all-reduce time per iteration (zero when `dp == 1`) —
-/// shared by the evaluator and the lower-bound pruner.
-#[allow(clippy::too_many_arguments)]
+/// shared by both legs' evaluators and lower bounds. The replicas form
+/// a `min(dp, nx) × ⌈dp / nx⌉` grid of one wafer's D2D links.
 pub(crate) fn dp_allreduce_time(
     cache: Option<&ProfileCache>,
     collective: CollectiveAlgo,
@@ -172,7 +174,6 @@ pub(crate) fn dp_allreduce_time(
     tp: usize,
     pp: usize,
     dp: usize,
-    alpha: Time,
 ) -> Time {
     if dp <= 1 {
         return Time::ZERO;
@@ -185,7 +186,7 @@ pub(crate) fn dp_allreduce_time(
         dp_shape,
         grad_bytes,
         wafer.d2d_link_bw(),
-        alpha,
+        wafer.d2d_link_latency,
     )
 }
 
@@ -348,6 +349,7 @@ pub fn evaluate(input: &EvalInput<'_>) -> PerfReport {
             sp,
             eff_link,
             alpha,
+            None,
         );
         let fwd = sp.fwd_compute.scale(1.0 / health) + fwd_comm;
         let bwd = sp.bwd_compute.scale(1.0 / health)
@@ -378,7 +380,6 @@ pub fn evaluate(input: &EvalInput<'_>) -> PerfReport {
         input.ctx.tp,
         pp,
         dp,
-        alpha,
     );
 
     // ---- Optimizer step: stream modelP through DRAM once. ----

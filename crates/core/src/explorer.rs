@@ -15,11 +15,14 @@
 
 use crate::cache::{CacheStats, ProfileCache};
 use crate::goodput::{FaultEnsemble, RobustObjective};
-use crate::multiwafer::{explore_multi_wafer_impl, wafer_loss_sweep_impl, MultiWaferReport};
+use crate::multiwafer::{
+    explore_multi_wafer_impl, node_work_list, wafer_loss_sweep_impl, MultiWaferReport,
+};
+use crate::placement::Rect;
 use crate::robust::{fault_sweep_impl, FaultKind, FaultPoint};
 use crate::scheduler::{
-    explore_impl, Objective, PlanFilter, RecomputeMode, ScheduledConfig, SchedulerOptions,
-    SearchStats,
+    explore_impl, plan_geometry, work_list, Objective, PlanFilter, RecomputeMode, ScheduledConfig,
+    SchedulerOptions, SearchStats,
 };
 use crate::serving::ServingModel;
 use crate::wave::{
@@ -97,9 +100,20 @@ pub enum ExplorationError {
         /// Human-readable description of the offending field.
         reason: String,
     },
+    /// A TP candidate in [`SchedulerOptions::tp_candidates`] is not a
+    /// degree: every candidate must be at least 1.
+    #[error("TP candidate {tp} at index {index} of `tp_candidates` must be at least 1")]
+    InvalidTpCandidate {
+        /// Position of the candidate in the list.
+        index: usize,
+        /// The offending degree.
+        tp: usize,
+    },
     /// [`Explorer::resume`] was handed a checkpoint another session
-    /// wrote: its seed differs, or a completed leg's wafer or node is not
-    /// the explorer's candidate at that index.
+    /// wrote: its seed differs, a completed leg's wafer or node is not
+    /// the explorer's candidate at that index, a completed leg's winner
+    /// is not a schedule of that candidate, or the in-flight leg's
+    /// frontier does not fit that leg's work list.
     #[error("checkpoint was not written by this session: {reason}")]
     ForeignCheckpoint {
         /// Which field disagrees with the session.
@@ -375,6 +389,25 @@ impl CheckpointSink for MemorySink {
             .unwrap_or_else(PoisonError::into_inner)
             .push(checkpoint.clone());
     }
+}
+
+/// Whether `cfg` has the shape of a schedule of `wafer`, so re-scoring
+/// it indexes nothing out of bounds: the shared geometry accepts its
+/// plan and reproduces its parallelism, every per-stage table has `pp`
+/// entries, every grant names two stages, and every stage rectangle
+/// lies on the wafer.
+fn is_schedule_of(wafer: &WaferConfig, job: &TrainingJob, cfg: &ScheduledConfig) -> bool {
+    let pp = cfg.plan.pp;
+    // `len ≥ 1` cells from `start` on, inside `0..end`.
+    let inside =
+        |start: usize, len: usize, end: usize| start < end && (1..=end - start).contains(&len);
+    let on_wafer = |r: &Rect| inside(r.x, r.w, wafer.nx) && inside(r.y, r.h, wafer.ny);
+    plan_geometry(wafer, 1, job, &cfg.plan).is_some_and(|g| g.parallel == cfg.parallel)
+        && cfg.placement.stages.len() == pp
+        && cfg.recompute.saved_per_mb.len() == pp
+        && cfg.recompute.recompute_time.len() == pp
+        && cfg.grants.iter().all(|g| g.sender < pp && g.helper < pp)
+        && cfg.placement.stages.iter().all(on_wafer)
 }
 
 /// Adapter handed to the wave engine while one leg runs under
@@ -695,10 +728,15 @@ impl ExplorerBuilder {
                 list: "collectives".into(),
             });
         }
-        if matches!(&options.tp_candidates, Some(c) if c.is_empty()) {
-            return Err(ExplorationError::EmptyOptionList {
-                list: "tp_candidates".into(),
-            });
+        if let Some(candidates) = &options.tp_candidates {
+            if candidates.is_empty() {
+                return Err(ExplorationError::EmptyOptionList {
+                    list: "tp_candidates".into(),
+                });
+            }
+            if let Some(index) = candidates.iter().position(|&tp| tp == 0) {
+                return Err(ExplorationError::InvalidTpCandidate { index, tp: 0 });
+            }
         }
         if !options.punish.is_finite() || options.punish < 0.0 {
             return Err(ExplorationError::InvalidPunish {
@@ -844,39 +882,81 @@ impl Explorer {
     /// uninterrupted run's, pinned by the `tests/resilience.rs`
     /// proptests.
     ///
-    /// A checkpoint is untrusted input: one whose seed is not this
-    /// session's, or whose completed legs ran on other candidates than
-    /// this explorer's at the same index, fails with
+    /// A checkpoint is untrusted input. One whose seed is not this
+    /// session's, whose completed legs ran on other candidates than this
+    /// explorer's at the same index, whose completed winners are not
+    /// schedules of their candidates, or whose frontier does not fit the
+    /// in-flight leg's work list fails with
     /// [`ExplorationError::ForeignCheckpoint`] instead of splicing
-    /// another session's records into the report.
+    /// another session's records into the report, so resuming never
+    /// panics on a checkpoint it did not write.
     pub fn resume(
         &self,
         checkpoint: &SearchCheckpoint,
     ) -> Result<ExplorationReport, ExplorationError> {
-        let foreign = |reason| Err(ExplorationError::ForeignCheckpoint { reason });
-        if checkpoint.seed != self.options.seed {
-            return foreign(format!(
+        match self.foreign_reason(checkpoint) {
+            Some(reason) => Err(ExplorationError::ForeignCheckpoint { reason }),
+            None => Ok(self.run_with(Some(checkpoint))),
+        }
+    }
+
+    /// Why this session cannot resume `cp`, or `None` when it can. Every
+    /// snapshot the session writes passes: its counters, cursor and wave
+    /// number come from a wave loop over the same work list, and its
+    /// records from the same geometry.
+    fn foreign_reason(&self, cp: &SearchCheckpoint) -> Option<String> {
+        let (job, opts) = (&self.job, &self.options);
+        if cp.seed != opts.seed {
+            return Some(format!(
                 "its seed is {}, the session's is {}",
-                checkpoint.seed, self.options.seed
+                cp.seed, opts.seed
             ));
         }
-        for (i, rec) in checkpoint.completed_single.iter().enumerate() {
+        for (i, rec) in cp.completed_single.iter().enumerate() {
             if self.wafers.get(i) != Some(&rec.wafer) {
-                return foreign(format!(
+                return Some(format!(
                     "its wafer leg {i} ran on `{}`, not on the session's candidate {i}",
                     rec.arch
                 ));
             }
+            if !rec.best.iter().all(|c| is_schedule_of(&rec.wafer, job, c)) {
+                return Some(format!(
+                    "its wafer leg {i} holds no schedule of `{}`",
+                    rec.arch
+                ));
+            }
         }
-        for (i, rec) in checkpoint.completed_multi.iter().enumerate() {
+        for (i, rec) in cp.completed_multi.iter().enumerate() {
             if self.nodes.get(i) != Some(&rec.node) {
-                return foreign(format!(
+                return Some(format!(
                     "its node leg {i} ran on `{}`, not on the session's node {i}",
                     rec.name
                 ));
             }
+            let (wafer, wafers) = (&rec.node.wafer, rec.node.wafers.max(1));
+            let fits = |r: &MultiWaferReport| {
+                plan_geometry(wafer, wafers, job, &r.plan).is_some_and(|g| g.parallel == r.parallel)
+            };
+            if !rec.best.iter().all(fits) {
+                return Some(format!("its node leg {i} holds no plan of `{}`", rec.name));
+            }
         }
-        Ok(self.run_with(Some(checkpoint)))
+        let f = cp.frontier.as_ref()?;
+        let work = if f.multi {
+            let node = self.nodes.get(cp.completed_multi.len());
+            node.map(|n| node_work_list(n, job, opts).0.len())
+        } else {
+            let wafer = self.wafers.get(cp.completed_single.len());
+            wafer.map(|w| work_list(w, job, opts).0.len())
+        };
+        let (wave, s) = (&f.wave, f.wave.stats);
+        let counts = [s.pruned, s.evaluated, s.skipped];
+        let accounted = counts.into_iter().try_fold(0, usize::checked_add);
+        let fits = work == Some(s.visited)
+            && accounted.is_some_and(|n| n <= s.visited)
+            && wave.cursor <= s.visited
+            && wave.wave_no as usize <= wave.cursor;
+        (!fits).then(|| "its frontier does not fit the in-flight leg's work list".into())
     }
 
     /// The session-wide wave-engine context: budget limits and the

@@ -17,26 +17,30 @@
 //!
 //! # The timing model
 //!
-//! One plan is evaluated exactly like the single-wafer Alg. 1 loop
-//! body, minus placement freedom (stages are pinned to wafer groups in
-//! stage-map order):
+//! A wafer is a one-wafer node. The node leg shares with the wafer leg
+//! the plan geometry (`scheduler::plan_geometry` with the node's wafer
+//! count: TP span, per-wafer tile of `tp / span` dies, resolved DP,
+//! micro-batches), the Alg. 1 line 1–2 memory precheck, the cached
+//! stage profiles, GCMR (Alg. 2) recomputation against per-die DRAM,
+//! the exact 1F1B simulation (Fig. 8a), the DP gradient all-reduce and
+//! the TP-collective formula. A cross-wafer TP group adds one seam step
+//! per collective — a ring all-reduce over its `tp_span` wafer segments
+//! at W2W bandwidth/latency — in the evaluator and the lower bound
+//! alike, so the bound stays sound by construction. Four differences
+//! remain:
 //!
-//! * per-stage forward/backward times come from the shared
-//!   [`ProfileCache`] stage profiles, with TP collectives priced by the
-//!   α–β ring model on the per-wafer tile shape; a cross-wafer TP group
-//!   pays an additional hierarchical step — a ring all-reduce over its
-//!   `tp_span` wafer segments at W2W bandwidth/latency — for every
-//!   collective, in both the evaluator and the lower bound (one shared
-//!   pricing function, so the bound stays sound by construction);
-//! * checkpoint overflow is delegated to the GCMR recomputation
-//!   scheduler (Alg. 2) against the per-die DRAM capacity;
-//! * the 1F1B pipeline (Fig. 8a) is simulated exactly, with per-boundary
-//!   p2p cost `α + bytes/BW` — boundaries inside a wafer group use the
-//!   D2D link, seam boundaries use the W2W link;
-//! * a data-parallel gradient all-reduce (ring, wafer row) is appended
-//!   when `dp > 1`, as in the single-wafer evaluator.
+//! * intra-group p2p is a fixed `2α + bytes/BW`, not routed and
+//!   contended traffic (a seam boundary pays the W2W `α + bytes/BW`),
+//!   and stages are pinned to wafer groups in stage-map order;
+//! * no optimizer stream is charged;
+//! * every collective is a ring, whatever `SchedulerOptions::collectives`
+//!   lists;
+//! * the work list's stranding filter counts one replica (`tp · pp`),
+//!   not the DP replicas that fill the rest of the node.
 //!
-//! "Minus placement freedom" holds for the baseline evaluator only:
+//! The first three are why the node keeps its own lower bound.
+//!
+//! The pinned stage placement holds for the baseline evaluator only:
 //! behind the `node_placement` knob
 //! ([`crate::ExplorerBuilder::node_placement`]) every evaluated plan
 //! additionally runs the **node-level Alg. 3 pass** — stages are
@@ -68,15 +72,16 @@
 use crate::cache::ProfileCache;
 use crate::costmodel::NodeCostModel;
 use crate::dram_alloc::allocate_node;
-use crate::placement::{choose_tile, optimize_node, PairDemand};
+use crate::evaluator::{dp_allreduce_time, stage_comm_times};
+use crate::placement::{optimize_node, PairDemand};
 use crate::scheduler::{
-    gcmr_quanta, memory_precheck_fails, one_f_one_b_floor, tp_candidates, PlanFilter,
-    SchedulerOptions,
+    gcmr_quanta, memory_precheck_fails, one_f_one_b_floor, plan_geometry, tp_candidates,
+    PlanFilter, SchedulerOptions,
 };
-use crate::stage::{boundary_bytes, StageProfile};
+use crate::stage::boundary_bytes;
 use crate::wave::{bounded_search, LegOutcome, SessionCtx, WorkItem};
 use serde::{Deserialize, Serialize};
-use wsc_arch::units::{Bytes, FlopRate, Time};
+use wsc_arch::units::{Bandwidth, Bytes, FlopRate, Time};
 use wsc_arch::wafer::MultiWaferConfig;
 use wsc_mesh::collective::{CollectiveAlgo, GroupShape};
 use wsc_mesh::multiwafer::MultiWaferFabric;
@@ -84,7 +89,6 @@ use wsc_mesh::topology::Mesh2D;
 use wsc_pipeline::gcmr::{gcmr, GcmrPlan};
 use wsc_pipeline::onefb::{simulate, StageTiming};
 use wsc_pipeline::recompute::overflow_and_spare;
-use wsc_workload::graph::ShardingCtx;
 use wsc_workload::memory::model_p_total;
 use wsc_workload::parallel::{ParallelPlan, ParallelSpec, StageMap};
 use wsc_workload::training::TrainingJob;
@@ -151,82 +155,6 @@ pub(crate) fn seam_borrow_penalty(node: &MultiWaferConfig, bytes: Bytes, crossin
     fabric.cross_wafer_time(bytes, crossings)
 }
 
-/// The derived geometry of one multi-wafer [`ParallelPlan`]: the
-/// resolved stage → wafer-group assignment, per-wafer TP tile shape,
-/// data parallelism, micro-batch count, sharding context. One function
-/// computes it for the evaluator and the lower-bound pruner, so the two
-/// can never disagree on what a plan means. `None` = statically
-/// infeasible: bad `pp`, a `tp_span` that divides neither `tp` nor the
-/// wafer count, an invalid stage map, no tile embedding, more stages
-/// than tile slots per wafer, or the aggregate-memory precheck fails
-/// (Alg. 1 line 1–2 at node scale: `modelP / (tp·pp)` must fit the
-/// per-die DRAM — exact for this evaluator, because GCMR requires each
-/// stage's training state to fit locally, and the largest stage share
-/// is at least the average; note the per-die share is independent of
-/// `tp_span`, which only moves the *same* dies across seams). The
-/// precheck runs *before* any stage profile is built, so
-/// memory-decided points cost nothing in both the pruned and the
-/// exhaustive sweep.
-struct NodeGeometry {
-    /// Stage → wafer-group index (`pp` entries).
-    assignment: Vec<usize>,
-    /// Wafers one TP group spans (`plan.tp_span`).
-    span: usize,
-    /// Per-wafer TP tile shape (`tp / span` dies).
-    shape: GroupShape,
-    parallel: ParallelSpec,
-    n_mb: usize,
-    ctx: ShardingCtx,
-}
-
-fn node_geometry(
-    node: &MultiWaferConfig,
-    job: &TrainingJob,
-    plan: &ParallelPlan,
-) -> Option<NodeGeometry> {
-    let wafer = &node.wafer;
-    let (tp, pp, span) = (plan.tp, plan.pp, plan.tp_span);
-    if tp == 0 || pp == 0 || span == 0 || pp > job.model.layers {
-        return None;
-    }
-    // A TP group spans whole wafers; wafer groups partition the node.
-    if !tp.is_multiple_of(span) || !node.wafers.max(1).is_multiple_of(span) {
-        return None;
-    }
-    let groups = node.wafers.max(1) / span;
-    if plan.stage_map.validate(pp, groups).is_err() {
-        return None;
-    }
-    // Aggregate-memory precheck: decides the point without profiles.
-    if memory_precheck_fails(wafer, job, tp, pp) {
-        return None;
-    }
-    let assignment = plan.stage_map.assignments(pp);
-    let max_per_group = plan.stage_map.max_stages_per_wafer(pp);
-    // Each wafer of a group hosts `tp / span` dies of every TP group and
-    // one tile slot per stage of the group.
-    let (tw, th) = choose_tile(wafer.nx, wafer.ny, tp / span, max_per_group)?;
-    let slots_per_wafer = (wafer.nx / tw) * (wafer.ny / th);
-    if max_per_group > slots_per_wafer {
-        return None;
-    }
-    let mut dp = (slots_per_wafer / max_per_group)
-        .max(1)
-        .clamp(1, (job.global_batch / job.micro_batch).max(1));
-    if plan.dp > 0 {
-        dp = dp.min(plan.dp);
-    }
-    let parallel = ParallelSpec::new(dp, tp, pp);
-    Some(NodeGeometry {
-        assignment,
-        span,
-        shape: GroupShape::new(tw, th),
-        parallel,
-        n_mb: job.microbatches(dp),
-        ctx: plan.sharding_ctx(job),
-    })
-}
-
 /// Evaluate a fixed [`ParallelPlan`] on a multi-wafer node.
 ///
 /// Layer profiles per `(tp, strategy)`, stage profiles per
@@ -275,14 +203,14 @@ fn evaluate_multi_wafer_plan_impl(
 ) -> Option<MultiWaferReport> {
     let wafer = &node.wafer;
     let pp = plan.pp;
-    let NodeGeometry {
-        assignment,
-        span,
-        shape,
-        parallel,
-        n_mb,
-        ctx,
-    } = node_geometry(node, job, plan)?;
+    let g = plan_geometry(wafer, node.wafers.max(1), job, plan)?;
+    let (span, shape, parallel, n_mb) = (g.span, g.shape, g.parallel, g.n_mb);
+    // Alg. 1 line 1–2 at node scale: exact for this evaluator, because
+    // GCMR needs each stage's training state to fit its own dies.
+    if memory_precheck_fails(wafer, job, plan.tp, pp) {
+        return None;
+    }
+    let assignment = plan.stage_map.assignments(pp);
     let dp = parallel.dp;
     let stages = cache.stage_profiles(wafer, job, plan, n_mb);
     let inputs: Vec<_> = stages.iter().map(|s| s.as_recompute_input()).collect();
@@ -294,12 +222,14 @@ fn evaluate_multi_wafer_plan_impl(
 
     let link_bw = wafer.d2d_link_bw();
     let alpha = wafer.d2d_link_latency;
-    let boundary = boundary_bytes(job, &ctx);
+    let boundary = boundary_bytes(job, &g.ctx);
 
+    let seam = seam_step(node, span);
     let mut timings = Vec::with_capacity(pp);
     let mut w2w_boundaries = 0usize;
     for (s, sp) in stages.iter().enumerate() {
-        let (fwd_comm, bwd_comm) = stage_tp_comm(cache, node, shape, span, sp, link_bw, alpha);
+        let (fwd_comm, bwd_comm) =
+            stage_comm_times(Some(cache), RING, shape, sp, link_bw, alpha, seam);
         // Stage boundary: W2W when the next stage lives on another wafer
         // group.
         let p2p = if s + 1 < pp && assignment[s + 1] != assignment[s] {
@@ -316,11 +246,7 @@ fn evaluate_multi_wafer_plan_impl(
             p2p,
         });
     }
-    let dp_time = if dp > 1 {
-        dp_allreduce_time(node, job, plan.tp, pp, dp, cache)
-    } else {
-        Time::ZERO
-    };
+    let dp_time = dp_allreduce_time(Some(cache), RING, wafer, job, plan.tp, pp, dp);
     let mut iteration = simulate(&timings, n_mb).iteration + dp_time;
 
     // Node-level Alg. 3 (behind the `node_placement` knob): re-place the
@@ -472,68 +398,14 @@ fn node_placement_pass(
     Some((refined, stats))
 }
 
-/// Per-micro-batch TP collective time of one stage, `(fwd, bwd)`. The
-/// single pricing authority for the evaluator AND the lower bound —
-/// pruning soundness requires the bound to price collectives exactly as
-/// the evaluator does, so the agreement is structural, not manual.
-///
-/// `shape` is the per-wafer tile of `tp / span` dies. Intra-wafer TP
-/// (`span == 1`) prices a ring all-reduce over the whole group on the
-/// D2D mesh; a cross-wafer group (`span > 1`) additionally pays a
-/// hierarchical step per collective — a ring all-reduce over its `span`
-/// wafer segments at W2W bandwidth and latency, the same α–β model the
-/// seam carries for every other collective in this codebase.
-#[allow(clippy::too_many_arguments)]
-fn stage_tp_comm(
-    cache: &ProfileCache,
-    node: &MultiWaferConfig,
-    shape: GroupShape,
-    span: usize,
-    sp: &StageProfile,
-    link_bw: wsc_arch::units::Bandwidth,
-    alpha: Time,
-) -> (Time, Time) {
-    let price = |bytes: Bytes, coll: usize| {
-        let coll = coll.max(1);
-        let v = bytes / coll as u64;
-        let mut t = cache.all_reduce(CollectiveAlgo::RingBi, shape, v, link_bw, alpha);
-        if span > 1 {
-            t += cache.all_reduce(
-                CollectiveAlgo::RingBi,
-                GroupShape::new(span, 1),
-                v,
-                node.w2w_bw,
-                node.w2w_latency,
-            );
-        }
-        t.scale(coll as f64)
-    };
-    (
-        price(sp.fwd_comm_bytes, sp.fwd_collectives),
-        price(sp.bwd_comm_bytes, sp.bwd_collectives),
-    )
-}
+/// The node leg prices every collective as a bidirectional ring
+/// (`SchedulerOptions::collectives` does not apply to it).
+const RING: CollectiveAlgo = CollectiveAlgo::RingBi;
 
-/// The data-parallel gradient all-reduce appended to the pipeline time
-/// (identical in the evaluator and the lower bound, so the bound stays
-/// exact on this term).
-fn dp_allreduce_time(
-    node: &MultiWaferConfig,
-    job: &TrainingJob,
-    tp: usize,
-    pp: usize,
-    dp: usize,
-    cache: &ProfileCache,
-) -> Time {
-    let wafer = &node.wafer;
-    let grads = Bytes::new((job.model.total_params() * 2.0 / (tp * pp) as f64) as u64);
-    cache.all_reduce(
-        CollectiveAlgo::RingBi,
-        GroupShape::new(dp.min(wafer.nx), 1),
-        grads,
-        wafer.d2d_link_bw(),
-        wafer.d2d_link_latency,
-    )
+/// The seam step of a TP group spanning `span` wafers of `node`, as
+/// [`stage_comm_times`] takes it: `None` for intra-wafer TP.
+fn seam_step(node: &MultiWaferConfig, span: usize) -> Option<(usize, Bandwidth, Time)> {
+    (span > 1).then_some((span, node.w2w_bw, node.w2w_latency))
 }
 
 /// Analytic lower bound (seconds) on the iteration time of one
@@ -541,17 +413,17 @@ fn dp_allreduce_time(
 /// profiles' compute-plus-collective times, plus the DP gradient
 /// all-reduce, which the evaluator adds verbatim.
 ///
-/// Per-stage times use the evaluator's own collective formula
-/// (including the cross-wafer hierarchical step for `tp_span > 1`), so
-/// the only dropped terms — recomputation and p2p transfers (D2D *and*
+/// Per-stage times use the evaluator's own collective formula,
+/// [`stage_comm_times`] with the seam step for `tp_span > 1`, so the
+/// only dropped terms — recomputation and p2p transfers (D2D *and*
 /// W2W) — strictly add time: the bound never exceeds the true
-/// evaluation. `None` = statically infeasible ([`node_geometry`]
-/// rejects the plan).
+/// evaluation. `None` = statically infeasible (`plan_geometry` rejects
+/// the plan on this node).
 ///
 /// The node-placement pass does not touch this bound, and needs not to:
 /// both the baseline and the placement-refined schedule consist of the
 /// same per-stage `fwd/bwd` (collectives priced by the same
-/// [`stage_tp_comm`]) plus only *non-negative* additions — recompute,
+/// [`stage_comm_times`]) plus only *non-negative* additions — recompute,
 /// p2p, balance traffic, seam penalties — and the refinement is kept
 /// only when strictly better than the baseline. Placement can only
 /// shrink realized cost toward the bound, never through it.
@@ -562,19 +434,19 @@ fn node_lower_bound(
     cache: &ProfileCache,
 ) -> Option<f64> {
     let wafer = &node.wafer;
-    let geo = node_geometry(node, job, plan)?;
+    let geo = plan_geometry(wafer, node.wafers.max(1), job, plan)?;
     let stages = cache.stage_profiles(wafer, job, plan, geo.n_mb);
     let link_bw = wafer.d2d_link_bw();
     let alpha = wafer.d2d_link_latency;
+    let seam = seam_step(node, geo.span);
     let mb_secs = stages.iter().map(|sp| {
         let (fwd_comm, bwd_comm) =
-            stage_tp_comm(cache, node, geo.shape, geo.span, sp, link_bw, alpha);
+            stage_comm_times(Some(cache), RING, geo.shape, sp, link_bw, alpha, seam);
         (sp.fwd_compute + fwd_comm + sp.bwd_compute + bwd_comm).as_secs()
     });
-    let mut bound = one_f_one_b_floor(geo.n_mb, mb_secs);
-    if geo.parallel.dp > 1 {
-        bound += dp_allreduce_time(node, job, plan.tp, plan.pp, geo.parallel.dp, cache).as_secs();
-    }
+    let (tp, pp, dp) = (plan.tp, plan.pp, geo.parallel.dp);
+    let bound = one_f_one_b_floor(geo.n_mb, mb_secs)
+        + dp_allreduce_time(Some(cache), RING, wafer, job, tp, pp, dp).as_secs();
     Some(bound)
 }
 
@@ -612,7 +484,7 @@ fn stage_map_family(pp: usize, groups: usize, filter: &PlanFilter) -> Vec<(Stage
 /// maps. `decided[i]` marks points the per-die aggregate-memory
 /// precheck alone decides; they are never profiled in either sweep
 /// mode. Empty when modelP cannot fit the node's total DRAM.
-fn node_work_list(
+pub(crate) fn node_work_list(
     node: &MultiWaferConfig,
     job: &TrainingJob,
     opts: &SchedulerOptions,

@@ -135,6 +135,8 @@ pub struct SchedulerOptions {
     /// to specific degrees, e.g. `Some(vec![4])` when reproducing a
     /// fixed configuration. In the multi-wafer search these are the
     /// *per-wafer* degrees; cross-wafer plans multiply them by the span.
+    /// Every candidate must be at least 1 ([`crate::ExplorerBuilder::build`]
+    /// rejects 0).
     pub tp_candidates: Option<Vec<usize>>,
     /// Which plan-space axes beyond the baseline the searches may emit
     /// (cross-wafer TP, uneven stage maps). See [`PlanFilter`]; builder:
@@ -249,9 +251,10 @@ pub(crate) fn tp_candidates(wafer: &WaferConfig, opts: &SchedulerOptions) -> Vec
 /// The Alg. 1 line 1–2 aggregate-memory precheck: true when `modelP`
 /// split over a `tp × pp` group cannot fit that group's aggregate DRAM
 /// (per-die share vs per-die capacity). The single authority for every
-/// precheck site — the geometry derivations AND the work-list `decided`
-/// masks of both search engines — so the "skip without profiling"
-/// short-circuit can never disagree with what the evaluators reject.
+/// precheck site — both legs' evaluators AND work-list `decided` masks
+/// (no bound ever sees a decided point) — so the "skip without
+/// profiling" short-circuit can never disagree with what the evaluators
+/// reject. Evaluators call it after [`plan_geometry`] has bounded `tp`.
 pub(crate) fn memory_precheck_fails(
     wafer: &WaferConfig,
     job: &TrainingJob,
@@ -261,47 +264,49 @@ pub(crate) fn memory_precheck_fails(
     model_p_total(&job.model).as_f64() / (tp * pp) as f64 > wafer.dram.capacity.as_f64()
 }
 
-/// The derived geometry of one single-wafer [`ParallelPlan`]: TP tile
-/// shape, resolved data parallelism, micro-batch count, sharding
-/// context. One function computes it for both the full scheduler and
-/// the lower-bound pruner, so the two can never disagree on what a plan
-/// means. `None` = statically infeasible (bad pp, a plan that is not
-/// single-wafer-shaped, no tile embedding, or the Alg. 1 line 1–2
-/// aggregate-memory precheck fails).
-struct ConfigGeometry {
-    shape: GroupShape,
-    parallel: ParallelSpec,
-    n_mb: usize,
-    ctx: ShardingCtx,
+/// What one [`ParallelPlan`] means on `wafers` copies of `wafer`
+/// chained along the pipeline; the wafer leg passes `wafers = 1`. Both
+/// legs' evaluators, lower bounds and work lists read it, so none can
+/// disagree on what a plan means. A TP group places `tp / span` dies on
+/// each of `span` wafers, the stage map fills the `wafers / span` wafer
+/// groups, each wafer hosts one tile slot per stage of its group, and
+/// DP replicas fill the slots left over. `None` = not a layout of this
+/// node. Layout only: the caller runs [`memory_precheck_fails`].
+pub(crate) struct PlanGeometry {
+    /// Wafers one TP group spans (`plan.tp_span`).
+    pub(crate) span: usize,
+    /// Per-wafer TP tile (`tp / span` dies).
+    pub(crate) shape: GroupShape,
+    pub(crate) parallel: ParallelSpec,
+    pub(crate) n_mb: usize,
+    pub(crate) ctx: ShardingCtx,
 }
 
-fn config_geometry(
+pub(crate) fn plan_geometry(
     wafer: &WaferConfig,
+    wafers: usize,
     job: &TrainingJob,
     plan: &ParallelPlan,
-) -> Option<ConfigGeometry> {
-    let (tp, pp) = (plan.tp, plan.pp);
-    if plan.validate().is_err() || pp > job.model.layers {
+) -> Option<PlanGeometry> {
+    let (tp, pp, span) = (plan.tp, plan.pp, plan.tp_span);
+    if plan.validate().is_err() || pp > job.model.layers || !wafers.is_multiple_of(span) {
         return None;
     }
-    // A single wafer has no seam: only intra-wafer TP with every stage
-    // on this wafer is schedulable here.
-    if plan.tp_span != 1 || plan.stage_map.wafer_count() != 1 {
+    if plan.stage_map.validate(pp, wafers / span).is_err() {
         return None;
     }
-    // Alg. 1 line 1–2: early pruning on aggregate modelP.
-    if memory_precheck_fails(wafer, job, tp, pp) {
-        return None;
-    }
-    let (tile_w, tile_h) = placement::choose_tile(wafer.nx, wafer.ny, tp, pp)?;
+    let per_wafer = plan.stage_map.max_stages_per_wafer(pp);
+    // `choose_tile` only returns tiles with a slot for every stage of
+    // the busiest wafer, so `dp ≥ 1` needs no further check.
+    let (tile_w, tile_h) = placement::choose_tile(wafer.nx, wafer.ny, tp / span, per_wafer)?;
     let slots = (wafer.nx / tile_w) * (wafer.ny / tile_h);
-    let dp_max = (job.global_batch / job.micro_batch).max(1);
-    let mut dp = (slots / pp).clamp(1, dp_max);
+    let mut dp = (slots / per_wafer).clamp(1, (job.global_batch / job.micro_batch).max(1));
     if plan.dp > 0 {
-        // A pinned DP can only narrow what the wafer supports.
+        // A pinned DP can only narrow what the node supports.
         dp = dp.min(plan.dp);
     }
-    Some(ConfigGeometry {
+    Some(PlanGeometry {
+        span,
         shape: GroupShape::new(tile_w, tile_h),
         parallel: ParallelSpec::new(dp, tp, pp),
         n_mb: job.microbatches(dp),
@@ -309,9 +314,10 @@ fn config_geometry(
     })
 }
 
-/// The collective algorithm the scheduler uses for a point: cheapest
-/// supported algorithm at the first stage's typical per-op volume.
-/// Shared by [`schedule_plan`] and the lower-bound pruner.
+/// The collective algorithm the scheduler uses for a point: the
+/// cheapest supported algorithm at the first stage's typical per-op
+/// volume (the first listed wins a tie). Shared by [`schedule_plan`] and
+/// the lower-bound pruner.
 fn choose_collective(
     opts: &SchedulerOptions,
     wafer: &WaferConfig,
@@ -319,33 +325,15 @@ fn choose_collective(
     stages: &[StageProfile],
     cache: &ProfileCache,
 ) -> Option<CollectiveAlgo> {
-    let typical_volume = stages
+    let volume = stages
         .first()
         .map(|s| s.fwd_comm_bytes / s.fwd_collectives.max(1) as u64)
         .unwrap_or(Bytes::ZERO);
-    pick_collective(opts, shape, typical_volume, wafer, cache)
-}
-
-fn pick_collective(
-    opts: &SchedulerOptions,
-    shape: GroupShape,
-    volume: Bytes,
-    wafer: &WaferConfig,
-    cache: &ProfileCache,
-) -> Option<CollectiveAlgo> {
+    let (link_bw, alpha) = (wafer.d2d_link_bw(), wafer.d2d_link_latency);
     let mut best: Option<(CollectiveAlgo, f64)> = None;
-    for &algo in &opts.collectives {
-        if !algo.supports(shape) {
-            continue;
-        }
-        let t = cache.all_reduce(
-            algo,
-            shape,
-            volume,
-            wafer.d2d_link_bw(),
-            wafer.d2d_link_latency,
-        );
-        if best.as_ref().is_none_or(|(_, bt)| t.as_secs() < *bt) {
+    for &algo in opts.collectives.iter().filter(|a| a.supports(shape)) {
+        let t = cache.all_reduce(algo, shape, volume, link_bw, alpha);
+        if best.is_none_or(|(_, bt)| t.as_secs() < bt) {
             best = Some((algo, t.as_secs()));
         }
     }
@@ -367,13 +355,14 @@ pub fn schedule_plan(
     faults: Option<&FaultMap>,
     cache: &ProfileCache,
 ) -> Option<ScheduledConfig> {
-    let ConfigGeometry {
-        shape,
-        parallel,
-        n_mb,
-        ctx,
-    } = config_geometry(wafer, job, plan)?;
+    let g = plan_geometry(wafer, 1, job, plan)?;
+    let (shape, parallel, n_mb, ctx) = (g.shape, g.parallel, g.n_mb, g.ctx);
     let pp = plan.pp;
+    // Alg. 1 line 1–2: early pruning on aggregate modelP. After the
+    // geometry, whose tile bounds `tp` by the wafer.
+    if memory_precheck_fails(wafer, job, plan.tp, pp) {
+        return None;
+    }
     let stages = cache.stage_profiles(wafer, job, plan, n_mb);
     let cap = wafer.dram.capacity;
     let inputs: Vec<_> = stages.iter().map(|s| s.as_recompute_input()).collect();
@@ -569,7 +558,7 @@ pub(crate) fn one_f_one_b_floor(n_mb: usize, mb_secs: impl IntoIterator<Item = f
 ///
 /// Recomputation, p2p transfers and routing contention only ever add
 /// time, so the bound never exceeds the true evaluation.
-/// `None` = statically infeasible (memory precheck or no collective).
+/// `None` = statically infeasible (no layout or no collective).
 fn config_lower_bound(
     wafer: &WaferConfig,
     job: &TrainingJob,
@@ -577,39 +566,24 @@ fn config_lower_bound(
     opts: &SchedulerOptions,
     cache: &ProfileCache,
 ) -> Option<f64> {
-    let (tp, pp) = (plan.tp, plan.pp);
-    let ConfigGeometry {
-        shape,
-        parallel,
-        n_mb,
-        ctx: _,
-    } = config_geometry(wafer, job, plan)?;
-    let stages = cache.stage_profiles(wafer, job, plan, n_mb);
+    let g = plan_geometry(wafer, 1, job, plan)?;
+    let stages = cache.stage_profiles(wafer, job, plan, g.n_mb);
     let link_bw = wafer.d2d_link_bw();
     let alpha = wafer.d2d_link_latency;
     // Same collective the full scheduler will pick for this shape.
-    let collective = choose_collective(opts, wafer, shape, &stages[..], cache)?;
+    let collective = choose_collective(opts, wafer, g.shape, &stages[..], cache)?;
 
     // Per-micro-batch stage times at healthy link bandwidth, using the
     // evaluator's own comm-time formula (exact: the search evaluates
     // fault-free, and recompute/p2p only ever add time).
     let mb_secs = stages.iter().map(|sp| {
         let (fwd_comm, bwd_comm) =
-            evaluator::stage_comm_times(Some(cache), collective, shape, sp, link_bw, alpha);
+            evaluator::stage_comm_times(Some(cache), collective, g.shape, sp, link_bw, alpha, None);
         (sp.fwd_compute + fwd_comm + sp.bwd_compute + bwd_comm).as_secs()
     });
-    let bound = one_f_one_b_floor(n_mb, mb_secs)
-        + evaluator::dp_allreduce_time(
-            Some(cache),
-            collective,
-            wafer,
-            job,
-            tp,
-            pp,
-            parallel.dp,
-            alpha,
-        )
-        .as_secs()
+    let ParallelSpec { dp, tp, pp } = g.parallel;
+    let bound = one_f_one_b_floor(g.n_mb, mb_secs)
+        + evaluator::dp_allreduce_time(Some(cache), collective, wafer, job, tp, pp, dp).as_secs()
         + evaluator::optimizer_stream_time(&stages[..], wafer).as_secs();
     Some(bound)
 }
@@ -674,7 +648,7 @@ impl Objective {
             // The training geometry gate still applies — a plan that
             // cannot be laid out cannot be scheduled, let alone served.
             Objective::Serving(model) => {
-                config_geometry(wafer, job, plan)?;
+                plan_geometry(wafer, 1, job, plan)?;
                 model.bound(wafer, job, plan, cache)
             }
             // Every fault/checkpoint transformation only adds time
@@ -716,7 +690,7 @@ impl Objective {
 /// cannot fit the die's DRAM), so the bound phase, the pruned waves AND
 /// the exhaustive sweep all short-circuit it without building stage
 /// profiles. Empty when modelP cannot fit the whole wafer.
-fn work_list(
+pub(crate) fn work_list(
     wafer: &WaferConfig,
     job: &TrainingJob,
     opts: &SchedulerOptions,
@@ -731,13 +705,13 @@ fn work_list(
     for tp in tp_candidates(wafer, opts) {
         let max_pp = (dies / tp).min(job.model.layers);
         for pp in 1..=max_pp {
-            // Skip configurations that strand more than half the wafer.
-            let Some((tw, th)) = placement::choose_tile(wafer.nx, wafer.ny, tp, pp) else {
-                continue;
-            };
-            let slots = (wafer.nx / tw) * (wafer.ny / th);
-            if tp * pp * ((slots / pp).max(1)).min(job.global_batch / job.micro_batch) < dies / 2 {
-                continue;
+            // Skip configurations that strand more than half the wafer,
+            // counting the DP replicas that fill it. The strategy enters
+            // neither the tile nor the DP, so any one probes the point.
+            let probe = ParallelPlan::intra(tp, pp, TpSplitStrategy::Megatron);
+            match plan_geometry(wafer, 1, job, &probe) {
+                Some(g) if tp * pp * g.parallel.dp >= dies / 2 => {}
+                _ => continue,
             }
             let memory_decided = memory_precheck_fails(wafer, job, tp, pp);
             for (sidx, &strategy) in opts.strategies.iter().enumerate() {
@@ -1069,6 +1043,68 @@ mod tests {
             &ProfileCache::new()
         )
         .is_none());
+    }
+
+    proptest::proptest! {
+        /// What the shared geometry promises both legs, over nodes of
+        /// 1–4 wafers: a plan never occupies more dies than the node
+        /// has, the tile holds one wafer's share of the TP group, and
+        /// the DP is a positive, pin-respecting replica count.
+        #[test]
+        fn plan_geometry_fits_the_node(
+            cfg in 1usize..5,
+            wafers in 1usize..5,
+            tp in 1usize..65,
+            pp_draw in 0usize..1024,
+            shift in 0usize..4,
+            dp in 0usize..9,
+        ) {
+            use wsc_workload::parallel::StageMap;
+            let wafer = presets::config(cfg);
+            let job = TrainingJob::standard(zoo::llama2_30b());
+            let pp = 1 + pp_draw % job.model.layers;
+            let divisors = (1..=wafers).filter(|k| wafers.is_multiple_of(*k));
+            // `wafers + 1` never divides `wafers`.
+            for span in divisors.chain([wafers + 1]) {
+                let groups = (wafers / span).max(1);
+                // The node's own maps, then two over one group too many.
+                let maps = [
+                    StageMap::SingleWafer,
+                    StageMap::Balanced { wafers: groups },
+                    StageMap::remainder_shifted(pp, groups, shift),
+                    StageMap::Balanced { wafers: groups + 1 },
+                    StageMap::remainder_shifted(pp, groups + 1, shift),
+                ];
+                for stage_map in maps {
+                    let plan = ParallelPlan {
+                        dp,
+                        tp,
+                        pp,
+                        strategy: TpSplitStrategy::Megatron,
+                        stage_map,
+                        tp_span: span,
+                    };
+                    let Some(g) = plan_geometry(&wafer, wafers, &job, &plan) else {
+                        continue;
+                    };
+                    proptest::prop_assert!(plan.wafers() <= wafers, "{plan} on {wafers} wafers");
+                    if wafers == 1 {
+                        proptest::prop_assert!(span == 1 && plan.stage_map.wafer_count() == 1);
+                    }
+                    proptest::prop_assert!(
+                        tp * pp * g.parallel.dp <= wafers * wafer.die_count(),
+                        "{plan} resolves DP {} on {wafers} wafers",
+                        g.parallel.dp
+                    );
+                    proptest::prop_assert_eq!(g.shape.w * g.shape.h, tp / span);
+                    proptest::prop_assert!(g.parallel.dp >= 1);
+                    if dp > 0 {
+                        proptest::prop_assert!(g.parallel.dp <= dp);
+                    }
+                    proptest::prop_assert_eq!(g.n_mb, job.microbatches(g.parallel.dp));
+                }
+            }
+        }
     }
 
     #[test]

@@ -64,9 +64,8 @@ pub struct TrafficAssigner {
     punish: f64,
     max_paths: usize,
     faults: FaultMap,
-    // Ordered so the f64 accumulations in `max_link_time` and
-    // `mean_relative_utilization` see a deterministic iteration order
-    // (wsc-lint rules D001/D002).
+    // Ordered so `max_link_time` walks the links in a deterministic
+    // order (wsc-lint rule D001).
     link_bytes: BTreeMap<DirLink, f64>,
     routed: Vec<RoutedTask>,
 }
@@ -212,16 +211,6 @@ impl TrafficAssigner {
             worst = worst.max(rt.task.bytes / eff_bw);
         }
         worst + alpha.scale(links.len() as f64)
-    }
-
-    /// Mean utilization over all mesh links relative to the busiest link.
-    pub fn mean_relative_utilization(&self) -> f64 {
-        let peak = self.link_bytes.values().cloned().fold(0.0f64, f64::max);
-        if peak <= 0.0 {
-            return 0.0;
-        }
-        let total: f64 = self.link_bytes.values().sum();
-        total / (peak * self.mesh.link_count() as f64)
     }
 }
 

@@ -91,13 +91,6 @@ impl ServingWorkload {
         }
     }
 
-    /// Replace the token length distributions.
-    pub fn with_lengths(mut self, prompt: TokenDist, output: TokenDist) -> Self {
-        self.prompt = prompt;
-        self.output = output;
-        self
-    }
-
     /// Worst-case context length a request can reach (prompt plus
     /// every generated token) — the KV reservation unit.
     pub fn max_context(&self) -> usize {

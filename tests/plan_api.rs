@@ -1,13 +1,13 @@
 //! The `ParallelPlan`/`StageMap` public-surface tests: serde round-trips
-//! through `ExplorationReport`, explicit stage-map validation, the
-//! wafers=1 cross-wafer degeneracy, and the §VI-F acceptance
-//! demonstration — a node configuration where the enlarged plan space
-//! (cross-wafer TP / uneven explicit stage maps) strictly beats the best
-//! balanced intra-wafer-TP plan.
+//! through `ExplorationReport`, explicit stage-map validation, a valid
+//! plan whose `tp · pp` overflows, the wafers=1 cross-wafer degeneracy,
+//! and the §VI-F acceptance demonstration — a node configuration where
+//! the enlarged plan space (cross-wafer TP / uneven explicit stage maps)
+//! strictly beats the best balanced intra-wafer-TP plan.
 
 use watos::{
-    evaluate_multi_wafer_plan, ExplorationReport, Explorer, ParallelPlan, PlanError, PlanFilter,
-    ProfileCache, StageMap, TpSplitStrategy,
+    evaluate_multi_wafer_plan, schedule_plan, ExplorationReport, Explorer, ParallelPlan, PlanError,
+    PlanFilter, ProfileCache, SchedulerOptions, StageMap, TpSplitStrategy,
 };
 use wsc_arch::presets;
 use wsc_arch::units::Bandwidth;
@@ -82,6 +82,19 @@ fn explicit_stage_maps_round_trip_and_validate() {
         StageMap::Explicit(vec![0, 1, 0]).validate(3, 2),
         Err(PlanError::NonContiguous { stage: 2 })
     );
+}
+
+#[test]
+fn huge_tp_is_rejected_by_both_evaluators() {
+    // `tp · pp` overflows, yet the plan validates: the tile check must
+    // reject it before the memory precheck multiplies them.
+    let plan = ParallelPlan::intra(usize::MAX / 2 + 1, 4, TpSplitStrategy::Megatron);
+    assert!(plan.validate().is_ok());
+    let job = TrainingJob::standard(zoo::llama2_30b());
+    let (opts, cache) = (SchedulerOptions::default(), ProfileCache::new());
+    assert!(schedule_plan(&presets::config(3), &job, &plan, &opts, None, &cache).is_none());
+    let node = presets::multi_wafer_18();
+    assert!(evaluate_multi_wafer_plan(&node, &job, &plan, &cache).is_none());
 }
 
 #[test]

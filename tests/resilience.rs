@@ -21,8 +21,8 @@ use std::sync::{Arc, Once, OnceLock};
 use std::time::Duration;
 use watos::{
     splitmix64, unit_open, ExplorationError, ExplorationReport, Explorer, ExplorerBuilder,
-    MemorySink, ParallelPlan, ProfileCache, ScheduledConfig, SearchBudget, SearchCheckpoint,
-    ServingModel, TpSplitStrategy,
+    FaultEnsemble, MemorySink, ParallelPlan, ProfileCache, RobustObjective, ScheduledConfig,
+    SearchBudget, SearchCheckpoint, ServingModel, TpSplitStrategy,
 };
 use wsc_arch::presets;
 use wsc_arch::wafer::{MultiWaferConfig, WaferConfig};
@@ -360,6 +360,51 @@ fn resume_refuses_a_checkpoint_from_another_seed() {
 fn resume_refuses_a_checkpoint_from_another_candidate() {
     let checkpoint = final_checkpoint(&small_wafer(2), 7);
     let resumed = base(&small_wafer(3), &small_job(6), 7)
+        .build()
+        .expect("valid session")
+        .resume(&checkpoint);
+    assert!(
+        matches!(resumed, Err(ExplorationError::ForeignCheckpoint { .. })),
+        "{:?}",
+        resumed.map(|report| report.seed)
+    );
+}
+
+/// A mid-leg frontier whose counters overflow the leg's work list is
+/// refused: resuming it would overflow them further in the wave loop.
+#[test]
+fn resume_refuses_a_frontier_with_hostile_counters() {
+    let mut checkpoint = decode_checkpoint(&real_documents()[1]).expect("checkpoint decodes");
+    let stats = &mut checkpoint.frontier.as_mut().expect("mid-leg").wave.stats;
+    stats.evaluated = usize::MAX;
+    stats.pruned = usize::MAX;
+    let wafer = small_wafer(2);
+    let resumed = base(&wafer, &small_job(6), 7)
+        .multi_wafer(small_node(&wafer))
+        .build()
+        .expect("valid session")
+        .resume(&checkpoint);
+    assert!(
+        matches!(resumed, Err(ExplorationError::ForeignCheckpoint { .. })),
+        "{:?}",
+        resumed.map(|report| report.seed)
+    );
+}
+
+/// A completed wafer record whose winner lost a stage rectangle is
+/// refused: ranking re-scores it, and its placement no longer matches
+/// its pipeline.
+#[test]
+fn resume_refuses_a_malformed_completed_record() {
+    let wafer = small_wafer(2);
+    let mut checkpoint = final_checkpoint(&wafer, 7);
+    let winner = checkpoint.completed_single[0]
+        .best
+        .as_mut()
+        .expect("the fixture leg finds a winner");
+    winner.placement.stages.pop();
+    let resumed = base(&wafer, &small_job(6), 7)
+        .fault_aware(FaultEnsemble::clustered(0.2, 2, 11), RobustObjective::Mean)
         .build()
         .expect("valid session")
         .resume(&checkpoint);
