@@ -14,7 +14,7 @@ use wsc_arch::units::{Bandwidth, Bytes, FlopRate, Mm, Time};
 use wsc_mesh::collective::flat_all_reduce_time;
 use wsc_pipeline::onefb::{simulate, StageTiming};
 use wsc_sim::op_cost::DieModel;
-use wsc_sim::profile::{profile_layer, RecomputeMenu};
+use wsc_sim::profile::{profile_layer, LayerProfile, RecomputeMenu};
 use wsc_workload::graph::{self, ShardingCtx};
 use wsc_workload::memory;
 use wsc_workload::parallel::TpSplitStrategy;
@@ -119,7 +119,6 @@ pub fn evaluate_gpu(
         let mut bwd = Time::ZERO;
         let mut comm = Time::ZERO;
         let mut ckpt = Bytes::ZERO;
-        let mut menus = Vec::new();
         let mut dense_n = 0;
         let mut moe_n = 0;
         for l in lo..hi {
@@ -143,16 +142,13 @@ pub fn evaluate_gpu(
             bwd += b_comm;
             comm += f_comm + b_comm;
         }
-        // `dense_n > 0` implies the stage saw a dense layer, which implies
-        // `dense` was profiled — expressed as a filter so no unwrap is
-        // needed (ditto MoE).
-        if let Some(p) = dense.as_ref().filter(|_| dense_n > 0) {
-            menus.push(RecomputeMenu::from_layer_profile(p, dense_n));
-        }
-        if let Some(p) = moe.as_ref().filter(|_| moe_n > 0) {
-            menus.push(RecomputeMenu::from_layer_profile(p, moe_n));
-        }
-        let menu = RecomputeMenu::merged(menus);
+        // A kind the model lacks has no profile, and the stage hosts no
+        // layer of it.
+        let kinds: Vec<(&LayerProfile, usize)> = [(&dense, dense_n), (&moe, moe_n)]
+            .into_iter()
+            .filter_map(|(profile, layers)| Some((profile.as_ref()?, layers)))
+            .collect();
+        let menu = RecomputeMenu::for_stage(&kinds);
         // Memory: modelP + in-flight checkpoints, per-GPU recomputation.
         let model_p = memory::model_p_per_die(&job.model, tp, pp, s);
         let in_flight = (pp - s).min(n_mb);

@@ -61,7 +61,7 @@ pub fn compare(wafer: &WaferConfig, job: &TrainingJob, tp: usize, pp: usize) -> 
             continue;
         }
         overflow_total += overflow * tp as u64;
-        let menu = RecomputeMenu::from_layer_profile(&prof, layers);
+        let menu = RecomputeMenu::for_stage(&[(&prof, layers)]);
         let need_per_mb = Bytes::new((overflow.as_f64() / in_flight as f64).ceil() as u64);
         if let Some(t) = menu.time_for_savings(need_per_mb) {
             recompute = recompute.max(t.scale(n_mb as f64));

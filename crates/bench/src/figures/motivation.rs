@@ -2,6 +2,7 @@
 //! imbalance, FSDP, offloading, checkpoint types, GCMR vs naive).
 
 use crate::util::{f2, f3, normalize_min1, TextTable};
+use std::sync::Arc;
 use watos::scheduler::{schedule_plan, RecomputeMode, SchedulerOptions};
 use watos::ProfileCache;
 use wsc_arch::dram::DramStack;
@@ -282,7 +283,7 @@ fn fig8_inputs() -> Vec<StageRecomputeInput> {
     let layers = 20;
     (0..3)
         .map(|s| StageRecomputeInput {
-            menu: RecomputeMenu::from_layer_profile(&prof, layers),
+            menu: Arc::new(RecomputeMenu::for_stage(&[(&prof, layers)])),
             model_p: wsc_workload::memory::model_p_per_die(&model, 4, 3, s),
             ckpt_per_mb: prof.full_ckpt_bytes() * layers as u64,
             in_flight: 3 - s,

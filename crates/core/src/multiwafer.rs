@@ -519,7 +519,11 @@ pub(crate) fn node_work_list(
             groups
         };
         for tp_local in tp_candidates(&node.wafer, opts) {
-            let tp = tp_local * span;
+            // An explicit candidate can be large enough that its span
+            // overflows; no node holds such a group.
+            let Some(tp) = tp_local.checked_mul(span) else {
+                continue;
+            };
             let max_pp = (dies / tp.max(1)).min(job.model.layers);
             for pp in (step..=max_pp).step_by(step) {
                 // Skip configurations that strand more than half the node.

@@ -4,8 +4,11 @@
 //! A [`StageProfile`] aggregates, for the layers one stage hosts: compute
 //! times, TP-collective volumes, checkpoint footprints, `modelP`, and the
 //! recomputation menu — everything Alg. 1/2/3 and the evaluator need.
+//! A menu depends only on how many dense and MoE layers a stage hosts,
+//! so the stages of a split that host the same mix share one.
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use wsc_arch::units::{Bytes, Flops, Time};
 use wsc_arch::wafer::WaferConfig;
 use wsc_pipeline::recompute::StageRecomputeInput;
@@ -45,15 +48,16 @@ pub struct StageProfile {
     pub fwd_flops: Flops,
     /// Backward FLOPs per micro-batch per die.
     pub bwd_flops: Flops,
-    /// Recomputation menu of this stage.
-    pub menu: RecomputeMenu,
+    /// Recomputation menu of this stage, shared with every stage of the
+    /// split that hosts the same number of dense and MoE layers.
+    pub menu: Arc<RecomputeMenu>,
 }
 
 impl StageProfile {
     /// View as the recomputation scheduler's input.
     pub fn as_recompute_input(&self) -> StageRecomputeInput {
         StageRecomputeInput {
-            menu: self.menu.clone(),
+            menu: Arc::clone(&self.menu),
             model_p: self.model_p,
             ckpt_per_mb: self.ckpt_per_mb,
             in_flight: self.in_flight,
@@ -120,7 +124,8 @@ pub(crate) fn build_layer_data(
 /// Assemble the stage profiles of `plan` from pre-profiled
 /// [`LayerData`]: O(layers) arithmetic, no simulator calls. Only
 /// `plan.tp` and `plan.pp` enter; the strategy is already baked into
-/// `layer_data`.
+/// `layer_data`. One recomputation menu is built per distinct
+/// `(dense, MoE)` layer count of the split, a few per plan.
 pub(crate) fn build_stage_profiles_with(
     layer_data: &LayerData,
     job: &TrainingJob,
@@ -141,6 +146,7 @@ pub(crate) fn build_stage_profiles_with(
         }
     };
 
+    let mut menus: Vec<((usize, usize), Arc<RecomputeMenu>)> = Vec::new();
     (0..pp)
         .map(|s| {
             let (lo, hi) = memory::stage_layer_range(model.layers, pp, s);
@@ -153,8 +159,6 @@ pub(crate) fn build_stage_profiles_with(
             let mut ckpt = Bytes::ZERO;
             let mut fwd_flops = Flops::ZERO;
             let mut bwd_flops = Flops::ZERO;
-            let mut menus = Vec::new();
-            // Group identical consecutive layers for menu construction.
             let mut dense_count = 0usize;
             let mut moe_count = 0usize;
             for l in lo..hi {
@@ -184,15 +188,15 @@ pub(crate) fn build_stage_profiles_with(
                 fwd_flops += f;
                 bwd_flops += b;
             }
-            // `dense_count > 0` implies the stage saw a dense layer,
-            // which implies `dense_profile` was built — expressed as a
-            // filter so no unwrap is needed (ditto MoE).
-            if let Some(p) = dense_profile.as_ref().filter(|_| dense_count > 0) {
-                menus.push(RecomputeMenu::from_layer_profile(p, dense_count));
-            }
-            if let Some(p) = moe_profile.as_ref().filter(|_| moe_count > 0) {
-                menus.push(RecomputeMenu::from_layer_profile(p, moe_count));
-            }
+            let mix = (dense_count, moe_count);
+            let menu = match menus.iter().find(|(m, _)| *m == mix) {
+                Some((_, menu)) => Arc::clone(menu),
+                None => {
+                    let menu = Arc::new(stage_menu(layer_data, mix));
+                    menus.push((mix, Arc::clone(&menu)));
+                    menu
+                }
+            };
             StageProfile {
                 stage: s,
                 layers: hi - lo,
@@ -207,10 +211,21 @@ pub(crate) fn build_stage_profiles_with(
                 in_flight: (pp - s).min(microbatches.max(1)),
                 fwd_flops,
                 bwd_flops,
-                menu: RecomputeMenu::merged(menus),
+                menu,
             }
         })
         .collect()
+}
+
+/// The recomputation menu of a stage hosting `dense` dense and `moe` MoE
+/// layers. A kind the model lacks has no profile and contributes nothing,
+/// as does a kind the stage hosts no layer of.
+fn stage_menu(layer_data: &LayerData, (dense, moe): (usize, usize)) -> RecomputeMenu {
+    let kinds: Vec<(&LayerProfile, usize)> = [(&layer_data.dense, dense), (&layer_data.moe, moe)]
+        .into_iter()
+        .filter_map(|(profile, layers)| Some((profile.as_ref()?, layers)))
+        .collect();
+    RecomputeMenu::for_stage(&kinds)
 }
 
 /// The inter-stage boundary tensor per micro-batch (what PP transfers).
@@ -223,7 +238,6 @@ mod tests {
     use super::*;
     use crate::cache::ProfileCache;
     use crate::testutil::megatron_plan;
-    use std::sync::Arc;
     use wsc_arch::presets;
     use wsc_workload::parallel::TpSplitStrategy;
     use wsc_workload::zoo;
@@ -272,7 +286,53 @@ mod tests {
         let stages = ProfileCache::new().stage_profiles(&wafer, &job, &megatron_plan(4, 4), 8);
         for s in stages.iter() {
             assert!(s.fwd_comm_bytes > Bytes::ZERO);
-            assert!(!s.menu.items().is_empty());
+            assert!(s.menu.max_savings() > Bytes::ZERO);
+        }
+    }
+
+    #[test]
+    fn stages_with_one_layer_mix_share_one_menu() {
+        // Llama3-70B has dense layers only; GShard-137B alternates dense
+        // and MoE layers, so its stages hold different mixes.
+        let wafer = presets::config(3);
+        for model in [zoo::llama3_70b(), zoo::gshard_137b()] {
+            let job = TrainingJob::standard(model);
+            let model = &job.model;
+            let cache = ProfileCache::new();
+            for pp in [1, 2, 3, 4, 5, 7, 8, 12] {
+                let plan = megatron_plan(4, pp);
+                let layers = cache.layer_data(&wafer, &job, &plan);
+                let stages = cache.stage_profiles(&wafer, &job, &plan, 16);
+                let mixes: Vec<(usize, usize)> = (0..pp)
+                    .map(|s| {
+                        let (lo, hi) = memory::stage_layer_range(model.layers, pp, s);
+                        let moe = (lo..hi).filter(|&l| graph::is_moe_layer(model, l)).count();
+                        (hi - lo - moe, moe)
+                    })
+                    .collect();
+                for (a, stage) in stages.iter().enumerate() {
+                    // The menu built for this stage alone.
+                    let (dense, moe) = mixes[a];
+                    let mut kinds = Vec::new();
+                    if let Some(p) = layers.dense.as_ref().filter(|_| dense > 0) {
+                        kinds.push((p, dense));
+                    }
+                    if let Some(p) = layers.moe.as_ref().filter(|_| moe > 0) {
+                        kinds.push((p, moe));
+                    }
+                    assert_eq!(*stage.menu, RecomputeMenu::for_stage(&kinds));
+                    for (b, other) in stages.iter().enumerate() {
+                        assert_eq!(
+                            Arc::ptr_eq(&stage.menu, &other.menu),
+                            mixes[a] == mixes[b],
+                            "{} pp = {pp}: stages {a} {:?} and {b} {:?}",
+                            model.name,
+                            mixes[a],
+                            mixes[b]
+                        );
+                    }
+                }
+            }
         }
     }
 

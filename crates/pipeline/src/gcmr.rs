@@ -9,6 +9,11 @@
 //! with spare capacity become **Helpers**; `Mem_pair` matches them so
 //! overflowing checkpoints live in helper DRAM instead of being
 //! recomputed.
+//!
+//! A stage's time at each point of the DP's memory grid comes from its
+//! recomputation menu, the `P(m)` lookup table of §IV-F: one binary
+//! search over prefix sums per point. Stages that host the same layers
+//! share one menu.
 
 use crate::recompute::{RecomputePlan, StageRecomputeInput};
 use serde::{Deserialize, Serialize};
@@ -228,6 +233,7 @@ pub fn gcmr(stages: &[StageRecomputeInput], capacity: Bytes, quanta_per_die: usi
 mod tests {
     use super::*;
     use crate::recompute::naive_recompute;
+    use std::sync::Arc;
     use wsc_arch::presets;
     use wsc_arch::units::Bandwidth;
     use wsc_sim::op_cost::DieModel;
@@ -245,7 +251,7 @@ mod tests {
             .map(|s| {
                 let layers = wsc_workload::memory::stage_layers(model.layers, pp, s);
                 StageRecomputeInput {
-                    menu: RecomputeMenu::from_layer_profile(&prof, layers),
+                    menu: Arc::new(RecomputeMenu::for_stage(&[(&prof, layers)])),
                     model_p: wsc_workload::memory::model_p_per_die(&model, tp, pp, s),
                     ckpt_per_mb: prof.full_ckpt_bytes() * layers as u64,
                     in_flight: pp - s,

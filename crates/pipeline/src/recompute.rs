@@ -5,14 +5,16 @@
 //! backward micro-batch pays for it.
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use wsc_arch::units::{Bytes, Time};
 use wsc_sim::profile::RecomputeMenu;
 
 /// Per-stage memory/time inputs to recomputation scheduling.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StageRecomputeInput {
-    /// Menu of droppable checkpoints for this stage (per micro-batch).
-    pub menu: RecomputeMenu,
+    /// Menu of droppable checkpoints for this stage (per micro-batch),
+    /// shared with every stage that hosts the same layers.
+    pub menu: Arc<RecomputeMenu>,
     /// Mandatory training state (weights + grads + optimizer) per die.
     pub model_p: Bytes,
     /// Full checkpoint bytes per micro-batch (all layers of the stage).
@@ -146,7 +148,7 @@ mod tests {
         let prof = profile_layer(&dm, &layer_ops_at(&model, 0, &ctx));
         (0..pp)
             .map(|s| StageRecomputeInput {
-                menu: RecomputeMenu::from_layer_profile(&prof, layers),
+                menu: Arc::new(RecomputeMenu::for_stage(&[(&prof, layers)])),
                 model_p: wsc_workload::memory::model_p_per_die(&model, 4, pp, s),
                 ckpt_per_mb: prof.full_ckpt_bytes() * layers as u64,
                 in_flight: pp - s,

@@ -27,4 +27,4 @@ pub mod profile;
 pub use crate::dataflow::{best_gemm_dataflow, ema_elements, Dataflow};
 pub use crate::op_cost::{analytic_cost, DieModel, OpCost};
 pub use crate::predictor::{analytic_mape, generate_corpus, op_features, DnnPredictor, Sample};
-pub use crate::profile::{profile_layer, LayerProfile, MenuItem, OpProfile, RecomputeMenu};
+pub use crate::profile::{profile_layer, LayerProfile, OpProfile, RecomputeMenu};

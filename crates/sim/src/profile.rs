@@ -2,8 +2,10 @@
 //!
 //! WATOS pre-profiles every operator of a layer on the target die and
 //! stores latency, DRAM traffic and checkpoint footprint. The iterative
-//! explorers (GCMR's dynamic program, the GA) then query these tables in
-//! O(1) instead of re-running the detailed simulator.
+//! explorers (GCMR's dynamic program, the GA) then query these tables
+//! instead of re-running the detailed simulator. A stage's
+//! [`RecomputeMenu`] turns them into `P(m)`: prefix sums over its
+//! checkpoints, cheapest per byte first, which a query binary-searches.
 
 use crate::op_cost::DieModel;
 use serde::{Deserialize, Serialize};
@@ -95,70 +97,65 @@ pub fn profile_layer(dm: &DieModel, ops: &[OpInstance]) -> LayerProfile {
     }
 }
 
-/// One recomputation choice: drop this checkpoint, save these bytes, pay
-/// this much recompute latency per micro-batch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MenuItem {
-    /// Operator name (unique within a stage via layer prefix).
-    pub op: String,
-    /// Bytes saved per in-flight micro-batch.
-    pub bytes_saved: Bytes,
-    /// Recompute latency added to each backward micro-batch.
-    pub recompute_time: Time,
-}
-
-/// The stage-level recomputation menu: all droppable checkpoints sorted by
-/// recompute-time-per-byte (cheapest savings first). This *is* the `P(m)`
-/// profile Alg. 2 queries.
+/// The stage-level recomputation menu: `P(m)` as a lookup table.
+///
+/// The droppable checkpoints of a stage, sorted by recompute time per
+/// byte (cheapest savings first), are stored as two prefix sums: the
+/// bytes freed and the recompute latency paid by dropping the `i + 1`
+/// cheapest. Alg. 2 and the GA query it with a binary search. A stage
+/// profile shares one menu with every stage of its split that hosts the
+/// same number of layers of each kind.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct RecomputeMenu {
-    items: Vec<MenuItem>,
+    /// `saved[i]`: bytes freed per in-flight micro-batch by the `i + 1`
+    /// cheapest drops (non-decreasing).
+    saved: Vec<Bytes>,
+    /// `time[i]`: recompute latency those drops add to each backward
+    /// micro-batch.
+    time: Vec<Time>,
 }
 
 impl RecomputeMenu {
-    /// Build the menu for a stage holding `layers` copies of `profile`.
-    pub fn from_layer_profile(profile: &LayerProfile, layers: usize) -> Self {
-        let mut items = Vec::new();
-        for l in 0..layers {
-            for op in profile.ops.iter().filter(|o| o.recomputable) {
-                if op.ckpt_bytes == Bytes::ZERO {
-                    continue;
-                }
-                items.push(MenuItem {
-                    op: format!("L{l}/{}", op.name),
-                    bytes_saved: op.ckpt_bytes,
-                    recompute_time: op.fwd,
-                });
+    /// Build the menu for a stage holding, for each `(profile, layers)`
+    /// kind (e.g. its dense and its MoE layers), `layers` copies of
+    /// `profile`.
+    ///
+    /// One stable sort of the kinds' checkpoints, in kind then layer
+    /// then operator order, orders ties exactly as sorting each kind and
+    /// then merging the sorted kinds does.
+    pub fn for_stage(kinds: &[(&LayerProfile, usize)]) -> Self {
+        let mut items: Vec<(f64, Bytes, Time)> = Vec::new();
+        for &(profile, layers) in kinds {
+            let per_layer: Vec<(f64, Bytes, Time)> = profile
+                .ops
+                .iter()
+                .filter(|o| o.recomputable && o.ckpt_bytes > Bytes::ZERO)
+                .map(|o| (o.fwd.as_secs() / o.ckpt_bytes.as_f64(), o.ckpt_bytes, o.fwd))
+                .collect();
+            for _ in 0..layers {
+                items.extend_from_slice(&per_layer);
             }
         }
-        items.sort_by(|a, b| {
-            let ea = a.recompute_time.as_secs() / a.bytes_saved.as_f64();
-            let eb = b.recompute_time.as_secs() / b.bytes_saved.as_f64();
-            ea.total_cmp(&eb)
-        });
-        RecomputeMenu { items }
-    }
-
-    /// Merge several menus (e.g. the dense and MoE layers of one stage)
-    /// into one, re-sorted by efficiency.
-    pub fn merged<I: IntoIterator<Item = RecomputeMenu>>(menus: I) -> Self {
-        let mut items: Vec<MenuItem> = menus.into_iter().flat_map(|m| m.items).collect();
-        items.sort_by(|a, b| {
-            let ea = a.recompute_time.as_secs() / a.bytes_saved.as_f64();
-            let eb = b.recompute_time.as_secs() / b.bytes_saved.as_f64();
-            ea.total_cmp(&eb)
-        });
-        RecomputeMenu { items }
-    }
-
-    /// All menu items (sorted cheapest-per-byte first).
-    pub fn items(&self) -> &[MenuItem] {
-        &self.items
+        items.sort_by(|a, b| a.0.total_cmp(&b.0));
+        // The running sums a linear scan of the sorted drops would make,
+        // one entry per drop.
+        let mut menu = RecomputeMenu {
+            saved: Vec::with_capacity(items.len()),
+            time: Vec::with_capacity(items.len()),
+        };
+        let (mut saved, mut time) = (Bytes::ZERO, Time::ZERO);
+        for (_, bytes, t) in items {
+            saved += bytes;
+            time += t;
+            menu.saved.push(saved);
+            menu.time.push(time);
+        }
+        menu
     }
 
     /// Maximum bytes this stage could free by recomputing everything.
     pub fn max_savings(&self) -> Bytes {
-        self.items.iter().map(|i| i.bytes_saved).sum()
+        self.saved.last().copied().unwrap_or(Bytes::ZERO)
     }
 
     /// `P(m)`: the recompute latency (per micro-batch) needed to free at
@@ -168,42 +165,17 @@ impl RecomputeMenu {
         if needed == Bytes::ZERO {
             return Some(Time::ZERO);
         }
-        let mut saved = Bytes::ZERO;
-        let mut t = Time::ZERO;
-        for item in &self.items {
-            saved += item.bytes_saved;
-            t += item.recompute_time;
-            if saved >= needed {
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    /// The chosen checkpoint drops for a savings target (names + total
-    /// recompute latency). Returns `None` when infeasible.
-    pub fn plan_for_savings(&self, needed: Bytes) -> Option<(Vec<String>, Time)> {
-        if needed == Bytes::ZERO {
-            return Some((Vec::new(), Time::ZERO));
-        }
-        let mut saved = Bytes::ZERO;
-        let mut t = Time::ZERO;
-        let mut names = Vec::new();
-        for item in &self.items {
-            saved += item.bytes_saved;
-            t += item.recompute_time;
-            names.push(item.op.clone());
-            if saved >= needed {
-                return Some((names, t));
-            }
-        }
-        None
+        // The first prefix that frees enough ends at the last drop needed.
+        let last = self.saved.partition_point(|&s| s < needed);
+        self.time.get(last).copied()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
     use wsc_arch::presets;
     use wsc_arch::units::Bandwidth;
     use wsc_workload::graph::{layer_ops_at, ShardingCtx};
@@ -214,6 +186,73 @@ mod tests {
         let dm = DieModel::new(presets::big_die(), Bandwidth::tb_per_s(2.0));
         let ctx = ShardingCtx::new(8, 4096, 4, TpSplitStrategy::Megatron);
         profile_layer(&dm, &layer_ops_at(&zoo::llama2_30b(), 0, &ctx))
+    }
+
+    /// The menu as a list of `(bytes saved, recompute time)` drops, built
+    /// per kind, sorted, merged and sorted again, and queried by linear
+    /// scans: the reference the prefix sums must match bit for bit.
+    struct ScanMenu(Vec<(Bytes, Time)>);
+
+    fn time_per_byte(&(bytes, time): &(Bytes, Time)) -> f64 {
+        time.as_secs() / bytes.as_f64()
+    }
+
+    impl ScanMenu {
+        fn for_stage(kinds: &[(&LayerProfile, usize)]) -> Self {
+            let sorted = |mut items: Vec<(Bytes, Time)>| {
+                items.sort_by(|a, b| time_per_byte(a).total_cmp(&time_per_byte(b)));
+                items
+            };
+            let per_kind = kinds.iter().map(|&(profile, layers)| {
+                let mut items = Vec::new();
+                for _ in 0..layers {
+                    for op in profile.ops.iter().filter(|o| o.recomputable) {
+                        if op.ckpt_bytes == Bytes::ZERO {
+                            continue;
+                        }
+                        items.push((op.ckpt_bytes, op.fwd));
+                    }
+                }
+                sorted(items)
+            });
+            ScanMenu(sorted(per_kind.flatten().collect()))
+        }
+
+        fn max_savings(&self) -> Bytes {
+            self.0.iter().map(|&(bytes, _)| bytes).sum()
+        }
+
+        fn time_for_savings(&self, needed: Bytes) -> Option<Time> {
+            if needed == Bytes::ZERO {
+                return Some(Time::ZERO);
+            }
+            let mut saved = Bytes::ZERO;
+            let mut t = Time::ZERO;
+            for &(bytes, time) in &self.0 {
+                saved += bytes;
+                t += time;
+                if saved >= needed {
+                    return Some(t);
+                }
+            }
+            None
+        }
+    }
+
+    /// Each drop's `(bytes saved, recompute time)`, recovered as the
+    /// difference of consecutive prefix sums (exact for bytes, to within
+    /// rounding for time).
+    fn drops(menu: &RecomputeMenu) -> Vec<(Bytes, Time)> {
+        let mut prev = (Bytes::ZERO, Time::ZERO);
+        menu.saved
+            .iter()
+            .zip(&menu.time)
+            .map(|(&saved, &time)| {
+                let drop = (saved - prev.0, time - prev.1);
+                prev = (saved, time);
+                drop
+            })
+            .collect()
     }
 
     #[test]
@@ -227,18 +266,18 @@ mod tests {
 
     #[test]
     fn menu_is_sorted_by_efficiency() {
-        let menu = RecomputeMenu::from_layer_profile(&profile(), 4);
-        let effs: Vec<f64> = menu
-            .items()
-            .iter()
-            .map(|i| i.recompute_time.as_secs() / i.bytes_saved.as_f64())
-            .collect();
-        assert!(effs.windows(2).all(|w| w[0] <= w[1] + 1e-18));
+        // Cheapest-per-byte first: the marginal recompute time per freed
+        // byte never falls along the menu. The relative slack covers the
+        // rounding of the recovered per-drop times.
+        let menu = RecomputeMenu::for_stage(&[(&profile(), 4)]);
+        let effs: Vec<f64> = drops(&menu).iter().map(time_per_byte).collect();
+        assert!(!effs.is_empty());
+        assert!(effs.windows(2).all(|w| w[0] <= w[1] * (1.0 + 1e-9)));
     }
 
     #[test]
     fn p_of_m_is_monotone() {
-        let menu = RecomputeMenu::from_layer_profile(&profile(), 4);
+        let menu = RecomputeMenu::for_stage(&[(&profile(), 4)]);
         let max = menu.max_savings();
         let t25 = menu.time_for_savings(max.scale(0.25)).unwrap();
         let t50 = menu.time_for_savings(max.scale(0.5)).unwrap();
@@ -249,7 +288,7 @@ mod tests {
 
     #[test]
     fn infeasible_savings_is_none() {
-        let menu = RecomputeMenu::from_layer_profile(&profile(), 2);
+        let menu = RecomputeMenu::for_stage(&[(&profile(), 2)]);
         assert!(menu
             .time_for_savings(menu.max_savings() + Bytes::gib(1))
             .is_none());
@@ -257,23 +296,88 @@ mod tests {
     }
 
     #[test]
-    fn plan_names_are_layer_scoped() {
-        let menu = RecomputeMenu::from_layer_profile(&profile(), 2);
-        let (names, t) = menu.plan_for_savings(Bytes::mib(64)).unwrap();
-        assert!(!names.is_empty());
-        assert!(names[0].starts_with('L'));
-        assert!(t.as_secs() > 0.0);
-    }
-
-    #[test]
     fn cheapest_items_are_vector_ops() {
         // Norm/activation outputs are cheap to regenerate per byte
         // compared with attention outputs.
-        let menu = RecomputeMenu::from_layer_profile(&profile(), 1);
-        let first = &menu.items()[0];
-        let last = menu.items().last().unwrap();
-        let e_first = first.recompute_time.as_secs() / first.bytes_saved.as_f64();
-        let e_last = last.recompute_time.as_secs() / last.bytes_saved.as_f64();
-        assert!(e_first < e_last);
+        let menu = RecomputeMenu::for_stage(&[(&profile(), 1)]);
+        let drops = drops(&menu);
+        let first = drops.first().unwrap();
+        let last = drops.last().unwrap();
+        assert!(time_per_byte(first) < time_per_byte(last));
+    }
+
+    /// An op that varies only in what the menu reads. `mode` 0 frees no
+    /// bytes, 1 is not recomputable, 2–4 take powers of two from a grid
+    /// (so ops with different savings tie exactly on time per byte, and
+    /// the order of ties shows in the prefix sums) and 5–7 take
+    /// arbitrary values.
+    fn menu_op(mode: u8, grid: u32, secs: f64, bytes: u64) -> OpProfile {
+        let (ckpt, fwd) = match mode {
+            0 => (Bytes::ZERO, Time::from_secs(secs)),
+            2..=4 => (
+                Bytes::mib(1 << (grid % 3)),
+                Time::from_micros(50.0 * f64::from(1u32 << (grid / 3))),
+            ),
+            _ => (Bytes::new(bytes), Time::from_secs(secs)),
+        };
+        OpProfile {
+            name: format!("op{mode}"),
+            kind: OpKind::Gemm,
+            fwd,
+            bwd: fwd,
+            ckpt_bytes: ckpt,
+            ema: Bytes::ZERO,
+            weight_bytes: Bytes::ZERO,
+            fwd_comm: Bytes::ZERO,
+            bwd_comm: Bytes::ZERO,
+            recomputable: mode != 1,
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prefix_sums_match_the_linear_scan(
+            ops in 0usize..12,
+            split in 0usize..12,
+            two_kinds in 0u8..2,
+            dense_layers in 0usize..41,
+            moe_layers in 0usize..41,
+            modes in collection::vec(0u8..8, 12..13),
+            grid in collection::vec(0u32..9, 12..13),
+            secs in collection::vec(0.0f64..1e-3, 12..13),
+            bytes in collection::vec(1u64..1 << 32, 12..13),
+        ) {
+            let ops: Vec<OpProfile> = (0..ops)
+                .map(|i| menu_op(modes[i], grid[i], secs[i], bytes[i]))
+                .collect();
+            // The first kind takes the first `split` ops, the second the
+            // rest.
+            let split = split.min(ops.len());
+            let dense = LayerProfile { ops: ops[..split].to_vec() };
+            let moe = LayerProfile { ops: ops[split..].to_vec() };
+            let kinds: Vec<(&LayerProfile, usize)> = if two_kinds == 1 {
+                vec![(&dense, dense_layers), (&moe, moe_layers)]
+            } else {
+                vec![(&dense, dense_layers)]
+            };
+            let menu = RecomputeMenu::for_stage(&kinds);
+            let reference = ScanMenu::for_stage(&kinds);
+            prop_assert_eq!(menu.max_savings(), reference.max_savings());
+            prop_assert_eq!(menu.saved.len(), reference.0.len());
+            let total = reference.max_savings().as_u64();
+            let mut needed = vec![0, 1, total, total + 1, total + (1 << 30)];
+            let mut boundary = Bytes::ZERO;
+            for &(b, _) in &reference.0 {
+                boundary += b;
+                let at = boundary.as_u64();
+                needed.extend([at - 1, at, at + 1]);
+            }
+            for n in needed {
+                let n = Bytes::new(n);
+                let got = menu.time_for_savings(n).map(|t| t.as_secs().to_bits());
+                let want = reference.time_for_savings(n).map(|t| t.as_secs().to_bits());
+                prop_assert_eq!(got, want, "needed {} of {} ({} drops)", n.as_u64(), total, reference.0.len());
+            }
+        }
     }
 }

@@ -2,7 +2,9 @@
 //! determinism of the parallel candidate fan-out.
 
 use watos::scheduler::DEFAULT_SEED;
-use watos::{ExplorationError, ExplorationReport, Explorer, FaultKind, SchedulerOptions};
+use watos::{
+    ExplorationError, ExplorationReport, Explorer, FaultKind, PlanFilter, SchedulerOptions,
+};
 use wsc_arch::presets;
 use wsc_arch::units::{Bandwidth, Bytes, Time};
 use wsc_arch::wafer::WaferConfig;
@@ -81,6 +83,32 @@ fn zero_tp_candidate_is_rejected() {
         err,
         ExplorationError::InvalidTpCandidate { index: 1, tp: 0 }
     );
+}
+
+#[test]
+fn oversized_tp_candidate_is_skipped_on_a_node() {
+    // Spread over two or four wafers, a degree above `usize::MAX / 2`
+    // overflows `usize`. The node search skips those spans, so the
+    // session runs to completion and finds what it finds without the
+    // candidate.
+    let run = |tp_candidates: Vec<usize>| {
+        Explorer::builder()
+            .job(TrainingJob::standard(zoo::llama2_30b()))
+            .options(SchedulerOptions {
+                tp_candidates: Some(tp_candidates),
+                ..SchedulerOptions::default()
+            })
+            .no_ga()
+            .strategies(vec![TpSplitStrategy::Megatron])
+            .multi_wafer(presets::multi_wafer_4())
+            .plans(PlanFilter::all())
+            .build()
+            .expect("valid inputs")
+            .run()
+    };
+    let report = run(vec![4, usize::MAX / 2 + 1]);
+    assert!(report.multi_wafer[0].best.is_some());
+    assert_eq!(report.to_json(), run(vec![4]).to_json());
 }
 
 #[test]

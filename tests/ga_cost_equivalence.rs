@@ -14,6 +14,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use watos::ga::{refine_naive, refine_with_model, GaParams};
 use watos::placement::{global_cost, optimize_naive, optimize_with, serpentine, PairDemand};
 use watos::stage::StageProfile;
@@ -97,7 +98,7 @@ fn random_stage(rng: &mut StdRng, stage: usize) -> StageProfile {
         })
         .collect();
     let layers = rng.gen_range(1..4);
-    let menu = RecomputeMenu::from_layer_profile(&LayerProfile { ops }, layers);
+    let menu = Arc::new(RecomputeMenu::for_stage(&[(&LayerProfile { ops }, layers)]));
     StageProfile {
         stage,
         layers,
