@@ -4,7 +4,9 @@
 //! the fault/robust/GA re-evaluations revisit the winner many more times.
 //! Before this cache every visit re-profiled layers on the die simulator,
 //! re-aggregated stage profiles, and re-priced identical collectives. A
-//! [`ProfileCache`] is scoped to one `(wafer, job)` pair. Lookups are
+//! [`ProfileCache`] is scoped to one `(wafer, job)` pair and lives
+//! exactly as long as the search leg or sweep that builds it: a leg
+//! hands back only its [`CacheStats`]. Lookups are
 //! keyed by the *profile-relevant projection* of a
 //! [`ParallelPlan`] — deliberately not the whole plan, so plans that
 //! differ only in stage map or TP span (which change collective pricing
@@ -16,7 +18,8 @@
 //!   sweeps;
 //! * stage-profile vectors per `(plan.tp, plan.pp, plan.strategy,
 //!   microbatches)` — reused by the bound pruner, the evaluator, the GA
-//!   refinement, fault sweeps, and every stage-map/TP-span variant;
+//!   refinement, every rate of a fault sweep, and every
+//!   stage-map/TP-span variant;
 //! * `all_reduce_time` results per `(algo, shape, bytes, bw, alpha)` —
 //!   the collective lookups the evaluator repeats for every balanced
 //!   stage.
@@ -266,22 +269,6 @@ impl ProfileCache {
     #[cfg(test)]
     fn layer_entries(&self) -> usize {
         read_recover(&self.layers).len()
-    }
-}
-
-/// [`all_reduce_time`] through an optional cache (the evaluator runs both
-/// cached — inside a search — and standalone).
-pub(crate) fn cached_all_reduce(
-    cache: Option<&ProfileCache>,
-    algo: CollectiveAlgo,
-    shape: GroupShape,
-    bytes: Bytes,
-    link_bw: Bandwidth,
-    alpha: Time,
-) -> Time {
-    match cache {
-        Some(c) => c.all_reduce(algo, shape, bytes, link_bw, alpha),
-        None => all_reduce_time(algo, shape, bytes, link_bw, alpha),
     }
 }
 

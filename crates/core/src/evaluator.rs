@@ -7,7 +7,7 @@
 //! assigner, end-to-end timing from the exact 1F1B simulator, plus DP
 //! gradient synchronization and the optimizer step.
 
-use crate::cache::{cached_all_reduce, ProfileCache};
+use crate::cache::ProfileCache;
 use crate::dram_alloc::DramGrant;
 use crate::placement::Placement;
 use crate::stage::{boundary_bytes, StageProfile};
@@ -121,7 +121,8 @@ pub struct EvalInput<'a> {
     pub faults: Option<&'a FaultMap>,
     /// Evaluator knobs.
     pub options: EvalOptions,
-    /// Shared memo for collective-time lookups (None = compute directly).
+    /// Shared memo for collective-time lookups (`None` = a memo of the
+    /// call's own).
     pub cache: Option<&'a ProfileCache>,
 }
 
@@ -133,7 +134,7 @@ pub struct EvalInput<'a> {
 /// w2w_latency))` wafers adds a ring all-reduce over its `span` wafer
 /// segments to every collective.
 pub(crate) fn stage_comm_times(
-    cache: Option<&ProfileCache>,
+    cache: &ProfileCache,
     collective: CollectiveAlgo,
     shape: GroupShape,
     sp: &StageProfile,
@@ -144,10 +145,9 @@ pub(crate) fn stage_comm_times(
     let price = |bytes: Bytes, collectives: usize| {
         let collectives = collectives.max(1);
         let volume = bytes / collectives as u64;
-        let mut t = cached_all_reduce(cache, collective, shape, volume, eff_link, alpha);
+        let mut t = cache.all_reduce(collective, shape, volume, eff_link, alpha);
         if let Some((span, w2w_bw, w2w_latency)) = seam {
-            t += cached_all_reduce(
-                cache,
+            t += cache.all_reduce(
                 CollectiveAlgo::RingBi,
                 GroupShape::new(span, 1),
                 volume,
@@ -167,7 +167,7 @@ pub(crate) fn stage_comm_times(
 /// shared by both legs' evaluators and lower bounds. The replicas form
 /// a `min(dp, nx) × ⌈dp / nx⌉` grid of one wafer's D2D links.
 pub(crate) fn dp_allreduce_time(
-    cache: Option<&ProfileCache>,
+    cache: &ProfileCache,
     collective: CollectiveAlgo,
     wafer: &WaferConfig,
     job: &TrainingJob,
@@ -180,8 +180,7 @@ pub(crate) fn dp_allreduce_time(
     }
     let grad_bytes = Bytes::new((job.model.total_params() * 2.0 / (tp * pp) as f64) as u64);
     let dp_shape = GroupShape::new(dp.min(wafer.nx), dp.div_ceil(wafer.nx).max(1));
-    cached_all_reduce(
-        cache,
+    cache.all_reduce(
         collective,
         dp_shape,
         grad_bytes,
@@ -269,6 +268,8 @@ pub fn evaluate(input: &EvalInput<'_>) -> PerfReport {
     let n_mb = job.microbatches(dp);
     let link_bw = wafer.d2d_link_bw();
     let alpha = wafer.d2d_link_latency;
+    let own = ProfileCache::new();
+    let cache = input.cache.unwrap_or(&own);
 
     if !input.recompute.feasible {
         return PerfReport::infeasible();
@@ -343,7 +344,7 @@ pub fn evaluate(input: &EvalInput<'_>) -> PerfReport {
         let eff_link = link_bw.scale(linkq);
         // Collectives: volume split over the per-op collectives (α each).
         let (fwd_comm, bwd_comm) = stage_comm_times(
-            input.cache,
+            cache,
             input.options.collective,
             shape,
             sp,
@@ -373,7 +374,7 @@ pub fn evaluate(input: &EvalInput<'_>) -> PerfReport {
 
     // ---- DP gradient all-reduce (when DP replicas exist). ----
     iteration += dp_allreduce_time(
-        input.cache,
+        cache,
         input.options.collective,
         wafer,
         job,

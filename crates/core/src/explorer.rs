@@ -1,8 +1,7 @@
 //! The unified WATOS entry point: one configurable [`Explorer`] drives the
 //! whole Fig. 9 loop — architecture candidates × training-strategy search
-//! × operator-level evaluation — plus the satellite experiments that used
-//! to live behind four unrelated call paths (single-wafer `explore`,
-//! `explore_multi_wafer`, `fault_sweep`, and ad-hoc baseline comparisons).
+//! × operator-level evaluation — plus the multi-wafer node searches and
+//! the fault sweeps and baseline comparisons run on the winners.
 //!
 //! Construction goes through [`Explorer::builder`], which validates every
 //! input into a typed [`ExplorationError`] instead of the seed API's
@@ -12,6 +11,11 @@
 //! [`ExplorerBuilder::seed`], the report is byte-identical JSON no matter
 //! the thread count (candidate order is preserved and every stochastic
 //! component is seeded per candidate).
+//!
+//! Every search leg owns its [`ProfileCache`] and drops it when the leg
+//! ends, reporting only its [`CacheStats`]. Candidates are ranked by the
+//! score their winners won their legs with, so no cache waits for the
+//! ranking; a fault sweep builds a cache of its own.
 
 use crate::cache::{CacheStats, ProfileCache};
 use crate::goodput::{FaultEnsemble, RobustObjective};
@@ -650,7 +654,8 @@ impl ExplorerBuilder {
 
     /// Bound the session with an anytime [`SearchBudget`]: a wall-clock
     /// deadline and/or an evaluation cap. Budgets are checked at wave
-    /// boundaries; when one trips, the run keeps its deterministic
+    /// boundaries, and the deadline also before each bound of the bound
+    /// phase; when one trips, the run keeps its deterministic
     /// best-so-far incumbent and reports [`Outcome::Truncated`] on the
     /// affected legs instead of failing. Evaluation caps truncate
     /// reproducibly; the wall-clock deadline is inherently
@@ -961,12 +966,14 @@ impl Explorer {
 
     /// The session-wide wave-engine context: budget limits and the
     /// checkpoint cadence. The wall-clock deadline is anchored once
-    /// here, so every leg races the same instant.
+    /// here, so every leg races the same instant. A deadline too far
+    /// off for a `Duration` or an `Instant` to hold is no deadline.
     fn base_ctx(&self) -> SessionCtx<'_> {
         let budget = self.budget.unwrap_or_default();
-        let deadline = budget.deadline.map(|secs| {
+        let deadline = budget.deadline.and_then(|secs| {
+            let budget = Duration::try_from_secs_f64(secs).ok()?;
             // wsc-lint: allow(D004, "anchoring the anytime deadline reads the wall clock once per session")
-            Instant::now() + Duration::from_secs_f64(secs)
+            Instant::now().checked_add(budget)
         });
         SessionCtx {
             deadline,
@@ -981,10 +988,10 @@ impl Explorer {
         // Checkpointing (or resuming) runs the legs sequentially so
         // every snapshot has a well-defined completed-prefix; reports
         // are identical either way, as everywhere else in the engine.
-        let (single_wafer, caches, multi_wafer) = if self.sink.is_some() || resume.is_some() {
+        let (single_wafer, keys, multi_wafer) = if self.sink.is_some() || resume.is_some() {
             self.run_checkpointed(&ctx, resume)
         } else {
-            let (single, caches): (Vec<ArchRecord>, Vec<ProfileCache>) =
+            let (single, keys): (Vec<ArchRecord>, Vec<Option<f64>>) =
                 run_items(&self.wafers, self.options.sequential, |w| {
                     self.explore_one(w, &ctx)
                 })
@@ -995,25 +1002,13 @@ impl Explorer {
                 .iter()
                 .map(|node| self.explore_node(node, &ctx))
                 .collect();
-            (single, caches, multi)
+            (single, keys, multi)
         };
 
-        // The ranking key per feasible candidate: the session objective's
-        // score, re-using each candidate's own search cache; a
-        // non-finite score marks the candidate unscoreable and drops it.
-        // Lowest key wins; ties keep the earliest index so the winner
-        // does not depend on evaluation order.
-        let keys: Vec<Option<f64>> = single_wafer
-            .iter()
-            .zip(&caches)
-            .map(|(rec, cache)| {
-                let cfg = rec.best.as_ref().filter(|c| c.report.feasible)?;
-                let key = self
-                    .objective
-                    .score(&rec.wafer, &self.job, cfg, cache, None);
-                key.is_finite().then_some(key)
-            })
-            .collect();
+        // Each feasible candidate's ranking key is the session
+        // objective's score of its winner (`explore_one`). Lowest key
+        // wins; ties keep the earliest index so the winner does not
+        // depend on evaluation order.
         let mut best_index: Option<usize> = None;
         for (i, key) in keys.iter().enumerate() {
             let Some(key) = key else { continue };
@@ -1036,8 +1031,6 @@ impl Explorer {
                     fault_sweeps.push(FaultSweepRecord {
                         kind,
                         arch: rec.arch.clone(),
-                        // The winner's own search cache carries the stage
-                        // profiles the sweep re-evaluates against.
                         points: fault_sweep_impl(
                             &rec.wafer,
                             &self.job,
@@ -1045,7 +1038,6 @@ impl Explorer {
                             kind,
                             &spec.rates,
                             &self.options,
-                            &caches[bi],
                         ),
                     });
                 }
@@ -1107,25 +1099,42 @@ impl Explorer {
         ))
     }
 
-    /// One single-wafer leg, with the cache its winner's ranking, fault
-    /// sweeps and baselines reuse.
-    fn explore_one(&self, wafer: &WaferConfig, ctx: &SessionCtx<'_>) -> (ArchRecord, ProfileCache) {
-        let (leg, cache) = explore_impl(wafer, &self.job, &self.options, &self.objective, ctx);
+    /// One single-wafer leg, with its ranking key: the score its winner
+    /// won the leg with (`None` = no feasible schedule). The leg only
+    /// keeps finite scores, and [`Objective::score`] is a pure function
+    /// of the schedule (a deadline-cut score is `INFINITY` and never
+    /// wins), so scoring the winner again would reproduce the key bit
+    /// for bit.
+    fn explore_one(&self, wafer: &WaferConfig, ctx: &SessionCtx<'_>) -> (ArchRecord, Option<f64>) {
+        let (leg, cache_stats) =
+            explore_impl(wafer, &self.job, &self.options, &self.objective, ctx);
+        let (best, key) = leg.best.unzip();
         let record = ArchRecord {
             arch: wafer.name.clone(),
             wafer: wafer.clone(),
-            best: leg.best.map(|(cfg, _)| cfg),
+            best,
             stats: leg.stats,
             outcome: leg.outcome,
             failures: leg.failures,
-            cache_stats: cache.stats(),
+            cache_stats,
         };
-        (record, cache)
+        (record, key)
     }
 
-    /// One node leg; its cache is dropped when the leg ends.
+    /// The ranking key of a wafer leg reused from a checkpoint, which is
+    /// untrusted input: its winner scored afresh, `None` when it holds
+    /// no feasible schedule or scores non-finite.
+    fn rescore(&self, rec: &ArchRecord) -> Option<f64> {
+        let cfg = rec.best.as_ref().filter(|c| c.report.feasible)?;
+        let key = self
+            .objective
+            .score(&rec.wafer, &self.job, cfg, &ProfileCache::new(), None);
+        key.is_finite().then_some(key)
+    }
+
+    /// One node leg.
     fn explore_node(&self, node: &MultiWaferConfig, ctx: &SessionCtx<'_>) -> MultiWaferRecord {
-        let (leg, cache) = explore_multi_wafer_impl(node, &self.job, &self.options, ctx);
+        let (leg, cache_stats) = explore_multi_wafer_impl(node, &self.job, &self.options, ctx);
         MultiWaferRecord {
             name: format!("{}x {}", node.wafers, node.wafer.name),
             node: node.clone(),
@@ -1133,16 +1142,15 @@ impl Explorer {
             stats: leg.stats,
             outcome: leg.outcome,
             failures: leg.failures,
-            cache_stats: cache.stats(),
+            cache_stats,
         }
     }
 
     /// The sequential leg loop used whenever a sink or a resume
     /// checkpoint is present: every single-wafer leg, then every node
-    /// leg. Legs `resume` records as completed are reused verbatim, with
-    /// a fresh [`ProfileCache`] for the ranking lookups (entries are pure
-    /// functions of their keys, so re-memoizing cannot change them); the
-    /// first other leg on the frontier's side restarts from the wave
+    /// leg, with each wafer leg's ranking key. Legs `resume` records as
+    /// completed are reused verbatim and ranked by [`Self::rescore`];
+    /// the first other leg on the frontier's side restarts from the wave
     /// frontier. The completed legs accumulate in `done`, which every
     /// wave snapshot carries as its completed prefix and every finished
     /// leg writes as a leg-boundary snapshot (frontier `None`: start the
@@ -1151,14 +1159,14 @@ impl Explorer {
         &self,
         ctx: &SessionCtx<'_>,
         resume: Option<&SearchCheckpoint>,
-    ) -> (Vec<ArchRecord>, Vec<ProfileCache>, Vec<MultiWaferRecord>) {
+    ) -> (Vec<ArchRecord>, Vec<Option<f64>>, Vec<MultiWaferRecord>) {
         let mut done = SearchCheckpoint {
             seed: self.options.seed,
             completed_single: Vec::with_capacity(self.wafers.len()),
             completed_multi: Vec::with_capacity(self.nodes.len()),
             frontier: None,
         };
-        let mut caches = Vec::with_capacity(self.wafers.len());
+        let mut keys = Vec::with_capacity(self.wafers.len());
         let legs = (0..self.wafers.len())
             .map(|i| (false, i))
             .chain((0..self.nodes.len()).map(|i| (true, i)));
@@ -1174,8 +1182,9 @@ impl Explorer {
                 if multi {
                     done.completed_multi.push(cp.completed_multi[i].clone());
                 } else {
-                    done.completed_single.push(cp.completed_single[i].clone());
-                    caches.push(ProfileCache::new());
+                    let record = cp.completed_single[i].clone();
+                    keys.push(self.rescore(&record));
+                    done.completed_single.push(record);
                 }
                 continue;
             }
@@ -1198,15 +1207,15 @@ impl Explorer {
                 let record = self.explore_node(&self.nodes[i], &leg_ctx);
                 done.completed_multi.push(record);
             } else {
-                let (record, cache) = self.explore_one(&self.wafers[i], &leg_ctx);
+                let (record, key) = self.explore_one(&self.wafers[i], &leg_ctx);
                 done.completed_single.push(record);
-                caches.push(cache);
+                keys.push(key);
             }
             if let Some(sink) = &self.sink {
                 sink.write(&done);
             }
         }
-        (done.completed_single, caches, done.completed_multi)
+        (done.completed_single, keys, done.completed_multi)
     }
 }
 

@@ -69,7 +69,7 @@
 //! [`SearchStats`](crate::SearchStats) are byte-identical across thread
 //! counts and match the exhaustive sequential sweep.
 
-use crate::cache::ProfileCache;
+use crate::cache::{CacheStats, ProfileCache};
 use crate::costmodel::NodeCostModel;
 use crate::dram_alloc::allocate_node;
 use crate::evaluator::{dp_allreduce_time, stage_comm_times};
@@ -228,8 +228,7 @@ fn evaluate_multi_wafer_plan_impl(
     let mut timings = Vec::with_capacity(pp);
     let mut w2w_boundaries = 0usize;
     for (s, sp) in stages.iter().enumerate() {
-        let (fwd_comm, bwd_comm) =
-            stage_comm_times(Some(cache), RING, shape, sp, link_bw, alpha, seam);
+        let (fwd_comm, bwd_comm) = stage_comm_times(cache, RING, shape, sp, link_bw, alpha, seam);
         // Stage boundary: W2W when the next stage lives on another wafer
         // group.
         let p2p = if s + 1 < pp && assignment[s + 1] != assignment[s] {
@@ -246,7 +245,7 @@ fn evaluate_multi_wafer_plan_impl(
             p2p,
         });
     }
-    let dp_time = dp_allreduce_time(Some(cache), RING, wafer, job, plan.tp, pp, dp);
+    let dp_time = dp_allreduce_time(cache, RING, wafer, job, plan.tp, pp, dp);
     let mut iteration = simulate(&timings, n_mb).iteration + dp_time;
 
     // Node-level Alg. 3 (behind the `node_placement` knob): re-place the
@@ -441,12 +440,12 @@ fn node_lower_bound(
     let seam = seam_step(node, geo.span);
     let mb_secs = stages.iter().map(|sp| {
         let (fwd_comm, bwd_comm) =
-            stage_comm_times(Some(cache), RING, geo.shape, sp, link_bw, alpha, seam);
+            stage_comm_times(cache, RING, geo.shape, sp, link_bw, alpha, seam);
         (sp.fwd_compute + fwd_comm + sp.bwd_compute + bwd_comm).as_secs()
     });
     let (tp, pp, dp) = (plan.tp, plan.pp, geo.parallel.dp);
     let bound = one_f_one_b_floor(geo.n_mb, mb_secs)
-        + dp_allreduce_time(Some(cache), RING, wafer, job, tp, pp, dp).as_secs();
+        + dp_allreduce_time(cache, RING, wafer, job, tp, pp, dp).as_secs();
     Some(bound)
 }
 
@@ -572,15 +571,16 @@ pub(crate) fn node_work_list(
 /// on, every evaluated plan gets the node-level Alg. 3 pass (seeded by
 /// `opts.seed`, so the sweep stays a pure deterministic function of its
 /// inputs); the bound is unchanged — the refined schedule still
-/// dominates it, see [`node_lower_bound`].
+/// dominates it, see [`node_lower_bound`]. Returns the leg outcome and
+/// the counters of the leg's profile cache, which the leg drops.
 pub(crate) fn explore_multi_wafer_impl(
     node: &MultiWaferConfig,
     job: &TrainingJob,
     opts: &SchedulerOptions,
     ctx: &SessionCtx<'_>,
-) -> (LegOutcome<(MultiWaferReport, f64)>, ProfileCache) {
+) -> (LegOutcome<(MultiWaferReport, f64)>, CacheStats) {
     let (items, decided) = node_work_list(node, job, opts);
-    bounded_search(
+    let (leg, cache) = bounded_search(
         &items,
         &decided,
         opts,
@@ -591,7 +591,8 @@ pub(crate) fn explore_multi_wafer_impl(
             evaluate_multi_wafer_plan_impl(node, job, &it.plan, cache, seed)
         },
         |r, _| r.iteration.as_secs(),
-    )
+    );
+    (leg, cache.stats())
 }
 
 /// Binomial coefficient `C(n, k)` as an f64 (exact for the wafer counts
@@ -730,7 +731,7 @@ mod tests {
         }
     }
 
-    /// One node search leg, its winner's score and cache dropped.
+    /// One node search leg, its winner's score and cache stats dropped.
     fn search(
         node: &MultiWaferConfig,
         job: &TrainingJob,

@@ -30,11 +30,12 @@
 //!
 //! This module provides the Fig. 22 fault-rate sweep harness: inject
 //! faults at increasing rates and compare robust WATOS against the
-//! non-robust baseline, both normalized to the fault-free run. The
-//! caller's [`ProfileCache`] (the Explorer hands down the winner's own
-//! search cache) is shared across the whole sweep, so the
-//! configuration's stage profiles are built exactly once no matter how
-//! many (rate, policy) points are evaluated, and the rate grid runs on
+//! non-robust baseline, both normalized to the fault-free run. Each
+//! sweep builds one [`ProfileCache`] of its own and shares it across the
+//! whole rate grid, so the configuration's stage profiles are built
+//! exactly once no matter how many (rate, policy) points are evaluated
+//! (the winner's search leg dropped its cache when the leg ended), and
+//! the rate grid runs on
 //! the deterministic `crate::wave::run_items` primitive — parallel under
 //! the engine's order-preserving fan-out, sequential when the options
 //! say so, byte-identical either way.
@@ -99,9 +100,8 @@ fn finite_or_zero(secs: f64) -> f64 {
 }
 
 /// Implementation of the Fig. 22 fault sweep (driven by
-/// [`crate::Explorer`] via `.with_faults(..)`). `cache` is the caller's
-/// profile cache — the Explorer passes the winning search's own cache,
-/// so the sweep re-uses the stage profiles the search already built.
+/// [`crate::Explorer`] via `.with_faults(..)`), over a profile cache of
+/// its own.
 pub(crate) fn fault_sweep_impl(
     wafer: &WaferConfig,
     job: &TrainingJob,
@@ -109,8 +109,8 @@ pub(crate) fn fault_sweep_impl(
     kind: FaultKind,
     rates: &[f64],
     opts: &SchedulerOptions,
-    cache: &ProfileCache,
 ) -> Vec<FaultPoint> {
+    let cache = &ProfileCache::new();
     let clean = evaluate_scheduled(wafer, job, cfg, None, true, cache);
     let clean_tp = clean.useful_throughput.as_f64().max(1e-9);
     let clean_secs = clean.iteration.as_secs();
@@ -196,8 +196,8 @@ mod tests {
         }
     }
 
-    /// Seed-era-shaped sweep entry point for the tests: fresh cache,
-    /// seed via options.
+    /// Seed-era-shaped sweep entry point for the tests: seed via
+    /// options.
     fn sweep(
         wafer: &WaferConfig,
         job: &TrainingJob,
@@ -206,8 +206,7 @@ mod tests {
         rates: &[f64],
         seed: u64,
     ) -> Vec<FaultPoint> {
-        let cache = ProfileCache::new();
-        fault_sweep_impl(wafer, job, cfg, kind, rates, &sweep_opts(seed), &cache)
+        fault_sweep_impl(wafer, job, cfg, kind, rates, &sweep_opts(seed))
     }
 
     fn setup() -> (WaferConfig, TrainingJob, ScheduledConfig) {
@@ -324,16 +323,7 @@ mod tests {
     fn sequential_and_parallel_sweeps_agree() {
         let (wafer, job, cfg) = setup();
         let rates = [0.0, 0.2, 0.4];
-        let cache = ProfileCache::new();
-        let par = fault_sweep_impl(
-            &wafer,
-            &job,
-            &cfg,
-            FaultKind::Die,
-            &rates,
-            &sweep_opts(3),
-            &cache,
-        );
+        let par = fault_sweep_impl(&wafer, &job, &cfg, FaultKind::Die, &rates, &sweep_opts(3));
         let seq = fault_sweep_impl(
             &wafer,
             &job,
@@ -344,7 +334,6 @@ mod tests {
                 sequential: true,
                 ..sweep_opts(3)
             },
-            &cache,
         );
         assert_eq!(par, seq);
     }

@@ -18,7 +18,7 @@
 //! prunes the bound-ordered tail. Winner and [`SearchStats`] are
 //! byte-identical across thread counts and vs the exhaustive sweep.
 
-use crate::cache::ProfileCache;
+use crate::cache::{CacheStats, ProfileCache};
 use crate::costmodel::PlacementCostModel;
 use crate::dram_alloc::{allocate, DramGrant};
 use crate::evaluator::{self, evaluate, EvalInput, EvalOptions, PerfReport};
@@ -578,12 +578,12 @@ fn config_lower_bound(
     // fault-free, and recompute/p2p only ever add time).
     let mb_secs = stages.iter().map(|sp| {
         let (fwd_comm, bwd_comm) =
-            evaluator::stage_comm_times(Some(cache), collective, g.shape, sp, link_bw, alpha, None);
+            evaluator::stage_comm_times(cache, collective, g.shape, sp, link_bw, alpha, None);
         (sp.fwd_compute + fwd_comm + sp.bwd_compute + bwd_comm).as_secs()
     });
     let ParallelSpec { dp, tp, pp } = g.parallel;
     let bound = one_f_one_b_floor(g.n_mb, mb_secs)
-        + evaluator::dp_allreduce_time(Some(cache), collective, wafer, job, tp, pp, dp).as_secs()
+        + evaluator::dp_allreduce_time(cache, collective, wafer, job, tp, pp, dp).as_secs()
         + evaluator::optimizer_stream_time(&stages[..], wafer).as_secs();
     Some(bound)
 }
@@ -743,16 +743,16 @@ pub(crate) fn work_list(
 /// (`crate::goodput` module docs); a serving model brings its own bound
 /// with its own soundness obligation (`crate::serving` module docs).
 /// `tests/search_equivalence.rs` and `tests/serving.rs` pin pruned ≡
-/// exhaustive for both. Returns the leg outcome (winner with its score)
-/// and the leg's profile cache, which downstream sweeps (ranking, fault
-/// sweeps, baselines) reuse.
+/// exhaustive for both. Returns the leg outcome — the winner with the
+/// score it won by, which is the session's ranking key — and the
+/// counters of the leg's profile cache, which the leg drops.
 pub(crate) fn explore_impl(
     wafer: &WaferConfig,
     job: &TrainingJob,
     opts: &SchedulerOptions,
     objective: &Objective,
     ctx: &SessionCtx<'_>,
-) -> (LegOutcome<(ScheduledConfig, f64)>, ProfileCache) {
+) -> (LegOutcome<(ScheduledConfig, f64)>, CacheStats) {
     let (items, decided) = work_list(wafer, job, opts);
     let inner = SchedulerOptions {
         ga: None,
@@ -792,7 +792,7 @@ pub(crate) fn explore_impl(
             );
         }
     }
-    (leg, cache)
+    (leg, cache.stats())
 }
 
 /// Re-evaluate a scheduled configuration under faults (Fig. 22) or with a
@@ -843,7 +843,7 @@ mod tests {
         }
     }
 
-    /// One clean-objective search leg, its cache dropped.
+    /// One clean-objective search leg, its cache stats dropped.
     fn search(
         wafer: &WaferConfig,
         job: &TrainingJob,
@@ -970,6 +970,73 @@ mod tests {
         );
         assert_eq!(s, score);
         assert!(s >= best.report.iteration.as_secs());
+    }
+
+    /// A serving model whose score reads the cache: the clean iteration
+    /// plus every stage's forward compute, from the cached profiles. Both
+    /// terms are non-negative, so the clean bound stays sound.
+    struct CacheReadingModel(SchedulerOptions);
+
+    impl ServingModel for CacheReadingModel {
+        fn name(&self) -> String {
+            "cache-reading".into()
+        }
+
+        fn bound(
+            &self,
+            wafer: &WaferConfig,
+            job: &TrainingJob,
+            plan: &ParallelPlan,
+            cache: &ProfileCache,
+        ) -> Option<f64> {
+            config_lower_bound(wafer, job, plan, &self.0, cache)
+        }
+
+        fn score(
+            &self,
+            wafer: &WaferConfig,
+            job: &TrainingJob,
+            cfg: &ScheduledConfig,
+            cache: &ProfileCache,
+        ) -> f64 {
+            let n_mb = job.microbatches(cfg.parallel.dp);
+            let stages = cache.stage_profiles(wafer, job, &cfg.plan, n_mb);
+            stages.iter().fold(cfg.report.iteration.as_secs(), |t, sp| {
+                t + sp.fwd_compute.as_secs()
+            })
+        }
+    }
+
+    #[test]
+    fn a_legs_score_is_its_winners_score_on_a_fresh_cache() {
+        // The Explorer ranks wafer legs by the score each winner won its
+        // leg with, instead of scoring the winner again: that key must
+        // equal the objective's score of the winner on a fresh cache with
+        // no cutoff, bit for bit, whether or not the GA refined it.
+        let wafer = presets::config(3);
+        let job = TrainingJob::standard(zoo::llama2_30b());
+        let objectives = [
+            Objective::Clean,
+            Objective::FaultAware {
+                ensemble: FaultEnsemble::clustered(0.2, 3, 11),
+                objective: RobustObjective::Worst,
+            },
+            Objective::Serving(Arc::new(CacheReadingModel(quick_opts()))),
+        ];
+        for objective in &objectives {
+            for ga in [None, Some(GaParams::default())] {
+                let opts = SchedulerOptions { ga, ..quick_opts() };
+                let (leg, _) = explore_impl(&wafer, &job, &opts, objective, &SessionCtx::none());
+                let (best, score) = leg.best.expect("feasible");
+                let fresh = objective.score(&wafer, &job, &best, &ProfileCache::new(), None);
+                assert_eq!(
+                    score.to_bits(),
+                    fresh.to_bits(),
+                    "{objective:?}, GA {}: leg score {score} vs fresh {fresh}",
+                    opts.ga.is_some()
+                );
+            }
+        }
     }
 
     #[test]

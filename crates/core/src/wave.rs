@@ -36,7 +36,8 @@
 //! ## The resilience layer
 //!
 //! The engine is *anytime*: a [`SearchBudget`] is checked at every wave
-//! boundary, and when a limit trips the search returns its deterministic
+//! boundary (the deadline also as each bound is claimed), and when a
+//! limit trips the search returns its deterministic
 //! best-so-far incumbent with [`Outcome::Truncated`] and honest
 //! [`SearchStats`] (the unexamined tail is counted as `skipped`, never
 //! silently folded into `pruned`). Each candidate evaluation runs under
@@ -57,7 +58,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 use wsc_workload::parallel::ParallelPlan;
 
@@ -105,13 +106,15 @@ impl SearchStats {
 /// Resource limits for an anytime search, checked at every wave
 /// boundary. A wave already in flight completes before a limit is
 /// honored, so overshoot is bounded by one wave width
-/// (`SEARCH_WAVE`). The default has no limits: the search runs to
-/// completion.
+/// (`SEARCH_WAVE`). The deadline is also checked as each bound of the
+/// bound phase is claimed, and no bound starts once it has passed. The
+/// default has no limits: the search runs to completion.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SearchBudget {
     /// Wall-clock budget in seconds for the whole `Explorer` run (all
-    /// legs share one deadline). `None` = unlimited. Deadline placement
-    /// is inherently machine-dependent; see [`SearchStats`].
+    /// legs share one deadline). `None` = unlimited, and so is a budget
+    /// too far off for the clock to represent. Deadline placement is
+    /// inherently machine-dependent; see [`SearchStats`].
     pub deadline: Option<f64>,
     /// Maximum candidate evaluations per search leg. Deterministic: the
     /// same limit truncates at the same wave on every machine and thread
@@ -269,6 +272,12 @@ impl SessionCtx<'_> {
     pub fn none() -> Self {
         SessionCtx::default()
     }
+
+    /// Whether the wall-clock deadline has passed (never, without one).
+    fn past_deadline(&self) -> bool {
+        // wsc-lint: allow(D004, "the anytime deadline is the one place library code must read the wall clock; results stay best-so-far-valid and the counters stay honest, as documented on SearchStats")
+        self.deadline.is_some_and(|dl| Instant::now() >= dl)
+    }
 }
 
 /// Receiver of per-wave checkpoints (implemented by the `Explorer`
@@ -394,6 +403,10 @@ fn lower_by_margin(bound: f64) -> f64 {
 /// carries the resilience layer (budget, checkpointing, resume); pass
 /// [`SessionCtx::none`] for the seed-era behavior.
 ///
+/// The deadline is also checked as each bound is claimed: once it has
+/// passed no bound starts, and the leg ends before its first wave
+/// ([`bound_phase_cut`]).
+///
 /// Returns the winner with its score (smallest score, ties to the
 /// smallest [`WorkItem::key`]), stats, outcome and isolated failures,
 /// plus the leg's cache, whose generation tag the checkpoints carry.
@@ -413,9 +426,14 @@ pub(crate) fn bounded_search<C: Send>(
         ..*ctx
     };
     let idxs: Vec<usize> = (0..items.len()).collect();
+    // Points claimed after the deadline, whose bound never started.
+    let unbounded = AtomicUsize::new(0);
     let bounds: Vec<Option<f64>> = if opts.prune {
         run_items(&idxs, opts.sequential, |&i| {
             if decided[i] {
+                None
+            } else if ctx.past_deadline() {
+                unbounded.fetch_add(1, Ordering::Relaxed);
                 None
             } else {
                 bound(&items[i], &cache).map(lower_by_margin)
@@ -424,22 +442,90 @@ pub(crate) fn bounded_search<C: Send>(
     } else {
         vec![Some(f64::NEG_INFINITY); items.len()]
     };
-    let leg = wave_search(
-        items,
-        &bounds,
-        opts.sequential,
-        &ctx,
-        |i, it| {
-            if decided[i] {
-                return None;
-            }
-            let c = eval(it, &cache)?;
-            let s = score(&c, &cache);
-            s.is_finite().then_some((c, s))
-        },
-        |&(_, s)| s,
-    );
+    let eval = |i: usize, it: &WorkItem| {
+        if decided[i] {
+            return None;
+        }
+        let c = eval(it, &cache)?;
+        let s = score(&c, &cache);
+        s.is_finite().then_some((c, s))
+    };
+    let leg = match unbounded.into_inner() {
+        0 => wave_search(items, &bounds, opts.sequential, &ctx, eval, |&(_, s)| s),
+        n => {
+            let pruned = bounds.iter().filter(|b| b.is_none()).count() - n;
+            bound_phase_cut(items, pruned, &ctx, eval)
+        }
+    };
     (leg, cache)
+}
+
+/// The leg a deadline cut in its bound phase returns: no wave starts,
+/// so every point neither the precheck nor its bound pruned (`pruned`
+/// of them were) is skipped. A resumed leg keeps its snapshot's
+/// counters and failure log, re-derives its incumbent as the wave loop
+/// does (an `eval` whose score honors the deadline can drop it), and
+/// skips what those counters leave unaccounted. The cut emits no
+/// snapshot: a cursor indexes the full bound order, which the cut leg
+/// never built.
+fn bound_phase_cut<C>(
+    items: &[WorkItem],
+    pruned: usize,
+    ctx: &SessionCtx<'_>,
+    eval: impl Fn(usize, &WorkItem) -> Option<C>,
+) -> LegOutcome<C> {
+    let (mut stats, best, failures) = match ctx.resume {
+        Some(cp) => {
+            let best = resumed_incumbent(items, cp, &eval);
+            (cp.stats, best.map(|(c, _)| c), cp.failures.clone())
+        }
+        None => {
+            let stats = SearchStats {
+                visited: items.len(),
+                pruned,
+                ..SearchStats::default()
+            };
+            (stats, None, Vec::new())
+        }
+    };
+    stats.skipped += stats
+        .visited
+        .saturating_sub(stats.pruned + stats.evaluated + stats.skipped);
+    LegOutcome {
+        best,
+        stats,
+        outcome: Outcome::Truncated {
+            reason: TruncationReason::Deadline,
+        },
+        failures,
+    }
+}
+
+/// `eval` of `items[i]` under `catch_unwind`, a panic as its payload.
+/// AssertUnwindSafe is sound here: the only state shared across the
+/// boundary is the memo caches, whose poison recovery clears any shard
+/// a panicking holder left behind (`crate::cache`).
+fn guarded_eval<C>(
+    eval: &impl Fn(usize, &WorkItem) -> Option<C>,
+    items: &[WorkItem],
+    i: usize,
+) -> Result<Option<C>, String> {
+    catch_unwind(AssertUnwindSafe(|| eval(i, &items[i]))).map_err(panic_payload)
+}
+
+/// The incumbent a snapshot names, with its key, re-derived by
+/// re-evaluating that key: evaluation is a pure function of the item
+/// and the (freshly rebuilt) caches, so this reproduces the exact
+/// checkpointed configuration. The re-evaluation is bookkeeping-free,
+/// so the resumed counters match an uninterrupted run's.
+fn resumed_incumbent<C>(
+    items: &[WorkItem],
+    cp: &WaveCheckpoint,
+    eval: &impl Fn(usize, &WorkItem) -> Option<C>,
+) -> Option<(C, (usize, usize, usize, usize))> {
+    let key = cp.best_key?;
+    let i = (0..items.len()).find(|&i| PlanKey::from(items[i].key()) == key)?;
+    Some((guarded_eval(eval, items, i).ok()??, items[i].key()))
 }
 
 /// The bound-ordered wave loop behind [`bounded_search`].
@@ -477,14 +563,6 @@ fn wave_search<C: Send>(
             .then_with(|| items[a].key().cmp(&items[b].key()))
     });
 
-    // Every evaluation runs under catch_unwind. AssertUnwindSafe is
-    // sound here: the only state shared across the boundary is the memo
-    // caches, whose poison recovery clears any shard a panicking holder
-    // left behind (`crate::cache`).
-    let guarded = |i: usize| -> Result<Option<C>, String> {
-        catch_unwind(AssertUnwindSafe(|| eval(i, &items[i]))).map_err(panic_payload)
-    };
-
     let mut stats;
     let mut failures: Vec<CandidateFailure>;
     let mut best: Option<C> = None;
@@ -493,23 +571,14 @@ fn wave_search<C: Send>(
     let mut wave_no;
     if let Some(cp) = ctx.resume {
         // Restore the snapshot wholesale: counters, cursor, ramp
-        // position and failure log. The incumbent is re-derived by
-        // re-evaluating its key — evaluation is a pure function of the
-        // item and the (freshly rebuilt) caches, so this reproduces the
-        // exact checkpointed configuration; the re-evaluation is
-        // bookkeeping-free so the resumed counters match an
-        // uninterrupted run's.
+        // position, failure log and incumbent.
         stats = cp.stats;
         failures = cp.failures.clone();
         idx = cp.cursor.min(order.len());
         wave_no = cp.wave_no;
-        if let Some(k) = cp.best_key {
-            if let Some(i) = (0..items.len()).find(|&i| PlanKey::from(items[i].key()) == k) {
-                if let Ok(Some(c)) = guarded(i) {
-                    best_key = items[i].key();
-                    best = Some(c);
-                }
-            }
+        if let Some((c, key)) = resumed_incumbent(items, cp, &eval) {
+            best = Some(c);
+            best_key = key;
         }
     } else {
         stats = SearchStats {
@@ -538,13 +607,9 @@ fn wave_search<C: Send>(
                 break;
             }
         }
-        // Budget checks, at wave boundaries only (a wave in flight
-        // always completes, bounding overshoot by one wave width).
-        let tripped = if ctx
-            .deadline
-            // wsc-lint: allow(D004, "the anytime deadline is the one place library code must read the wall clock; results stay best-so-far-valid and the counters stay honest, as documented on SearchStats")
-            .is_some_and(|dl| Instant::now() >= dl)
-        {
+        // Budget checks, at wave boundaries (a wave in flight always
+        // completes, bounding overshoot by one wave width).
+        let tripped = if ctx.past_deadline() {
             Some(TruncationReason::Deadline)
         } else if ctx
             .max_evaluations
@@ -581,7 +646,7 @@ fn wave_search<C: Send>(
         stats.pruned += (wave_end - idx) - wave.len();
         stats.evaluated += wave.len();
         let results: Vec<Result<Option<C>, String>> =
-            run_items(&wave, sequential, |&(i, _)| guarded(i));
+            run_items(&wave, sequential, |&(i, _)| guarded_eval(&eval, items, i));
         for (&(i, bound), res) in wave.iter().zip(results) {
             let cfg = match res {
                 Err(payload) => {
@@ -906,6 +971,110 @@ mod tests {
         assert_eq!(cps.len(), 1, "truncation emits one snapshot");
         assert_eq!(cps[0].stats.skipped, 0, "snapshot precedes the tail");
         assert_eq!(cps[0].cursor, 0);
+    }
+
+    #[test]
+    fn an_expired_deadline_starts_no_bound() {
+        // A deadline that passed before the bound phase: `bound` is never
+        // called and no wave starts. A fresh leg skips every point the
+        // precheck did not decide and emits no snapshot; a resumed leg
+        // keeps its snapshot's incumbent, counters and failure log and
+        // skips the rest.
+        let its = items(30);
+        let decided: Vec<bool> = (0..30).map(|i| i % 5 == 0).collect();
+        let opts = SchedulerOptions {
+            sequential: true,
+            ..SchedulerOptions::default()
+        };
+        let calls = AtomicUsize::new(0);
+        let bound = |it: &WorkItem, _: &ProfileCache| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            Some(((it.plan.tp * 13) % 29) as f64)
+        };
+        // Scores sit above every bound, so nothing is pruned.
+        let eval = |it: &WorkItem, _: &ProfileCache| {
+            if it.plan.tp % 7 == 3 {
+                panic!("seeded failure");
+            }
+            Some((100 + (it.plan.tp * 5) % 17) as f64)
+        };
+        let score = |&c: &f64, _: &ProfileCache| c;
+        let deadline = Outcome::Truncated {
+            reason: TruncationReason::Deadline,
+        };
+        let sink = Capture(Mutex::new(Vec::new()));
+        let ctx = SessionCtx {
+            checkpoint_every: Some(1),
+            sink: Some(&sink),
+            ..SessionCtx::none()
+        };
+        let (full, _) = bounded_search(&its, &decided, &opts, &ctx, bound, eval, score);
+        assert_eq!(full.outcome, Outcome::Complete);
+        assert_eq!(calls.swap(0, Ordering::Relaxed), 24, "undecided points");
+        let cps = std::mem::take(
+            &mut *sink
+                .0
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner),
+        );
+
+        let expired = SessionCtx {
+            deadline: Some(Instant::now()),
+            ..ctx
+        };
+        let (fresh, _) = bounded_search(&its, &decided, &opts, &expired, bound, eval, score);
+        assert_eq!(calls.load(Ordering::Relaxed), 0, "a bound started");
+        assert_eq!(fresh.outcome, deadline);
+        assert_eq!(fresh.best, None);
+        let (visited, pruned) = (30, 6);
+        let skipped = visited - pruned;
+        assert_eq!(
+            fresh.stats,
+            SearchStats {
+                visited,
+                pruned,
+                evaluated: 0,
+                skipped
+            }
+        );
+        assert!(
+            sink.0
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .is_empty(),
+            "a leg cut in its bound phase emits no snapshot"
+        );
+
+        let cp = cps
+            .iter()
+            .find(|cp| !cp.failures.is_empty())
+            .expect("a snapshot after the seeded failure");
+        let resuming = SessionCtx {
+            deadline: Some(Instant::now()),
+            resume: Some(cp),
+            ..SessionCtx::none()
+        };
+        let (resumed, _) = bounded_search(&its, &decided, &opts, &resuming, bound, eval, score);
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            0,
+            "a resumed leg started a bound"
+        );
+        assert_eq!(resumed.outcome, deadline);
+        assert_eq!(resumed.best.map(|(_, s)| s), cp.best_score);
+        assert_eq!(resumed.failures, cp.failures);
+        let s = cp.stats;
+        assert!(
+            s.visited > s.pruned + s.evaluated,
+            "the snapshot leaves a tail"
+        );
+        assert_eq!(
+            resumed.stats,
+            SearchStats {
+                skipped: s.visited - s.pruned - s.evaluated,
+                ..s
+            }
+        );
     }
 
     #[test]

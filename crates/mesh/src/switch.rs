@@ -44,12 +44,6 @@ impl MeshSwitchTopology {
         let share = self.switch_bw / concurrent.max(1) as f64;
         self.switch_latency + bytes / share
     }
-
-    /// Largest TP group that stays inside one mesh group (WATOS restricts
-    /// TP to the mesh to exploit its bandwidth, §VI-E).
-    pub fn max_intra_group_tp(&self) -> usize {
-        self.group_mesh.len()
-    }
 }
 
 #[cfg(test)]
@@ -60,7 +54,6 @@ mod tests {
     fn fig23_has_48_dies() {
         let t = MeshSwitchTopology::fig23();
         assert_eq!(t.total_dies(), 48);
-        assert_eq!(t.max_intra_group_tp(), 4);
     }
 
     #[test]

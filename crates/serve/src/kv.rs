@@ -47,15 +47,6 @@ impl KvTracker {
     pub fn release(&mut self, context_tokens: usize) {
         self.resident_tokens = self.resident_tokens.saturating_sub(context_tokens);
     }
-
-    /// Peak occupancy as a fraction of capacity (zero for an unbounded
-    /// tracker).
-    pub fn peak_fraction(&self) -> f64 {
-        if self.capacity_tokens == 0 || self.capacity_tokens == usize::MAX {
-            return 0.0;
-        }
-        self.peak_tokens as f64 / self.capacity_tokens as f64
-    }
 }
 
 #[cfg(test)]
@@ -75,6 +66,5 @@ mod tests {
         assert_eq!(kv.resident_tokens, 40);
         // Peak survives the release.
         assert_eq!(kv.peak_tokens, 100);
-        assert_eq!(kv.peak_fraction(), 1.0);
     }
 }

@@ -41,11 +41,6 @@ impl ParallelSpec {
     pub fn devices(&self) -> usize {
         self.dp * self.tp * self.pp
     }
-
-    /// Dies used by one model replica.
-    pub fn model_parallel_dies(&self) -> usize {
-        self.tp * self.pp
-    }
 }
 
 impl fmt::Display for ParallelSpec {
@@ -408,11 +403,6 @@ impl ParallelPlan {
         self.tp_span > 1
     }
 
-    /// TP dies placed on each spanned wafer (`tp / tp_span`).
-    pub fn tp_per_wafer(&self) -> usize {
-        self.tp / self.tp_span.max(1)
-    }
-
     /// Wafers the whole plan occupies: stage groups × TP span.
     pub fn wafers(&self) -> usize {
         self.stage_map.wafer_count() * self.tp_span.max(1)
@@ -457,7 +447,6 @@ mod tests {
     fn devices_product() {
         let p = ParallelSpec::new(2, 4, 7);
         assert_eq!(p.devices(), 56);
-        assert_eq!(p.model_parallel_dies(), 28);
     }
 
     #[test]
@@ -571,7 +560,6 @@ mod tests {
             .with_dp(3);
         assert_eq!(cross.validate(), Ok(()));
         assert!(cross.is_cross_wafer_tp());
-        assert_eq!(cross.tp_per_wafer(), 4);
         assert_eq!(cross.wafers(), 4, "2 stage groups x 2-wafer TP span");
         assert_eq!(cross.spec(), ParallelSpec::new(3, 8, 6));
 

@@ -5,7 +5,8 @@
 //! in a sequential and a parallel session, killing a session at any
 //! checkpoint then resuming must reproduce the uninterrupted run
 //! bit-for-bit, a checkpoint from another session must be refused, an
-//! expired deadline must truncate with honest counters, and every
+//! expired deadline must truncate with honest counters, a deadline
+//! beyond the clock must be no deadline, and every
 //! decoder of untrusted input — reports, checkpoints, serving traces —
 //! must be total.
 //!
@@ -433,6 +434,24 @@ fn an_expired_deadline_truncates_with_honest_counters() {
     assert!(s.skipped > 0, "the unexamined tail is skipped: {s:?}");
     assert_eq!(s.visited, s.pruned + s.evaluated + s.skipped);
     assert_eq!(ExplorationReport::from_json(&report.to_json()), Ok(report));
+}
+
+/// A deadline too far off for the clock to represent is no deadline:
+/// the session returns the unbudgeted report byte for byte instead of
+/// panicking while it anchors the deadline.
+#[test]
+fn a_deadline_beyond_the_clock_is_no_deadline() {
+    let (wafer, job) = (small_wafer(2), small_job(6));
+    let session = || base(&wafer, &job, 42).multi_wafer(small_node(&wafer));
+    let unbudgeted = session().build().expect("valid session").run().to_json();
+    for secs in [1e19, 1e20, 1e300, f64::MAX] {
+        let report = session()
+            .budget(SearchBudget::none().deadline(secs))
+            .build()
+            .expect("a finite positive deadline is valid")
+            .run();
+        assert_eq!(report.to_json(), unbudgeted, "deadline {secs:e} s");
+    }
 }
 
 /// Checkpoint decoding as a resume reads it.
