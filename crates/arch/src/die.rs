@@ -7,7 +7,7 @@
 
 use crate::core::CoreConfig;
 use crate::error::ArchError;
-use crate::units::{Area, Bandwidth, Bytes, FlopRate, Mm};
+use crate::units::{Area, Bandwidth, FlopRate, Mm};
 use serde::{Deserialize, Serialize};
 
 /// IO bandwidth one millimetre of die edge can carry (TB/s per mm).
@@ -68,11 +68,6 @@ impl ComputeDieConfig {
         self.core.vector_flops() * self.core_count() as f64
     }
 
-    /// Total on-die SRAM.
-    pub fn total_sram(&self) -> Bytes {
-        self.core.sram * self.core_count() as u64
-    }
-
     /// Die footprint area.
     pub fn area(&self) -> Area {
         self.width * self.height
@@ -127,6 +122,7 @@ impl ComputeDieConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::units::Bytes;
 
     fn big_die() -> ComputeDieConfig {
         ComputeDieConfig {
@@ -167,7 +163,10 @@ mod tests {
     #[test]
     fn sram_totals() {
         let d = big_die();
-        assert_eq!(d.total_sram(), Bytes::new(1_310_720) * 324);
+        assert_eq!(
+            d.core.sram * d.core_count() as u64,
+            Bytes::new(1_310_720) * 324
+        );
     }
 
     #[test]

@@ -74,11 +74,6 @@ impl DramStack {
         self.capacity.as_f64() / self.chiplet.capacity.as_f64()
     }
 
-    /// Physical chiplet count (used for placement and NoC endpoints).
-    pub fn chiplet_count(&self) -> usize {
-        self.chiplet_equivalents().ceil() as usize
-    }
-
     /// Wafer-substrate footprint of the whole stack.
     ///
     /// Chiplets partially overlap interposer routing area (CoWoS), so only
@@ -103,13 +98,11 @@ mod tests {
     fn chiplet_equivalents_fractional() {
         let s = DramStack::new(Bytes::gib(70), Bandwidth::tb_per_s(2.0));
         assert!((s.chiplet_equivalents() - 4.375).abs() < 1e-9);
-        assert_eq!(s.chiplet_count(), 5);
     }
 
     #[test]
     fn whole_chiplet_counts() {
         let s = DramStack::new(Bytes::gib(48), Bandwidth::tb_per_s(1.0));
-        assert_eq!(s.chiplet_count(), 3);
         assert!((s.chiplet_equivalents() - 3.0).abs() < 1e-9);
     }
 

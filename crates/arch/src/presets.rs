@@ -130,11 +130,6 @@ impl GpuSystemConfig {
         self.flops_per_gpu * self.gpus as f64
     }
 
-    /// Aggregate HBM capacity.
-    pub fn total_hbm(&self) -> Bytes {
-        self.hbm_per_gpu * self.gpus as u64
-    }
-
     /// Number of NVLink domains.
     pub fn nodes(&self) -> usize {
         self.gpus.div_ceil(self.gpus_per_node)
@@ -216,7 +211,7 @@ mod tests {
     fn mg_gpu_node_matches_paper_totals() {
         let g = mg_gpu_node();
         assert!((g.total_flops().as_tflops() - 40_000.0).abs() < 1e-6);
-        assert!((g.total_hbm().as_gib() - 3_920.0).abs() < 1e-6);
+        assert_eq!(g.hbm_per_gpu * g.gpus as u64, Bytes::gib(3_920));
         assert_eq!(g.nodes(), 1);
     }
 

@@ -117,7 +117,7 @@ pub fn mg_wafer(wafer: &WaferConfig, job: &TrainingJob) -> Option<MgWaferResult>
                     punish: 0.0, // and no contention avoidance
                     robust: false,
                 },
-                cache: Some(&cache),
+                cache: None,
             });
             if !report.feasible {
                 continue;

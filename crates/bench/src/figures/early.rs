@@ -84,7 +84,7 @@ pub fn fig1_data(model: wsc_workload::model::LlmModel) -> Vec<Fig1Row> {
             grants: &[],
             faults: None,
             options: EvalOptions::default(),
-            cache: Some(&cache),
+            cache: None,
         });
         rows.push(Fig1Row {
             config: format!("D({dp})T({tp})P({pp})"),

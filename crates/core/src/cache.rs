@@ -2,12 +2,11 @@
 //!
 //! One Alg. 1 search visits hundreds of `(tp, pp, strategy)` points, and
 //! the fault/robust/GA re-evaluations revisit the winner many more times.
-//! Before this cache every visit re-profiled layers on the die simulator,
-//! re-aggregated stage profiles, and re-priced identical collectives. A
-//! [`ProfileCache`] is scoped to one `(wafer, job)` pair and lives
-//! exactly as long as the search leg or sweep that builds it: a leg
-//! hands back only its [`CacheStats`]. Lookups are
-//! keyed by the *profile-relevant projection* of a
+//! Before this cache every visit re-profiled layers on the die simulator
+//! and re-aggregated stage profiles. A [`ProfileCache`] is scoped to one
+//! `(wafer, job)` pair and lives exactly as long as the search leg or
+//! sweep that builds it: a leg hands back only its [`CacheStats`].
+//! Lookups are keyed by the *profile-relevant projection* of a
 //! [`ParallelPlan`] — deliberately not the whole plan, so plans that
 //! differ only in stage map or TP span (which change collective pricing
 //! and seam accounting, never the sharded operator graph) share one set
@@ -20,9 +19,12 @@
 //!   microbatches)` — reused by the bound pruner, the evaluator, the GA
 //!   refinement, every rate of a fault sweep, and every
 //!   stage-map/TP-span variant;
-//! * `all_reduce_time` results per `(algo, shape, bytes, bw, alpha)` —
-//!   the collective lookups the evaluator repeats for every balanced
-//!   stage.
+//! * Eq. 2 placement cost models per `(mesh, tile shape, pp_volume)`.
+//!
+//! Collectives are not memoized: the closed α–β form of
+//! [`all_reduce_time`] costs a few float operations, less than a key
+//! build, a hash and a shared lock, so every caller prices them
+//! directly.
 //!
 //! All entries are pure functions of their keys, so concurrent lookups
 //! from the parallel search are deterministic: a racing miss computes the
@@ -36,17 +38,15 @@
 //! its own contents as disposable: any shard whose lock was poisoned by
 //! a panicking holder is cleared and rebuilt on demand rather than
 //! trusted (`read_recover`/`write_recover`). Each recovery is counted in
-//! [`CacheStats`] and bumps the cache *generation* tag — a monotone
-//! counter that is 0 for a pristine cache, recorded into search
-//! checkpoints so a resumed session knows whether its ancestor had
-//! already survived cache degradation. On a panic-free run every
-//! counter is zero.
+//! [`CacheStats`], and search checkpoints carry the count, so a resumed
+//! session knows whether its ancestor had already survived cache
+//! degradation. On a panic-free run every counter is zero.
 
 use crate::costmodel::PlacementCostModel;
 use crate::stage::{build_layer_data, build_stage_profiles_with, LayerData, StageProfile};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use wsc_arch::units::{Bandwidth, Bytes, Time};
 use wsc_arch::wafer::WaferConfig;
@@ -87,12 +87,11 @@ fn clear_poisoned<T: Default>(lock: &RwLock<T>) {
 
 type LayerKey = (usize, TpSplitStrategy);
 type StageKey = (usize, usize, TpSplitStrategy, usize);
-type CollectiveKey = (CollectiveAlgo, usize, usize, u64, u64, u64);
 type CostModelKey = (usize, usize, usize, usize, u64);
 
 /// Observability counters of one [`ProfileCache`]: how often the cache
-/// had to distrust itself. All-zero (generation 0) on a panic-free run;
-/// surfaced per search leg on the exploration report.
+/// had to distrust itself. All-zero on a panic-free run; surfaced per
+/// search leg on the exploration report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Poisoned shards cleared and rebuilt (a candidate panicked while
@@ -101,8 +100,8 @@ pub struct CacheStats {
     /// Always 0: the cache stores nothing that could be corrupted after
     /// insert. The field stays so reports keep their schema.
     pub corruptions: usize,
-    /// Monotone degradation tag: bumped once per recovery. 0 means the
-    /// cache was pristine throughout.
+    /// Always `recoveries`: the cache keeps no separate degradation tag.
+    /// The field stays so reports keep their schema.
     pub generation: u64,
 }
 
@@ -114,10 +113,8 @@ pub struct CacheStats {
 pub struct ProfileCache {
     layers: RwLock<HashMap<LayerKey, Arc<LayerData>>>,
     stages: RwLock<HashMap<StageKey, Arc<Vec<StageProfile>>>>,
-    collectives: RwLock<HashMap<CollectiveKey, Time>>,
     cost_models: RwLock<HashMap<CostModelKey, Arc<PlacementCostModel>>>,
     recoveries: AtomicUsize,
-    generation: AtomicU64,
 }
 
 impl ProfileCache {
@@ -149,22 +146,17 @@ impl ProfileCache {
     fn note_poison<T>(&self, lock: &RwLock<T>) {
         if lock.is_poisoned() {
             self.recoveries.fetch_add(1, Ordering::Relaxed);
-            self.generation.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// The degradation counters (see [`CacheStats`]).
     pub fn stats(&self) -> CacheStats {
+        let recoveries = self.recoveries.load(Ordering::Relaxed);
         CacheStats {
-            recoveries: self.recoveries.load(Ordering::Relaxed),
+            recoveries,
             corruptions: 0,
-            generation: self.generation.load(Ordering::Relaxed),
+            generation: recoveries as u64,
         }
-    }
-
-    /// The generation counter, for checkpoint emission.
-    pub(crate) fn generation_handle(&self) -> &AtomicU64 {
-        &self.generation
     }
 
     /// The per-layer-kind simulation results for
@@ -208,7 +200,10 @@ impl ProfileCache {
         Arc::clone(write_recover(&self.stages).entry(key).or_insert(built))
     }
 
-    /// Memoized [`all_reduce_time`].
+    /// [`all_reduce_time`], unmemoized: the closed form is cheaper than
+    /// any lookup, so no library code calls this. It stays because the
+    /// co-explorer benchmark's traced pass calls it by name; delete it
+    /// with that pass's next change.
     pub fn all_reduce(
         &self,
         algo: CollectiveAlgo,
@@ -217,20 +212,7 @@ impl ProfileCache {
         link_bw: Bandwidth,
         alpha: Time,
     ) -> Time {
-        let key = (
-            algo,
-            shape.w,
-            shape.h,
-            bytes.as_u64(),
-            link_bw.as_bytes_per_s().to_bits(),
-            alpha.as_secs().to_bits(),
-        );
-        self.note_poison(&self.collectives);
-        if let Some(hit) = read_recover(&self.collectives).get(&key) {
-            return *hit;
-        }
-        let t = all_reduce_time(algo, shape, bytes, link_bw, alpha);
-        *write_recover(&self.collectives).entry(key).or_insert(t)
+        all_reduce_time(algo, shape, bytes, link_bw, alpha)
     }
 
     /// The shared Eq. 2 [`PlacementCostModel`] for a
@@ -326,19 +308,17 @@ mod tests {
         assert_eq!(cache.cost_model_entries(), 2);
     }
 
+    /// `ProfileCache::all_reduce` is the closed form, no longer a memo.
+    /// Delete this test with the delegate.
     #[test]
     fn collective_memo_is_transparent() {
-        let cache = ProfileCache::new();
-        let shape = GroupShape::new(2, 2);
-        let bw = Bandwidth::tb_per_s(1.0);
+        let (algo, shape) = (CollectiveAlgo::RingBi, GroupShape::new(2, 2));
+        let (bytes, bw) = (Bytes::mib(64), Bandwidth::tb_per_s(1.0));
         let alpha = Time::from_nanos(50.0);
-        let direct = all_reduce_time(CollectiveAlgo::RingBi, shape, Bytes::mib(64), bw, alpha);
-        for _ in 0..3 {
-            assert_eq!(
-                cache.all_reduce(CollectiveAlgo::RingBi, shape, Bytes::mib(64), bw, alpha),
-                direct
-            );
-        }
+        assert_eq!(
+            ProfileCache::new().all_reduce(algo, shape, bytes, bw, alpha),
+            all_reduce_time(algo, shape, bytes, bw, alpha)
+        );
     }
 
     #[test]
@@ -360,7 +340,7 @@ mod tests {
         assert_eq!(cache.stage_entries(), 1);
         let stats = cache.stats();
         assert!(stats.recoveries >= 1, "recovery must be counted");
-        assert!(stats.generation >= 1, "recovery bumps the generation tag");
+        assert_eq!(stats.generation, stats.recoveries as u64);
         assert_eq!(stats.corruptions, 0);
     }
 

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use wsc_arch::fault::FaultMap;
 use wsc_arch::units::{Bandwidth, Bytes, FlopRate, Flops, Time};
 use wsc_arch::wafer::WaferConfig;
-use wsc_mesh::collective::{CollectiveAlgo, GroupShape};
+use wsc_mesh::collective::{all_reduce_time, CollectiveAlgo, GroupShape};
 use wsc_mesh::contention::{CommTask, TaskKind, TrafficAssigner};
 use wsc_mesh::topology::Mesh2D;
 use wsc_pipeline::onefb::{simulate, StageTiming};
@@ -121,20 +121,22 @@ pub struct EvalInput<'a> {
     pub faults: Option<&'a FaultMap>,
     /// Evaluator knobs.
     pub options: EvalOptions,
-    /// Shared memo for collective-time lookups (`None` = a memo of the
-    /// call's own).
+    /// Unread: collectives are priced in closed form, not looked up.
+    /// The field stays because the co-explorer benchmark's traced pass
+    /// sets it by name; delete it with that pass's next change.
     pub cache: Option<&'a ProfileCache>,
 }
 
 /// Forward/backward TP-collective times of one stage profile at the
 /// given effective link bandwidth. This is *the* formula — shared by
 /// both legs' evaluators and lower-bound pruners, so no bound can drift
-/// from what its evaluator actually charges. `shape` is the TP tile on
+/// from what its evaluator actually charges. Each collective is priced
+/// with the closed α–β form of [`all_reduce_time`] (§IV-E-1, Eq. 1),
+/// which is cheaper than any memo lookup. `shape` is the TP tile on
 /// one wafer; a TP group spanning `seam = Some((span, w2w_bw,
 /// w2w_latency))` wafers adds a ring all-reduce over its `span` wafer
 /// segments to every collective.
 pub(crate) fn stage_comm_times(
-    cache: &ProfileCache,
     collective: CollectiveAlgo,
     shape: GroupShape,
     sp: &StageProfile,
@@ -145,9 +147,9 @@ pub(crate) fn stage_comm_times(
     let price = |bytes: Bytes, collectives: usize| {
         let collectives = collectives.max(1);
         let volume = bytes / collectives as u64;
-        let mut t = cache.all_reduce(collective, shape, volume, eff_link, alpha);
+        let mut t = all_reduce_time(collective, shape, volume, eff_link, alpha);
         if let Some((span, w2w_bw, w2w_latency)) = seam {
-            t += cache.all_reduce(
+            t += all_reduce_time(
                 CollectiveAlgo::RingBi,
                 GroupShape::new(span, 1),
                 volume,
@@ -167,7 +169,6 @@ pub(crate) fn stage_comm_times(
 /// shared by both legs' evaluators and lower bounds. The replicas form
 /// a `min(dp, nx) × ⌈dp / nx⌉` grid of one wafer's D2D links.
 pub(crate) fn dp_allreduce_time(
-    cache: &ProfileCache,
     collective: CollectiveAlgo,
     wafer: &WaferConfig,
     job: &TrainingJob,
@@ -180,7 +181,7 @@ pub(crate) fn dp_allreduce_time(
     }
     let grad_bytes = Bytes::new((job.model.total_params() * 2.0 / (tp * pp) as f64) as u64);
     let dp_shape = GroupShape::new(dp.min(wafer.nx), dp.div_ceil(wafer.nx).max(1));
-    cache.all_reduce(
+    all_reduce_time(
         collective,
         dp_shape,
         grad_bytes,
@@ -268,8 +269,6 @@ pub fn evaluate(input: &EvalInput<'_>) -> PerfReport {
     let n_mb = job.microbatches(dp);
     let link_bw = wafer.d2d_link_bw();
     let alpha = wafer.d2d_link_latency;
-    let own = ProfileCache::new();
-    let cache = input.cache.unwrap_or(&own);
 
     if !input.recompute.feasible {
         return PerfReport::infeasible();
@@ -343,15 +342,8 @@ pub fn evaluate(input: &EvalInput<'_>) -> PerfReport {
         );
         let eff_link = link_bw.scale(linkq);
         // Collectives: volume split over the per-op collectives (α each).
-        let (fwd_comm, bwd_comm) = stage_comm_times(
-            cache,
-            input.options.collective,
-            shape,
-            sp,
-            eff_link,
-            alpha,
-            None,
-        );
+        let (fwd_comm, bwd_comm) =
+            stage_comm_times(input.options.collective, shape, sp, eff_link, alpha, None);
         let fwd = sp.fwd_compute.scale(1.0 / health) + fwd_comm;
         let bwd = sp.bwd_compute.scale(1.0 / health)
             + bwd_comm
@@ -373,15 +365,7 @@ pub fn evaluate(input: &EvalInput<'_>) -> PerfReport {
     let mut iteration = timing.iteration;
 
     // ---- DP gradient all-reduce (when DP replicas exist). ----
-    iteration += dp_allreduce_time(
-        cache,
-        input.options.collective,
-        wafer,
-        job,
-        input.ctx.tp,
-        pp,
-        dp,
-    );
+    iteration += dp_allreduce_time(input.options.collective, wafer, job, input.ctx.tp, pp, dp);
 
     // ---- Optimizer step: stream modelP through DRAM once. ----
     iteration += optimizer_stream_time(input.stages, wafer);

@@ -30,13 +30,12 @@ use crate::scheduler::{
 };
 use crate::serving::ServingModel;
 use crate::wave::{
-    run_items, CandidateFailure, Outcome, SearchBudget, SessionCtx, WaveCheckpoint, WaveSink,
+    run_items, CandidateFailure, EmitCheckpoint, Outcome, SearchBudget, SessionCtx, WaveCheckpoint,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use thiserror::Error;
-use wsc_arch::enumerate::Enumerator;
 use wsc_arch::units::{FlopRate, Time};
 use wsc_arch::wafer::{MultiWaferConfig, WaferConfig};
 use wsc_arch::AreaModel;
@@ -338,7 +337,7 @@ pub struct SearchFrontier {
     /// `completed_multi.len()`.
     pub multi: bool,
     /// The wave-engine snapshot (cursor, counters, incumbent key,
-    /// failures, cache generation tag).
+    /// failures, cache recovery count).
     pub wave: WaveCheckpoint,
 }
 
@@ -414,27 +413,6 @@ fn is_schedule_of(wafer: &WaferConfig, job: &TrainingJob, cfg: &ScheduledConfig)
         && cfg.placement.stages.iter().all(on_wafer)
 }
 
-/// Adapter handed to the wave engine while one leg runs under
-/// checkpointing: wraps each [`WaveCheckpoint`] into a session-level
-/// [`SearchCheckpoint`] carrying the legs already completed (`done`).
-struct LegSink<'a> {
-    sink: &'a dyn CheckpointSink,
-    done: &'a SearchCheckpoint,
-    multi: bool,
-}
-
-impl WaveSink for LegSink<'_> {
-    fn emit(&self, checkpoint: &WaveCheckpoint) {
-        self.sink.write(&SearchCheckpoint {
-            frontier: Some(SearchFrontier {
-                multi: self.multi,
-                wave: checkpoint.clone(),
-            }),
-            ..self.done.clone()
-        });
-    }
-}
-
 /// Fault-sweep request attached via [`ExplorerBuilder::with_faults`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultSweepSpec {
@@ -442,36 +420,6 @@ pub struct FaultSweepSpec {
     pub kinds: Vec<FaultKind>,
     /// Injection rates per kind.
     pub rates: Vec<f64>,
-}
-
-/// Sources of single-wafer candidates for [`ExplorerBuilder::wafers`].
-pub trait CandidateSource {
-    /// Materialize the candidate list.
-    fn candidates(self) -> Vec<WaferConfig>;
-}
-
-impl CandidateSource for Enumerator {
-    fn candidates(self) -> Vec<WaferConfig> {
-        self.enumerate()
-    }
-}
-
-impl CandidateSource for &Enumerator {
-    fn candidates(self) -> Vec<WaferConfig> {
-        self.enumerate()
-    }
-}
-
-impl CandidateSource for Vec<WaferConfig> {
-    fn candidates(self) -> Vec<WaferConfig> {
-        self
-    }
-}
-
-impl CandidateSource for &[WaferConfig] {
-    fn candidates(self) -> Vec<WaferConfig> {
-        self.to_vec()
-    }
 }
 
 /// Builder for [`Explorer`]; see the crate-level docs for a walkthrough.
@@ -485,8 +433,7 @@ pub struct ExplorerBuilder {
     objective: Objective,
     baselines: Vec<Box<dyn BaselineModel>>,
     budget: Option<SearchBudget>,
-    checkpoint_every: Option<usize>,
-    sink: Option<Arc<dyn CheckpointSink>>,
+    checkpoints: Option<(usize, Arc<dyn CheckpointSink>)>,
     skip_validation: bool,
 }
 
@@ -503,10 +450,11 @@ impl ExplorerBuilder {
         self
     }
 
-    /// Add many single-wafer candidates — a `Vec`, a slice, or an
-    /// [`Enumerator`] whose space is expanded on the spot.
-    pub fn wafers(mut self, source: impl CandidateSource) -> Self {
-        self.wafers.extend(source.candidates());
+    /// Add many single-wafer candidates — a `Vec`, or any iterator such
+    /// as a design space's
+    /// [`Enumerator::enumerate`](wsc_arch::enumerate::Enumerator::enumerate).
+    pub fn wafers(mut self, wafers: impl IntoIterator<Item = WaferConfig>) -> Self {
+        self.wafers.extend(wafers);
         self
     }
 
@@ -673,8 +621,7 @@ impl ExplorerBuilder {
     /// sequentially so snapshots have a well-defined prefix order; the
     /// resulting report is still byte-identical to the parallel run.
     pub fn checkpoint_every(mut self, every: usize, sink: Arc<dyn CheckpointSink>) -> Self {
-        self.checkpoint_every = Some(every);
-        self.sink = Some(sink);
+        self.checkpoints = Some((every, sink));
         self
     }
 
@@ -782,7 +729,7 @@ impl ExplorerBuilder {
                 }
             }
         }
-        if matches!(self.checkpoint_every, Some(0)) {
+        if matches!(self.checkpoints, Some((0, _))) {
             return Err(ExplorationError::InvalidBudget {
                 reason: "checkpoint_every must be at least 1 wave".into(),
             });
@@ -815,8 +762,7 @@ impl ExplorerBuilder {
             objective: self.objective,
             baselines: self.baselines,
             budget: self.budget,
-            checkpoint_every: self.checkpoint_every,
-            sink: self.sink,
+            checkpoints: self.checkpoints,
         })
     }
 }
@@ -834,8 +780,8 @@ pub struct Explorer {
     objective: Objective,
     baselines: Vec<Box<dyn BaselineModel>>,
     budget: Option<SearchBudget>,
-    checkpoint_every: Option<usize>,
-    sink: Option<Arc<dyn CheckpointSink>>,
+    /// Checkpoint cadence in waves, with the sink the snapshots go to.
+    checkpoints: Option<(usize, Arc<dyn CheckpointSink>)>,
 }
 
 impl std::fmt::Debug for Explorer {
@@ -849,8 +795,10 @@ impl std::fmt::Debug for Explorer {
             .field("objective", &self.objective)
             .field("baselines", &self.baselines.len())
             .field("budget", &self.budget)
-            .field("checkpoint_every", &self.checkpoint_every)
-            .field("sink", &self.sink.is_some())
+            .field(
+                "checkpoint_every",
+                &self.checkpoints.as_ref().map(|(every, _)| every),
+            )
             .finish()
     }
 }
@@ -949,10 +897,10 @@ impl Explorer {
         let f = cp.frontier.as_ref()?;
         let work = if f.multi {
             let node = self.nodes.get(cp.completed_multi.len());
-            node.map(|n| node_work_list(n, job, opts).0.len())
+            node.map(|n| node_work_list(n, job, opts).len())
         } else {
             let wafer = self.wafers.get(cp.completed_single.len());
-            wafer.map(|w| work_list(w, job, opts).0.len())
+            wafer.map(|w| work_list(w, job, opts).len())
         };
         let (wave, s) = (&f.wave, f.wave.stats);
         let counts = [s.pruned, s.evaluated, s.skipped];
@@ -964,10 +912,10 @@ impl Explorer {
         (!fits).then(|| "its frontier does not fit the in-flight leg's work list".into())
     }
 
-    /// The session-wide wave-engine context: budget limits and the
-    /// checkpoint cadence. The wall-clock deadline is anchored once
-    /// here, so every leg races the same instant. A deadline too far
-    /// off for a `Duration` or an `Instant` to hold is no deadline.
+    /// The session-wide wave-engine context: the budget limits. The
+    /// wall-clock deadline is anchored once here, so every leg races the
+    /// same instant. A deadline too far off for a `Duration` or an
+    /// `Instant` to hold is no deadline.
     fn base_ctx(&self) -> SessionCtx<'_> {
         let budget = self.budget.unwrap_or_default();
         let deadline = budget.deadline.and_then(|secs| {
@@ -978,7 +926,6 @@ impl Explorer {
         SessionCtx {
             deadline,
             max_evaluations: budget.max_evaluations,
-            checkpoint_every: self.checkpoint_every,
             ..SessionCtx::none()
         }
     }
@@ -988,7 +935,7 @@ impl Explorer {
         // Checkpointing (or resuming) runs the legs sequentially so
         // every snapshot has a well-defined completed-prefix; reports
         // are identical either way, as everywhere else in the engine.
-        let (single_wafer, keys, multi_wafer) = if self.sink.is_some() || resume.is_some() {
+        let (single_wafer, keys, multi_wafer) = if self.checkpoints.is_some() || resume.is_some() {
             self.run_checkpointed(&ctx, resume)
         } else {
             let (single, keys): (Vec<ArchRecord>, Vec<Option<f64>>) =
@@ -1152,9 +1099,10 @@ impl Explorer {
     /// completed are reused verbatim and ranked by [`Self::rescore`];
     /// the first other leg on the frontier's side restarts from the wave
     /// frontier. The completed legs accumulate in `done`, which every
-    /// wave snapshot carries as its completed prefix and every finished
-    /// leg writes as a leg-boundary snapshot (frontier `None`: start the
-    /// next leg from scratch on resume).
+    /// wave snapshot carries as its completed prefix (the leg's receiver
+    /// wraps each [`WaveCheckpoint`] into a [`SearchCheckpoint`]) and
+    /// every finished leg writes as a leg-boundary snapshot (frontier
+    /// `None`: start the next leg from scratch on resume).
     fn run_checkpointed(
         &self,
         ctx: &SessionCtx<'_>,
@@ -1193,13 +1141,22 @@ impl Explorer {
                 .and_then(|cp| cp.frontier.as_ref())
                 .filter(|f| f.multi == multi)
                 .map(|f| &f.wave);
-            let leg_sink = self.sink.as_deref().map(|sink| LegSink {
-                sink,
-                done: &done,
-                multi,
-            });
+            let emit = |wave: &WaveCheckpoint| {
+                if let Some((_, sink)) = &self.checkpoints {
+                    sink.write(&SearchCheckpoint {
+                        frontier: Some(SearchFrontier {
+                            multi,
+                            wave: wave.clone(),
+                        }),
+                        ..done.clone()
+                    });
+                }
+            };
             let leg_ctx = SessionCtx {
-                sink: leg_sink.as_ref().map(|s| s as &dyn WaveSink),
+                checkpoints: self
+                    .checkpoints
+                    .as_ref()
+                    .map(|&(every, _)| (every, &emit as EmitCheckpoint<'_>)),
                 resume: frontier,
                 ..*ctx
             };
@@ -1211,7 +1168,7 @@ impl Explorer {
                 done.completed_single.push(record);
                 keys.push(key);
             }
-            if let Some(sink) = &self.sink {
+            if let Some((_, sink)) = &self.checkpoints {
                 sink.write(&done);
             }
         }

@@ -76,9 +76,9 @@ pub use crate::costmodel::{CostState, PlacementCostModel};
 pub use crate::dram_alloc::{allocate, DramAllocation, DramGrant};
 pub use crate::evaluator::{evaluate, EvalInput, EvalOptions, PerfReport};
 pub use crate::explorer::{
-    ArchRecord, BaselineModel, BaselineOutcome, BaselineRecord, CandidateSource, CheckpointSink,
-    ExplorationError, ExplorationReport, Explorer, ExplorerBuilder, FaultSweepRecord,
-    FaultSweepSpec, MemorySink, MultiWaferRecord, SearchCheckpoint, SearchFrontier,
+    ArchRecord, BaselineModel, BaselineOutcome, BaselineRecord, CheckpointSink, ExplorationError,
+    ExplorationReport, Explorer, ExplorerBuilder, FaultSweepRecord, FaultSweepSpec, MemorySink,
+    MultiWaferRecord, SearchCheckpoint, SearchFrontier,
 };
 pub use crate::ga::{GaParams, GaResult};
 pub use crate::goodput::{

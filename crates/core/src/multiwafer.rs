@@ -157,12 +157,11 @@ pub(crate) fn seam_borrow_penalty(node: &MultiWaferConfig, bytes: Bytes, crossin
 
 /// Evaluate a fixed [`ParallelPlan`] on a multi-wafer node.
 ///
-/// Layer profiles per `(tp, strategy)`, stage profiles per
-/// `(tp, pp, strategy, microbatches)` and collective-time lookups go
-/// through `cache`, so they are reused across every plan the cache has
-/// seen for this `(wafer, job)` pair — including plans that differ only
-/// in stage map or TP span; a one-off call passes
-/// `&ProfileCache::new()`.
+/// Layer profiles per `(tp, strategy)` and stage profiles per
+/// `(tp, pp, strategy, microbatches)` go through `cache`, so they are
+/// reused across every plan the cache has seen for this `(wafer, job)`
+/// pair — including plans that differ only in stage map or TP span; a
+/// one-off call passes `&ProfileCache::new()`.
 pub fn evaluate_multi_wafer_plan(
     node: &MultiWaferConfig,
     job: &TrainingJob,
@@ -228,7 +227,7 @@ fn evaluate_multi_wafer_plan_impl(
     let mut timings = Vec::with_capacity(pp);
     let mut w2w_boundaries = 0usize;
     for (s, sp) in stages.iter().enumerate() {
-        let (fwd_comm, bwd_comm) = stage_comm_times(cache, RING, shape, sp, link_bw, alpha, seam);
+        let (fwd_comm, bwd_comm) = stage_comm_times(RING, shape, sp, link_bw, alpha, seam);
         // Stage boundary: W2W when the next stage lives on another wafer
         // group.
         let p2p = if s + 1 < pp && assignment[s + 1] != assignment[s] {
@@ -245,7 +244,7 @@ fn evaluate_multi_wafer_plan_impl(
             p2p,
         });
     }
-    let dp_time = dp_allreduce_time(cache, RING, wafer, job, plan.tp, pp, dp);
+    let dp_time = dp_allreduce_time(RING, wafer, job, plan.tp, pp, dp);
     let mut iteration = simulate(&timings, n_mb).iteration + dp_time;
 
     // Node-level Alg. 3 (behind the `node_placement` knob): re-place the
@@ -439,13 +438,12 @@ fn node_lower_bound(
     let alpha = wafer.d2d_link_latency;
     let seam = seam_step(node, geo.span);
     let mb_secs = stages.iter().map(|sp| {
-        let (fwd_comm, bwd_comm) =
-            stage_comm_times(cache, RING, geo.shape, sp, link_bw, alpha, seam);
+        let (fwd_comm, bwd_comm) = stage_comm_times(RING, geo.shape, sp, link_bw, alpha, seam);
         (sp.fwd_compute + fwd_comm + sp.bwd_compute + bwd_comm).as_secs()
     });
     let (tp, pp, dp) = (plan.tp, plan.pp, geo.parallel.dp);
     let bound = one_f_one_b_floor(geo.n_mb, mb_secs)
-        + dp_allreduce_time(cache, RING, wafer, job, tp, pp, dp).as_secs();
+        + dp_allreduce_time(RING, wafer, job, tp, pp, dp).as_secs();
     Some(bound)
 }
 
@@ -480,20 +478,20 @@ fn stage_map_family(pp: usize, groups: usize, filter: &PlanFilter) -> Vec<(Stage
 /// enlarges it: cross-wafer TP adds a `tp_span` axis over the divisors
 /// of the wafer count (per-wafer degrees scaled by the span), and uneven
 /// stage maps add every PP plus the remainder-shift family of explicit
-/// maps. `decided[i]` marks points the per-die aggregate-memory
-/// precheck alone decides; they are never profiled in either sweep
-/// mode. Empty when modelP cannot fit the node's total DRAM.
+/// maps. [`WorkItem::decided`] marks points the per-die
+/// aggregate-memory precheck alone decides; they are never profiled in
+/// either sweep mode. Empty when modelP cannot fit the node's total
+/// DRAM.
 pub(crate) fn node_work_list(
     node: &MultiWaferConfig,
     job: &TrainingJob,
     opts: &SchedulerOptions,
-) -> (Vec<WorkItem>, Vec<bool>) {
+) -> Vec<WorkItem> {
     let mut items: Vec<WorkItem> = Vec::new();
-    let mut decided: Vec<bool> = Vec::new();
     // Aggregate-memory precheck at the node level: if modelP cannot fit
     // the node's total DRAM, no plan can help.
     if model_p_total(&job.model).as_f64() > node.total_dram().as_f64() {
-        return (items, decided);
+        return items;
     }
     let dies = node.total_dies();
     let wafers = node.wafers.max(1);
@@ -529,7 +527,7 @@ pub(crate) fn node_work_list(
                 if tp * pp < dies / 2 {
                     continue;
                 }
-                let memory_decided = memory_precheck_fails(&node.wafer, job, tp, pp);
+                let decided = memory_precheck_fails(&node.wafer, job, tp, pp);
                 for (map, variant) in stage_map_family(pp, groups, &opts.plans) {
                     // Unique per (tp, pp, sidx): spans collide on `tp`
                     // (intra TP=4 vs 2×2 cross TP=4), so the span joins
@@ -548,14 +546,14 @@ pub(crate) fn node_work_list(
                             },
                             sidx,
                             pidx,
+                            decided,
                         });
-                        decided.push(memory_decided);
                     }
                 }
             }
         }
     }
-    (items, decided)
+    items
 }
 
 /// Implementation of the multi-wafer search (driven by
@@ -579,10 +577,9 @@ pub(crate) fn explore_multi_wafer_impl(
     opts: &SchedulerOptions,
     ctx: &SessionCtx<'_>,
 ) -> (LegOutcome<(MultiWaferReport, f64)>, CacheStats) {
-    let (items, decided) = node_work_list(node, job, opts);
+    let items = node_work_list(node, job, opts);
     let (leg, cache) = bounded_search(
         &items,
-        &decided,
         opts,
         ctx,
         |it, cache| node_lower_bound(node, job, &it.plan, cache),
@@ -590,7 +587,7 @@ pub(crate) fn explore_multi_wafer_impl(
             let seed = opts.node_placement.then_some(opts.seed);
             evaluate_multi_wafer_plan_impl(node, job, &it.plan, cache, seed)
         },
-        |r, _| r.iteration.as_secs(),
+        |r, _, _| r.iteration.as_secs(),
     );
     (leg, cache.stats())
 }

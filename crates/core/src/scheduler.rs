@@ -34,7 +34,7 @@ use std::time::Instant;
 use wsc_arch::fault::FaultMap;
 use wsc_arch::units::Bytes;
 use wsc_arch::wafer::WaferConfig;
-use wsc_mesh::collective::{CollectiveAlgo, GroupShape};
+use wsc_mesh::collective::{all_reduce_time, CollectiveAlgo, GroupShape};
 use wsc_mesh::topology::Mesh2D;
 use wsc_pipeline::gcmr::gcmr;
 use wsc_pipeline::recompute::{naive_recompute, overflow_and_spare, RecomputePlan};
@@ -323,7 +323,6 @@ fn choose_collective(
     wafer: &WaferConfig,
     shape: GroupShape,
     stages: &[StageProfile],
-    cache: &ProfileCache,
 ) -> Option<CollectiveAlgo> {
     let volume = stages
         .first()
@@ -332,7 +331,7 @@ fn choose_collective(
     let (link_bw, alpha) = (wafer.d2d_link_bw(), wafer.d2d_link_latency);
     let mut best: Option<(CollectiveAlgo, f64)> = None;
     for &algo in opts.collectives.iter().filter(|a| a.supports(shape)) {
-        let t = cache.all_reduce(algo, shape, volume, link_bw, alpha);
+        let t = all_reduce_time(algo, shape, volume, link_bw, alpha);
         if best.is_none_or(|(_, bt)| t.as_secs() < bt) {
             best = Some((algo, t.as_secs()));
         }
@@ -344,7 +343,7 @@ fn choose_collective(
 /// evaluate. This is the Alg. 1 loop body, also used directly by the
 /// ablation and baseline experiments.
 ///
-/// Stage profiles and collective-time lookups go through `cache`, so
+/// Stage profiles and placement cost models go through `cache`, so
 /// they are reused across every plan the cache has seen for this
 /// `(wafer, job)` pair; a one-off call passes `&ProfileCache::new()`.
 pub fn schedule_plan(
@@ -454,7 +453,7 @@ pub fn schedule_plan(
     };
 
     // Collective selection for this shape.
-    let collective = choose_collective(opts, wafer, shape, &stages[..], cache)?;
+    let collective = choose_collective(opts, wafer, shape, &stages[..])?;
 
     let options = EvalOptions {
         collective,
@@ -473,7 +472,7 @@ pub fn schedule_plan(
             grants,
             faults,
             options: options.clone(),
-            cache: Some(cache),
+            cache: None,
         })
     };
     let base_report = eval_with(&placement, &rplan, &grants);
@@ -571,19 +570,19 @@ fn config_lower_bound(
     let link_bw = wafer.d2d_link_bw();
     let alpha = wafer.d2d_link_latency;
     // Same collective the full scheduler will pick for this shape.
-    let collective = choose_collective(opts, wafer, g.shape, &stages[..], cache)?;
+    let collective = choose_collective(opts, wafer, g.shape, &stages[..])?;
 
     // Per-micro-batch stage times at healthy link bandwidth, using the
     // evaluator's own comm-time formula (exact: the search evaluates
     // fault-free, and recompute/p2p only ever add time).
     let mb_secs = stages.iter().map(|sp| {
         let (fwd_comm, bwd_comm) =
-            evaluator::stage_comm_times(cache, collective, g.shape, sp, link_bw, alpha, None);
+            evaluator::stage_comm_times(collective, g.shape, sp, link_bw, alpha, None);
         (sp.fwd_compute + fwd_comm + sp.bwd_compute + bwd_comm).as_secs()
     });
     let ParallelSpec { dp, tp, pp } = g.parallel;
     let bound = one_f_one_b_floor(g.n_mb, mb_secs)
-        + evaluator::dp_allreduce_time(cache, collective, wafer, job, tp, pp, dp).as_secs()
+        + evaluator::dp_allreduce_time(collective, wafer, job, tp, pp, dp).as_secs()
         + evaluator::optimizer_stream_time(&stages[..], wafer).as_secs();
     Some(bound)
 }
@@ -685,22 +684,21 @@ impl Objective {
 }
 
 /// The Alg. 1 work-list of `wafer`: the intra-wafer `TP × PP × strategy`
-/// points, each with its `decided` flag — set when the Alg. 1 line 1–2
-/// aggregate-memory precheck alone decides the point (modelP per die
-/// cannot fit the die's DRAM), so the bound phase, the pruned waves AND
-/// the exhaustive sweep all short-circuit it without building stage
+/// points, each [`WorkItem::decided`] when the Alg. 1 line 1–2
+/// aggregate-memory precheck alone decides it (modelP per die cannot
+/// fit the die's DRAM), so the bound phase, the pruned waves AND the
+/// exhaustive sweep all short-circuit it without building stage
 /// profiles. Empty when modelP cannot fit the whole wafer.
 pub(crate) fn work_list(
     wafer: &WaferConfig,
     job: &TrainingJob,
     opts: &SchedulerOptions,
-) -> (Vec<WorkItem>, Vec<bool>) {
+) -> Vec<WorkItem> {
     let dies = wafer.die_count();
     let mut items: Vec<WorkItem> = Vec::new();
-    let mut decided: Vec<bool> = Vec::new();
     // Alg. 1 line 1–2 at the wafer level.
     if model_p_total(&job.model).as_f64() / dies as f64 > wafer.dram.capacity.as_f64() {
-        return (items, decided);
+        return items;
     }
     for tp in tp_candidates(wafer, opts) {
         let max_pp = (dies / tp).min(job.model.layers);
@@ -713,18 +711,18 @@ pub(crate) fn work_list(
                 Some(g) if tp * pp * g.parallel.dp >= dies / 2 => {}
                 _ => continue,
             }
-            let memory_decided = memory_precheck_fails(wafer, job, tp, pp);
+            let decided = memory_precheck_fails(wafer, job, tp, pp);
             for (sidx, &strategy) in opts.strategies.iter().enumerate() {
                 items.push(WorkItem {
                     plan: ParallelPlan::intra(tp, pp, strategy),
                     sidx,
                     pidx: 0,
+                    decided,
                 });
-                decided.push(memory_decided);
             }
         }
     }
-    (items, decided)
+    items
 }
 
 /// Implementation of the Alg. 1 single-wafer search (driven by
@@ -753,18 +751,19 @@ pub(crate) fn explore_impl(
     objective: &Objective,
     ctx: &SessionCtx<'_>,
 ) -> (LegOutcome<(ScheduledConfig, f64)>, CacheStats) {
-    let (items, decided) = work_list(wafer, job, opts);
+    let items = work_list(wafer, job, opts);
     let inner = SchedulerOptions {
         ga: None,
         ..opts.clone()
     };
-    // The ensemble loop honors the session deadline.
-    let score = |cfg: &ScheduledConfig, cache: &ProfileCache| {
-        objective.score(wafer, job, cfg, cache, ctx.deadline)
+    // The engine hands the ensemble loop its cutoff: the session
+    // deadline in the waves, none when it re-derives a resumed
+    // incumbent.
+    let score = |cfg: &ScheduledConfig, cache: &ProfileCache, cutoff: Option<Instant>| {
+        objective.score(wafer, job, cfg, cache, cutoff)
     };
     let (mut leg, cache) = bounded_search(
         &items,
-        &decided,
         opts,
         ctx,
         |it, cache| objective.bound(wafer, job, &it.plan, opts, cache),
@@ -780,7 +779,7 @@ pub(crate) fn explore_impl(
             leg.best = Some(
                 match schedule_plan(wafer, job, &b.plan, opts, None, &cache) {
                     Some(refined) => {
-                        let rscore = score(&refined, &cache);
+                        let rscore = score(&refined, &cache, ctx.deadline);
                         if rscore <= bscore {
                             (refined, rscore)
                         } else {
@@ -825,7 +824,7 @@ pub fn evaluate_scheduled(
             punish: 4.0,
             robust,
         },
-        cache: Some(cache),
+        cache: None,
     })
 }
 

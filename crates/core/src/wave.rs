@@ -14,7 +14,7 @@
 //! * **Determinism.** Pruning decisions consult only the incumbent from
 //!   *completed* waves, wave boundaries are fixed (independent of the
 //!   thread count and the machine), and ties are resolved by the
-//!   smallest `(tp, pp, strategy index)` key — so the winner *and* the
+//!   smallest [`PlanKey`] — so the winner *and* the
 //!   [`SearchStats`] counters are byte-identical across thread counts
 //!   and identical to the exhaustive sequential sweep (modulo the
 //!   counters, which legitimately differ when pruning is disabled).
@@ -44,11 +44,13 @@
 //! `catch_unwind`, so a panicking candidate becomes a per-item
 //! [`CandidateFailure`] record instead of tearing down the search — and
 //! since a failed candidate produces no score, it can never be the
-//! winner. Every `N` completed waves the engine can emit a
-//! [`WaveCheckpoint`] through a pluggable sink; resuming from one
+//! winner. Every `N` completed waves the engine can hand a
+//! [`WaveCheckpoint`] to a receiver closure; resuming from one
 //! restores the cursor, the counters and the failure log, re-derives the
-//! incumbent by re-evaluating its key (evaluation is a pure function),
-//! and provably converges to the same winner as the uninterrupted run.
+//! incumbent by re-evaluating its key (evaluation is a pure function,
+//! and the re-derivation scores without the deadline cutoff, so an
+//! expired deadline cannot drop it), and provably converges to the same
+//! winner as the uninterrupted run.
 //! A run with no budget and no checkpointing takes none of these paths
 //! and is byte-identical to the pre-resilience engine.
 
@@ -58,7 +60,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use wsc_workload::parallel::ParallelPlan;
 
@@ -174,9 +176,10 @@ impl Outcome {
     }
 }
 
-/// The serde-able form of a work item's deterministic tie-break key
-/// (see `WorkItem::key`), stored in checkpoints so a resumed search
-/// can re-derive its incumbent by re-evaluating exactly this point.
+/// A work item's deterministic tie-break key (see `WorkItem::key`):
+/// the smallest `(tp, pp, sidx, pidx)` wins among equal scores. Stored
+/// in checkpoints so a resumed search can re-derive its incumbent by
+/// re-evaluating exactly this point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct PlanKey {
     /// Tensor-parallel degree.
@@ -187,12 +190,6 @@ pub struct PlanKey {
     pub sidx: usize,
     /// Plan-family index (span/stage-map variant).
     pub pidx: usize,
-}
-
-impl From<(usize, usize, usize, usize)> for PlanKey {
-    fn from((tp, pp, sidx, pidx): (usize, usize, usize, usize)) -> Self {
-        PlanKey { tp, pp, sidx, pidx }
-    }
 }
 
 /// One candidate whose evaluation panicked, converted into data by the
@@ -212,7 +209,7 @@ pub struct CandidateFailure {
 }
 
 /// A resumable snapshot of one search leg, emitted every N completed
-/// waves (and at truncation) through a checkpoint sink.
+/// waves (and at truncation) to the session's checkpoint receiver.
 ///
 /// The snapshot deliberately stores the incumbent's *key* rather than
 /// the incumbent itself: evaluation is a pure function of the work item
@@ -236,19 +233,23 @@ pub struct WaveCheckpoint {
     pub best_score: Option<f64>,
     /// Candidate failures recorded so far.
     pub failures: Vec<CandidateFailure>,
-    /// The `ProfileCache` generation tag at emit time: 0 means the
-    /// incumbent was found against a pristine cache; a nonzero tag means
-    /// poison recoveries invalidated cache state along the way. Resume
-    /// always rebuilds caches from scratch, so the tag is diagnostic — it
+    /// The leg's `ProfileCache` poison recoveries at emit time
+    /// ([`CacheStats::recoveries`](crate::CacheStats)): 0 means the
+    /// incumbent was found against a pristine cache. Resume always
+    /// rebuilds caches from scratch, so the count is diagnostic — it
     /// tells you whether the checkpointed run had already survived cache
     /// degradation.
     pub generation: u64,
 }
 
+/// The receiver a leg hands its [`WaveCheckpoint`]s to.
+pub(crate) type EmitCheckpoint<'a> = &'a (dyn Fn(&WaveCheckpoint) + Sync);
+
 /// Per-search session context threaded from the `Explorer` facade down
 /// into the wave loop: the (already-resolved) deadline, deterministic
-/// budget limits, checkpoint cadence/sink, and the checkpoint to resume
-/// from. `SessionCtx::none()` is the seed-era behavior.
+/// budget limits, the checkpoint cadence with its receiver, and the
+/// checkpoint to resume from. `SessionCtx::none()` is the seed-era
+/// behavior.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct SessionCtx<'a> {
     /// Absolute wall-clock deadline (resolved once per `Explorer` run,
@@ -256,13 +257,11 @@ pub(crate) struct SessionCtx<'a> {
     pub deadline: Option<Instant>,
     /// Per-leg evaluation cap.
     pub max_evaluations: Option<usize>,
-    /// Emit a [`WaveCheckpoint`] every this many completed waves.
-    pub checkpoint_every: Option<usize>,
-    /// Where checkpoints go.
-    pub sink: Option<&'a dyn WaveSink>,
-    /// The cache generation counter of the leg's `ProfileCache`, read at
-    /// checkpoint-emit time.
-    pub generation: Option<&'a AtomicU64>,
+    /// Hand a [`WaveCheckpoint`] to the receiver every this many
+    /// completed waves, and at truncation. The `Explorer` facade's
+    /// receiver wraps each into a session-level `SearchCheckpoint` for
+    /// the user's sink.
+    pub checkpoints: Option<(usize, EmitCheckpoint<'a>)>,
     /// Resume from this snapshot instead of starting fresh.
     pub resume: Option<&'a WaveCheckpoint>,
 }
@@ -280,14 +279,6 @@ impl SessionCtx<'_> {
     }
 }
 
-/// Receiver of per-wave checkpoints (implemented by the `Explorer`
-/// facade, which wraps each [`WaveCheckpoint`] into a session-level
-/// `SearchCheckpoint` before handing it to the user's sink).
-pub(crate) trait WaveSink: Sync {
-    /// Called after a completed wave (and at truncation).
-    fn emit(&self, checkpoint: &WaveCheckpoint);
-}
-
 /// What one search leg hands back: the winner, the counters, the
 /// completion outcome and the isolated candidate failures. The one
 /// outcome type of both legs and of the wave loop under them.
@@ -303,8 +294,9 @@ pub(crate) struct LegOutcome<C> {
     pub failures: Vec<CandidateFailure>,
 }
 
-/// One point of a flattened plan work-list: a [`ParallelPlan`] plus the
-/// tie-break indices that order it deterministically within the list.
+/// One point of a flattened plan work-list: a [`ParallelPlan`], the
+/// tie-break indices that order it deterministically within the list,
+/// and the verdict of the leg's static precheck.
 #[derive(Debug, Clone)]
 pub(crate) struct WorkItem {
     /// The parallel configuration this point evaluates.
@@ -317,6 +309,13 @@ pub(crate) struct WorkItem {
     /// `(tp, pp)` (e.g. intra TP=4 vs 2×2 cross-wafer TP=4) still carry
     /// distinct keys.
     pub pidx: usize,
+    /// Set when the leg's static precheck alone decides the point (e.g.
+    /// Alg. 1 line 1–2 aggregate memory): it is never handed to the
+    /// bound or the evaluator, so it costs nothing in either sweep mode
+    /// — in the pruned mode it counts as pruned, in the exhaustive mode
+    /// it flows through the (skipped) evaluation path and counts as
+    /// evaluated, since an exhaustive sweep by definition skips nothing.
+    pub decided: bool,
 }
 
 impl WorkItem {
@@ -325,8 +324,13 @@ impl WorkItem {
     /// in which order the points were evaluated. Keys must be unique per
     /// work-list — equal keys would let the winner depend on bound
     /// order.
-    pub fn key(&self) -> (usize, usize, usize, usize) {
-        (self.plan.tp, self.plan.pp, self.sidx, self.pidx)
+    pub fn key(&self) -> PlanKey {
+        PlanKey {
+            tp: self.plan.tp,
+            pp: self.plan.pp,
+            sidx: self.sidx,
+            pidx: self.pidx,
+        }
     }
 }
 
@@ -385,23 +389,23 @@ fn lower_by_margin(bound: f64) -> f64 {
 /// [`ProfileCache`], the bound phase and the wave loop, with the
 /// prune/short-circuit semantics held in one place for both legs.
 ///
-/// `decided[i]` marks points the caller's static precheck alone decides
-/// (e.g. Alg. 1 line 1–2 aggregate memory): they are never handed to
-/// `bound` or `eval`, so they cost nothing in either sweep mode — in the
-/// pruned mode they count as pruned, in the exhaustive mode they flow
-/// through the (skipped) evaluation path and count as evaluated, since
-/// an exhaustive sweep by definition skips nothing. With `opts.prune`
-/// set, `bound` computes an analytic lower bound on `score` per
-/// surviving point (`None` = statically infeasible, counted as pruned);
-/// with it unset, every point gets a `-inf` bound and the wave loop
-/// degenerates to the exhaustive sweep. `eval` schedules one point;
-/// `score` is what the incumbent competes on (lower is better), and a
-/// candidate whose score is not finite — a deadline-interrupted
-/// ensemble, an unserveable plan — is dropped as unscoreable rather
-/// than allowed to win a leg with no finite competitor.
-/// `opts.sequential` picks sequential or fan-out evaluation. `ctx`
-/// carries the resilience layer (budget, checkpointing, resume); pass
-/// [`SessionCtx::none`] for the seed-era behavior.
+/// Points the caller's static precheck decided ([`WorkItem::decided`])
+/// are never handed to `bound` or `eval`. With `opts.prune` set,
+/// `bound` computes an analytic lower bound on `score` per surviving
+/// point (`None` = statically infeasible, counted as pruned); with it
+/// unset, every point gets a `-inf` bound and the wave loop degenerates
+/// to the exhaustive sweep. `eval` schedules one point; `score` is what
+/// the incumbent competes on (lower is better), given the cutoff past
+/// which it may give up and return a non-finite score: the waves pass
+/// the session deadline, the re-derivation of a resumed incumbent
+/// passes `None`. A candidate whose score is not finite — a
+/// deadline-interrupted ensemble, an unserveable plan — is dropped as
+/// unscoreable rather than allowed to win a leg with no finite
+/// competitor. `opts.sequential` picks sequential or fan-out
+/// evaluation. `ctx` carries the resilience layer (budget,
+/// checkpointing, resume); pass [`SessionCtx::none`] for the seed-era
+/// behavior. Each snapshot carries the leg cache's poison-recovery
+/// count in [`WaveCheckpoint::generation`].
 ///
 /// The deadline is also checked as each bound is claimed: once it has
 /// passed no bound starts, and the leg ends before its first wave
@@ -409,45 +413,52 @@ fn lower_by_margin(bound: f64) -> f64 {
 ///
 /// Returns the winner with its score (smallest score, ties to the
 /// smallest [`WorkItem::key`]), stats, outcome and isolated failures,
-/// plus the leg's cache, whose generation tag the checkpoints carry.
+/// plus the leg's cache.
 pub(crate) fn bounded_search<C: Send>(
     items: &[WorkItem],
-    decided: &[bool],
     opts: &SchedulerOptions,
     ctx: &SessionCtx<'_>,
     bound: impl Fn(&WorkItem, &ProfileCache) -> Option<f64> + Sync,
     eval: impl Fn(&WorkItem, &ProfileCache) -> Option<C> + Sync,
-    score: impl Fn(&C, &ProfileCache) -> f64 + Sync,
+    score: impl Fn(&C, &ProfileCache, Option<Instant>) -> f64 + Sync,
 ) -> (LegOutcome<(C, f64)>, ProfileCache) {
-    debug_assert_eq!(items.len(), decided.len());
     let cache = ProfileCache::new();
+    // Snapshots carry the poison recoveries of the cache the leg owns.
+    let stamped = |cp: &WaveCheckpoint| {
+        if let Some((_, emit)) = ctx.checkpoints {
+            let mut cp = cp.clone();
+            cp.generation = cache.stats().recoveries as u64;
+            emit(&cp);
+        }
+    };
     let ctx = SessionCtx {
-        generation: Some(cache.generation_handle()),
+        checkpoints: ctx
+            .checkpoints
+            .map(|(every, _)| (every, &stamped as EmitCheckpoint<'_>)),
         ..*ctx
     };
-    let idxs: Vec<usize> = (0..items.len()).collect();
     // Points claimed after the deadline, whose bound never started.
     let unbounded = AtomicUsize::new(0);
     let bounds: Vec<Option<f64>> = if opts.prune {
-        run_items(&idxs, opts.sequential, |&i| {
-            if decided[i] {
+        run_items(items, opts.sequential, |it| {
+            if it.decided {
                 None
             } else if ctx.past_deadline() {
                 unbounded.fetch_add(1, Ordering::Relaxed);
                 None
             } else {
-                bound(&items[i], &cache).map(lower_by_margin)
+                bound(it, &cache).map(lower_by_margin)
             }
         })
     } else {
         vec![Some(f64::NEG_INFINITY); items.len()]
     };
-    let eval = |i: usize, it: &WorkItem| {
-        if decided[i] {
+    let eval = |it: &WorkItem, cutoff: Option<Instant>| {
+        if it.decided {
             return None;
         }
         let c = eval(it, &cache)?;
-        let s = score(&c, &cache);
+        let s = score(&c, &cache, cutoff);
         s.is_finite().then_some((c, s))
     };
     let leg = match unbounded.into_inner() {
@@ -464,15 +475,14 @@ pub(crate) fn bounded_search<C: Send>(
 /// so every point neither the precheck nor its bound pruned (`pruned`
 /// of them were) is skipped. A resumed leg keeps its snapshot's
 /// counters and failure log, re-derives its incumbent as the wave loop
-/// does (an `eval` whose score honors the deadline can drop it), and
-/// skips what those counters leave unaccounted. The cut emits no
-/// snapshot: a cursor indexes the full bound order, which the cut leg
-/// never built.
+/// does (without the deadline cutoff), and skips what those counters
+/// leave unaccounted. The cut emits no snapshot: a cursor indexes the
+/// full bound order, which the cut leg never built.
 fn bound_phase_cut<C>(
     items: &[WorkItem],
     pruned: usize,
     ctx: &SessionCtx<'_>,
-    eval: impl Fn(usize, &WorkItem) -> Option<C>,
+    eval: impl Fn(&WorkItem, Option<Instant>) -> Option<C>,
 ) -> LegOutcome<C> {
     let (mut stats, best, failures) = match ctx.resume {
         Some(cp) => {
@@ -501,52 +511,53 @@ fn bound_phase_cut<C>(
     }
 }
 
-/// `eval` of `items[i]` under `catch_unwind`, a panic as its payload.
+/// `eval` of `item` under `catch_unwind`, a panic as its payload.
 /// AssertUnwindSafe is sound here: the only state shared across the
 /// boundary is the memo caches, whose poison recovery clears any shard
 /// a panicking holder left behind (`crate::cache`).
 fn guarded_eval<C>(
-    eval: &impl Fn(usize, &WorkItem) -> Option<C>,
-    items: &[WorkItem],
-    i: usize,
+    eval: &impl Fn(&WorkItem, Option<Instant>) -> Option<C>,
+    item: &WorkItem,
+    cutoff: Option<Instant>,
 ) -> Result<Option<C>, String> {
-    catch_unwind(AssertUnwindSafe(|| eval(i, &items[i]))).map_err(panic_payload)
+    catch_unwind(AssertUnwindSafe(|| eval(item, cutoff))).map_err(panic_payload)
 }
 
 /// The incumbent a snapshot names, with its key, re-derived by
 /// re-evaluating that key: evaluation is a pure function of the item
 /// and the (freshly rebuilt) caches, so this reproduces the exact
-/// checkpointed configuration. The re-evaluation is bookkeeping-free,
-/// so the resumed counters match an uninterrupted run's.
+/// checkpointed configuration. It runs without a cutoff: the incumbent
+/// was scored in full once, and a deadline that has passed since must
+/// not drop it. The re-evaluation is bookkeeping-free, so the resumed
+/// counters match an uninterrupted run's.
 fn resumed_incumbent<C>(
     items: &[WorkItem],
     cp: &WaveCheckpoint,
-    eval: &impl Fn(usize, &WorkItem) -> Option<C>,
-) -> Option<(C, (usize, usize, usize, usize))> {
+    eval: &impl Fn(&WorkItem, Option<Instant>) -> Option<C>,
+) -> Option<(C, PlanKey)> {
     let key = cp.best_key?;
-    let i = (0..items.len()).find(|&i| PlanKey::from(items[i].key()) == key)?;
-    Some((guarded_eval(eval, items, i).ok()??, items[i].key()))
+    let item = items.iter().find(|it| it.key() == key)?;
+    Some((guarded_eval(eval, item, None).ok()??, key))
 }
 
 /// The bound-ordered wave loop behind [`bounded_search`].
 ///
 /// `bounds[i]` is the analytic lower bound of `items[i]`; `None` marks a
 /// statically infeasible point (it is counted as pruned and never
-/// evaluated). `eval` receives the work-list index alongside the item so
-/// the wrapper can consult per-point side tables; it runs inside a
-/// `catch_unwind` guard, so a panicking candidate is recorded as a
-/// [`CandidateFailure`] instead of unwinding out of the search. Debug
-/// builds check every scored candidate's bound against its score
-/// outside that guard, so an unsound bound fails loudly instead of
-/// becoming an incident. Returns the winner (smallest score, ties to the
-/// smallest [`WorkItem::key`]) plus the [`SearchStats`], the
-/// [`Outcome`] and the failure log.
+/// evaluated). `eval` receives the session deadline as its cutoff; it
+/// runs inside a `catch_unwind` guard, so a panicking candidate is
+/// recorded as a [`CandidateFailure`] instead of unwinding out of the
+/// search. Debug builds check every scored candidate's bound against
+/// its score outside that guard, so an unsound bound fails loudly
+/// instead of becoming an incident. Returns the winner (smallest score,
+/// ties to the smallest [`WorkItem::key`]) plus the [`SearchStats`],
+/// the [`Outcome`] and the failure log.
 fn wave_search<C: Send>(
     items: &[WorkItem],
     bounds: &[Option<f64>],
     sequential: bool,
     ctx: &SessionCtx<'_>,
-    eval: impl Fn(usize, &WorkItem) -> Option<C> + Sync,
+    eval: impl Fn(&WorkItem, Option<Instant>) -> Option<C> + Sync,
     score: impl Fn(&C) -> f64,
 ) -> LegOutcome<C> {
     debug_assert_eq!(items.len(), bounds.len());
@@ -565,8 +576,7 @@ fn wave_search<C: Send>(
 
     let mut stats;
     let mut failures: Vec<CandidateFailure>;
-    let mut best: Option<C> = None;
-    let mut best_key = (usize::MAX, usize::MAX, usize::MAX, usize::MAX);
+    let mut best: Option<(C, PlanKey)> = None;
     let mut idx;
     let mut wave_no;
     if let Some(cp) = ctx.resume {
@@ -576,10 +586,7 @@ fn wave_search<C: Send>(
         failures = cp.failures.clone();
         idx = cp.cursor.min(order.len());
         wave_no = cp.wave_no;
-        if let Some((c, key)) = resumed_incumbent(items, cp, &eval) {
-            best = Some(c);
-            best_key = key;
-        }
+        best = resumed_incumbent(items, cp, &eval);
     } else {
         stats = SearchStats {
             visited: items.len(),
@@ -599,7 +606,7 @@ fn wave_search<C: Send>(
         // key, so it is never pruned. Checked before the budget: a
         // search that would finish at this boundary anyway reports
         // `Complete` even with an expired budget.
-        if let Some(b) = &best {
+        if let Some((b, _)) = &best {
             let incumbent = score(b);
             let survivors = order[idx..].partition_point(|&(_, b)| b <= incumbent);
             if survivors == 0 {
@@ -623,9 +630,9 @@ fn wave_search<C: Send>(
             // Emit a resumable snapshot *before* charging the skipped
             // tail: a resumed run continues over that tail, so the
             // checkpoint must not pre-count it.
-            if let Some(sink) = ctx.sink {
-                sink.emit(&checkpoint_at(
-                    idx, wave_no, stats, best_key, &best, &failures, ctx, &score,
+            if let Some((_, emit)) = ctx.checkpoints {
+                emit(&checkpoint_at(
+                    idx, wave_no, stats, &best, &failures, &score,
                 ));
             }
             stats.skipped += order.len() - idx;
@@ -638,15 +645,16 @@ fn wave_search<C: Send>(
         let wave: Vec<(usize, f64)> = order[idx..wave_end]
             .iter()
             .filter(|&&(_, b)| match &best {
-                Some(best) => b <= score(best),
+                Some((best, _)) => b <= score(best),
                 None => true,
             })
             .copied()
             .collect();
         stats.pruned += (wave_end - idx) - wave.len();
         stats.evaluated += wave.len();
-        let results: Vec<Result<Option<C>, String>> =
-            run_items(&wave, sequential, |&(i, _)| guarded_eval(&eval, items, i));
+        let results: Vec<Result<Option<C>, String>> = run_items(&wave, sequential, |&(i, _)| {
+            guarded_eval(&eval, &items[i], ctx.deadline)
+        });
         for (&(i, bound), res) in wave.iter().zip(results) {
             let cfg = match res {
                 Err(payload) => {
@@ -672,56 +680,50 @@ fn wave_search<C: Send>(
             );
             let better = match &best {
                 None => true,
-                Some(b) => {
+                Some((b, best_key)) => {
                     let bs = score(b);
-                    s < bs || (s == bs && key < best_key)
+                    s < bs || (s == bs && key < *best_key)
                 }
             };
             if better {
-                best = Some(cfg);
-                best_key = key;
+                best = Some((cfg, key));
             }
         }
         idx = wave_end;
-        if let (Some(every), Some(sink)) = (ctx.checkpoint_every, ctx.sink) {
+        if let Some((every, emit)) = ctx.checkpoints {
             if every > 0 && (wave_no as usize).is_multiple_of(every) {
-                sink.emit(&checkpoint_at(
-                    idx, wave_no, stats, best_key, &best, &failures, ctx, &score,
+                emit(&checkpoint_at(
+                    idx, wave_no, stats, &best, &failures, &score,
                 ));
             }
         }
     }
     LegOutcome {
-        best,
+        best: best.map(|(c, _)| c),
         stats,
         outcome,
         failures,
     }
 }
 
-/// Assemble the snapshot of the loop state for the sink.
-#[allow(clippy::too_many_arguments)]
+/// Assemble the snapshot of the loop state for the receiver; its
+/// `generation` is stamped by [`bounded_search`], which owns the cache.
 fn checkpoint_at<C>(
     cursor: usize,
     wave_no: u32,
     stats: SearchStats,
-    best_key: (usize, usize, usize, usize),
-    best: &Option<C>,
+    best: &Option<(C, PlanKey)>,
     failures: &[CandidateFailure],
-    ctx: &SessionCtx<'_>,
     score: &impl Fn(&C) -> f64,
 ) -> WaveCheckpoint {
     WaveCheckpoint {
         cursor,
         wave_no,
         stats,
-        best_key: best.as_ref().map(|_| PlanKey::from(best_key)),
-        best_score: best.as_ref().map(score),
+        best_key: best.as_ref().map(|&(_, key)| key),
+        best_score: best.as_ref().map(|(c, _)| score(c)),
         failures: failures.to_vec(),
-        generation: ctx
-            .generation
-            .map(|g| g.load(Ordering::Relaxed))
-            .unwrap_or(0),
+        generation: 0,
     }
 }
 
@@ -737,6 +739,7 @@ mod tests {
                 plan: ParallelPlan::intra(i, 1, TpSplitStrategy::Megatron),
                 sidx: 0,
                 pidx: 0,
+                decided: false,
             })
             .collect()
     }
@@ -750,7 +753,7 @@ mod tests {
             &bounds,
             true,
             &SessionCtx::none(),
-            |_, it| Some(it.plan.tp as f64),
+            |it, _| Some(it.plan.tp as f64),
             |&c: &f64| c,
         );
         assert_eq!(r.best, Some(0.0));
@@ -773,7 +776,7 @@ mod tests {
             &bounds,
             true,
             &SessionCtx::none(),
-            |_, it| Some(it.plan.tp as f64),
+            |it, _| Some(it.plan.tp as f64),
             |&c: &f64| c,
         );
         assert_eq!(r.best, Some(0.0));
@@ -792,7 +795,7 @@ mod tests {
             &bounds,
             true,
             &SessionCtx::none(),
-            |_, it| Some(it.plan.tp as f64),
+            |it, _| Some(it.plan.tp as f64),
             |&c: &f64| c,
         );
         assert_eq!(r.best, Some(0.0));
@@ -812,7 +815,7 @@ mod tests {
             &bounds,
             true,
             &SessionCtx::none(),
-            |_, it| Some((it.plan.tp, 7.0f64)),
+            |it, _| Some((it.plan.tp, 7.0f64)),
             |c: &(usize, f64)| c.1,
         );
         assert_eq!(r.best.map(|b| b.0), Some(0), "smallest key wins the tie");
@@ -823,8 +826,10 @@ mod tests {
         // A precheck-decided point must reach neither the bound nor the
         // eval closure, in the pruned and the exhaustive mode alike; it
         // counts as pruned in the former and evaluated in the latter.
-        let its = items(6);
-        let decided = vec![false, true, false, true, false, true];
+        let mut its = items(6);
+        for it in &mut its {
+            it.decided = it.plan.tp % 2 == 1;
+        }
         let bound = |it: &WorkItem| {
             assert!(
                 it.plan.tp.is_multiple_of(2),
@@ -847,12 +852,11 @@ mod tests {
             };
             let (r, _) = bounded_search(
                 &its,
-                &decided,
                 &opts,
                 &SessionCtx::none(),
                 |it, _| bound(it),
                 |it, _| eval(it),
-                |&c: &f64, _| c,
+                |&c: &f64, _, _| c,
             );
             assert_eq!(r.best, Some((0.0, 0.0)));
             assert_eq!(r.stats.visited, 6);
@@ -875,7 +879,7 @@ mod tests {
         let bounds: Vec<Option<f64>> = (0..50)
             .map(|i| Some(((i * 13) % 11) as f64 - (i % 7) as f64))
             .collect();
-        let eval = |_: usize, it: &WorkItem| Some(((it.plan.tp * 13) % 11) as f64);
+        let eval = |it: &WorkItem, _: Option<Instant>| Some(((it.plan.tp * 13) % 11) as f64);
         let seq = wave_search(&its, &bounds, true, &SessionCtx::none(), eval, |&c: &f64| c);
         let par = wave_search(
             &its,
@@ -909,7 +913,7 @@ mod tests {
             &bounds,
             true,
             &ctx,
-            |_, it| Some(it.plan.tp as f64),
+            |it, _| Some(it.plan.tp as f64),
             |&c: &f64| c,
         );
         assert_eq!(
@@ -936,10 +940,11 @@ mod tests {
         let its = items(20);
         let bounds: Vec<Option<f64>> = (0..20).map(|i| (i % 4 != 0).then_some(i as f64)).collect();
         let survivors = bounds.iter().flatten().count();
-        let sink = Capture(Mutex::new(Vec::new()));
+        let sink = Capture::default();
+        let emit = |cp: &WaveCheckpoint| sink.push(cp);
         let ctx = SessionCtx {
             deadline: Some(Instant::now()),
-            sink: Some(&sink),
+            checkpoints: Some((1, &emit)),
             ..SessionCtx::none()
         };
         let r = wave_search(
@@ -947,7 +952,7 @@ mod tests {
             &bounds,
             true,
             &ctx,
-            |_, it| Some(it.plan.tp as f64),
+            |it, _| Some(it.plan.tp as f64),
             |&c: &f64| c,
         );
         assert_eq!(
@@ -980,8 +985,10 @@ mod tests {
         // precheck did not decide and emits no snapshot; a resumed leg
         // keeps its snapshot's incumbent, counters and failure log and
         // skips the rest.
-        let its = items(30);
-        let decided: Vec<bool> = (0..30).map(|i| i % 5 == 0).collect();
+        let mut its = items(30);
+        for it in &mut its {
+            it.decided = it.plan.tp % 5 == 0;
+        }
         let opts = SchedulerOptions {
             sequential: true,
             ..SchedulerOptions::default()
@@ -998,17 +1005,17 @@ mod tests {
             }
             Some((100 + (it.plan.tp * 5) % 17) as f64)
         };
-        let score = |&c: &f64, _: &ProfileCache| c;
+        let score = |&c: &f64, _: &ProfileCache, _: Option<Instant>| c;
         let deadline = Outcome::Truncated {
             reason: TruncationReason::Deadline,
         };
-        let sink = Capture(Mutex::new(Vec::new()));
+        let sink = Capture::default();
+        let emit = |cp: &WaveCheckpoint| sink.push(cp);
         let ctx = SessionCtx {
-            checkpoint_every: Some(1),
-            sink: Some(&sink),
+            checkpoints: Some((1, &emit)),
             ..SessionCtx::none()
         };
-        let (full, _) = bounded_search(&its, &decided, &opts, &ctx, bound, eval, score);
+        let (full, _) = bounded_search(&its, &opts, &ctx, bound, eval, score);
         assert_eq!(full.outcome, Outcome::Complete);
         assert_eq!(calls.swap(0, Ordering::Relaxed), 24, "undecided points");
         let cps = std::mem::take(
@@ -1022,7 +1029,7 @@ mod tests {
             deadline: Some(Instant::now()),
             ..ctx
         };
-        let (fresh, _) = bounded_search(&its, &decided, &opts, &expired, bound, eval, score);
+        let (fresh, _) = bounded_search(&its, &opts, &expired, bound, eval, score);
         assert_eq!(calls.load(Ordering::Relaxed), 0, "a bound started");
         assert_eq!(fresh.outcome, deadline);
         assert_eq!(fresh.best, None);
@@ -1054,7 +1061,7 @@ mod tests {
             resume: Some(cp),
             ..SessionCtx::none()
         };
-        let (resumed, _) = bounded_search(&its, &decided, &opts, &resuming, bound, eval, score);
+        let (resumed, _) = bounded_search(&its, &opts, &resuming, bound, eval, score);
         assert_eq!(
             calls.load(Ordering::Relaxed),
             0,
@@ -1083,7 +1090,7 @@ mod tests {
         // crown the runner-up, in sequential and parallel mode alike.
         let its = items(10);
         let bounds = vec![Some(f64::NEG_INFINITY); 10];
-        let eval = |_: usize, it: &WorkItem| {
+        let eval = |it: &WorkItem, _: Option<Instant>| {
             if it.plan.tp == 0 {
                 panic!("seeded failure: best candidate blows up");
             }
@@ -1101,9 +1108,10 @@ mod tests {
     }
 
     /// Collects checkpoints for the resume tests.
+    #[derive(Default)]
     struct Capture(Mutex<Vec<WaveCheckpoint>>);
-    impl WaveSink for Capture {
-        fn emit(&self, cp: &WaveCheckpoint) {
+    impl Capture {
+        fn push(&self, cp: &WaveCheckpoint) {
             self.0
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -1121,16 +1129,16 @@ mod tests {
         let bounds: Vec<Option<f64>> = (0..60)
             .map(|i| Some(((i * 13) % 29) as f64 - ((i * 7) % 5) as f64))
             .collect();
-        let eval = |_: usize, it: &WorkItem| {
+        let eval = |it: &WorkItem, _: Option<Instant>| {
             if it.plan.tp.is_multiple_of(17) && it.plan.tp > 0 {
                 panic!("seeded failure");
             }
             Some(((it.plan.tp * 13) % 29) as f64)
         };
-        let sink = Capture(Mutex::new(Vec::new()));
+        let sink = Capture::default();
+        let emit = |cp: &WaveCheckpoint| sink.push(cp);
         let ctx = SessionCtx {
-            checkpoint_every: Some(1),
-            sink: Some(&sink),
+            checkpoints: Some((1, &emit)),
             ..SessionCtx::none()
         };
         let full = wave_search(&its, &bounds, true, &ctx, eval, |&c| c);
@@ -1180,18 +1188,18 @@ mod tests {
         // Scores sit strictly above every bound so the incumbent never
         // prunes the tail — the evaluation cap, not the pruner, must be
         // what ends the truncated run.
-        let eval = |_: usize, it: &WorkItem| Some((100 + (it.plan.tp * 5) % 17) as f64);
+        let eval = |it: &WorkItem, _: Option<Instant>| Some((100 + (it.plan.tp * 5) % 17) as f64);
         let uninterrupted = wave_search(&its, &bounds, true, &SessionCtx::none(), eval, |&c| c);
 
-        let sink = Capture(Mutex::new(Vec::new()));
+        let sink = Capture::default();
+        let emit = |cp: &WaveCheckpoint| sink.push(cp);
         let truncated = wave_search(
             &its,
             &bounds,
             true,
             &SessionCtx {
                 max_evaluations: Some(4),
-                checkpoint_every: Some(1),
-                sink: Some(&sink),
+                checkpoints: Some((1, &emit)),
                 ..SessionCtx::none()
             },
             eval,
@@ -1223,6 +1231,55 @@ mod tests {
         assert_eq!(resumed.best, uninterrupted.best);
         assert_eq!(resumed.stats, uninterrupted.stats);
         assert_eq!(resumed.outcome, Outcome::Complete);
+    }
+
+    /// The tie-break precondition [`WorkItem::key`] documents, over both
+    /// legs' work lists: Configs 1–4, nodes of 1–4 wafers, both
+    /// strategies and the largest plan space. Equal keys would let a
+    /// winner depend on bound order.
+    #[test]
+    fn every_work_list_has_distinct_keys() {
+        use crate::multiwafer::node_work_list;
+        use crate::scheduler::{work_list, PlanFilter};
+        use wsc_arch::presets;
+        use wsc_arch::wafer::MultiWaferConfig;
+        use wsc_workload::training::TrainingJob;
+        use wsc_workload::zoo;
+        for cfg in 1..=4 {
+            let wafer = presets::config(cfg);
+            for model in zoo::main_eval_models() {
+                let job = TrainingJob::standard(model);
+                for allow_odd_tp in [false, true] {
+                    let opts = SchedulerOptions {
+                        plans: PlanFilter::all(),
+                        allow_odd_tp,
+                        ..SchedulerOptions::default()
+                    };
+                    for wafers in 1..=4 {
+                        let node = MultiWaferConfig {
+                            wafers,
+                            wafer: wafer.clone(),
+                            ..presets::multi_wafer_18()
+                        };
+                        for list in [
+                            work_list(&wafer, &job, &opts),
+                            node_work_list(&node, &job, &opts),
+                        ] {
+                            let mut keys: Vec<PlanKey> = list.iter().map(WorkItem::key).collect();
+                            keys.sort_unstable();
+                            let before = keys.len();
+                            keys.dedup();
+                            assert_eq!(
+                                keys.len(),
+                                before,
+                                "config {cfg} on {wafers} wafers, {}, odd TP {allow_odd_tp}",
+                                job.model.name
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

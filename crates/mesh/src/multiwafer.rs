@@ -24,16 +24,6 @@ impl MultiWaferFabric {
         self.wafers * self.wafer_mesh.len()
     }
 
-    /// Number of W2W crossings between wafer `a` and wafer `b`.
-    pub fn w2w_hops(&self, a: usize, b: usize) -> usize {
-        a.abs_diff(b)
-    }
-
-    /// Time to move `bytes` between adjacent wafers.
-    pub fn w2w_transfer(&self, bytes: Bytes) -> Time {
-        self.w2w_latency + bytes / self.w2w_bw
-    }
-
     /// Time to move `bytes` across `hops` W2W crossings (store-and-forward
     /// per crossing is avoided by pipelining: latency per hop, bandwidth
     /// once).
@@ -81,16 +71,9 @@ mod tests {
     }
 
     #[test]
-    fn hops_are_chain_distance() {
-        let f = fabric(1.8);
-        assert_eq!(f.w2w_hops(0, 3), 3);
-        assert_eq!(f.w2w_hops(2, 2), 0);
-    }
-
-    #[test]
     fn lower_w2w_bandwidth_slows_transfers() {
-        let fast = fabric(1.8).w2w_transfer(Bytes::gib(1));
-        let slow = fabric(0.4).w2w_transfer(Bytes::gib(1));
+        let fast = fabric(1.8).cross_wafer_time(Bytes::gib(1), 1);
+        let slow = fabric(0.4).cross_wafer_time(Bytes::gib(1), 1);
         assert!(slow.as_secs() > fast.as_secs() * 4.0);
     }
 

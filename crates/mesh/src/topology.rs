@@ -154,28 +154,6 @@ impl Mesh2D {
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
         (0..self.len()).map(NodeId)
     }
-
-    /// Directed links interior to an axis-aligned rectangle of dies with
-    /// origin `(ox, oy)` and extent `w × h`.
-    pub fn rect_links(&self, ox: usize, oy: usize, w: usize, h: usize) -> Vec<DirLink> {
-        let mut out = Vec::new();
-        for y in oy..oy + h {
-            for x in ox..ox + w {
-                let n = self.node(x, y);
-                if x + 1 < ox + w {
-                    let m = self.node(x + 1, y);
-                    out.push(DirLink::new(n, m));
-                    out.push(DirLink::new(m, n));
-                }
-                if y + 1 < oy + h {
-                    let m = self.node(x, y + 1);
-                    out.push(DirLink::new(n, m));
-                    out.push(DirLink::new(m, n));
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -215,14 +193,6 @@ mod tests {
         let m = Mesh2D::new(8, 8);
         assert_eq!(m.manhattan(m.node(0, 0), m.node(3, 4)), 7);
         assert_eq!(m.manhattan(m.node(5, 5), m.node(5, 5)), 0);
-    }
-
-    #[test]
-    fn rect_links_of_2x2_has_eight_directed() {
-        let m = Mesh2D::new(8, 8);
-        assert_eq!(m.rect_links(2, 2, 2, 2).len(), 8);
-        // 2x4 rectangle: (1*4 + 2*3) undirected * 2 = 20 directed.
-        assert_eq!(m.rect_links(0, 0, 2, 4).len(), 20);
     }
 
     #[test]

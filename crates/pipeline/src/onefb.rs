@@ -52,7 +52,33 @@ enum Task {
     Bwd(usize),
 }
 
-/// The 1F1B task order of stage `s` out of `p` with `n` micro-batches.
+/// Task `k` of stage `s`'s 1F1B order, out of `p` stages with `n`
+/// micro-batches, or `None` past the last of its `2n` tasks: `w =
+/// min(p − 1 − s, n)` warm-up forwards, then a forward and a backward
+/// in turn until the forwards run out, then the remaining backwards.
+/// Closed form, so `simulate` keeps no per-stage order list.
+fn task_at(s: usize, p: usize, n: usize, k: usize) -> Option<Task> {
+    let w = (p - 1 - s).min(n);
+    let steady_end = w + 2 * (n - w);
+    if k < w {
+        Some(Task::Fwd(k))
+    } else if k < steady_end {
+        let j = k - w;
+        Some(if j.is_multiple_of(2) {
+            Task::Fwd(w + j / 2)
+        } else {
+            Task::Bwd(j / 2)
+        })
+    } else if k < 2 * n {
+        Some(Task::Bwd(k - n))
+    } else {
+        None
+    }
+}
+
+/// The 1F1B task order of stage `s` out of `p` with `n` micro-batches,
+/// as a list: the reference [`task_at`] is checked against.
+#[cfg(test)]
 fn stage_order(s: usize, p: usize, n: usize) -> Vec<Task> {
     let w = (p - 1 - s).min(n);
     let mut order = Vec::with_capacity(2 * n);
@@ -96,7 +122,6 @@ pub fn simulate(stages: &[StageTiming], microbatches: usize) -> PipelineTiming {
     assert!(p > 0, "pipeline needs at least one stage");
     assert!(n > 0, "need at least one micro-batch");
 
-    let orders: Vec<Vec<Task>> = (0..p).map(|s| stage_order(s, p, n)).collect();
     // Completion times of each task: +∞ until timed, and for good when
     // the end is NaN.
     let mut f_done = vec![vec![f64::INFINITY; n]; p];
@@ -104,7 +129,7 @@ pub fn simulate(stages: &[StageTiming], microbatches: usize) -> PipelineTiming {
     // Forwards and backwards timed per stage. A stage times each kind in
     // micro-batch order, so `Fwd(s, i)` is timed iff `fwd_timed[s] > i`
     // (+∞ is a legal completion time, so it cannot be the flag), and the
-    // stage's next task is `orders[s][fwd_timed[s] + bwd_timed[s]]`.
+    // stage's next task is its task `fwd_timed[s] + bwd_timed[s]`.
     let mut fwd_timed = vec![0usize; p];
     let mut bwd_timed = vec![0usize; p];
     let mut clock = vec![0.0f64; p];
@@ -112,7 +137,7 @@ pub fn simulate(stages: &[StageTiming], microbatches: usize) -> PipelineTiming {
     loop {
         let mut advanced = false;
         for s in 0..p {
-            while let Some(&task) = orders[s].get(fwd_timed[s] + bwd_timed[s]) {
+            while let Some(task) = task_at(s, p, n, fwd_timed[s] + bwd_timed[s]) {
                 let dep = match task {
                     Task::Fwd(_) if s == 0 => 0.0,
                     Task::Fwd(i) if fwd_timed[s - 1] > i => {
@@ -353,6 +378,24 @@ mod tests {
         }
         let with_p2p = simulate(&stages, 8);
         assert!(with_p2p.iteration.as_secs() > no_p2p.iteration.as_secs());
+    }
+
+    #[test]
+    fn task_at_matches_the_order_list() {
+        for p in 1..=12 {
+            for n in 1..=20 {
+                for s in 0..p {
+                    let order = stage_order(s, p, n);
+                    for k in 0..=2 * n {
+                        assert_eq!(
+                            task_at(s, p, n, k),
+                            order.get(k).copied(),
+                            "{s} {p} {n} {k}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! training evaluator uses ([`ProfileCache::stage_profiles`]): a
 //! stage's per-token compute is its forward micro-batch time divided by
 //! the profile's token count, and its per-token TP-collective time is
-//! the cached collective model priced at the stage's forward volume.
+//! the closed-form collective model priced at the stage's forward
+//! volume.
 //! On top of that, serving adds what training never pays per step:
 //!
 //! - **weight streaming** — a decode step must read the stage's full
@@ -29,7 +30,7 @@ use watos::dram_alloc::allocate;
 use watos::scheduler::ScheduledConfig;
 use wsc_arch::units::Bytes;
 use wsc_arch::wafer::WaferConfig;
-use wsc_mesh::collective::GroupShape;
+use wsc_mesh::collective::{all_reduce_time, GroupShape};
 use wsc_workload::training::TrainingJob;
 
 /// Per-stage serving costs, all in seconds (per token where named so).
@@ -144,15 +145,14 @@ impl PhaseCost {
         let mut token_capacity = f64::INFINITY;
         for (s, sp) in profiles.iter().enumerate() {
             let comm_per_token = if spec.tp > 1 {
-                cache
-                    .all_reduce(
-                        cfg.collective,
-                        shape,
-                        sp.fwd_comm_bytes,
-                        wafer.d2d_link_bw(),
-                        wafer.d2d_link_latency,
-                    )
-                    .as_secs()
+                all_reduce_time(
+                    cfg.collective,
+                    shape,
+                    sp.fwd_comm_bytes,
+                    wafer.d2d_link_bw(),
+                    wafer.d2d_link_latency,
+                )
+                .as_secs()
                     / profile_tokens
             } else {
                 0.0

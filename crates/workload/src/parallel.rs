@@ -84,14 +84,6 @@ impl TpSplitStrategy {
             TpSplitStrategy::FullReduction => 1.0,
         }
     }
-
-    /// Number of TP collectives per layer per pass direction.
-    pub fn collectives_per_layer(self) -> usize {
-        match self {
-            TpSplitStrategy::Megatron | TpSplitStrategy::SequenceParallel => 2,
-            TpSplitStrategy::FullReduction => 4,
-        }
-    }
 }
 
 impl fmt::Display for TpSplitStrategy {
@@ -464,12 +456,6 @@ mod tests {
     fn sequence_parallel_shards_replicated_activations() {
         assert_eq!(TpSplitStrategy::Megatron.replicated_act_factor(4), 1.0);
         assert!((TpSplitStrategy::SequenceParallel.replicated_act_factor(4) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn full_reduction_doubles_collectives() {
-        assert_eq!(TpSplitStrategy::Megatron.collectives_per_layer(), 2);
-        assert_eq!(TpSplitStrategy::FullReduction.collectives_per_layer(), 4);
     }
 
     #[test]

@@ -226,27 +226,6 @@ pub fn emerging_models() -> Vec<LlmModel> {
     vec![gr_24(), sd35_large(), mamba_2_8b(), qwen3_next_80b()]
 }
 
-/// Look a model up by (case-insensitive) name prefix.
-pub fn by_name(name: &str) -> Option<LlmModel> {
-    let all = [
-        llama_7b(),
-        llama2_30b(),
-        llama_65b(),
-        llama3_70b(),
-        gpt_175b(),
-        llama3_405b(),
-        gshard_137b(),
-        deepseek_v3(),
-        qwen3_next_80b(),
-        mamba_2_8b(),
-        sd35_large(),
-        gr_24(),
-    ];
-    let lower = name.to_lowercase();
-    all.into_iter()
-        .find(|m| m.name.to_lowercase().starts_with(&lower))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,14 +234,6 @@ mod tests {
     fn zoo_covers_paper_model_lists() {
         assert_eq!(main_eval_models().len(), 4);
         assert_eq!(emerging_models().len(), 4);
-    }
-
-    #[test]
-    fn lookup_by_prefix() {
-        assert!(by_name("llama3-70").is_some());
-        assert!(by_name("GPT").is_some());
-        assert!(by_name("deepseek").is_some());
-        assert!(by_name("nonexistent").is_none());
     }
 
     #[test]

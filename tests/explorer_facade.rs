@@ -252,7 +252,11 @@ fn enumerator_feeds_the_builder_directly() {
     let mut narrowed = Enumerator::paper_space();
     narrowed.dram_capacities = vec![Bytes::gib(70)];
     narrowed.dram_bandwidths = vec![Bandwidth::tb_per_s(2.0)];
-    let report = quick().wafers(narrowed).build().expect("valid").run();
+    let report = quick()
+        .wafers(narrowed.enumerate())
+        .build()
+        .expect("valid")
+        .run();
     assert!(!report.single_wafer.is_empty());
     assert!(report.best().is_ok(), "some enumerated candidate fits");
 }

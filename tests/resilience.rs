@@ -5,8 +5,9 @@
 //! in a sequential and a parallel session, killing a session at any
 //! checkpoint then resuming must reproduce the uninterrupted run
 //! bit-for-bit, a checkpoint from another session must be refused, an
-//! expired deadline must truncate with honest counters, a deadline
-//! beyond the clock must be no deadline, and every
+//! expired deadline must truncate with honest counters, a leg resumed
+//! past its deadline must keep its incumbent, a deadline beyond the
+//! clock must be no deadline, and every
 //! decoder of untrusted input — reports, checkpoints, serving traces —
 //! must be total.
 //!
@@ -21,9 +22,10 @@ use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Once, OnceLock};
 use std::time::Duration;
 use watos::{
-    splitmix64, unit_open, ExplorationError, ExplorationReport, Explorer, ExplorerBuilder,
-    FaultEnsemble, MemorySink, ParallelPlan, ProfileCache, RobustObjective, ScheduledConfig,
-    SearchBudget, SearchCheckpoint, ServingModel, TpSplitStrategy,
+    ensemble_effective_secs, splitmix64, unit_open, ExplorationError, ExplorationReport, Explorer,
+    ExplorerBuilder, FaultEnsemble, MemorySink, Outcome, ParallelPlan, ProfileCache,
+    RobustObjective, ScheduledConfig, SearchBudget, SearchCheckpoint, ServingModel,
+    TpSplitStrategy, TruncationReason,
 };
 use wsc_arch::presets;
 use wsc_arch::wafer::{MultiWaferConfig, WaferConfig};
@@ -452,6 +454,74 @@ fn a_deadline_beyond_the_clock_is_no_deadline() {
             .run();
         assert_eq!(report.to_json(), unbudgeted, "deadline {secs:e} s");
     }
+}
+
+/// A fault-aware leg resumed after its deadline keeps the incumbent its
+/// frontier names: the engine re-derives that incumbent without the
+/// deadline cutoff, so the expired deadline cannot score it `INFINITY`
+/// and drop it.
+#[test]
+fn a_resumed_fault_aware_leg_keeps_its_incumbent_past_the_deadline() {
+    let (wafer, job) = (presets::config(3), TrainingJob::standard(zoo::llama2_30b()));
+    let ensemble = FaultEnsemble::clustered(0.2, 3, 7);
+    let session = || {
+        Explorer::builder()
+            .job(job.clone())
+            .wafer(wafer.clone())
+            .no_ga()
+            .seed(7)
+            .fault_aware(ensemble.clone(), RobustObjective::Worst)
+    };
+    let sink = Arc::new(MemorySink::new());
+    session()
+        .checkpoint_every(1, sink.clone())
+        .build()
+        .expect("valid session")
+        .run();
+    let frontier = sink
+        .all()
+        .into_iter()
+        .find(|cp| {
+            cp.frontier
+                .as_ref()
+                .is_some_and(|f| f.wave.best_key.is_some())
+        })
+        .expect("a wave snapshot holds an incumbent");
+    let best_score = frontier
+        .frontier
+        .as_ref()
+        .and_then(|f| f.wave.best_score)
+        .expect("an incumbent has a score");
+    let report = session()
+        .budget(SearchBudget::none().deadline(1e-9))
+        .build()
+        .expect("valid session")
+        .resume(&frontier)
+        .expect("the session's own checkpoint resumes");
+    let leg = &report.single_wafer[0];
+    assert_eq!(
+        leg.outcome,
+        Outcome::Truncated {
+            reason: TruncationReason::Deadline
+        }
+    );
+    let winner = leg
+        .best
+        .as_ref()
+        .expect("the resumed leg keeps its incumbent");
+    let score = ensemble_effective_secs(
+        &wafer,
+        &job,
+        winner,
+        &ensemble,
+        RobustObjective::Worst,
+        &ProfileCache::new(),
+    );
+    assert_eq!(
+        score.to_bits(),
+        best_score.to_bits(),
+        "{score} vs {best_score}"
+    );
 }
 
 /// Checkpoint decoding as a resume reads it.
