@@ -5,10 +5,13 @@
 //! exhaustive sequential baseline (`sequential` + no-prune) — in the
 //! same process, checks the winners agree, and writes the wall times
 //! plus `SearchStats` to `BENCH_search.json` so the perf trajectory is
-//! tracked from PR to PR. Before any timed pool, each selected preset's
+//! tracked from PR to PR. Before any timed run, each selected preset's
 //! pruned search runs once untimed, so no pool pays the process's
-//! warm-up; the pruned search is then timed as the median of `REPS`
-//! runs (recorded as `reps`), the exhaustive sweep once. The
+//! warm-up. The pruned search is then timed `REPS` times per pool
+//! (recorded as `reps`), round-robin over the pools — in `--threads`
+//! order on even repetitions, reversed on odd ones, so no pool always
+//! runs right after another — and each entry records its pool's median;
+//! the exhaustive sweep runs once per pool. The
 //! `small`/`medium`/`large` presets exercise the Alg. 1 single-wafer
 //! engine; `multiwafer` exercises the §VI-F node sweep (Llama3-405B on
 //! a 4-wafer node, node placement on).
@@ -40,7 +43,7 @@ use std::process::ExitCode;
 
 use serde::Serialize;
 use watos::{percentile, ExplorationReport, ParallelPlan, SearchBudget, SearchStats};
-use wsc_bench::driver::{run_timed, Bench, Opt, Pools, Spec};
+use wsc_bench::driver::{run_timed, use_pool, Bench, Opt, Pools, Spec};
 use wsc_bench::util::{search_presets, SearchPreset};
 
 const SPEC: Spec = Spec {
@@ -121,10 +124,19 @@ fn main() -> ExitCode {
     for preset in &presets {
         run_timed(preset.builder());
     }
+    let mut timed = time_pruned(&presets, &bench.pools()).into_iter();
     // The determinism contract, measured: a preset's winning plan must
     // not depend on the pool size it was searched with.
     let entries = bench.sweep_pools(
-        |threads, entries| entries.extend(presets.iter().map(|p| measure(&bench, p, threads))),
+        |threads, entries| {
+            let pass = timed.next().expect("one timed pass per pool");
+            entries.extend(
+                presets
+                    .iter()
+                    .zip(&pass)
+                    .map(|(p, runs)| measure(&bench, p, threads, runs)),
+            );
+        },
         |e| (e.preset.clone(), e.best_plan.clone()),
     );
     bench.finish(&BenchReport {
@@ -134,11 +146,35 @@ fn main() -> ExitCode {
     })
 }
 
-/// Measure one preset at the current pool size: check the winners
-/// agree and the CLI contracts hold, and print the row.
-fn measure(bench: &Bench, preset: &SearchPreset, threads: usize) -> BenchEntry {
-    let runs: Vec<(ExplorationReport, f64)> =
-        (0..REPS).map(|_| run_timed(preset.builder())).collect();
+/// One preset's timed pruned runs on one pool: each run's report and
+/// wall seconds.
+type Runs = Vec<(ExplorationReport, f64)>;
+
+/// Time each preset's pruned search `REPS` times on every pool,
+/// round-robin: one run per pool and repetition, the pools in `pools`
+/// order on even repetitions and in reverse on odd ones. Indexed
+/// `[pool][preset]`.
+fn time_pruned(presets: &[SearchPreset], pools: &[usize]) -> Vec<Vec<Runs>> {
+    let mut runs: Vec<Vec<Runs>> = vec![presets.iter().map(|_| Vec::new()).collect(); pools.len()];
+    for (i, preset) in presets.iter().enumerate() {
+        for rep in 0..REPS {
+            let mut order: Vec<usize> = (0..pools.len()).collect();
+            if rep % 2 == 1 {
+                order.reverse();
+            }
+            for k in order {
+                use_pool(pools[k]);
+                runs[k][i].push(run_timed(preset.builder()));
+            }
+        }
+    }
+    runs
+}
+
+/// Measure one preset at the current pool size from its timed pruned
+/// `runs`: run the exhaustive sweep, check the winners agree and the
+/// CLI contracts hold, and print the row.
+fn measure(bench: &Bench, preset: &SearchPreset, threads: usize, runs: &Runs) -> BenchEntry {
     let secs: Vec<f64> = runs.iter().map(|&(_, t)| t).collect();
     let pruned_secs = percentile(&secs, 0.5);
     let pruned = &runs[0].0;

@@ -252,12 +252,11 @@ impl Bench {
         }
     }
 
-    /// Run `sweep` once per pool size with `RAYON_NUM_THREADS` pinned to
-    /// it (the vendored rayon reads the variable at call time), handing it
-    /// the pool size and the entries so far. Then measure the determinism
-    /// contract: `answer` maps an entry to its cell and its answer, and
-    /// every entry must give the same answer as the first entry of its
-    /// cell, or the run fails.
+    /// Run `sweep` once per pool size, on that pool ([`use_pool`]),
+    /// handing it the pool size and the entries so far. Then measure the
+    /// determinism contract: `answer` maps an entry to its cell and its
+    /// answer, and every entry must give the same answer as the first
+    /// entry of its cell, or the run fails.
     pub fn sweep_pools<E, K: PartialEq + Debug, A: PartialEq + Debug>(
         &self,
         mut sweep: impl FnMut(usize, &mut Vec<E>),
@@ -266,7 +265,7 @@ impl Bench {
         let mut entries = Vec::new();
         let mut pool_of = Vec::new();
         for t in self.pools() {
-            std::env::set_var("RAYON_NUM_THREADS", t.to_string());
+            use_pool(t);
             sweep(t, &mut entries);
             pool_of.resize(entries.len(), t);
         }
@@ -298,6 +297,12 @@ impl Bench {
             ExitCode::SUCCESS
         }
     }
+}
+
+/// Run the searches that follow on a `threads`-worker pool: pin
+/// `RAYON_NUM_THREADS`, which the vendored rayon reads at call time.
+pub fn use_pool(threads: usize) {
+    std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
 }
 
 /// Build and run one search, returning its report and wall seconds (the

@@ -100,9 +100,6 @@ pub struct CacheStats {
     /// Always 0: the cache stores nothing that could be corrupted after
     /// insert. The field stays so reports keep their schema.
     pub corruptions: usize,
-    /// Always `recoveries`: the cache keeps no separate degradation tag.
-    /// The field stays so reports keep their schema.
-    pub generation: u64,
 }
 
 /// Shared memo for one `(wafer, job)` exploration (see module docs).
@@ -151,11 +148,9 @@ impl ProfileCache {
 
     /// The degradation counters (see [`CacheStats`]).
     pub fn stats(&self) -> CacheStats {
-        let recoveries = self.recoveries.load(Ordering::Relaxed);
         CacheStats {
-            recoveries,
+            recoveries: self.recoveries.load(Ordering::Relaxed),
             corruptions: 0,
-            generation: recoveries as u64,
         }
     }
 
@@ -340,7 +335,6 @@ mod tests {
         assert_eq!(cache.stage_entries(), 1);
         let stats = cache.stats();
         assert!(stats.recoveries >= 1, "recovery must be counted");
-        assert_eq!(stats.generation, stats.recoveries as u64);
         assert_eq!(stats.corruptions, 0);
     }
 

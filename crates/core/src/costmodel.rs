@@ -376,8 +376,9 @@ impl PlacementCostModel {
 /// Seam-extended Eq. 2 distance/cost tables for the **node level**
 /// (§VI-F): one wafer group per `StageMap` assignment target, the
 /// wafer-local tile-slot grid replicated per group, and the W2W seam
-/// folded into the distance table as a per-crossing hop penalty
-/// ([`wsc_mesh::multiwafer::MultiWaferFabric::seam_hop_penalty`]).
+/// folded into the distance table as a per-crossing hop penalty (one
+/// W2W crossing's α–β transfer in D2D-hop equivalents, which the node
+/// placement pass of `crate::multiwafer` prices).
 ///
 /// Global slot ids are `group * slots_per_group + local`, with `local`
 /// indexing the wafer-local [`tile_slots`] grid in row-major order.

@@ -123,4 +123,24 @@ pub(crate) mod testutil {
     pub(crate) fn megatron_ctx(job: &TrainingJob, tp: usize) -> ShardingCtx {
         megatron_plan(tp, 1).sharding_ctx(job)
     }
+
+    /// What pruning needs of one plan's lower `bound`, given the `score`
+    /// of its evaluation (`None` = the evaluator rejects the plan): a
+    /// scheduled plan has a bound, and that bound lowered by the waves'
+    /// margin is at most its score. Returns whether the plan scheduled.
+    pub(crate) fn assert_bound_sound(
+        plan: &ParallelPlan,
+        bound: Option<f64>,
+        score: Option<f64>,
+    ) -> bool {
+        match (bound, score) {
+            (Some(b), Some(s)) => {
+                let lowered = b * (1.0 - crate::wave::BOUND_MARGIN);
+                assert!(lowered <= s, "{plan}: bound {b} exceeds score {s}");
+                true
+            }
+            (None, Some(s)) => panic!("{plan}: no bound, but the evaluator scores it {s}"),
+            (_, None) => false,
+        }
+    }
 }

@@ -29,16 +29,18 @@
 //! alike, so the bound stays sound by construction. Four differences
 //! remain:
 //!
-//! * intra-group p2p is a fixed `2α + bytes/BW`, not routed and
-//!   contended traffic (a seam boundary pays the W2W `α + bytes/BW`),
-//!   and stages are pinned to wafer groups in stage-map order;
+//! * intra-group p2p is a fixed two-hop α–β transfer, not routed and
+//!   contended traffic (a seam boundary pays one W2W crossing), and
+//!   stages are pinned to wafer groups in stage-map order;
 //! * no optimizer stream is charged;
 //! * every collective is a ring, whatever `SchedulerOptions::collectives`
 //!   lists;
 //! * the work list's stranding filter counts one replica (`tp · pp`),
 //!   not the DP replicas that fill the rest of the node.
 //!
-//! The first three are why the node keeps its own lower bound.
+//! Both legs bound a plan with one formula, `scheduler::pipeline_floor`;
+//! the node leg prices it with rings and the seam step and, unlike the
+//! wafer leg, adds no optimizer stream.
 //!
 //! The pinned stage placement holds for the baseline evaluator only:
 //! behind the `node_placement` knob
@@ -75,17 +77,16 @@ use crate::dram_alloc::allocate_node;
 use crate::evaluator::{dp_allreduce_time, stage_comm_times};
 use crate::placement::{optimize_node, PairDemand};
 use crate::scheduler::{
-    gcmr_quanta, memory_precheck_fails, one_f_one_b_floor, plan_geometry, tp_candidates,
-    PlanFilter, SchedulerOptions,
+    gcmr_quanta, memory_precheck_fails, pipeline_floor, plan_geometry, tp_candidates, PlanFilter,
+    SchedulerOptions,
 };
 use crate::stage::boundary_bytes;
 use crate::wave::{bounded_search, LegOutcome, SessionCtx, WorkItem};
 use serde::{Deserialize, Serialize};
 use wsc_arch::units::{Bandwidth, Bytes, FlopRate, Time};
 use wsc_arch::wafer::MultiWaferConfig;
+use wsc_mesh::alpha_beta::multi_hop_time;
 use wsc_mesh::collective::{CollectiveAlgo, GroupShape};
-use wsc_mesh::multiwafer::MultiWaferFabric;
-use wsc_mesh::topology::Mesh2D;
 use wsc_pipeline::gcmr::{gcmr, GcmrPlan};
 use wsc_pipeline::onefb::{simulate, StageTiming};
 use wsc_pipeline::recompute::overflow_and_spare;
@@ -110,8 +111,6 @@ pub struct MultiWaferReport {
     /// Fraction of p2p traffic that crosses wafer seams (always in
     /// `[0, 1]`: at most `pp − 1` of the boundaries can be seams).
     pub w2w_boundary_fraction: f64,
-    /// Whether the schedule fits memory.
-    pub feasible: bool,
     /// Node-level Alg. 3 instrumentation — `None` unless the plan was
     /// evaluated with the `node_placement` knob
     /// ([`evaluate_multi_wafer_plan_placed`]).
@@ -143,16 +142,10 @@ pub struct NodePlacementStats {
 /// Price of moving `bytes` of Sender→Helper checkpoint traffic across
 /// `crossings` W2W seams — the Alg. 3 cross-boundary borrow penalty.
 /// Zero for intra-wafer grants; otherwise the seam's α–β transfer
-/// ([`MultiWaferFabric::cross_wafer_time`]): strictly monotone in both
-/// the byte count and the crossing count.
+/// ([`multi_hop_time`], one W2W latency per crossing): strictly monotone
+/// in both the byte count and the crossing count.
 pub(crate) fn seam_borrow_penalty(node: &MultiWaferConfig, bytes: Bytes, crossings: usize) -> Time {
-    let fabric = MultiWaferFabric {
-        wafers: node.wafers.max(1),
-        wafer_mesh: Mesh2D::new(node.wafer.nx, node.wafer.ny),
-        w2w_bw: node.w2w_bw,
-        w2w_latency: node.w2w_latency,
-    };
-    fabric.cross_wafer_time(bytes, crossings)
+    multi_hop_time(node.w2w_latency, crossings, bytes, node.w2w_bw)
 }
 
 /// Evaluate a fixed [`ParallelPlan`] on a multi-wafer node.
@@ -232,9 +225,9 @@ fn evaluate_multi_wafer_plan_impl(
         // group.
         let p2p = if s + 1 < pp && assignment[s + 1] != assignment[s] {
             w2w_boundaries += 1;
-            node.w2w_latency + boundary / node.w2w_bw
+            multi_hop_time(node.w2w_latency, 1, boundary, node.w2w_bw)
         } else if s + 1 < pp {
-            alpha.scale(2.0) + boundary / link_bw
+            multi_hop_time(alpha, 2, boundary, link_bw)
         } else {
             Time::ZERO
         };
@@ -283,7 +276,6 @@ fn evaluate_multi_wafer_plan_impl(
         useful_throughput: useful / iteration,
         throughput: (useful + recompute_flops) / iteration,
         w2w_boundary_fraction: w2w_boundaries as f64 / (pp.max(2) - 1) as f64,
-        feasible: true,
         placement,
     })
 }
@@ -328,15 +320,17 @@ fn node_placement_pass(
     let link_bw = wafer.d2d_link_bw();
     let alpha = wafer.d2d_link_latency;
     let groups = ctx.node.wafers.max(1) / ctx.span;
-    let fabric = MultiWaferFabric {
-        wafers: groups,
-        wafer_mesh: Mesh2D::new(wafer.nx, wafer.ny),
-        w2w_bw: ctx.node.w2w_bw,
-        w2w_latency: ctx.node.w2w_latency,
-    };
     // The W2W seam enters the distance table as hop equivalents sized
-    // for this plan's boundary traffic.
-    let seam_penalty = fabric.seam_hop_penalty(ctx.boundary, link_bw, alpha);
+    // for this plan's boundary traffic: one crossing's α–β transfer over
+    // one D2D hop's, floored at one hop (a seam is never cheaper than
+    // staying on-wafer).
+    let seam = multi_hop_time(ctx.node.w2w_latency, 1, ctx.boundary, ctx.node.w2w_bw).as_secs();
+    let hop = multi_hop_time(alpha, 1, ctx.boundary, link_bw).as_secs();
+    let seam_penalty = if hop <= 0.0 {
+        1.0
+    } else {
+        (seam / hop).max(1.0)
+    };
     let model = NodeCostModel::new(
         wafer.nx,
         wafer.ny,
@@ -407,16 +401,12 @@ fn seam_step(node: &MultiWaferConfig, span: usize) -> Option<(usize, Bandwidth, 
 }
 
 /// Analytic lower bound (seconds) on the iteration time of one
-/// multi-wafer point: the [`one_f_one_b_floor`] of the cached stage
-/// profiles' compute-plus-collective times, plus the DP gradient
-/// all-reduce, which the evaluator adds verbatim.
-///
-/// Per-stage times use the evaluator's own collective formula,
-/// [`stage_comm_times`] with the seam step for `tp_span > 1`, so the
-/// only dropped terms — recomputation and p2p transfers (D2D *and*
-/// W2W) — strictly add time: the bound never exceeds the true
-/// evaluation. `None` = statically infeasible (`plan_geometry` rejects
-/// the plan on this node).
+/// multi-wafer point: the [`pipeline_floor`] of the cached stage
+/// profiles under ring collectives with the seam step for
+/// `tp_span > 1`, the node evaluator's own pricing. The node evaluator
+/// charges no optimizer stream, so unlike the wafer leg's bound this
+/// one adds none. `None` = statically infeasible (`plan_geometry`
+/// rejects the plan on this node).
 ///
 /// The node-placement pass does not touch this bound, and needs not to:
 /// both the baseline and the placement-refined schedule consist of the
@@ -431,20 +421,10 @@ fn node_lower_bound(
     plan: &ParallelPlan,
     cache: &ProfileCache,
 ) -> Option<f64> {
-    let wafer = &node.wafer;
-    let geo = plan_geometry(wafer, node.wafers.max(1), job, plan)?;
-    let stages = cache.stage_profiles(wafer, job, plan, geo.n_mb);
-    let link_bw = wafer.d2d_link_bw();
-    let alpha = wafer.d2d_link_latency;
+    let geo = plan_geometry(&node.wafer, node.wafers.max(1), job, plan)?;
+    let stages = cache.stage_profiles(&node.wafer, job, plan, geo.n_mb);
     let seam = seam_step(node, geo.span);
-    let mb_secs = stages.iter().map(|sp| {
-        let (fwd_comm, bwd_comm) = stage_comm_times(RING, geo.shape, sp, link_bw, alpha, seam);
-        (sp.fwd_compute + fwd_comm + sp.bwd_compute + bwd_comm).as_secs()
-    });
-    let (tp, pp, dp) = (plan.tp, plan.pp, geo.parallel.dp);
-    let bound = one_f_one_b_floor(geo.n_mb, mb_secs)
-        + dp_allreduce_time(RING, wafer, job, tp, pp, dp).as_secs();
-    Some(bound)
+    Some(pipeline_floor(&node.wafer, job, &geo, &stages, RING, seam))
 }
 
 /// The stage-map family one `(span, tp, pp)` point emits, as
@@ -715,6 +695,7 @@ pub(crate) fn wafer_loss_sweep_impl(
 mod tests {
     use super::*;
     use crate::scheduler::SearchStats;
+    use crate::testutil::assert_bound_sound;
     use wsc_arch::presets;
     use wsc_workload::parallel::TpSplitStrategy;
     use wsc_workload::zoo;
@@ -753,7 +734,6 @@ mod tests {
         let job = TrainingJob::standard(zoo::deepseek_v3());
         // Single wafer: pruned (see scheduler tests); 4 wafers: feasible.
         let r = best_of(&node, &job).expect("fits 4 wafers");
-        assert!(r.feasible);
         assert!(r.iteration.is_finite());
     }
 
@@ -762,7 +742,6 @@ mod tests {
         let node = presets::multi_wafer_18();
         let job = TrainingJob::standard(zoo::llama3_405b());
         let r = best_of(&node, &job).expect("schedulable");
-        assert!(r.feasible);
         assert!(r.w2w_boundary_fraction > 0.0, "must cross wafer seams");
         assert!(
             r.w2w_boundary_fraction < 0.5,
@@ -970,6 +949,33 @@ mod tests {
     }
 
     #[test]
+    fn bound_is_sound_over_whole_work_lists() {
+        // Every undecided item of the full plan space, with the Alg. 3
+        // pass on: the placed iteration is the lesser of the baseline
+        // and the refined schedule, so both must respect the bound, and
+        // a plan without a bound must not evaluate.
+        let node = presets::multi_wafer_4();
+        let job = TrainingJob::standard(zoo::gpt_175b());
+        let opts = SchedulerOptions {
+            plans: PlanFilter::all(),
+            node_placement: true,
+            ..SchedulerOptions::default()
+        };
+        let cache = ProfileCache::new();
+        let mut scheduled = 0;
+        for it in node_work_list(&node, &job, &opts)
+            .iter()
+            .filter(|it| !it.decided)
+        {
+            let bound = node_lower_bound(&node, &job, &it.plan, &cache);
+            let score = evaluate_multi_wafer_plan_placed(&node, &job, &it.plan, &cache, opts.seed)
+                .map(|r| r.iteration.as_secs());
+            scheduled += usize::from(assert_bound_sound(&it.plan, bound, score));
+        }
+        assert!(scheduled > 0, "no plan evaluated: the check is vacuous");
+    }
+
+    #[test]
     fn search_stats_are_consistent() {
         let node = presets::multi_wafer_18();
         let job = TrainingJob::standard(zoo::llama3_405b());
@@ -1010,7 +1016,6 @@ mod tests {
                 &ProfileCache::new(),
             ) {
                 evaluated += 1;
-                assert!(r.feasible);
                 assert!((0.0..=1.0).contains(&r.w2w_boundary_fraction), "pp={pp}");
                 assert_eq!(r.parallel.pp, pp);
             }

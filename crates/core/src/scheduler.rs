@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
 use wsc_arch::fault::FaultMap;
-use wsc_arch::units::Bytes;
+use wsc_arch::units::{Bandwidth, Bytes, Time};
 use wsc_arch::wafer::WaferConfig;
 use wsc_mesh::collective::{all_reduce_time, CollectiveAlgo, GroupShape};
 use wsc_mesh::topology::Mesh2D;
@@ -529,34 +529,49 @@ pub(crate) fn gcmr_quanta(pp: usize) -> usize {
     (160 / pp).clamp(3, 16)
 }
 
-/// The 1F1B floor of a pipeline whose stage `s` needs `t_s` seconds per
-/// micro-batch (`mb_secs`, in stage order):
+/// The pipeline floor (seconds) both legs' lower bounds share: the 1F1B
+/// floor of the per-micro-batch stage times `t_s` plus the DP gradient
+/// all-reduce, which both evaluators add verbatim. `t_s` is stage `s`'s
+/// compute plus its collectives, priced by the evaluators' own
+/// [`evaluator::stage_comm_times`] at healthy link bandwidth with
+/// `seam`, the seam step of a cross-wafer TP group (`None` on one
+/// wafer). The 1F1B floor is the larger of
 ///
-/// * 1F1B steady state — the bottleneck stage serializes all `n_mb`
+/// * the steady state — the bottleneck stage serializes all `n_mb`
 ///   micro-batches: `n_mb · max_s t_s`;
-/// * pipeline critical path — micro-batch 0 traverses every stage down
-///   and back: `Σ_s t_s`.
+/// * the critical path — micro-batch 0 traverses every stage down and
+///   back: `Σ_s t_s`.
 ///
-/// Both legs' lower bounds start from it; each prices a stage's
-/// collectives into `t_s` its own way.
-pub(crate) fn one_f_one_b_floor(n_mb: usize, mb_secs: impl IntoIterator<Item = f64>) -> f64 {
+/// Recomputation, p2p transfers and routing contention only ever add
+/// time, so neither leg's evaluation falls below it.
+pub(crate) fn pipeline_floor(
+    wafer: &WaferConfig,
+    job: &TrainingJob,
+    g: &PlanGeometry,
+    stages: &[StageProfile],
+    collective: CollectiveAlgo,
+    seam: Option<(usize, Bandwidth, Time)>,
+) -> f64 {
+    let link_bw = wafer.d2d_link_bw();
+    let alpha = wafer.d2d_link_latency;
     let mut max_mb = 0.0f64;
     let mut sum_mb = 0.0f64;
-    for mb in mb_secs {
+    for sp in stages {
+        let (fwd_comm, bwd_comm) =
+            evaluator::stage_comm_times(collective, g.shape, sp, link_bw, alpha, seam);
+        let mb = (sp.fwd_compute + fwd_comm + sp.bwd_compute + bwd_comm).as_secs();
         max_mb = max_mb.max(mb);
         sum_mb += mb;
     }
-    (n_mb as f64 * max_mb).max(sum_mb)
+    let ParallelSpec { dp, tp, pp } = g.parallel;
+    (g.n_mb as f64 * max_mb).max(sum_mb)
+        + evaluator::dp_allreduce_time(collective, wafer, job, tp, pp, dp).as_secs()
 }
 
 /// Analytic lower bound (seconds) on the iteration time any feasible
-/// schedule of `plan` can achieve: the [`one_f_one_b_floor`] of the
-/// cached stage profiles' compute-plus-collective times, plus the DP
-/// gradient all-reduce and the optimizer DRAM stream, which the
-/// evaluator adds verbatim.
-///
-/// Recomputation, p2p transfers and routing contention only ever add
-/// time, so the bound never exceeds the true evaluation.
+/// schedule of `plan` can achieve: the [`pipeline_floor`] of the cached
+/// stage profiles under the collective the scheduler picks, plus the
+/// optimizer DRAM stream, which the wafer evaluator adds verbatim.
 /// `None` = statically infeasible (no layout or no collective).
 fn config_lower_bound(
     wafer: &WaferConfig,
@@ -567,22 +582,9 @@ fn config_lower_bound(
 ) -> Option<f64> {
     let g = plan_geometry(wafer, 1, job, plan)?;
     let stages = cache.stage_profiles(wafer, job, plan, g.n_mb);
-    let link_bw = wafer.d2d_link_bw();
-    let alpha = wafer.d2d_link_latency;
     // Same collective the full scheduler will pick for this shape.
     let collective = choose_collective(opts, wafer, g.shape, &stages[..])?;
-
-    // Per-micro-batch stage times at healthy link bandwidth, using the
-    // evaluator's own comm-time formula (exact: the search evaluates
-    // fault-free, and recompute/p2p only ever add time).
-    let mb_secs = stages.iter().map(|sp| {
-        let (fwd_comm, bwd_comm) =
-            evaluator::stage_comm_times(collective, g.shape, sp, link_bw, alpha, None);
-        (sp.fwd_compute + fwd_comm + sp.bwd_compute + bwd_comm).as_secs()
-    });
-    let ParallelSpec { dp, tp, pp } = g.parallel;
-    let bound = one_f_one_b_floor(g.n_mb, mb_secs)
-        + evaluator::dp_allreduce_time(collective, wafer, job, tp, pp, dp).as_secs()
+    let bound = pipeline_floor(wafer, job, &g, &stages[..], collective, None)
         + evaluator::optimizer_stream_time(&stages[..], wafer).as_secs();
     Some(bound)
 }
@@ -831,6 +833,7 @@ pub fn evaluate_scheduled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::assert_bound_sound;
     use wsc_arch::presets;
     use wsc_workload::zoo;
 
@@ -1036,6 +1039,33 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn bound_is_sound_over_whole_work_lists() {
+        // Every undecided item of Configs 1–4's work lists, not only
+        // those the waves evaluate: a scheduled plan's score never falls
+        // below its bound, and a plan without a bound never schedules.
+        let job = TrainingJob::standard(zoo::llama3_70b());
+        let opts = SchedulerOptions {
+            ga: None,
+            ..SchedulerOptions::default()
+        };
+        let mut scheduled = 0;
+        for cfg in 1..=4 {
+            let wafer = presets::config(cfg);
+            let cache = ProfileCache::new();
+            for it in work_list(&wafer, &job, &opts)
+                .iter()
+                .filter(|it| !it.decided)
+            {
+                let bound = config_lower_bound(&wafer, &job, &it.plan, &opts, &cache);
+                let score = schedule_plan(&wafer, &job, &it.plan, &opts, None, &cache)
+                    .map(|c| c.report.iteration.as_secs());
+                scheduled += usize::from(assert_bound_sound(&it.plan, bound, score));
+            }
+        }
+        assert!(scheduled > 0, "no plan scheduled: the check is vacuous");
     }
 
     #[test]

@@ -373,7 +373,7 @@ fn panic_payload(e: Box<dyn Any + Send>) -> String {
 /// most, measured over the equivalence and resilience suites). A margin
 /// four orders of magnitude above that keeps pruning sound and is far
 /// below any real gap between two plans.
-const BOUND_MARGIN: f64 = 1e-12;
+pub(crate) const BOUND_MARGIN: f64 = 1e-12;
 
 /// `bound` lowered by [`BOUND_MARGIN`] of its magnitude (one monotone
 /// multiplication, so the bound order is preserved).

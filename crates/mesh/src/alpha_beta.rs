@@ -76,6 +76,19 @@ mod tests {
     }
 
     #[test]
+    fn lower_bandwidth_slows_transfers() {
+        let gib_at = |tbps| {
+            multi_hop_time(
+                Time::from_nanos(400.0),
+                1,
+                Bytes::gib(1),
+                Bandwidth::tb_per_s(tbps),
+            )
+        };
+        assert!(gib_at(0.4).as_secs() > gib_at(1.8).as_secs() * 4.0);
+    }
+
+    #[test]
     fn zero_hops_is_free() {
         let t = multi_hop_time(
             Time::from_nanos(50.0),

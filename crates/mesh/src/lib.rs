@@ -4,8 +4,8 @@
 //! wafer fabric of Fig. 3, deterministic and adaptive routing, the α–β
 //! model of Eq. 1, ring/TACOS/2D collective cost models (Figs. 5b and 21),
 //! contention-aware traffic assignment with the §IV-E-2 punishment factor,
-//! the mesh-switch topology of Fig. 23, and the multi-wafer fabric of
-//! Fig. 24a.
+//! and the mesh-switch topology of Fig. 23. A multi-wafer node's W2W
+//! seams (Fig. 24a) are α–β links too: [`multi_hop_time`] prices them.
 //!
 //! ```
 //! use wsc_mesh::collective::{all_reduce_time, CollectiveAlgo, GroupShape};
@@ -25,7 +25,6 @@
 pub mod alpha_beta;
 pub mod collective;
 pub mod contention;
-pub mod multiwafer;
 pub mod routing;
 pub mod switch;
 pub mod topology;
@@ -36,7 +35,6 @@ pub use crate::collective::{
     ring_link_utilization, CollectiveAlgo, GroupShape,
 };
 pub use crate::contention::{CommTask, RoutedTask, TaskKind, TrafficAssigner};
-pub use crate::multiwafer::MultiWaferFabric;
 pub use crate::routing::{adaptive_route, path_links, shortest_paths, xy_path};
 pub use crate::switch::MeshSwitchTopology;
 pub use crate::topology::{DirLink, Mesh2D, NodeId};
