@@ -74,11 +74,6 @@ impl Bytes {
         Bytes(self.0.saturating_sub(rhs.0))
     }
 
-    /// Checked subtraction.
-    pub fn checked_sub(self, rhs: Bytes) -> Option<Bytes> {
-        self.0.checked_sub(rhs.0).map(Bytes)
-    }
-
     /// Multiply by a dimensionless factor, rounding to the nearest byte.
     pub fn scale(self, f: f64) -> Bytes {
         Bytes((self.0 as f64 * f).round().max(0.0) as u64)
@@ -714,8 +709,6 @@ mod tests {
         let b = Bytes::mib(2);
         assert_eq!(a - b, Bytes::ZERO);
         assert_eq!(a.saturating_sub(b), Bytes::ZERO);
-        assert_eq!(a.checked_sub(b), None);
-        assert_eq!(b.checked_sub(a), Some(Bytes::mib(1)));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Measured-benchmark harness for the §IV-C/§IV-D refinement hot path.
 //!
 //! Runs each GA preset twice in the same process — once on the
-//! incremental [`PlacementCostModel`] cost engine
+//! [`PlacementCostModel`], which re-sums every candidate's Eq. 2 cost
+//! from cached slot-distance and route tables
 //! (`ga::refine_with_model` / `placement::optimize_with`, the model
 //! built inside the timed run) and once on the naive
 //! re-derive-everything reference (`ga::refine_naive` /
@@ -226,7 +227,7 @@ fn measure(case: &Case, reps: usize, threads: usize) -> BenchEntry {
 /// contracts.
 fn record(bench: &Bench, entry: BenchEntry) -> BenchEntry {
     println!(
-        "[{:16}] {:12} naive {:8.4}s  incremental {:8.4}s  speedup {:6.2}x  identical {}",
+        "[{:16}] {:12} naive {:8.4}s  cost model {:8.4}s  speedup {:6.2}x  identical {}",
         entry.preset,
         entry.workload,
         entry.naive_secs,
@@ -236,7 +237,7 @@ fn record(bench: &Bench, entry: BenchEntry) -> BenchEntry {
     );
     if !entry.identical {
         bench.fail(format!(
-            "[{}] EQUIVALENCE BUG: incremental result differs from the naive reference",
+            "[{}] EQUIVALENCE BUG: cost-model result differs from the naive reference",
             entry.preset
         ));
     }

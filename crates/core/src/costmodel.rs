@@ -1,29 +1,30 @@
-//! Incremental Eq. 2 placement-cost engine (§IV-C/§IV-D hot path).
+//! Eq. 2 placement-cost tables (§IV-C/§IV-D hot path).
 //!
-//! Every GA genome decode and every hill-climb swap candidate needs the
-//! Eq. 2 `GlobalCost` of a placement. The naive path
-//! ([`crate::placement::global_cost`]) rebuilds the pipeline link
-//! `HashSet` and re-walks the XY route of every Sender→Helper pair from
-//! scratch per call — O(whole placement) with a hash insert per link. A
-//! [`PlacementCostModel`] makes the evaluation O(Δ):
+//! Every hill-climb candidate and every GA genome decode needs the Eq. 2
+//! `GlobalCost` of a placement. The naive path
+//! ([`crate::placement::global_cost`]) re-derives every rectangle
+//! distance and XY route and rebuilds the pipeline link `HashSet` per
+//! call. A [`PlacementCostModel`] caches what depends only on the tile
+//! slots, not on the placement:
 //!
-//! * the **slot-pair distance table** caches `Rect::dist` for every
+//! * the **slot-pair distance table** holds `Rect::dist` for every
 //!   ordered pair of tile slots;
 //! * **path-link fragments** memoize `path_links(xy_path(..))` per
 //!   ordered slot pair, as dense directed-link ids (no hashing, no
-//!   per-call path allocation);
-//! * a [`CostState`] maintains the pipeline link **multiset** (window
-//!   contributions counted per link) and each pair's conflict count γ
-//!   through a link→pair reverse index, so a stage swap touches only the
-//!   adjacent windows, the flipped links, and the pairs riding them.
+//!   per-call path allocation).
+//!
+//! [`PlacementCostModel::cost_of_slots`] re-sums the whole cost of a
+//! slot assignment from those tables: the pipeline links go into a
+//! bitmap and each pair's γ is a scan of its route fragment. The hill
+//! climb ([`crate::placement::optimize_with`]) prices every move this
+//! way, and so does the GA ([`crate::ga::refine_with_model`]).
 //!
 //! Results are **bit-identical** to the naive path: γ is an integer, the
 //! per-term factors (`dist`, `volume`, `pp_volume`) are the exact same
-//! `f64` values, and [`CostState::cost`] re-sums the terms in the naive
-//! evaluation order — incremental bookkeeping only decides *which* terms
-//! change, never how they are combined. `tests/ga_cost_equivalence.rs`
-//! pins the equivalence across random meshes, overflows and seeds, and
-//! `bench_ga` measures the win.
+//! `f64` values, and the terms are summed in the naive evaluation order.
+//! `tests/ga_cost_equivalence.rs` pins the equivalence across random
+//! meshes, overflows and seeds, and `bench_ga` measures the gap to the
+//! naive path.
 
 use crate::placement::{degraded_rect_dist, slot_is_dead, tile_slots, PairDemand, Placement, Rect};
 use std::fmt;
@@ -296,9 +297,10 @@ impl PlacementCostModel {
         })
     }
 
-    /// One-shot Eq. 2 cost of a slot assignment — the memoized
-    /// equivalent of [`crate::placement::global_cost`], used by GA
-    /// genome decoding where the pair set changes per genome.
+    /// Eq. 2 cost of a slot assignment, re-summed from the cached
+    /// tables — the bit-identical equivalent of
+    /// [`crate::placement::global_cost`] that prices every hill-climb
+    /// move and every GA genome decode.
     pub fn cost_of_slots(&self, stage_slots: &[u32], pairs: &[PairDemand]) -> f64 {
         // Exactly the naive accumulation order: pipeline terms first,
         // then one term per pair.
@@ -336,41 +338,6 @@ impl PlacementCostModel {
             }
         }
     }
-
-    /// An incremental cost state for a fixed pair set, or `None` when
-    /// the placement is off this model's slot grid.
-    pub fn state<'m>(
-        &'m self,
-        placement: &Placement,
-        pairs: &[PairDemand],
-    ) -> Option<CostState<'m>> {
-        let stage_slot = self.slot_ids(placement)?;
-        let ids = link_id_space(&self.mesh);
-        let mut state = CostState {
-            model: self,
-            stage_slot,
-            counts: vec![0; ids],
-            pairs: pairs
-                .iter()
-                .map(|p| PairState {
-                    sender: p.sender as u32,
-                    helper: p.helper as u32,
-                    volume: p.volume,
-                    gamma: 0,
-                })
-                .collect(),
-            link_pairs: vec![Vec::new(); ids],
-        };
-        // Windows first (no pair is indexed yet, so flips are silent),
-        // then pairs compute γ against the settled counts.
-        for w in 0..state.stage_slot.len().saturating_sub(1) {
-            state.add_window(w);
-        }
-        for k in 0..state.pairs.len() {
-            state.index_pair(k);
-        }
-        Some(state)
-    }
 }
 
 /// Seam-extended Eq. 2 distance/cost tables for the **node level**
@@ -393,7 +360,9 @@ pub(crate) struct NodeCostModel {
     groups: usize,
     slots_per_group: usize,
     cols: usize,
-    rects: Vec<Rect>,
+    /// `local[a * slots_per_group + b]` = `Rect::dist` between the
+    /// wafer-local slots `a` and `b`, exact bits.
+    local: Vec<f64>,
     seam_penalty: f64,
     pp_volume: f64,
 }
@@ -423,7 +392,10 @@ impl NodeCostModel {
             groups,
             slots_per_group: rects.len(),
             cols: nx / tile_w.max(1),
-            rects,
+            local: rects
+                .iter()
+                .flat_map(|a| rects.iter().map(|b| a.dist(b)))
+                .collect(),
             seam_penalty,
             pp_volume,
         })
@@ -454,15 +426,11 @@ impl NodeCostModel {
         slot / self.slots_per_group
     }
 
-    /// The wafer-local rectangle of a global slot id.
-    #[cfg(test)]
-    pub fn local_rect(&self, slot: usize) -> Rect {
-        self.rects[slot % self.slots_per_group]
-    }
-
-    /// Wafer-local center distance between two slots (seam excluded).
+    /// Wafer-local center distance between two slots (seam excluded),
+    /// read from the slot-pair distance table.
     pub fn local_dist(&self, a: usize, b: usize) -> f64 {
-        self.rects[a % self.slots_per_group].dist(&self.rects[b % self.slots_per_group])
+        let n = self.slots_per_group;
+        self.local[(a % n) * n + b % n]
     }
 
     /// W2W crossings between two slots' groups.
@@ -488,197 +456,6 @@ impl NodeCostModel {
             cost += self.dist(stage_slots[pair.sender], stage_slots[pair.helper]) * pair.volume;
         }
         cost
-    }
-}
-
-/// Per-pair incremental state: endpoints, Eq. 2 volume, and the
-/// maintained conflict count γ.
-struct PairState {
-    sender: u32,
-    helper: u32,
-    volume: f64,
-    gamma: u32,
-}
-
-/// Incrementally maintained Eq. 2 cost of one placement against a fixed
-/// Sender→Helper pair set.
-///
-/// Invariants (checked by the costmodel unit tests):
-/// * `counts[l] > 0` ⇔ link `l` is on some pipeline window's route
-///   (either direction) — exactly the naive `pipeline_link_set`;
-/// * `pairs[k].gamma` = number of links on pair `k`'s route with
-///   `counts > 0` — exactly the naive `pair_conflicts`;
-/// * [`CostState::cost`] equals [`crate::placement::global_cost`] to the
-///   last bit for the equivalent placement.
-pub struct CostState<'m> {
-    model: &'m PlacementCostModel,
-    stage_slot: Vec<u32>,
-    /// Pipeline-window contributions per directed link id.
-    counts: Vec<u32>,
-    pairs: Vec<PairState>,
-    /// Reverse index: link id → pairs whose route crosses it.
-    link_pairs: Vec<Vec<u32>>,
-}
-
-impl<'m> CostState<'m> {
-    /// The model this state prices against.
-    pub fn model(&self) -> &'m PlacementCostModel {
-        self.model
-    }
-
-    /// Current slot of every stage.
-    pub fn stage_slots(&self) -> &[u32] {
-        &self.stage_slot
-    }
-
-    /// The current placement as stage rectangles.
-    pub fn placement(&self) -> Placement {
-        Placement {
-            stages: self
-                .stage_slot
-                .iter()
-                .map(|&s| self.model.slot_rect(s))
-                .collect(),
-        }
-    }
-
-    /// The Eq. 2 cost — terms re-summed in the naive evaluation order
-    /// from exact cached factors, so the result is bit-identical to
-    /// [`crate::placement::global_cost`].
-    pub fn cost(&self) -> f64 {
-        let mut cost = 0.0;
-        for w in self.stage_slot.windows(2) {
-            cost += self.model.dist(w[0], w[1]) * self.model.pp_volume;
-        }
-        if self.pairs.is_empty() {
-            return cost;
-        }
-        for p in &self.pairs {
-            cost += self.model.dist(
-                self.stage_slot[p.sender as usize],
-                self.stage_slot[p.helper as usize],
-            ) * p.volume
-                * (1.0 + p.gamma as f64);
-        }
-        cost
-    }
-
-    fn add_window(&mut self, w: usize) {
-        let model = self.model;
-        let (a, b) = (self.stage_slot[w], self.stage_slot[w + 1]);
-        for &id in &model.frag(a, b).both {
-            let c = &mut self.counts[id as usize];
-            *c += 1;
-            if *c == 1 {
-                for &k in &self.link_pairs[id as usize] {
-                    self.pairs[k as usize].gamma += 1;
-                }
-            }
-        }
-    }
-
-    fn remove_window(&mut self, w: usize) {
-        let model = self.model;
-        let (a, b) = (self.stage_slot[w], self.stage_slot[w + 1]);
-        for &id in &model.frag(a, b).both {
-            let c = &mut self.counts[id as usize];
-            *c -= 1;
-            if *c == 0 {
-                for &k in &self.link_pairs[id as usize] {
-                    self.pairs[k as usize].gamma -= 1;
-                }
-            }
-        }
-    }
-
-    /// Register pair `k`'s route in the reverse index and compute its γ
-    /// from the settled link counts.
-    fn index_pair(&mut self, k: usize) {
-        let model = self.model;
-        let (s, h) = (
-            self.stage_slot[self.pairs[k].sender as usize],
-            self.stage_slot[self.pairs[k].helper as usize],
-        );
-        let mut gamma = 0;
-        for &id in &model.frag(s, h).fwd {
-            self.link_pairs[id as usize].push(k as u32);
-            if self.counts[id as usize] > 0 {
-                gamma += 1;
-            }
-        }
-        self.pairs[k].gamma = gamma;
-    }
-
-    /// Remove pair `k`'s (old) route from the reverse index.
-    fn unindex_pair(&mut self, k: usize) {
-        let model = self.model;
-        let (s, h) = (
-            self.stage_slot[self.pairs[k].sender as usize],
-            self.stage_slot[self.pairs[k].helper as usize],
-        );
-        for &id in &model.frag(s, h).fwd {
-            let list = &mut self.link_pairs[id as usize];
-            if let Some(pos) = list.iter().position(|&x| x == k as u32) {
-                list.swap_remove(pos);
-            }
-        }
-    }
-
-    /// Apply a batch of stage→slot changes, updating only the adjacent
-    /// windows, the flipped links, and the pairs whose endpoints or
-    /// crossed links changed.
-    fn apply_changes(&mut self, changes: &[(usize, u32)]) {
-        let pp = self.stage_slot.len();
-        let mut windows: Vec<usize> = Vec::with_capacity(2 * changes.len());
-        for &(s, _) in changes {
-            if s > 0 {
-                windows.push(s - 1);
-            }
-            if s + 1 < pp {
-                windows.push(s);
-            }
-        }
-        windows.sort_unstable();
-        windows.dedup();
-        let touched: Vec<usize> = (0..self.pairs.len())
-            .filter(|&k| {
-                changes.iter().any(|&(s, _)| {
-                    self.pairs[k].sender as usize == s || self.pairs[k].helper as usize == s
-                })
-            })
-            .collect();
-        for &k in &touched {
-            self.unindex_pair(k);
-        }
-        for &w in &windows {
-            self.remove_window(w);
-        }
-        for &(s, slot) in changes {
-            self.stage_slot[s] = slot;
-        }
-        for &w in &windows {
-            self.add_window(w);
-        }
-        for &k in &touched {
-            self.index_pair(k);
-        }
-    }
-
-    /// Commit a stage↔stage slot swap (§IV-D Op3; its own inverse).
-    pub fn apply_swap(&mut self, i: usize, j: usize) {
-        if i == j {
-            return;
-        }
-        let (si, sj) = (self.stage_slot[i], self.stage_slot[j]);
-        self.apply_changes(&[(i, sj), (j, si)]);
-    }
-
-    /// Commit moving stage `i` to `slot`.
-    pub fn apply_move(&mut self, i: usize, slot: u32) {
-        if self.stage_slot[i] == slot {
-            return;
-        }
-        self.apply_changes(&[(i, slot)]);
     }
 }
 
@@ -748,32 +525,39 @@ mod tests {
         assert_eq!(model.placement_cost(&p, &pairs).to_bits(), naive.to_bits());
     }
 
+    /// The rectangle placement of a slot assignment.
+    fn placement_of(model: &PlacementCostModel, slots: &[u32]) -> Placement {
+        Placement {
+            stages: slots.iter().map(|&s| model.slot_rect(s)).collect(),
+        }
+    }
+
     #[test]
     fn state_cost_matches_naive_through_random_mutations() {
         let mesh = Mesh2D::new(8, 4);
         let model = PlacementCostModel::new(mesh, 2, 2, 1.0);
         let base = serpentine(8, 4, 8, 2, 2).unwrap();
         let pairs = pairs_fig11();
-        let mut state = model.state(&base, &pairs).unwrap();
+        let mut slots = model.slot_ids(&base).unwrap();
         let mut rng = StdRng::seed_from_u64(9);
         for step in 0..200 {
             if rng.gen_bool(0.5) {
-                let i = rng.gen_range(0..8);
-                let j = rng.gen_range(0..8);
-                state.apply_swap(i, j);
+                let i = rng.gen_range(0..8usize);
+                let j = rng.gen_range(0..8usize);
+                slots.swap(i, j);
             } else {
-                let i = rng.gen_range(0..8);
+                let i = rng.gen_range(0..8usize);
                 let slot = rng.gen_range(0..model.slot_count()) as u32;
                 // Only move to genuinely free slots (occupied targets
                 // would alias two stages onto one tile, which the search
                 // never does).
-                if !state.stage_slots().contains(&slot) {
-                    state.apply_move(i, slot);
+                if !slots.contains(&slot) {
+                    slots[i] = slot;
                 }
             }
-            let naive = global_cost(&mesh, &state.placement(), 1.0, &pairs, None);
+            let naive = global_cost(&mesh, &placement_of(&model, &slots), 1.0, &pairs, None);
             assert_eq!(
-                state.cost().to_bits(),
+                model.cost_of_slots(&slots, &pairs).to_bits(),
                 naive.to_bits(),
                 "divergence at step {step}"
             );
@@ -801,23 +585,24 @@ mod tests {
                 volume: 1.0,
             },
         ];
-        let mut state = model.state(&base, &pairs).unwrap();
+        let mut slots = model.slot_ids(&base).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
         for step in 0..200 {
             if rng.gen_bool(0.5) {
-                let i = rng.gen_range(0..6);
-                let j = rng.gen_range(0..6);
-                state.apply_swap(i, j);
+                let i = rng.gen_range(0..6usize);
+                let j = rng.gen_range(0..6usize);
+                slots.swap(i, j);
             } else {
-                let i = rng.gen_range(0..6);
+                let i = rng.gen_range(0..6usize);
                 let slot = rng.gen_range(0..model.slot_count()) as u32;
-                if !state.stage_slots().contains(&slot) {
-                    state.apply_move(i, slot);
+                if !slots.contains(&slot) {
+                    slots[i] = slot;
                 }
             }
-            let naive = global_cost(&mesh, &state.placement(), 1.5, &pairs, Some(&faults));
+            let placement = placement_of(&model, &slots);
+            let naive = global_cost(&mesh, &placement, 1.5, &pairs, Some(&faults));
             assert_eq!(
-                state.cost().to_bits(),
+                model.cost_of_slots(&slots, &pairs).to_bits(),
                 naive.to_bits(),
                 "divergence at step {step}"
             );
@@ -829,9 +614,9 @@ mod tests {
         let mesh = Mesh2D::new(8, 4);
         let model = PlacementCostModel::new(mesh, 2, 2, 7.0);
         let p = serpentine(8, 4, 8, 2, 2).unwrap();
-        let state = model.state(&p, &[]).unwrap();
+        let slots = model.slot_ids(&p).unwrap();
         assert_eq!(
-            state.cost().to_bits(),
+            model.cost_of_slots(&slots, &[]).to_bits(),
             global_cost(&mesh, &p, 7.0, &[], None).to_bits()
         );
     }

@@ -8,8 +8,12 @@
 //! traffic is DRAM-bound and overlaps compute — distance only matters
 //! through the Eq. 2 conflict/congestion cost, which is what this
 //! allocation minimizes.
+//!
+//! One greedy loop serves every caller: [`allocate`] on a wafer
+//! placement, the node-level pass of `crate::multiwafer` on the
+//! seam-extended node distance, and the GA decode, which rotates each
+//! sender's helper queue by the genome's Op4/Op5 bias.
 
-use crate::costmodel::NodeCostModel;
 use crate::placement::Placement;
 use serde::{Deserialize, Serialize};
 use wsc_arch::units::Bytes;
@@ -76,6 +80,7 @@ pub fn allocate(placement: &Placement, overflow: &[Bytes], spare: &[Bytes]) -> D
     );
     allocate_by(
         |s, h| placement.stages[s].dist(&placement.stages[h]),
+        |_| 0,
         overflow,
         spare,
     )
@@ -83,13 +88,18 @@ pub fn allocate(placement: &Placement, overflow: &[Bytes], spare: &[Bytes]) -> D
 
 /// The Alg. 3 allocation core, generic over the distance metric: `dist`
 /// prices the Sender→Helper route the priority queue orders by (and the
-/// grant's recorded `hops`). [`allocate`] delegates here with the
-/// intra-wafer `Rect::dist`; [`allocate_node`] with the seam-extended
-/// node distance — the greedy loop (heaviest sender first, nearest
-/// helper first, grants split on exhausted spare, stable tie order) is
-/// byte-identical either way.
+/// grant's recorded `hops`), and `rotate(s)` rotates sender `s`'s
+/// distance-sorted queue left by that many places (modulo its length)
+/// before grants are taken. [`allocate`] passes the intra-wafer
+/// `Rect::dist` and no rotation; the node-level pass the seam-extended
+/// node distance, where a cross-seam helper is only chosen once every
+/// nearer on-wafer helper's spare is exhausted; the GA each sender's
+/// bias gene. The greedy loop (heaviest sender first, nearest helper
+/// first, grants split on exhausted spare, stable tie order) is the same
+/// for all of them.
 pub(crate) fn allocate_by(
     dist: impl Fn(usize, usize) -> f64,
+    rotate: impl Fn(usize) -> usize,
     overflow: &[Bytes],
     spare: &[Bytes],
 ) -> DramAllocation {
@@ -110,6 +120,10 @@ pub(crate) fn allocate_by(
             .filter(|&h| h != s && remaining[h] > Bytes::ZERO)
             .collect();
         q.sort_by(|&a, &b| dist(s, a).total_cmp(&dist(s, b)));
+        if !q.is_empty() {
+            let r = rotate(s) % q.len();
+            q.rotate_left(r);
+        }
         for h in q {
             if need == Bytes::ZERO {
                 break;
@@ -134,37 +148,11 @@ pub(crate) fn allocate_by(
     out
 }
 
-/// Node-level Alg. 3 (§VI-F): Sender→Helper DRAM borrowing where helpers
-/// may sit across the W2W seam, priced by the seam-extended
-/// [`NodeCostModel::dist`] — a cross-seam helper is only chosen once
-/// every nearer on-wafer helper's spare is exhausted, because one seam
-/// crossing costs `seam_penalty` (≥ 1) intra-wafer hops. `stage_slots`
-/// maps each stage to its global node slot. When every Sender finds all
-/// its helpers on its own wafer the result is bit-for-bit what
-/// [`allocate`] produces for that wafer-local placement, since the
-/// distance closures agree on intra-group pairs.
-pub(crate) fn allocate_node(
-    model: &NodeCostModel,
-    stage_slots: &[usize],
-    overflow: &[Bytes],
-    spare: &[Bytes],
-) -> DramAllocation {
-    assert_eq!(
-        overflow.len(),
-        stage_slots.len(),
-        "slot assignment must cover every stage"
-    );
-    allocate_by(
-        |s, h| model.dist(stage_slots[s], stage_slots[h]),
-        overflow,
-        spare,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::serpentine;
+    use crate::costmodel::NodeCostModel;
+    use crate::placement::{serpentine, tile_slots};
 
     fn line_placement(pp: usize) -> Placement {
         serpentine(2 * pp, 1, pp, 2, 1).expect("fits")
@@ -237,10 +225,47 @@ mod tests {
         let _ = allocate(&p, &[Bytes::ZERO], &[Bytes::ZERO, Bytes::ZERO]);
     }
 
+    #[test]
+    fn rotation_starts_the_queue_at_the_rth_nearest_helper_and_wraps() {
+        // Stage 0 overflows by one helper's spare on a line of 5 stages:
+        // helpers 1..=4 sit 2, 4, 6 and 8 hops away, so the grant goes to
+        // the `(r mod 4)`-th nearest helper.
+        let p = line_placement(5);
+        let (two, z) = (Bytes::gib(2), Bytes::ZERO);
+        let spare = vec![z, two, two, two, two];
+        let dist = |s: usize, h: usize| p.stages[s].dist(&p.stages[h]);
+        for (r, helper) in [(0, 1), (1, 2), (3, 4), (4, 1), (6, 3)] {
+            let alloc = allocate_by(dist, |_| r, &[two, z, z, z, z], &spare);
+            assert_eq!(alloc.grants.len(), 1, "rotation {r}");
+            assert_eq!(alloc.grants[0].helper, helper, "rotation {r}");
+        }
+        // The queue wraps in distance order: rotation 3 drains the
+        // farthest helper first, then the nearest.
+        let alloc = allocate_by(dist, |_| 3, &[Bytes::gib(3), z, z, z, z], &spare);
+        let order: Vec<usize> = alloc.grants.iter().map(|g| g.helper).collect();
+        assert_eq!(order, vec![4, 1]);
+    }
+
     /// 2 wafer groups of a 4x2 wafer tiled 2x2 → 2 slots per group; a
     /// seam crossing costs 10 intra-wafer hops.
     fn node_model(groups: usize) -> NodeCostModel {
         NodeCostModel::new(4, 2, 2, 2, groups, 10.0, 1.0).expect("tile fits")
+    }
+
+    /// The node-level pass's allocation: stage `s` sits on global node
+    /// slot `stage_slots[s]`, priced by the seam-extended distance.
+    fn allocate_node(
+        model: &NodeCostModel,
+        stage_slots: &[usize],
+        overflow: &[Bytes],
+        spare: &[Bytes],
+    ) -> DramAllocation {
+        allocate_by(
+            |s, h| model.dist(stage_slots[s], stage_slots[h]),
+            |_| 0,
+            overflow,
+            spare,
+        )
     }
 
     #[test]
@@ -303,8 +328,9 @@ mod tests {
         // distance ties, where both fall back to stable index order.
         let model = node_model(1);
         let slots = [0usize, 1];
+        let rects = tile_slots(4, 2, 2, 2);
         let placement = Placement {
-            stages: slots.iter().map(|&s| model.local_rect(s)).collect(),
+            stages: slots.iter().map(|&s| rects[s]).collect(),
         };
         let overflow = vec![Bytes::gib(3), Bytes::ZERO];
         let spare = vec![Bytes::ZERO, Bytes::gib(5)];
@@ -315,8 +341,9 @@ mod tests {
         // equidistant in pairs.
         let model4 = NodeCostModel::new(8, 2, 2, 2, 1, 10.0, 1.0).expect("tile fits");
         let slots4 = [1usize, 0, 2, 3];
+        let rects4 = tile_slots(8, 2, 2, 2);
         let placement4 = Placement {
-            stages: slots4.iter().map(|&s| model4.local_rect(s)).collect(),
+            stages: slots4.iter().map(|&s| rects4[s]).collect(),
         };
         let overflow4 = vec![Bytes::gib(7), Bytes::ZERO, Bytes::ZERO, Bytes::ZERO];
         let spare4 = vec![Bytes::ZERO, Bytes::gib(2), Bytes::gib(2), Bytes::gib(2)];

@@ -14,18 +14,21 @@
 //! Fitness is `t_max × GlobalCost` (minimized). Selection blends elitism
 //! (fraction ω) with binary tournament: ω → 1 converges fast but greedily,
 //! ω → 0 preserves diversity (the Fig. 24b trade-off).
+//!
+//! A genome decodes through the Alg. 3 allocator of [`crate::dram_alloc`],
+//! each sender's helper queue rotated by its bias gene, and its Eq. 2
+//! cost is re-summed from the [`PlacementCostModel`]'s tables. Genomes
+//! with no extra recomputation reuse the base plan's overflow and
+//! `t_max`.
 
-use crate::cache::{read_recover, write_recover};
 use crate::costmodel::PlacementCostModel;
-use crate::dram_alloc::DramGrant;
+use crate::dram_alloc::{allocate_by, DramGrant};
 use crate::placement::{global_cost, tile_slots, PairDemand, Placement, Rect};
 use crate::stage::StageProfile;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
 use wsc_arch::units::Bytes;
 use wsc_mesh::topology::Mesh2D;
 use wsc_pipeline::recompute::RecomputePlan;
@@ -95,104 +98,15 @@ enum Engine<'a> {
     /// overflow vector and rebuild the Eq. 2 link set for every genome.
     /// Kept as the measured baseline (`refine_naive`, `bench_ga`).
     Naive,
-    /// Decomposed decode on the shared [`PlacementCostModel`]: the
-    /// `(plan, overflow, t_max)` partial is reused across genomes with
-    /// the same Op1/Op2 `extra` component (borrowed outright when
-    /// `extra` is all-zero), and the Eq. 2 cost runs on memoized path
-    /// fragments — Op3/Op4/Op5 changes only recompute the allocation
-    /// and cost factors.
+    /// Decode on the shared [`PlacementCostModel`]: a genome with
+    /// all-zero `extra` borrows the base plan's overflow and `t_max`,
+    /// and the Eq. 2 cost is re-summed from the model's distance table
+    /// and path fragments.
     Model {
         model: &'a PlacementCostModel,
         /// `t_max` of the untouched base plan (the all-zero fast path).
         base_t_max: f64,
-        /// Plan partials keyed by the exact `extra` bits.
-        memo: PlanMemo,
     },
-}
-
-/// The Op1/Op2-dependent part of a decoded genome: what `extra` alone
-/// determines (the post-recomputation overflow vector and the `t_max`
-/// fitness factor), shared across every genome with identical `extra`.
-/// The mutated plan itself is only materialized for the returned winner
-/// ([`decode_full`]).
-struct PlanEval {
-    overflow: Vec<Bytes>,
-    t_max: f64,
-}
-
-/// Concurrent memo of [`PlanEval`] partials. Entries are pure functions
-/// of the `extra` bit pattern, so racing parallel decodes compute
-/// identical values and the first insert wins — results stay
-/// deterministic at every thread count.
-#[derive(Default)]
-struct PlanMemo {
-    map: RwLock<HashMap<Vec<u64>, Arc<PlanEval>>>,
-}
-
-impl PlanMemo {
-    fn get_or_build(&self, ctx: &GaCtx<'_>, extra: &[f64]) -> Arc<PlanEval> {
-        let key: Vec<u64> = extra.iter().map(|e| e.to_bits()).collect();
-        if let Some(hit) = read_recover(&self.map).get(&key) {
-            return Arc::clone(hit);
-        }
-        let (plan, overflow) = apply_extra(ctx, extra);
-        let t_max = plan_t_max(ctx.stages, &plan);
-        let built = Arc::new(PlanEval { overflow, t_max });
-        Arc::clone(write_recover(&self.map).entry(key).or_insert(built))
-    }
-}
-
-/// Biased greedy allocation: each sender's helper queue (sorted by
-/// distance) is rotated by `bias[sender]` before grants are taken.
-///
-/// Distances come through `dist` so both decode engines share one
-/// implementation: the naive engine measures rectangle centers, the
-/// model engine reads the cost model's slot-distance table — the exact
-/// same `f64` bits, so queues, grants and hops are identical.
-fn biased_allocate(
-    ctx: &GaCtx<'_>,
-    dist: &dyn Fn(usize, usize) -> f64,
-    overflow: &[Bytes],
-    bias: &[usize],
-) -> (Vec<DramGrant>, bool) {
-    let pp = overflow.len();
-    let mut remaining: Vec<Bytes> = ctx.spare.to_vec();
-    let mut grants = Vec::new();
-    let mut complete = true;
-    let mut senders: Vec<usize> = (0..pp).filter(|&s| overflow[s] > Bytes::ZERO).collect();
-    senders.sort_by(|&a, &b| overflow[b].cmp(&overflow[a]));
-    for s in senders {
-        let mut need = overflow[s];
-        let mut q: Vec<usize> = (0..pp)
-            .filter(|&h| h != s && remaining[h] > Bytes::ZERO)
-            .collect();
-        q.sort_by(|&a, &b| dist(s, a).total_cmp(&dist(s, b)));
-        if !q.is_empty() {
-            let rot = bias[s] % q.len();
-            q.rotate_left(rot);
-        }
-        for h in q {
-            if need == Bytes::ZERO {
-                break;
-            }
-            let take = need.min(remaining[h]);
-            if take == Bytes::ZERO {
-                continue;
-            }
-            grants.push(DramGrant {
-                sender: s,
-                helper: h,
-                bytes: take,
-                hops: dist(s, h),
-            });
-            remaining[h] -= take;
-            need -= take;
-        }
-        if need > Bytes::ZERO {
-            complete = false;
-        }
-    }
-    (grants, complete)
 }
 
 /// Apply the genome's Op1/Op2 `extra` component on top of the base plan:
@@ -253,42 +167,40 @@ fn grant_pairs(grants: &[DramGrant]) -> Vec<PairDemand> {
 }
 
 /// Fitness-only decode — what the population loops need. On the
-/// [`Engine::Model`] path the plan partial is borrowed (all-zero
-/// `extra`) or memo-shared, and the Eq. 2 cost runs on the incremental
-/// model; on [`Engine::Naive`] everything is re-derived per genome, as
-/// before the cost engine existed. Both produce bit-identical fitness.
+/// [`Engine::Model`] path a genome with all-zero `extra` borrows the
+/// base plan's overflow and `t_max`, and the Eq. 2 cost runs on the
+/// model's tables; on [`Engine::Naive`] everything is re-derived per
+/// genome, as before the cost model existed. Both produce bit-identical
+/// fitness.
 fn decode_fitness(ctx: &GaCtx<'_>, g: &Genome) -> f64 {
     match &ctx.engine {
         Engine::Naive => decode_full(ctx, g).2,
-        Engine::Model {
-            model,
-            base_t_max,
-            memo,
-        } => {
-            let partial = if g.extra.iter().all(|&e| e <= 0.0) {
-                None
-            } else {
-                Some(memo.get_or_build(ctx, &g.extra))
-            };
-            let (overflow, t_max): (&[Bytes], f64) = match &partial {
+        Engine::Model { model, base_t_max } => {
+            let mutated = (!g.extra.iter().all(|&e| e <= 0.0)).then(|| {
+                let (plan, overflow) = apply_extra(ctx, &g.extra);
+                (overflow, plan_t_max(ctx.stages, &plan))
+            });
+            let (overflow, t_max): (&[Bytes], f64) = match &mutated {
                 None => (ctx.overflow, *base_t_max),
-                Some(e) => (&e.overflow, e.t_max),
+                Some((overflow, t_max)) => (overflow, *t_max),
             };
+            let bias = |s: usize| g.bias[s];
             match model.slot_ids(&g.placement) {
                 Some(ids) => {
-                    let d = |s: usize, h: usize| model.dist(ids[s], ids[h]);
-                    let (grants, complete) = biased_allocate(ctx, &d, overflow, &g.bias);
-                    let gc = model.cost_of_slots(&ids, &grant_pairs(&grants));
-                    fitness_of(ctx, t_max, gc, complete)
+                    let alloc =
+                        allocate_by(|s, h| model.dist(ids[s], ids[h]), bias, overflow, ctx.spare);
+                    let gc = model.cost_of_slots(&ids, &grant_pairs(&alloc.grants));
+                    fitness_of(ctx, t_max, gc, alloc.complete())
                 }
                 // Off the slot grid (unreachable from
                 // `refine_with_model`, which mutates over the model's
                 // own slots): same values via the rectangle path.
                 None => {
-                    let d = |s: usize, h: usize| g.placement.stages[s].dist(&g.placement.stages[h]);
-                    let (grants, complete) = biased_allocate(ctx, &d, overflow, &g.bias);
-                    let gc = model.placement_cost(&g.placement, &grant_pairs(&grants));
-                    fitness_of(ctx, t_max, gc, complete)
+                    let stages = &g.placement.stages;
+                    let alloc =
+                        allocate_by(|s, h| stages[s].dist(&stages[h]), bias, overflow, ctx.spare);
+                    let gc = model.placement_cost(&g.placement, &grant_pairs(&alloc.grants));
+                    fitness_of(ctx, t_max, gc, alloc.complete())
                 }
             }
         }
@@ -300,16 +212,21 @@ fn decode_fitness(ctx: &GaCtx<'_>, g: &Genome) -> f64 {
 fn decode_full(ctx: &GaCtx<'_>, g: &Genome) -> (RecomputePlan, Vec<DramGrant>, f64) {
     // Extra recomputation on top of the base plan.
     let (plan, overflow) = apply_extra(ctx, &g.extra);
-    let d = |s: usize, h: usize| g.placement.stages[s].dist(&g.placement.stages[h]);
-    let (grants, complete) = biased_allocate(ctx, &d, &overflow, &g.bias);
+    let stages = &g.placement.stages;
+    let alloc = allocate_by(
+        |s, h| stages[s].dist(&stages[h]),
+        |s| g.bias[s],
+        &overflow,
+        ctx.spare,
+    );
     let t_max = plan_t_max(ctx.stages, &plan);
-    let pairs = grant_pairs(&grants);
+    let pairs = grant_pairs(&alloc.grants);
     let gc = match &ctx.engine {
         Engine::Naive => global_cost(ctx.mesh, &g.placement, ctx.pp_volume, &pairs, None),
         Engine::Model { model, .. } => model.placement_cost(&g.placement, &pairs),
     };
-    let fitness = fitness_of(ctx, t_max, gc, complete);
-    (plan, grants, fitness)
+    let fitness = fitness_of(ctx, t_max, gc, alloc.complete());
+    (plan, alloc.grants, fitness)
 }
 
 fn mutate(ctx: &GaCtx<'_>, g: &mut Genome, rng: &mut StdRng) {
@@ -432,7 +349,6 @@ pub fn refine_with_model(
     let engine = Engine::Model {
         model,
         base_t_max: plan_t_max(stages, base_plan),
-        memo: PlanMemo::default(),
     };
     // On a fault-aware model the Op3 free-slot pool is the *healthy*
     // slots only — dead-die tiles never enter the genome. Clean models

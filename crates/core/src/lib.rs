@@ -46,14 +46,16 @@
 //! one type threaded through the scheduler, the wave engine, the
 //! profile cache, the multi-wafer search and every report record.
 //!
-//! Each evaluator has one entry point, and it takes the
-//! [`ProfileCache`] it memoizes stage profiles in: [`schedule_plan`],
-//! [`evaluate_scheduled`] and [`evaluate_multi_wafer_plan`]. A one-off
-//! call passes `&ProfileCache::new()`; a sweep over one `(wafer, job)`
-//! pair shares one cache. The layers beneath have one entry point each
-//! too: stage profiles come from [`ProfileCache::stage_profiles`], the
-//! Eq. 2 hill climb from [`placement::optimize_with`] and GA refinement
-//! from [`ga::refine_with_model`], both on a [`PlacementCostModel`].
+//! Every evaluator entry point takes the [`ProfileCache`] it memoizes
+//! stage profiles in: [`schedule_plan`] and [`evaluate_scheduled`] on
+//! one wafer; on a node, [`evaluate_multi_wafer_plan`], and
+//! [`evaluate_multi_wafer_plan_placed`], which adds the node-level
+//! Alg. 3 placement pass. A one-off call passes `&ProfileCache::new()`;
+//! a sweep over one `(wafer, job)` pair shares one cache. The layers
+//! beneath have one entry point each: stage profiles come from
+//! [`ProfileCache::stage_profiles`], the Eq. 2 hill climb from
+//! [`placement::optimize_with`] and GA refinement from
+//! [`ga::refine_with_model`], both on a [`PlacementCostModel`].
 
 pub mod cache;
 pub mod costmodel;
@@ -72,7 +74,7 @@ pub mod stats;
 mod wave;
 
 pub use crate::cache::{CacheStats, ProfileCache};
-pub use crate::costmodel::{CostState, PlacementCostModel};
+pub use crate::costmodel::PlacementCostModel;
 pub use crate::dram_alloc::{allocate, DramAllocation, DramGrant};
 pub use crate::evaluator::{evaluate, EvalInput, EvalOptions, PerfReport};
 pub use crate::explorer::{

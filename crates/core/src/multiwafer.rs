@@ -73,7 +73,7 @@
 
 use crate::cache::{CacheStats, ProfileCache};
 use crate::costmodel::NodeCostModel;
-use crate::dram_alloc::allocate_node;
+use crate::dram_alloc::allocate_by;
 use crate::evaluator::{dp_allreduce_time, stage_comm_times};
 use crate::placement::{optimize_node, PairDemand};
 use crate::scheduler::{
@@ -353,7 +353,15 @@ fn node_placement_pass(
     let outcome = optimize_node(&model, ctx.assignment, &pairs, ctx.seed)?;
     let (overflow, spare) =
         overflow_and_spare(inputs, &gplan.as_recompute_plan(), wafer.dram.capacity);
-    let alloc = allocate_node(&model, &outcome.slots, &overflow, &spare);
+    // Alg. 3 on the seam-extended distance: a cross-seam helper is
+    // chosen only once every nearer on-wafer helper's spare is spent.
+    let slots = &outcome.slots;
+    let alloc = allocate_by(
+        |s, h| model.dist(slots[s], slots[h]),
+        |_| 0,
+        &overflow,
+        &spare,
+    );
     if !alloc.complete() {
         return None;
     }

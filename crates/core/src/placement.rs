@@ -11,6 +11,10 @@
 //!
 //! where γ counts routing conflicts between activation-balance paths and
 //! pipeline paths.
+//!
+//! [`optimize_with`] hill-climbs over stage↔slot moves and prices every
+//! candidate from a [`PlacementCostModel`]'s cached tables;
+//! [`optimize_naive`] is its from-scratch reference on [`global_cost`].
 
 use crate::costmodel::{NodeCostModel, PlacementCostModel};
 use rand::rngs::StdRng;
@@ -225,7 +229,7 @@ fn pair_conflicts(
 }
 
 /// The Eq. 2 global communication cost of a placement — the naive
-/// reference the incremental [`PlacementCostModel`] is pinned against.
+/// reference the table-priced [`PlacementCostModel`] is pinned against.
 ///
 /// `pp_volume` is the per-iteration inter-stage pipeline traffic (bytes);
 /// pair volumes come from the Mem_pair plan. Conflicted balance paths are
@@ -272,8 +276,8 @@ pub fn global_cost(
 ///
 /// This is the one definition of "degraded distance" in the crate: the
 /// fault-aware [`PlacementCostModel`]
-/// fills its distance table from this exact function, so the incremental
-/// engine and the naive [`global_cost`] reference read the same `f64`
+/// fills its distance table from this exact function, so the cost
+/// model and the naive [`global_cost`] reference read the same `f64`
 /// bits.
 pub fn degraded_rect_dist(mesh: &Mesh2D, faults: &FaultMap, a: &Rect, b: &Rect) -> f64 {
     let base = a.dist(b);
@@ -304,8 +308,8 @@ pub fn slot_is_dead(mesh: &Mesh2D, faults: &FaultMap, slot: &Rect) -> bool {
 /// lowest slot id), in stage order. Returns `false` when the healthy
 /// slots run out — the pipeline does not fit this wafer.
 ///
-/// Shared verbatim by the incremental and naive fault-aware hill climbs
-/// so both start from the identical seed placement.
+/// Shared verbatim by the table-priced and naive fault-aware hill
+/// climbs so both start from the identical seed placement.
 pub(crate) fn remap_dead_slots(slots: &[Rect], masked: &[bool], placement: &mut Placement) -> bool {
     let mut used = vec![false; slots.len()];
     for st in &placement.stages {
@@ -347,13 +351,13 @@ pub(crate) fn remap_dead_slots(slots: &[Rect], masked: &[bool], placement: &mut 
 /// the pipeline path intact as a first-class cost term.
 ///
 /// Runs on a caller-provided (typically cached, see
-/// [`crate::cache::ProfileCache::cost_model`]) incremental
-/// [`PlacementCostModel`], so path fragments and distance tables are
-/// shared across every search point and GA refinement with the same
-/// tile shape, and each swap or move candidate is priced in O(Δ)
-/// instead of re-deriving the whole Eq. 2 sum. Bit-identical to
-/// [`optimize_naive`] for every seed (same RNG stream, same acceptance
-/// decisions, same placement); on a
+/// [`crate::cache::ProfileCache::cost_model`]) [`PlacementCostModel`],
+/// so path fragments and distance tables are shared across every search
+/// point and GA refinement with the same tile shape. Each swap or
+/// free-slot move is applied to the stage slots in place, priced by
+/// [`PlacementCostModel::cost_of_slots`], and undone unless it strictly
+/// lowers the cost. Bit-identical to [`optimize_naive`] for every seed
+/// (same RNG stream, same acceptance decisions, same placement); on a
 /// [`PlacementCostModel::with_faults`] model the climb also routes
 /// around dead slots and prices degraded links.
 pub fn optimize_with(
@@ -376,13 +380,13 @@ pub fn optimize_with(
         return Some(base);
     }
     let n_slots = model.slot_count();
-    let mut state = model
-        .state(&base, pairs)
+    let mut slots = model
+        .slot_ids(&base)
         // wsc-lint: allow(S001, "the serpentine base placement is generated from the same tile grid the model was built with")
         .expect("serpentine slots lie on the model's tile grid");
-    // The state tracks the incumbent best; rejected candidates are
-    // undone, so `state` always equals the naive loop's `best`.
-    let mut best_cost = state.cost();
+    // `slots` holds the incumbent best; rejected candidates are undone,
+    // so it always equals the naive loop's `best`.
+    let mut best_cost = model.cost_of_slots(&slots, pairs);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9a1e_77a7);
     // Swap moves: either two stages exchange slots, or one stage moves to
     // an unused slot. The RNG draw sequence matches `optimize_naive`
@@ -392,7 +396,7 @@ pub fn optimize_with(
         if n_slots > pp && rng.gen_bool(0.3) {
             // Move a stage to a free slot.
             let mut used = vec![false; n_slots];
-            for &s in state.stage_slots() {
+            for &s in &slots {
                 used[s as usize] = true;
             }
             let free: Vec<u32> = (0..n_slots as u32)
@@ -403,13 +407,13 @@ pub fn optimize_with(
                     .min(free.len().saturating_sub(1)),
             ) {
                 let idx = rng.gen_range(0..pp);
-                let old = state.stage_slots()[idx];
-                state.apply_move(idx, slot);
-                let c = state.cost();
+                let old = slots[idx];
+                slots[idx] = slot;
+                let c = model.cost_of_slots(&slots, pairs);
                 if c < best_cost {
                     best_cost = c;
                 } else {
-                    state.apply_move(idx, old);
+                    slots[idx] = old;
                 }
             }
         } else {
@@ -418,16 +422,18 @@ pub fn optimize_with(
             if i == j {
                 continue;
             }
-            state.apply_swap(i, j);
-            let c = state.cost();
+            slots.swap(i, j);
+            let c = model.cost_of_slots(&slots, pairs);
             if c < best_cost {
                 best_cost = c;
             } else {
-                state.apply_swap(i, j);
+                slots.swap(i, j);
             }
         }
     }
-    Some(state.placement())
+    Some(Placement {
+        stages: slots.iter().map(|&s| model.slot_rect(s)).collect(),
+    })
 }
 
 /// Outcome of the node-level Alg. 3 placement climb (§VI-F): one global
@@ -804,7 +810,7 @@ mod tests {
         assert!(optimize_with(&model, 8, &[], 7).is_none());
     }
 
-    /// The incremental hill climb must retrace the naive one exactly —
+    /// The table-priced hill climb must retrace the naive one exactly —
     /// same RNG stream, same acceptances, same final placement — for
     /// every seed, pipeline depth and pair set given.
     fn assert_matches_naive(mesh: Mesh2D, faults: Option<&FaultMap>, pps: &[usize]) {

@@ -50,8 +50,9 @@ impl GroupShape {
         2 * ((self.w - 1) * self.h + self.w * (self.h - 1))
     }
 
-    /// The most square factorization `w × h = n` with even `w` preferred,
-    /// used to embed a TP group of size `n` on the mesh.
+    /// The most square factorization `w × h = n` within `max_w × max_h`,
+    /// used to embed a TP group of size `n` on the mesh. Of two equally
+    /// square shapes the narrower one (smaller `w`) wins.
     pub fn best_rectangle(n: usize, max_w: usize, max_h: usize) -> Option<GroupShape> {
         let mut best: Option<GroupShape> = None;
         for w in 1..=n.min(max_w) {

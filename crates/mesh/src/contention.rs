@@ -64,8 +64,7 @@ pub struct TrafficAssigner {
     punish: f64,
     max_paths: usize,
     faults: FaultMap,
-    // Ordered so `max_link_time` walks the links in a deterministic
-    // order (wsc-lint rule D001).
+    // Bytes routed over each link so far.
     link_bytes: BTreeMap<DirLink, f64>,
     routed: Vec<RoutedTask>,
 }
@@ -161,36 +160,6 @@ impl TrafficAssigner {
         &self.routed
     }
 
-    /// Number of links that carry both pipeline and activation-balance
-    /// traffic (the conflict count γ of Eq. 2).
-    pub fn conflict_links(&self) -> usize {
-        let mut usage: BTreeMap<DirLink, (bool, bool)> = BTreeMap::new();
-        for rt in &self.routed {
-            for l in path_links(&rt.path) {
-                let e = usage.entry(l).or_insert((false, false));
-                match rt.task.kind {
-                    TaskKind::Pipeline => e.0 = true,
-                    TaskKind::ActivationBalance => e.1 = true,
-                    TaskKind::Other => {}
-                }
-            }
-        }
-        usage.values().filter(|(p, a)| *p && *a).count()
-    }
-
-    /// Completion time of the busiest link given per-link bandwidth
-    /// (serialized traffic over the bottleneck).
-    pub fn max_link_time(&self, link_bw: Bandwidth) -> Time {
-        let mut worst = Time::ZERO;
-        for (l, &bytes) in &self.link_bytes {
-            let q = self.link_quality(*l);
-            let bw = link_bw.scale(q.max(1e-9));
-            let t = Bytes::new(bytes as u64) / bw;
-            worst = worst.max(t);
-        }
-        worst
-    }
-
     /// Completion time of a specific routed task: its bytes over the
     /// most-contended link of its path (fair sharing).
     pub fn task_time(&self, rt: &RoutedTask, link_bw: Bandwidth, alpha: Time) -> Time {
@@ -253,17 +222,6 @@ mod tests {
         let l1: std::collections::HashSet<_> = path_links(&first.path).into_iter().collect();
         let l2: std::collections::HashSet<_> = path_links(&second.path).into_iter().collect();
         assert!(l1.is_disjoint(&l2));
-        assert_eq!(a.conflict_links(), 0);
-    }
-
-    #[test]
-    fn overlapping_classes_count_conflicts() {
-        let m = Mesh2D::new(3, 1);
-        let mut a = TrafficAssigner::new(m, 0.0);
-        a.assign(task(&m, (0, 0), (2, 0), 64, TaskKind::Pipeline));
-        a.assign(task(&m, (0, 0), (2, 0), 64, TaskKind::ActivationBalance));
-        // Only one route exists on a line: both tasks share both links.
-        assert_eq!(a.conflict_links(), 2);
     }
 
     #[test]
@@ -295,17 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn max_link_time_reflects_contention() {
-        let m = Mesh2D::new(3, 1);
-        let mut a = TrafficAssigner::new(m, 0.0);
-        a.assign(task(&m, (0, 0), (2, 0), 100, TaskKind::Pipeline));
-        a.assign(task(&m, (0, 0), (2, 0), 100, TaskKind::Pipeline));
-        let t = a.max_link_time(Bandwidth::gb_per_s(1.0));
-        // 200 MiB over 1 GB/s ≈ 0.21 s.
-        assert!((t.as_secs() - 200.0 * 1024.0 * 1024.0 / 1e9).abs() < 1e-6);
-    }
-
-    #[test]
     fn task_time_includes_share_of_bottleneck() {
         let m = Mesh2D::new(2, 1);
         let mut a = TrafficAssigner::new(m, 0.0);
@@ -324,8 +271,10 @@ mod tests {
         let mut faults = FaultMap::none();
         faults.set_link_quality((0, 0), (1, 0), 0.5);
         let mut a = TrafficAssigner::new(m, 0.0).with_faults(faults);
-        a.assign(task(&m, (0, 0), (1, 0), 100, TaskKind::Pipeline));
-        let t = a.max_link_time(Bandwidth::gb_per_s(1.0));
+        let rt = a
+            .assign(task(&m, (0, 0), (1, 0), 100, TaskKind::Pipeline))
+            .clone();
+        let t = a.task_time(&rt, Bandwidth::gb_per_s(1.0), Time::ZERO);
         let clean = 100.0 * 1024.0 * 1024.0 / 1e9;
         assert!((t.as_secs() - 2.0 * clean).abs() < 1e-6);
     }

@@ -145,11 +145,6 @@ impl Mesh2D {
         out
     }
 
-    /// Number of directed links.
-    pub fn link_count(&self) -> usize {
-        2 * ((self.nx - 1) * self.ny + self.nx * (self.ny - 1))
-    }
-
     /// Iterate over every node id.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
         (0..self.len()).map(NodeId)
@@ -178,14 +173,6 @@ mod tests {
         assert_eq!(m.neighbors(m.node(1, 1)).len(), 4);
         assert_eq!(m.neighbors(m.node(3, 0)).len(), 2);
         assert_eq!(m.neighbors(m.node(2, 0)).len(), 3);
-    }
-
-    #[test]
-    fn link_count_formula_matches_enumeration() {
-        for (nx, ny) in [(2, 2), (7, 8), (8, 8), (1, 5), (5, 1)] {
-            let m = Mesh2D::new(nx, ny);
-            assert_eq!(m.links().len(), m.link_count(), "{nx}x{ny}");
-        }
     }
 
     #[test]

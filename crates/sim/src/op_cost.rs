@@ -17,8 +17,6 @@ use wsc_arch::units::{Bandwidth, Bytes, Flops, Time};
 use wsc_workload::ops::{OpInstance, OpKind};
 
 /// Fixed kernel-launch / synchronization overhead per operator.
-const LAUNCH_OVERHEAD: Time = Time::ZERO; // replaced by fn below (const fn limits)
-
 fn launch_overhead() -> Time {
     Time::from_micros(2.0)
 }
@@ -247,9 +245,6 @@ pub fn analytic_cost(die: &ComputeDieConfig, dram_bw: Bandwidth, op: &OpInstance
         dataflow: None,
     }
 }
-
-// Silence the unused-const lint while keeping the documented name around.
-const _: Time = LAUNCH_OVERHEAD;
 
 #[cfg(test)]
 mod tests {

@@ -75,11 +75,6 @@ impl TrainingJob {
         let mbs = self.global_batch as f64 / self.micro_batch as f64;
         Flops::new(per_mb * mbs)
     }
-
-    /// The classic `6 · N · T` estimate (sanity reference).
-    pub fn flops_per_iter_6nt(&self) -> Flops {
-        Flops::new(6.0 * self.model.active_params() * self.tokens_per_iter() as f64)
-    }
 }
 
 #[cfg(test)]
@@ -104,7 +99,7 @@ mod tests {
         for m in [zoo::llama2_30b(), zoo::gpt_175b()] {
             let j = TrainingJob::standard(m);
             let exact = j.flops_per_iter().as_f64();
-            let est = j.flops_per_iter_6nt().as_f64();
+            let est = 6.0 * j.model.active_params() * j.tokens_per_iter() as f64;
             let ratio = exact / est;
             assert!(
                 (0.6..1.6).contains(&ratio),

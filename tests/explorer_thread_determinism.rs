@@ -86,10 +86,10 @@ fn report_is_identical_across_thread_counts() {
         serve_jsons.push(report.to_json());
     }
 
-    // GA leg: `refine_with_model` decodes genomes in parallel through the
-    // incremental cost engine (shared fragment table + plan memo);
-    // fitness, history and placement must be byte-identical at every
-    // pool size.
+    // GA leg: `refine_with_model` decodes genomes in parallel on one
+    // shared placement cost model (its route-fragment table fills
+    // lazily from every worker); fitness, history and placement must be
+    // byte-identical at every pool size.
     let preset = ga_refine_presets()
         .into_iter()
         .find(|p| p.name == "refine-llama3-70b")

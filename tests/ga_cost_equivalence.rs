@@ -1,8 +1,8 @@
-//! Property tests for the tentpole invariant of the incremental
-//! placement-cost engine (`crates/core/src/costmodel.rs`): across random
-//! meshes, tile shapes, pair demands, stage profiles, overflows and
-//! seeds, the memoized/incremental paths are **bit-identical** to the
-//! naive re-derive-everything reference —
+//! Property tests for the invariant of the placement cost model
+//! (`crates/core/src/costmodel.rs`): across random meshes, tile shapes,
+//! pair demands, stage profiles, overflows and seeds, the paths that
+//! re-sum the Eq. 2 cost from the model's cached tables are
+//! **bit-identical** to the naive re-derive-everything reference —
 //!
 //! * `placement::optimize_with` ≡ `placement::optimize_naive` (same
 //!   hill-climb trajectory, same final placement, same Eq. 2 cost bits),
