@@ -1,10 +1,10 @@
 //! Measured-benchmark harness for the §IV-C/§IV-D refinement hot path.
 //!
-//! Runs each GA preset twice in the same process — once on the
+//! Runs each preset on both engines in the same process — on the
 //! [`PlacementCostModel`], which re-sums every candidate's Eq. 2 cost
 //! from cached slot-distance and route tables
 //! (`ga::refine_with_model` / `placement::optimize_with`, the model
-//! built inside the timed run) and once on the naive
+//! built inside the timed run) and on the naive
 //! re-derive-everything reference (`ga::refine_naive` /
 //! `placement::optimize_naive` on a clean wafer) —
 //! verifies the results are **bit-identical** (fitness, history,
@@ -20,8 +20,12 @@
 //!
 //! The equivalence contract always applies (any divergence exits
 //! non-zero); `--min-speedup` additionally exits non-zero when a
-//! measured speedup falls below `X` (the CI smoke contract). `--reps`
-//! sets the timed repetitions after one untimed warm-up (default 3).
+//! measured speedup falls below `X` (the CI smoke contract). Each
+//! engine runs once untimed, then `--reps` rounds (default 3) run both,
+//! the naive engine first on even rounds and the cost model first on
+//! odd ones; an entry records each engine's median and its
+//! upper-minus-lower quartile, and the speedup is the ratio of the
+//! medians.
 //!
 //! [`PlacementCostModel`]: watos::PlacementCostModel
 
@@ -31,7 +35,7 @@ use std::time::Instant;
 use serde::Serialize;
 use watos::ga::{refine_naive, refine_with_model, GaResult};
 use watos::placement::{global_cost, optimize_naive, optimize_with};
-use watos::PlacementCostModel;
+use watos::{percentile, PlacementCostModel};
 use wsc_arch::units::Bytes;
 use wsc_bench::driver::{Bench, Opt, Pools, Spec};
 use wsc_bench::util::{
@@ -51,8 +55,14 @@ const SPEC: Spec = Spec {
 struct BenchEntry {
     preset: String,
     workload: String,
+    /// Median seconds of the naive engine's timed runs.
     naive_secs: f64,
+    /// Upper-minus-lower quartile of the naive engine's timed runs.
+    naive_iqr_secs: f64,
+    /// Median seconds of the cost-model engine's timed runs.
     incremental_secs: f64,
+    /// Upper-minus-lower quartile of the cost-model engine's timed runs.
+    incremental_iqr_secs: f64,
     speedup: f64,
     reps: usize,
     threads: usize,
@@ -89,13 +99,53 @@ impl Case {
     }
 }
 
-fn time<R>(reps: usize, mut f: impl FnMut() -> R) -> (R, f64) {
-    let mut out = f(); // warm-up (fills caches, faults pages) — untimed
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        out = f();
+/// One engine's timed runs: their median and upper-minus-lower
+/// quartile, in seconds.
+struct Timing {
+    median: f64,
+    iqr: f64,
+}
+
+impl Timing {
+    fn of(secs: &[f64]) -> Timing {
+        Timing {
+            median: percentile(secs, 0.5),
+            iqr: percentile(secs, 0.75) - percentile(secs, 0.25),
+        }
     }
-    (out, t0.elapsed().as_secs_f64() / reps as f64)
+}
+
+/// Time the naive engine against the cost model: one untimed warm-up of
+/// each (fills caches, faults pages), then `reps` rounds that run both,
+/// the naive engine first on even rounds and the cost model first on
+/// odd ones, so neither engine always runs right after the other.
+/// Returns each engine's last result and its timing.
+fn time_pair<N, M>(
+    reps: usize,
+    mut naive: impl FnMut() -> N,
+    mut model: impl FnMut() -> M,
+) -> ((N, Timing), (M, Timing)) {
+    fn timed<R>(f: &mut impl FnMut() -> R, secs: &mut Vec<f64>) -> R {
+        let t0 = Instant::now();
+        let out = f();
+        secs.push(t0.elapsed().as_secs_f64());
+        out
+    }
+    let (mut naive_out, mut model_out) = (naive(), model());
+    let (mut naive_secs, mut model_secs) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    for round in 0..reps {
+        if round % 2 == 0 {
+            naive_out = timed(&mut naive, &mut naive_secs);
+            model_out = timed(&mut model, &mut model_secs);
+        } else {
+            model_out = timed(&mut model, &mut model_secs);
+            naive_out = timed(&mut naive, &mut naive_secs);
+        }
+    }
+    (
+        (naive_out, Timing::of(&naive_secs)),
+        (model_out, Timing::of(&model_secs)),
+    )
 }
 
 fn ga_identical(a: &GaResult, b: &GaResult) -> bool {
@@ -133,64 +183,70 @@ fn main() -> ExitCode {
 
 /// Time one case on both engines at the current pool size.
 fn measure(case: &Case, reps: usize, threads: usize) -> BenchEntry {
-    let (workload, naive_secs, incremental_secs, demand_sites, objective, identical) = match case {
+    let (workload, naive_time, incremental_time, demand_sites, objective, identical) = match case {
         Case::Refine(preset) => {
             let job = TrainingJob::standard(preset.model.clone());
             let s = ga_setup(&preset.wafer, &job, preset.tp, preset.pp);
-            let (naive, naive_secs) = time(reps, || {
-                refine_naive(
-                    &s.mesh,
-                    &s.stages,
-                    &s.plan,
-                    &s.placement,
-                    &s.overflow,
-                    &s.spare,
-                    s.pp_volume,
-                    s.capacity,
-                    &preset.params,
-                )
-            });
-            let (inc, inc_secs) = time(reps, || {
-                refine_with_model(
-                    &s.mesh,
-                    &s.stages,
-                    &s.plan,
-                    &s.placement,
-                    &s.overflow,
-                    &s.spare,
-                    s.pp_volume,
-                    s.capacity,
-                    &s.cost_model(),
-                    &preset.params,
-                )
-            });
+            let ((naive, naive_time), (inc, inc_time)) = time_pair(
+                reps,
+                || {
+                    refine_naive(
+                        &s.mesh,
+                        &s.stages,
+                        &s.plan,
+                        &s.placement,
+                        &s.overflow,
+                        &s.spare,
+                        s.pp_volume,
+                        s.capacity,
+                        &preset.params,
+                    )
+                },
+                || {
+                    refine_with_model(
+                        &s.mesh,
+                        &s.stages,
+                        &s.plan,
+                        &s.placement,
+                        &s.overflow,
+                        &s.spare,
+                        s.pp_volume,
+                        s.capacity,
+                        &s.cost_model(),
+                        &preset.params,
+                    )
+                },
+            );
             (
                 format!("{} D(1)T({})P({})", job.model.name, preset.tp, preset.pp),
-                naive_secs,
-                inc_secs,
+                naive_time,
+                inc_time,
                 s.overflow.iter().filter(|o| **o > Bytes::ZERO).count(),
                 inc.fitness,
                 ga_identical(&inc, &naive),
             )
         }
         Case::HillClimb(h) => {
-            let (naive, naive_secs) = time(reps, || {
-                optimize_naive(
-                    &h.mesh,
-                    h.pp,
-                    h.tile_w,
-                    h.tile_h,
-                    h.pp_volume,
-                    &h.pairs,
-                    None,
-                    h.seed,
-                )
-                .expect("preset fits")
-            });
-            let (inc, inc_secs) = time(reps, || {
-                let model = PlacementCostModel::new(h.mesh, h.tile_w, h.tile_h, h.pp_volume);
-                optimize_with(&model, h.pp, &h.pairs, h.seed).expect("preset fits")
-            });
+            let ((naive, naive_time), (inc, inc_time)) = time_pair(
+                reps,
+                || {
+                    optimize_naive(
+                        &h.mesh,
+                        h.pp,
+                        h.tile_w,
+                        h.tile_h,
+                        h.pp_volume,
+                        &h.pairs,
+                        None,
+                        h.seed,
+                    )
+                    .expect("preset fits")
+                },
+                || {
+                    let model = PlacementCostModel::new(h.mesh, h.tile_w, h.tile_h, h.pp_volume);
+                    optimize_with(&model, h.pp, &h.pairs, h.seed).expect("preset fits")
+                },
+            );
             let naive_cost = global_cost(&h.mesh, &naive, h.pp_volume, &h.pairs, None);
             let inc_cost = global_cost(&h.mesh, &inc, h.pp_volume, &h.pairs, None);
             (
@@ -201,8 +257,8 @@ fn measure(case: &Case, reps: usize, threads: usize) -> BenchEntry {
                     h.pp,
                     h.pairs.len()
                 ),
-                naive_secs,
-                inc_secs,
+                naive_time,
+                inc_time,
                 h.pairs.len(),
                 inc_cost,
                 inc == naive && inc_cost.to_bits() == naive_cost.to_bits(),
@@ -212,9 +268,11 @@ fn measure(case: &Case, reps: usize, threads: usize) -> BenchEntry {
     BenchEntry {
         preset: case.name().to_string(),
         workload,
-        naive_secs,
-        incremental_secs,
-        speedup: naive_secs / incremental_secs.max(1e-12),
+        naive_secs: naive_time.median,
+        naive_iqr_secs: naive_time.iqr,
+        incremental_secs: incremental_time.median,
+        incremental_iqr_secs: incremental_time.iqr,
+        speedup: naive_time.median / incremental_time.median.max(1e-12),
         reps,
         threads,
         demand_sites,

@@ -8,7 +8,8 @@
 //! slots, not on the placement:
 //!
 //! * the **slot-pair distance table** holds `Rect::dist` for every
-//!   ordered pair of tile slots;
+//!   ordered pair of tile slots ([`degraded_rect_dist`] on a
+//!   [`PlacementCostModel::with_faults`] model);
 //! * **path-link fragments** memoize `path_links(xy_path(..))` per
 //!   ordered slot pair, as dense directed-link ids (no hashing, no
 //!   per-call path allocation).
@@ -16,8 +17,10 @@
 //! [`PlacementCostModel::cost_of_slots`] re-sums the whole cost of a
 //! slot assignment from those tables: the pipeline links go into a
 //! bitmap and each pair's γ is a scan of its route fragment. The hill
-//! climb ([`crate::placement::optimize_with`]) prices every move this
-//! way, and so does the GA ([`crate::ga::refine_with_model`]).
+//! climb ([`crate::placement::optimize_with`]) and the GA
+//! ([`crate::ga::refine_with_model`]) hold a placement as the slot id of
+//! every stage and price every move and genome this way; the GA's
+//! Alg. 3 allocation orders helpers by [`PlacementCostModel::dist`].
 //!
 //! Results are **bit-identical** to the naive path: γ is an integer, the
 //! per-term factors (`dist`, `volume`, `pp_volume`) are the exact same
@@ -326,18 +329,6 @@ impl PlacementCostModel {
         }
         cost
     }
-
-    /// [`Self::cost_of_slots`] on a rectangle placement; falls back to
-    /// the naive path when the placement is off this model's slot grid
-    /// (same value either way).
-    pub fn placement_cost(&self, placement: &Placement, pairs: &[PairDemand]) -> f64 {
-        match self.slot_ids(placement) {
-            Some(slots) => self.cost_of_slots(&slots, pairs),
-            None => {
-                crate::placement::global_cost(&self.mesh, placement, self.pp_volume, pairs, None)
-            }
-        }
-    }
 }
 
 /// Seam-extended Eq. 2 distance/cost tables for the **node level**
@@ -522,7 +513,6 @@ mod tests {
             model.cost_of_slots(&slots, &pairs).to_bits(),
             naive.to_bits()
         );
-        assert_eq!(model.placement_cost(&p, &pairs).to_bits(), naive.to_bits());
     }
 
     /// The rectangle placement of a slot assignment.
@@ -618,20 +608,6 @@ mod tests {
         assert_eq!(
             model.cost_of_slots(&slots, &[]).to_bits(),
             global_cost(&mesh, &p, 7.0, &[], None).to_bits()
-        );
-    }
-
-    #[test]
-    fn off_grid_placement_cost_falls_back_to_naive() {
-        let mesh = Mesh2D::new(8, 4);
-        let model = PlacementCostModel::new(mesh, 2, 2, 1.0);
-        let mut p = serpentine(8, 4, 8, 2, 2).unwrap();
-        p.stages[3].x = 1; // off the tile grid
-        let pairs = pairs_fig11();
-        assert!(model.slot_ids(&p).is_none());
-        assert_eq!(
-            model.placement_cost(&p, &pairs).to_bits(),
-            global_cost(&mesh, &p, 1.0, &pairs, None).to_bits()
         );
     }
 

@@ -15,14 +15,19 @@
 //! (fraction ω) with binary tournament: ω → 1 converges fast but greedily,
 //! ω → 0 preserves diversity (the Fig. 24b trade-off).
 //!
-//! A genome decodes through the Alg. 3 allocator of [`crate::dram_alloc`],
-//! each sender's helper queue rotated by its bias gene, and its Eq. 2
-//! cost is re-summed from the [`PlacementCostModel`]'s tables. Genomes
-//! with no extra recomputation reuse the base plan's overflow and
-//! `t_max`.
+//! A genome holds the slot id of every stage, an index into the
+//! [`PlacementCostModel`]'s tile grid. One decode serves the population
+//! and the returned winner: the Alg. 3 allocator of
+//! [`crate::dram_alloc`] orders each sender's helpers by the model's
+//! distance table, its queue rotated by the bias gene, and the Eq. 2
+//! cost is re-summed from the model's tables. So on a
+//! [`PlacementCostModel::with_faults`] model the winner is allocated on
+//! the degraded distance it was ranked by. Genomes with no extra
+//! recomputation reuse the base plan's overflow and `t_max`. Slot ids
+//! become rectangles only in [`GaResult::placement`].
 
 use crate::costmodel::PlacementCostModel;
-use crate::dram_alloc::{allocate_by, DramGrant};
+use crate::dram_alloc::{allocate_by, DramAllocation, DramGrant};
 use crate::placement::{global_cost, tile_slots, PairDemand, Placement, Rect};
 use crate::stage::StageProfile;
 use rand::rngs::StdRng;
@@ -57,11 +62,12 @@ impl Default for GaParams {
     }
 }
 
-/// One individual: placement slots, per-stage extra recomputation level,
-/// per-sender helper-preference rotation.
+/// One individual: the slot id of every stage (an index into the tile
+/// grid), per-stage extra recomputation level, per-sender
+/// helper-preference rotation.
 #[derive(Debug, Clone, PartialEq)]
 struct Genome {
-    placement: Placement,
+    slots: Vec<u32>,
     extra: Vec<f64>,
     bias: Vec<usize>,
 }
@@ -88,25 +94,40 @@ struct GaCtx<'a> {
     overflow: &'a [Bytes],
     spare: &'a [Bytes],
     pp_volume: f64,
-    slots: Vec<Rect>,
+    /// Op3's free-slot pool, in ascending slot-id order.
+    pool: Vec<u32>,
     engine: Engine<'a>,
 }
 
-/// How a genome's fitness is priced.
+/// How a genome is decoded.
 enum Engine<'a> {
     /// The pre-cost-model decode: clone the base plan, re-derive the
-    /// overflow vector and rebuild the Eq. 2 link set for every genome.
-    /// Kept as the measured baseline (`refine_naive`, `bench_ga`).
-    Naive,
+    /// overflow vector, allocate on `Rect::dist` and rebuild the Eq. 2
+    /// link set of the genome's rectangles for every genome. Kept as
+    /// the measured baseline (`refine_naive`, `bench_ga`).
+    Naive {
+        /// The tile grid the slot ids index, in [`tile_slots`] order.
+        grid: Vec<Rect>,
+    },
     /// Decode on the shared [`PlacementCostModel`]: a genome with
     /// all-zero `extra` borrows the base plan's overflow and `t_max`,
-    /// and the Eq. 2 cost is re-summed from the model's distance table
-    /// and path fragments.
+    /// the allocation orders helpers by the model's distance table and
+    /// the Eq. 2 cost is re-summed from its tables.
     Model {
         model: &'a PlacementCostModel,
         /// `t_max` of the untouched base plan (the all-zero fast path).
         base_t_max: f64,
     },
+}
+
+impl Engine<'_> {
+    /// The tile grid the slot ids index, in [`tile_slots`] order.
+    fn grid(&self) -> &[Rect] {
+        match self {
+            Engine::Naive { grid } => grid,
+            Engine::Model { model, .. } => model.slots(),
+        }
+    }
 }
 
 /// Apply the genome's Op1/Op2 `extra` component on top of the base plan:
@@ -144,16 +165,6 @@ fn plan_t_max(stages: &[StageProfile], plan: &RecomputePlan) -> f64 {
         .fold(0.0f64, f64::max)
 }
 
-/// Fitness: t_max × GlobalCost (Eq. 2), infeasible → +inf.
-fn fitness_of(ctx: &GaCtx<'_>, t_max: f64, gc: f64, complete: bool) -> f64 {
-    let pp = ctx.stages.len();
-    if complete {
-        t_max * (1.0 + gc / (ctx.pp_volume * pp as f64 + 1.0))
-    } else {
-        f64::INFINITY
-    }
-}
-
 /// Grants → Eq. 2 pair demands.
 fn grant_pairs(grants: &[DramGrant]) -> Vec<PairDemand> {
     grants
@@ -166,15 +177,31 @@ fn grant_pairs(grants: &[DramGrant]) -> Vec<PairDemand> {
         .collect()
 }
 
-/// Fitness-only decode — what the population loops need. On the
-/// [`Engine::Model`] path a genome with all-zero `extra` borrows the
-/// base plan's overflow and `t_max`, and the Eq. 2 cost runs on the
-/// model's tables; on [`Engine::Naive`] everything is re-derived per
-/// genome, as before the cost model existed. Both produce bit-identical
-/// fitness.
-fn decode_fitness(ctx: &GaCtx<'_>, g: &Genome) -> f64 {
-    match &ctx.engine {
-        Engine::Naive => decode_full(ctx, g).2,
+/// Decode a genome into its Alg. 3 allocation (each sender's helper
+/// queue rotated by its bias gene) and its fitness
+/// `t_max × (1 + GlobalCost / (pp_volume·pp + 1))`, `+inf` when some
+/// overflow finds no home. The population loops and the returned winner
+/// both call it, so the winner is the genome the GA ranked. The two
+/// engines give bit-identical results on a clean model.
+fn decode(ctx: &GaCtx<'_>, g: &Genome) -> (DramAllocation, f64) {
+    let bias = |s: usize| g.bias[s];
+    let (alloc, t_max, gc) = match &ctx.engine {
+        Engine::Naive { grid } => {
+            let (plan, overflow) = apply_extra(ctx, &g.extra);
+            let placement = Placement {
+                stages: g.slots.iter().map(|&id| grid[id as usize]).collect(),
+            };
+            let stages = &placement.stages;
+            let alloc = allocate_by(
+                |s, h| stages[s].dist(&stages[h]),
+                bias,
+                &overflow,
+                ctx.spare,
+            );
+            let pairs = grant_pairs(&alloc.grants);
+            let gc = global_cost(ctx.mesh, &placement, ctx.pp_volume, &pairs, None);
+            (alloc, plan_t_max(ctx.stages, &plan), gc)
+        }
         Engine::Model { model, base_t_max } => {
             let mutated = (!g.extra.iter().all(|&e| e <= 0.0)).then(|| {
                 let (plan, overflow) = apply_extra(ctx, &g.extra);
@@ -184,49 +211,18 @@ fn decode_fitness(ctx: &GaCtx<'_>, g: &Genome) -> f64 {
                 None => (ctx.overflow, *base_t_max),
                 Some((overflow, t_max)) => (overflow, *t_max),
             };
-            let bias = |s: usize| g.bias[s];
-            match model.slot_ids(&g.placement) {
-                Some(ids) => {
-                    let alloc =
-                        allocate_by(|s, h| model.dist(ids[s], ids[h]), bias, overflow, ctx.spare);
-                    let gc = model.cost_of_slots(&ids, &grant_pairs(&alloc.grants));
-                    fitness_of(ctx, t_max, gc, alloc.complete())
-                }
-                // Off the slot grid (unreachable from
-                // `refine_with_model`, which mutates over the model's
-                // own slots): same values via the rectangle path.
-                None => {
-                    let stages = &g.placement.stages;
-                    let alloc =
-                        allocate_by(|s, h| stages[s].dist(&stages[h]), bias, overflow, ctx.spare);
-                    let gc = model.placement_cost(&g.placement, &grant_pairs(&alloc.grants));
-                    fitness_of(ctx, t_max, gc, alloc.complete())
-                }
-            }
+            let ids = &g.slots;
+            let alloc = allocate_by(|s, h| model.dist(ids[s], ids[h]), bias, overflow, ctx.spare);
+            let gc = model.cost_of_slots(ids, &grant_pairs(&alloc.grants));
+            (alloc, t_max, gc)
         }
-    }
-}
-
-/// Full decode — plan, grants and fitness, used once for the returned
-/// winner (and per genome by the naive engine).
-fn decode_full(ctx: &GaCtx<'_>, g: &Genome) -> (RecomputePlan, Vec<DramGrant>, f64) {
-    // Extra recomputation on top of the base plan.
-    let (plan, overflow) = apply_extra(ctx, &g.extra);
-    let stages = &g.placement.stages;
-    let alloc = allocate_by(
-        |s, h| stages[s].dist(&stages[h]),
-        |s| g.bias[s],
-        &overflow,
-        ctx.spare,
-    );
-    let t_max = plan_t_max(ctx.stages, &plan);
-    let pairs = grant_pairs(&alloc.grants);
-    let gc = match &ctx.engine {
-        Engine::Naive => global_cost(ctx.mesh, &g.placement, ctx.pp_volume, &pairs, None),
-        Engine::Model { model, .. } => model.placement_cost(&g.placement, &pairs),
     };
-    let fitness = fitness_of(ctx, t_max, gc, alloc.complete());
-    (plan, alloc.grants, fitness)
+    let fitness = if alloc.complete() {
+        t_max * (1.0 + gc / (ctx.pp_volume * ctx.stages.len() as f64 + 1.0))
+    } else {
+        f64::INFINITY
+    };
+    (alloc, fitness)
 }
 
 fn mutate(ctx: &GaCtx<'_>, g: &mut Genome, rng: &mut StdRng) {
@@ -246,24 +242,26 @@ fn mutate(ctx: &GaCtx<'_>, g: &mut Genome, rng: &mut StdRng) {
         }
         // Op3: placement variation.
         2 => {
-            if ctx.slots.len() > pp && rng.gen_bool(0.4) {
-                let used: std::collections::HashSet<Rect> =
-                    g.placement.stages.iter().copied().collect();
-                let free: Vec<Rect> = ctx
-                    .slots
+            if ctx.pool.len() > pp && rng.gen_bool(0.4) {
+                let mut used = vec![false; ctx.engine.grid().len()];
+                for &id in &g.slots {
+                    used[id as usize] = true;
+                }
+                let free: Vec<u32> = ctx
+                    .pool
                     .iter()
                     .copied()
-                    .filter(|s| !used.contains(s))
+                    .filter(|&id| !used[id as usize])
                     .collect();
                 if !free.is_empty() {
                     let idx = rng.gen_range(0..pp);
-                    g.placement.stages[idx] = free[rng.gen_range(0..free.len())];
+                    g.slots[idx] = free[rng.gen_range(0..free.len())];
                     return;
                 }
             }
             let a = rng.gen_range(0..pp);
             let b = rng.gen_range(0..pp);
-            g.placement.stages.swap(a, b);
+            g.slots.swap(a, b);
         }
         // Op4: A variation.
         3 => {
@@ -281,10 +279,10 @@ fn mutate(ctx: &GaCtx<'_>, g: &mut Genome, rng: &mut StdRng) {
 
 fn crossover(a: &Genome, b: &Genome, rng: &mut StdRng) -> Genome {
     Genome {
-        placement: if rng.gen_bool(0.5) {
-            a.placement.clone()
+        slots: if rng.gen_bool(0.5) {
+            a.slots.clone()
         } else {
-            b.placement.clone()
+            b.slots.clone()
         },
         extra: a
             .extra
@@ -339,40 +337,32 @@ pub fn refine_with_model(
     model: &PlacementCostModel,
     params: &GaParams,
 ) -> GaResult {
+    let base_slots = model.slot_ids(base_placement);
     assert!(
-        model.mesh() == mesh
-            && model.tile_w() == base_placement.stages[0].w
-            && model.tile_h() == base_placement.stages[0].h
-            && model.pp_volume() == pp_volume,
-        "cost model must match the refinement's mesh, tile shape and pp_volume"
+        base_slots.is_some() && model.mesh() == mesh && model.pp_volume() == pp_volume,
+        "the base placement must lie on the cost model's tile grid, and the model must match \
+         the refinement's mesh and pp_volume"
     );
-    let engine = Engine::Model {
-        model,
-        base_t_max: plan_t_max(stages, base_plan),
-    };
     // On a fault-aware model the Op3 free-slot pool is the *healthy*
     // slots only — dead-die tiles never enter the genome. Clean models
     // mask nothing, so this is the full grid (bit-identical to
     // `refine_naive`).
-    let slots: Vec<Rect> = model
-        .slots()
-        .iter()
-        .enumerate()
-        .filter(|&(id, _)| !model.is_masked(id as u32))
-        .map(|(_, s)| *s)
-        .collect();
-    refine_engine(
+    let ctx = GaCtx {
         mesh,
         stages,
-        base_plan,
-        base_placement,
+        base: base_plan,
         overflow,
         spare,
         pp_volume,
-        params,
-        engine,
-        slots,
-    )
+        pool: (0..model.slot_count() as u32)
+            .filter(|&id| !model.is_masked(id))
+            .collect(),
+        engine: Engine::Model {
+            model,
+            base_t_max: plan_t_max(stages, base_plan),
+        },
+    };
+    refine_engine(&ctx, base_slots.unwrap_or_default(), params)
 }
 
 /// The pre-cost-model refinement: every genome decode clones the plan,
@@ -393,35 +383,16 @@ pub fn refine_naive(
     params: &GaParams,
 ) -> GaResult {
     let tile = base_placement.stages[0];
-    let slots = tile_slots(mesh.nx, mesh.ny, tile.w, tile.h);
-    refine_engine(
-        mesh,
-        stages,
-        base_plan,
-        base_placement,
-        overflow,
-        spare,
-        pp_volume,
-        params,
-        Engine::Naive,
-        slots,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn refine_engine(
-    mesh: &Mesh2D,
-    stages: &[StageProfile],
-    base_plan: &RecomputePlan,
-    base_placement: &Placement,
-    overflow: &[Bytes],
-    spare: &[Bytes],
-    pp_volume: f64,
-    params: &GaParams,
-    engine: Engine<'_>,
-    slots: Vec<Rect>,
-) -> GaResult {
-    let pp = stages.len();
+    let grid = tile_slots(mesh.nx, mesh.ny, tile.w, tile.h);
+    let base_slots: Option<Vec<u32>> = base_placement
+        .stages
+        .iter()
+        .map(|r| grid.iter().position(|s| s == r).map(|id| id as u32))
+        .collect();
+    assert!(
+        base_slots.is_some(),
+        "the base placement must lie on its tile grid"
+    );
     let ctx = GaCtx {
         mesh,
         stages,
@@ -429,11 +400,18 @@ fn refine_engine(
         overflow,
         spare,
         pp_volume,
-        slots,
-        engine,
+        pool: (0..grid.len() as u32).collect(),
+        engine: Engine::Naive { grid },
     };
+    refine_engine(&ctx, base_slots.unwrap_or_default(), params)
+}
+
+/// Evolve the population from the seed genome (the base placement's
+/// slot ids, no extra recomputation, no bias) and decode the winner.
+fn refine_engine(ctx: &GaCtx<'_>, base_slots: Vec<u32>, params: &GaParams) -> GaResult {
+    let pp = ctx.stages.len();
     let seed_genome = Genome {
-        placement: base_placement.clone(),
+        slots: base_slots,
         extra: vec![0.0; pp],
         bias: vec![0; pp],
     };
@@ -446,9 +424,9 @@ fn refine_engine(
             let mut rng = StdRng::seed_from_u64(stream_seed(params.seed, 0, i as u64));
             let mut g = seed_genome.clone();
             for _ in 0..i {
-                mutate(&ctx, &mut g, &mut rng);
+                mutate(ctx, &mut g, &mut rng);
             }
-            let f = decode_fitness(&ctx, &g);
+            let f = decode(ctx, &g).1;
             (g, f)
         })
         .collect();
@@ -487,11 +465,11 @@ fn refine_engine(
                 let pa = pick(&mut rng);
                 let pb = pick(&mut rng);
                 let mut child = crossover(&parents[pa].0, &parents[pb].0, &mut rng);
-                mutate(&ctx, &mut child, &mut rng);
+                mutate(ctx, &mut child, &mut rng);
                 if rng.gen_bool(0.3) {
-                    mutate(&ctx, &mut child, &mut rng);
+                    mutate(ctx, &mut child, &mut rng);
                 }
-                let f = decode_fitness(&ctx, &child);
+                let f = decode(ctx, &child).1;
                 (child, f)
             })
             .collect();
@@ -500,16 +478,16 @@ fn refine_engine(
         population = next;
     }
     population.sort_by(|a, b| a.1.total_cmp(&b.1));
-    let best = population.remove(0);
-    let (plan, grants, fitness) = decode_full(&ctx, &best.0);
+    let best = &population[0].0;
+    let (alloc, fitness) = decode(ctx, best);
     history.push(fitness);
+    let grid = ctx.engine.grid();
     GaResult {
-        placement: best.0.placement,
-        recompute: RecomputePlan {
-            feasible: base_plan.feasible,
-            ..plan
+        placement: Placement {
+            stages: best.slots.iter().map(|&id| grid[id as usize]).collect(),
         },
-        grants,
+        recompute: apply_extra(ctx, &best.extra).0,
+        grants: alloc.grants,
         fitness,
         history,
     }
@@ -520,6 +498,7 @@ mod tests {
     use super::*;
     use crate::cache::ProfileCache;
     use crate::placement::serpentine;
+    use wsc_arch::fault::FaultMap;
     use wsc_arch::presets;
 
     use wsc_workload::training::TrainingJob;
@@ -536,16 +515,38 @@ mod tests {
         f64,
         Bytes,
     ) {
-        let wafer = presets::config(3);
-        let job = TrainingJob::standard(zoo::llama3_70b());
-        let megatron = crate::testutil::megatron_plan(4, 8);
+        setup_for(3, zoo::llama3_70b(), 4, 8, (2, 2))
+    }
+
+    /// The GA inputs of Megatron `D(1)T(tp)P(pp)` of `model` on preset
+    /// `config`, seeded with the serpentine placement of `tile`.
+    #[allow(clippy::type_complexity)]
+    fn setup_for(
+        config: usize,
+        model: wsc_workload::model::LlmModel,
+        tp: usize,
+        pp: usize,
+        tile: (usize, usize),
+    ) -> (
+        Mesh2D,
+        Vec<StageProfile>,
+        RecomputePlan,
+        Placement,
+        Vec<Bytes>,
+        Vec<Bytes>,
+        f64,
+        Bytes,
+    ) {
+        let wafer = presets::config(config);
+        let job = TrainingJob::standard(model);
+        let megatron = crate::testutil::megatron_plan(tp, pp);
         let stages =
             ProfileCache::new().stage_profiles(&wafer, &job, &megatron, job.microbatches(1));
         let inputs: Vec<_> = stages.iter().map(|s| s.as_recompute_input()).collect();
         let cap = wafer.dram.capacity;
         let plan = wsc_pipeline::gcmr::gcmr(&inputs, cap, 12);
         let rp = plan.as_recompute_plan();
-        let placement = serpentine(wafer.nx, wafer.ny, 8, 2, 2).unwrap();
+        let placement = serpentine(wafer.nx, wafer.ny, pp, tile.0, tile.1).unwrap();
         let (overflow, spare) = wsc_pipeline::recompute::overflow_and_spare(&inputs, &rp, cap);
         let ppv = 1e8;
         (
@@ -630,6 +631,40 @@ mod tests {
         let plan = setup().2;
         for (a, b) in r.recompute.saved_per_mb.iter().zip(&plan.saved_per_mb) {
             assert!(a >= b);
+        }
+    }
+
+    #[test]
+    fn faulted_refinement_returns_the_genome_it_ranked() {
+        // Elitism keeps each generation's best, so the history never
+        // rises, and the last entry is the returned winner's fitness.
+        // On a faulted model the distance table holds degraded
+        // distances, so the winner must be allocated on them too.
+        let (mesh, stages, plan, placement, overflow, spare, ppv, cap) =
+            setup_for(1, zoo::llama2_30b(), 1, 48, (1, 1));
+        for seed in 0..4 {
+            let faults = FaultMap::inject_link_faults(mesh.nx, mesh.ny, 0.3, seed);
+            let model = PlacementCostModel::with_faults(mesh, 1, 1, ppv, &faults);
+            let r = refine_with_model(
+                &mesh,
+                &stages,
+                &plan,
+                &placement,
+                &overflow,
+                &spare,
+                ppv,
+                cap,
+                &model,
+                &GaParams::default(),
+            );
+            for w in r.history.windows(2) {
+                assert!(
+                    w[1] <= w[0],
+                    "seed {seed}: history rose {} -> {}",
+                    w[0],
+                    w[1]
+                );
+            }
         }
     }
 

@@ -170,22 +170,19 @@ pub fn serpentine(
     if slots.len() < pp {
         return None;
     }
-    let cols = nx / tile_w;
-    let rows = ny / tile_h;
-    let mut ordered = Vec::with_capacity(slots.len());
-    for r in 0..rows {
-        if r % 2 == 0 {
-            for c in 0..cols {
-                ordered.push(slots[r * cols + c]);
-            }
-        } else {
-            for c in (0..cols).rev() {
-                ordered.push(slots[r * cols + c]);
-            }
-        }
-    }
     Some(Placement {
-        stages: ordered.into_iter().take(pp).collect(),
+        stages: boustrophedon(nx / tile_w, ny / tile_h)
+            .take(pp)
+            .map(|id| slots[id])
+            .collect(),
+    })
+}
+
+/// The row-major cell indices of a `cols × rows` grid with every odd row
+/// reversed: consecutive cells stay adjacent across row wraps.
+pub(crate) fn boustrophedon(cols: usize, rows: usize) -> impl Iterator<Item = usize> {
+    (0..rows).flat_map(move |r| {
+        (0..cols).map(move |c| r * cols + if r % 2 == 0 { c } else { cols - 1 - c })
     })
 }
 
@@ -455,20 +452,7 @@ pub(crate) struct NodePlacementOutcome {
 pub(crate) fn node_serpentine(model: &NodeCostModel, assignment: &[usize]) -> Option<Vec<usize>> {
     let spw = model.slots_per_group();
     let cols = model.cols().max(1);
-    let rows = spw / cols;
-    // Boustrophedon order over the wafer-local slot grid.
-    let mut order = Vec::with_capacity(spw);
-    for r in 0..rows {
-        if r % 2 == 0 {
-            for c in 0..cols {
-                order.push(r * cols + c);
-            }
-        } else {
-            for c in (0..cols).rev() {
-                order.push(r * cols + c);
-            }
-        }
-    }
+    let order: Vec<usize> = boustrophedon(cols, spw / cols).collect();
     let mut next = vec![0usize; model.groups()];
     let mut slots = Vec::with_capacity(assignment.len());
     for &g in assignment {

@@ -82,6 +82,13 @@ pub enum TraceError {
         /// Which count was zero: `"prompt"` or `"output"`.
         field: &'static str,
     },
+    /// The running total of prompt and output tokens overflows `usize`
+    /// at this request.
+    #[error("request {index} overflows the trace's token total")]
+    TokenOverflow {
+        /// Offending request index (position in the trace).
+        index: usize,
+    },
 }
 
 impl Trace {
@@ -112,12 +119,14 @@ impl Trace {
 
     /// Validate the trace invariants every consumer relies on:
     /// non-empty, finite non-negative monotone arrivals, positive token
-    /// counts.
+    /// counts whose total over the trace fits `usize` (so every
+    /// request's context and every running token sum does too).
     pub fn validate(&self) -> Result<(), TraceError> {
         if self.requests.is_empty() {
             return Err(TraceError::Empty);
         }
         let mut prev = 0.0f64;
+        let mut tokens = 0usize;
         for (index, r) in self.requests.iter().enumerate() {
             if !r.arrival_s.is_finite() || r.arrival_s < 0.0 {
                 return Err(TraceError::InvalidArrival {
@@ -145,6 +154,10 @@ impl Trace {
                     field: "output",
                 });
             }
+            tokens = tokens
+                .checked_add(r.prompt_tokens)
+                .and_then(|t| t.checked_add(r.output_tokens))
+                .ok_or(TraceError::TokenOverflow { index })?;
         }
         Ok(())
     }
@@ -261,6 +274,23 @@ mod tests {
         match trace.validate() {
             Err(TraceError::ZeroTokens { index: 5, field }) => assert_eq!(field, "output"),
             other => panic!("expected ZeroTokens, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn overflowing_token_counts_are_rejected() {
+        let doc = r#"{"requests":[{"id":0,"arrival_s":0.0,"prompt_tokens":16,"output_tokens":18446744073709551615}]}"#;
+        match Trace::from_json(doc) {
+            Err(TraceError::TokenOverflow { index: 0 }) => {}
+            other => panic!("expected TokenOverflow at 0, got {other:?}"),
+        }
+        // Requests that each fit can still overflow the running total.
+        let mut trace = Trace::synthesize(&workload());
+        trace.requests[2].prompt_tokens = usize::MAX / 2;
+        trace.requests[4].output_tokens = usize::MAX / 2;
+        match trace.validate() {
+            Err(TraceError::TokenOverflow { index: 4 }) => {}
+            other => panic!("expected TokenOverflow at 4, got {other:?}"),
         }
     }
 }
