@@ -14,7 +14,7 @@
 //!
 //! ```text
 //! cargo run -p wsc-bench --release --bin bench_ga -- \
-//!     [--preset refine-llama2-30b|refine-llama3-70b|hillclimb|all] \
+//!     [--preset refine-llama2-30b|refine-llama3-70b|hillclimb|hillclimb-llama3-70b|all] \
 //!     [--output BENCH_ga.json] [--threads N] [--reps N] [--min-speedup X]
 //! ```
 //!
@@ -39,7 +39,7 @@ use watos::{percentile, PlacementCostModel};
 use wsc_arch::units::Bytes;
 use wsc_bench::driver::{Bench, Opt, Pools, Spec};
 use wsc_bench::util::{
-    ga_refine_presets, ga_setup, hill_climb_preset, GaRefinePreset, HillClimbPreset,
+    ga_refine_presets, ga_setup, hill_climb_presets, GaRefinePreset, HillClimbPreset,
 };
 use wsc_workload::training::TrainingJob;
 
@@ -161,7 +161,7 @@ fn main() -> ExitCode {
     let cases = ga_refine_presets()
         .into_iter()
         .map(|p| Case::Refine(Box::new(p)))
-        .chain([Case::HillClimb(hill_climb_preset())])
+        .chain(hill_climb_presets().into_iter().map(Case::HillClimb))
         .collect();
     let (bench, cases) = Bench::from_env(&SPEC, cases, Case::name);
     let reps = bench.args.count("--reps").unwrap_or(3);

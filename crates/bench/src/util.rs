@@ -6,12 +6,15 @@
 use std::sync::Arc;
 use watos::ga::GaParams;
 use watos::placement::{choose_tile, serpentine, PairDemand};
-use watos::scheduler::{PlanFilter, RecomputeMode, ScheduledConfig, SchedulerOptions};
-use watos::stage::StageProfile;
+use watos::scheduler::{
+    PlanFilter, RecomputeMode, ScheduledConfig, SchedulerOptions, DEFAULT_SEED,
+};
+use watos::stage::{boundary_bytes, StageProfile};
 use watos::{
     ExplorationReport, Explorer, ExplorerBuilder, MultiWaferReport, Placement, PlacementCostModel,
     ProfileCache, SearchStats,
 };
+use wsc_arch::enumerate::Enumerator;
 use wsc_arch::presets;
 use wsc_arch::units::Bytes;
 use wsc_arch::wafer::{MultiWaferConfig, WaferConfig};
@@ -284,13 +287,10 @@ impl GaSetup {
     }
 }
 
-/// The hill-climb benchmark preset: `placement::optimize_with` on a Config-1
-/// geometry (8×8 dies) with per-die stages — a 48-stage pipeline whose
-/// first eight stages borrow DRAM from the last eight (the Fig. 11
-/// Mem_pair pattern at scale), so every swap candidate pays the full
-/// Eq. 2 pair/conflict machinery.
+/// A hill-climb benchmark preset: `placement::optimize_with` on one mesh
+/// with per-die stages and a fixed set of Sender→Helper pair demands.
 pub struct HillClimbPreset {
-    /// Preset name (`hillclimb`).
+    /// Preset name (`hillclimb` / `hillclimb-llama3-70b`).
     pub name: &'static str,
     /// The wafer fabric.
     pub mesh: Mesh2D,
@@ -308,8 +308,17 @@ pub struct HillClimbPreset {
     pub seed: u64,
 }
 
-/// The hill-climb benchmark preset.
-pub fn hill_climb_preset() -> HillClimbPreset {
+/// The hill-climb benchmark presets.
+///
+/// * `hillclimb` — a Config-1 geometry (8×8 dies) with a 48-stage
+///   pipeline whose first eight stages borrow DRAM from the last eight
+///   (the Fig. 11 Mem_pair pattern at scale), so every swap candidate
+///   pays the full Eq. 2 pair/conflict machinery.
+/// * `hillclimb-llama3-70b` — the costliest climb a `coexplore-bench`
+///   train-dse pass runs: Llama3-70B `D(1)T(1)P(48)` on the 7×7-die,
+///   48 GiB `paper_space()` candidate with 1×1 tiles, placing its own
+///   25 GCMR pairs with the scheduler's pipeline volume and seed.
+pub fn hill_climb_presets() -> Vec<HillClimbPreset> {
     let pp = 48;
     let pairs = (0..8)
         .map(|s| PairDemand {
@@ -318,15 +327,56 @@ pub fn hill_climb_preset() -> HillClimbPreset {
             volume: (1.0 + s as f64) * 1e8,
         })
         .collect();
+    vec![
+        HillClimbPreset {
+            name: "hillclimb",
+            mesh: Mesh2D::new(8, 8),
+            tile_w: 1,
+            tile_h: 1,
+            pp,
+            pp_volume: 1e8,
+            pairs,
+            seed: 42,
+        },
+        llama3_70b_climb(),
+    ]
+}
+
+/// The `hillclimb-llama3-70b` preset, derived the way `schedule_plan`
+/// derives its climb: stage profiles at the plan's DP, GCMR pairs at
+/// the scheduler's quantum count `(160 / pp).clamp(3, 16)`, and the
+/// Eq. 2 pipeline volume of the plan's stage boundary.
+fn llama3_70b_climb() -> HillClimbPreset {
+    let job = TrainingJob::standard(zoo::llama3_70b());
+    let wafer = Enumerator::paper_space()
+        .enumerate()
+        .into_iter()
+        .find(|w| w.nx == 7 && w.ny == 7 && w.dram.capacity == Bytes::gib(48))
+        .expect("paper_space holds a 7x7-die, 48 GiB candidate");
+    let (tp, pp) = (1, 48);
+    let plan = ParallelPlan::intra(tp, pp, TpSplitStrategy::Megatron);
+    let (tile_w, tile_h) = choose_tile(wafer.nx, wafer.ny, tp, pp).expect("stage tile must embed");
+    let dp = ((wafer.nx / tile_w) * (wafer.ny / tile_h) / pp).max(1);
+    let stages = ProfileCache::new().stage_profiles(&wafer, &job, &plan, job.microbatches(dp));
+    let inputs: Vec<_> = stages.iter().map(|s| s.as_recompute_input()).collect();
+    let pairs = gcmr(&inputs, wafer.dram.capacity, (160 / pp).clamp(3, 16))
+        .mem_pairs
+        .iter()
+        .map(|p| PairDemand {
+            sender: p.sender,
+            helper: p.helper,
+            volume: p.bytes.as_f64(),
+        })
+        .collect();
     HillClimbPreset {
-        name: "hillclimb",
-        mesh: Mesh2D::new(8, 8),
-        tile_w: 1,
-        tile_h: 1,
+        name: "hillclimb-llama3-70b",
+        mesh: Mesh2D::new(wafer.nx, wafer.ny),
+        tile_w,
+        tile_h,
         pp,
-        pp_volume: 1e8,
+        pp_volume: boundary_bytes(&job, &plan.sharding_ctx(&job)).as_f64(),
         pairs,
-        seed: 42,
+        seed: DEFAULT_SEED,
     }
 }
 

@@ -19,7 +19,12 @@
 //!   microbatches)` — reused by the bound pruner, the evaluator, the GA
 //!   refinement, every rate of a fault sweep, and every
 //!   stage-map/TP-span variant;
-//! * Eq. 2 placement cost models per `(mesh, tile shape, pp_volume)`.
+//! * Eq. 2 placement cost models per `(mesh, tile shape, pp_volume)`;
+//! * clean §IV-C hill-climb results, as the slot id of every stage, per
+//!   whole climb input: the cost model's key, `pp`, the seed and the
+//!   pair demands' bits in order. Plans whose GCMR pairs and pipeline
+//!   volume agree (a SequenceParallel plan and its Megatron twin at
+//!   `tp = 1`) climb once.
 //!
 //! Collectives are not memoized: the closed α–β form of
 //! [`all_reduce_time`] costs a few float operations, less than a key
@@ -43,6 +48,7 @@
 //! degradation. On a panic-free run every counter is zero.
 
 use crate::costmodel::PlacementCostModel;
+use crate::placement::{self, PairDemand, Placement};
 use crate::stage::{build_layer_data, build_stage_profiles_with, LayerData, StageProfile};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -88,6 +94,15 @@ fn clear_poisoned<T: Default>(lock: &RwLock<T>) {
 type LayerKey = (usize, TpSplitStrategy);
 type StageKey = (usize, usize, TpSplitStrategy, usize);
 type CostModelKey = (usize, usize, usize, usize, u64);
+/// A climb's cost-model key, `pp`, seed, and each pair's sender, helper
+/// and volume bits.
+type ClimbKey = (CostModelKey, usize, u64, Vec<(usize, usize, u64)>);
+
+/// The [`ProfileCache::cost_model`] key of a `(mesh, tile shape,
+/// pp_volume)` context.
+fn cost_model_key(mesh: &Mesh2D, tile_w: usize, tile_h: usize, pp_volume: f64) -> CostModelKey {
+    (mesh.nx, mesh.ny, tile_w, tile_h, pp_volume.to_bits())
+}
 
 /// Observability counters of one [`ProfileCache`]: how often the cache
 /// had to distrust itself. All-zero on a panic-free run; surfaced per
@@ -111,6 +126,7 @@ pub struct ProfileCache {
     layers: RwLock<HashMap<LayerKey, Arc<LayerData>>>,
     stages: RwLock<HashMap<StageKey, Arc<Vec<StageProfile>>>>,
     cost_models: RwLock<HashMap<CostModelKey, Arc<PlacementCostModel>>>,
+    climbs: RwLock<HashMap<ClimbKey, Box<[u32]>>>,
     recoveries: AtomicUsize,
 }
 
@@ -221,7 +237,7 @@ impl ProfileCache {
         tile_h: usize,
         pp_volume: f64,
     ) -> Arc<PlacementCostModel> {
-        let key = (mesh.nx, mesh.ny, tile_w, tile_h, pp_volume.to_bits());
+        let key = cost_model_key(mesh, tile_w, tile_h, pp_volume);
         self.note_poison(&self.cost_models);
         if let Some(hit) = read_recover(&self.cost_models).get(&key) {
             return Arc::clone(hit);
@@ -230,10 +246,54 @@ impl ProfileCache {
         Arc::clone(write_recover(&self.cost_models).entry(key).or_insert(built))
     }
 
+    /// [`placement::optimize_with`] on `model`, memoized by the climb's
+    /// whole input when the model is clean and there are pairs to
+    /// place. A faulted model (built fresh per call, keyed by nothing
+    /// here) and a pair-free climb (the serpentine seed, returned at
+    /// once) bypass the table.
+    pub(crate) fn placement(
+        &self,
+        model: &PlacementCostModel,
+        pp: usize,
+        pairs: &[PairDemand],
+        seed: u64,
+    ) -> Option<Placement> {
+        if model.faulted() || pairs.is_empty() {
+            return placement::optimize_with(model, pp, pairs, seed);
+        }
+        let mesh = model.mesh();
+        let key = (
+            cost_model_key(mesh, model.tile_w(), model.tile_h(), model.pp_volume()),
+            pp,
+            seed,
+            pairs
+                .iter()
+                .map(|p| (p.sender, p.helper, p.volume.to_bits()))
+                .collect(),
+        );
+        self.note_poison(&self.climbs);
+        if let Some(hit) = read_recover(&self.climbs).get(&key) {
+            return Some(model.placement_of(hit));
+        }
+        // Climb outside the lock: racing misses compute identical values.
+        let slots = placement::climb(model, pp, pairs, seed)?;
+        let placement = model.placement_of(&slots);
+        write_recover(&self.climbs)
+            .entry(key)
+            .or_insert_with(|| slots.into_boxed_slice());
+        Some(placement)
+    }
+
     /// Number of cached cost models.
     #[cfg(test)]
     fn cost_model_entries(&self) -> usize {
         read_recover(&self.cost_models).len()
+    }
+
+    /// Number of memoized climbs.
+    #[cfg(test)]
+    fn climb_entries(&self) -> usize {
+        read_recover(&self.climbs).len()
     }
 
     /// Number of cached stage-profile vectors.
@@ -301,6 +361,43 @@ mod tests {
         let c = cache.cost_model(&mesh, 1, 4, 1e8);
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(cache.cost_model_entries(), 2);
+    }
+
+    #[test]
+    fn a_repeated_clean_climb_adds_one_entry_and_a_faulted_one_none() {
+        use crate::scheduler::{schedule_plan, SchedulerOptions};
+        use wsc_arch::fault::FaultMap;
+        use wsc_workload::parallel::TpSplitStrategy::{Megatron, SequenceParallel};
+        // Config 1's per-die stages overflow DRAM, so GCMR pairs them and
+        // the climb has pairs to place.
+        let wafer = presets::config(1);
+        let job = TrainingJob::standard(zoo::llama2_30b());
+        let opts = SchedulerOptions {
+            ga: None,
+            ..SchedulerOptions::default()
+        };
+        let cache = ProfileCache::new();
+        let schedule = |strategy, faults, cache: &ProfileCache| {
+            let plan = ParallelPlan::intra(1, 48, strategy);
+            schedule_plan(&wafer, &job, &plan, &opts, faults, cache)
+        };
+        let megatron = schedule(Megatron, None, &cache).expect("Config 1 schedules D(1)T(1)P(48)");
+        assert!(!megatron.grants.is_empty(), "the climb placed pairs");
+        assert_eq!(cache.climb_entries(), 1);
+        // At tp = 1 the SequenceParallel twin has the same pairs and
+        // pipeline volume, so its climb is the memoized one.
+        let twin = schedule(SequenceParallel, None, &cache).expect("the twin schedules too");
+        assert_eq!(cache.climb_entries(), 1);
+        assert_eq!(twin.placement, megatron.placement);
+        // A faulted climb prices a model the table has no key for: it
+        // climbs afresh, exactly as on an empty cache, and adds nothing.
+        let faults = FaultMap::inject_clustered_faults(wafer.nx, wafer.ny, 0.1, 3);
+        let faulted =
+            schedule(Megatron, Some(&faults), &cache).expect("the faulted wafer schedules");
+        assert_eq!(cache.climb_entries(), 1);
+        let fresh = schedule(Megatron, Some(&faults), &ProfileCache::new());
+        assert_eq!(Some(&faulted), fresh.as_ref());
+        assert_ne!(faulted.placement, megatron.placement);
     }
 
     /// `ProfileCache::all_reduce` is the closed form, no longer a memo.

@@ -19,8 +19,11 @@
 //! bitmap and each pair's γ is a scan of its route fragment. The hill
 //! climb ([`crate::placement::optimize_with`]) and the GA
 //! ([`crate::ga::refine_with_model`]) hold a placement as the slot id of
-//! every stage and price every move and genome this way; the GA's
-//! Alg. 3 allocation orders helpers by [`PlacementCostModel::dist`].
+//! every stage. The GA prices every genome this way, and its Alg. 3
+//! allocation orders helpers by [`PlacementCostModel::dist`]. The climb
+//! re-sums the same terms in the same order, but keeps the pipeline
+//! links as per-link window counts that each move updates for the
+//! windows it touches, instead of rebuilding the bitmap.
 //!
 //! Results are **bit-identical** to the naive path: γ is an integer, the
 //! per-term factors (`dist`, `volume`, `pp_volume`) are the exact same
@@ -302,17 +305,11 @@ impl PlacementCostModel {
 
     /// Eq. 2 cost of a slot assignment, re-summed from the cached
     /// tables — the bit-identical equivalent of
-    /// [`crate::placement::global_cost`] that prices every hill-climb
-    /// move and every GA genome decode.
+    /// [`crate::placement::global_cost`] that prices every GA genome
+    /// decode.
     pub fn cost_of_slots(&self, stage_slots: &[u32], pairs: &[PairDemand]) -> f64 {
-        // Exactly the naive accumulation order: pipeline terms first,
-        // then one term per pair.
-        let mut cost = 0.0;
-        for w in stage_slots.windows(2) {
-            cost += self.dist(w[0], w[1]) * self.pp_volume;
-        }
         if pairs.is_empty() {
-            return cost;
+            return self.sum_cost(stage_slots, pairs, |_| false);
         }
         let mut member = LinkSet::new(&self.mesh);
         for w in stage_slots.windows(2) {
@@ -320,14 +317,62 @@ impl PlacementCostModel {
                 member.insert(id);
             }
         }
+        self.sum_cost(stage_slots, pairs, |id| member.contains(id))
+    }
+
+    /// [`Self::cost_of_slots`] with the pipeline link set held as
+    /// `counts`, the number of pipeline windows whose route uses each
+    /// link id in either direction ([`Self::count_window`]). The hill
+    /// climb keeps those counts across its moves instead of rebuilding
+    /// the set per candidate.
+    pub(crate) fn cost_with_window_counts(
+        &self,
+        stage_slots: &[u32],
+        pairs: &[PairDemand],
+        counts: &[u32],
+    ) -> f64 {
+        self.sum_cost(stage_slots, pairs, |id| counts[id as usize] > 0)
+    }
+
+    /// Add the route of the pipeline window `a → b` to `counts` (sized
+    /// [`link_id_space`]), or with `add = false` take it away again.
+    pub(crate) fn count_window(&self, counts: &mut [u32], a: u32, b: u32, add: bool) {
+        for &id in &self.frag(a, b).both {
+            if add {
+                counts[id as usize] += 1;
+            } else {
+                counts[id as usize] -= 1;
+            }
+        }
+    }
+
+    /// The Eq. 2 sum in exactly the naive accumulation order: pipeline
+    /// terms first, then one term per pair, whose γ counts the links of
+    /// its route that `on_pipeline` holds.
+    fn sum_cost(
+        &self,
+        stage_slots: &[u32],
+        pairs: &[PairDemand],
+        on_pipeline: impl Fn(u32) -> bool,
+    ) -> f64 {
+        let mut cost = 0.0;
+        for w in stage_slots.windows(2) {
+            cost += self.dist(w[0], w[1]) * self.pp_volume;
+        }
         for pair in pairs {
-            let frag = self.frag(stage_slots[pair.sender], stage_slots[pair.helper]);
-            let gamma = frag.fwd.iter().filter(|&&id| member.contains(id)).count() as f64;
-            cost += self.dist(stage_slots[pair.sender], stage_slots[pair.helper])
-                * pair.volume
-                * (1.0 + gamma);
+            let (s, h) = (stage_slots[pair.sender], stage_slots[pair.helper]);
+            let route = &self.frag(s, h).fwd;
+            let gamma = route.iter().filter(|&&id| on_pipeline(id)).count() as f64;
+            cost += self.dist(s, h) * pair.volume * (1.0 + gamma);
         }
         cost
+    }
+
+    /// The rectangle placement of a slot assignment.
+    pub(crate) fn placement_of(&self, stage_slots: &[u32]) -> Placement {
+        Placement {
+            stages: stage_slots.iter().map(|&s| self.slot_rect(s)).collect(),
+        }
     }
 }
 
@@ -515,13 +560,6 @@ mod tests {
         );
     }
 
-    /// The rectangle placement of a slot assignment.
-    fn placement_of(model: &PlacementCostModel, slots: &[u32]) -> Placement {
-        Placement {
-            stages: slots.iter().map(|&s| model.slot_rect(s)).collect(),
-        }
-    }
-
     #[test]
     fn state_cost_matches_naive_through_random_mutations() {
         let mesh = Mesh2D::new(8, 4);
@@ -545,7 +583,7 @@ mod tests {
                     slots[i] = slot;
                 }
             }
-            let naive = global_cost(&mesh, &placement_of(&model, &slots), 1.0, &pairs, None);
+            let naive = global_cost(&mesh, &model.placement_of(&slots), 1.0, &pairs, None);
             assert_eq!(
                 model.cost_of_slots(&slots, &pairs).to_bits(),
                 naive.to_bits(),
@@ -589,7 +627,7 @@ mod tests {
                     slots[i] = slot;
                 }
             }
-            let placement = placement_of(&model, &slots);
+            let placement = model.placement_of(&slots);
             let naive = global_cost(&mesh, &placement, 1.5, &pairs, Some(&faults));
             assert_eq!(
                 model.cost_of_slots(&slots, &pairs).to_bits(),

@@ -630,9 +630,10 @@ impl ExplorerBuilder {
     /// the fault-sweep grid (default: rayon fan-outs). Sets
     /// [`SchedulerOptions::sequential`], the one knob all three read.
     /// The GA's population decode ([`SchedulerOptions::ga`], on by
-    /// default) still uses the rayon pool. Reports are identical either
-    /// way; this knob exists for debugging, benchmarking and the
-    /// determinism tests.
+    /// default) still uses the rayon pool; without this knob, a GA
+    /// nested in a fan-out that holds every worker decodes inline.
+    /// Reports are identical either way; this knob exists for
+    /// debugging, benchmarking and the determinism tests.
     pub fn sequential(mut self) -> Self {
         self.opts_mut().sequential = true;
         self

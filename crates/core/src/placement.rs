@@ -16,7 +16,7 @@
 //! candidate from a [`PlacementCostModel`]'s cached tables;
 //! [`optimize_naive`] is its from-scratch reference on [`global_cost`].
 
-use crate::costmodel::{NodeCostModel, PlacementCostModel};
+use crate::costmodel::{link_id_space, NodeCostModel, PlacementCostModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -351,10 +351,10 @@ pub(crate) fn remap_dead_slots(slots: &[Rect], masked: &[bool], placement: &mut 
 /// [`crate::cache::ProfileCache::cost_model`]) [`PlacementCostModel`],
 /// so path fragments and distance tables are shared across every search
 /// point and GA refinement with the same tile shape. Each swap or
-/// free-slot move is applied to the stage slots in place, priced by
-/// [`PlacementCostModel::cost_of_slots`], and undone unless it strictly
-/// lowers the cost. Bit-identical to [`optimize_naive`] for every seed
-/// (same RNG stream, same acceptance decisions, same placement); on a
+/// free-slot move is applied to the stage slots in place, re-priced
+/// from the model's tables and undone unless it strictly lowers the
+/// cost. Bit-identical to [`optimize_naive`] for every seed (same RNG
+/// stream, same acceptance decisions, same placement); on a
 /// [`PlacementCostModel::with_faults`] model the climb also routes
 /// around dead slots and prices degraded links.
 pub fn optimize_with(
@@ -363,27 +363,60 @@ pub fn optimize_with(
     pairs: &[PairDemand],
     seed: u64,
 ) -> Option<Placement> {
+    climb(model, pp, pairs, seed).map(|slots| model.placement_of(&slots))
+}
+
+/// [`optimize_with`] on slot ids: the climbed slot id of every stage.
+///
+/// The climb keeps two pieces of state across its moves. `counts` holds,
+/// per link id, how many pipeline windows route over the link in either
+/// direction; a move takes the ≤ 4 windows it touches out of the counts,
+/// changes the slots and puts them back, and a rejected move is undone
+/// the same way. `used` marks the occupied slots, so a free-slot draw
+/// takes the k-th free id without building the free list. Each
+/// candidate's cost is still the whole Eq. 2 sum, in the naive order,
+/// with each pair's γ read against the counts.
+pub(crate) fn climb(
+    model: &PlacementCostModel,
+    pp: usize,
+    pairs: &[PairDemand],
+    seed: u64,
+) -> Option<Vec<u32>> {
     let mesh = model.mesh();
     let mut base = serpentine(mesh.nx, mesh.ny, pp, model.tile_w(), model.tile_h())?;
     if model.has_masked() && !remap_dead_slots(model.slots(), model.masked(), &mut base) {
         // Dead dies leave fewer healthy slots than pipeline stages.
         return None;
     }
+    // `slots` holds the incumbent best; rejected candidates are undone,
+    // so it always equals the naive loop's `best`.
+    let mut slots = model
+        .slot_ids(&base)
+        // wsc-lint: allow(S001, "the serpentine base placement is generated from the same tile grid the model was built with")
+        .expect("serpentine slots lie on the model's tile grid");
     if pairs.is_empty() && !model.faulted() {
         // No balance traffic: the boustrophedon layout already minimizes
         // the pipeline term (all consecutive stages adjacent). On a
         // degraded wafer that no longer holds (link quality re-prices
         // the pipeline term), so faulted models always climb.
-        return Some(base);
+        return Some(slots);
     }
     let n_slots = model.slot_count();
-    let mut slots = model
-        .slot_ids(&base)
-        // wsc-lint: allow(S001, "the serpentine base placement is generated from the same tile grid the model was built with")
-        .expect("serpentine slots lie on the model's tile grid");
-    // `slots` holds the incumbent best; rejected candidates are undone,
-    // so it always equals the naive loop's `best`.
-    let mut best_cost = model.cost_of_slots(&slots, pairs);
+    let mut counts = vec![0u32; link_id_space(mesh)];
+    for w in slots.windows(2) {
+        model.count_window(&mut counts, w[0], w[1], true);
+    }
+    let mut used = vec![false; n_slots];
+    for &s in &slots {
+        used[s as usize] = true;
+    }
+    // No stage sits on a masked slot (remapped above) and a free-slot
+    // move trades one occupied slot for one free one, so the number of
+    // free healthy slots never changes.
+    let free = (0..n_slots as u32)
+        .filter(|&s| !used[s as usize] && !model.is_masked(s))
+        .count();
+    let mut best_cost = model.cost_with_window_counts(&slots, pairs, &counts);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9a1e_77a7);
     // Swap moves: either two stages exchange slots, or one stage moves to
     // an unused slot. The RNG draw sequence matches `optimize_naive`
@@ -392,26 +425,25 @@ pub fn optimize_with(
     for _ in 0..iters {
         if n_slots > pp && rng.gen_bool(0.3) {
             // Move a stage to a free slot.
-            let mut used = vec![false; n_slots];
-            for &s in &slots {
-                used[s as usize] = true;
-            }
-            let free: Vec<u32> = (0..n_slots as u32)
+            let k = rng.gen_range(0..free.max(1)).min(free.saturating_sub(1));
+            let Some(slot) = (0..n_slots as u32)
                 .filter(|&s| !used[s as usize] && !model.is_masked(s))
-                .collect();
-            if let Some(&slot) = free.get(
-                rng.gen_range(0..free.len().max(1))
-                    .min(free.len().saturating_sub(1)),
-            ) {
-                let idx = rng.gen_range(0..pp);
-                let old = slots[idx];
-                slots[idx] = slot;
-                let c = model.cost_of_slots(&slots, pairs);
-                if c < best_cost {
-                    best_cost = c;
-                } else {
-                    slots[idx] = old;
-                }
+                .nth(k)
+            else {
+                continue;
+            };
+            let idx = rng.gen_range(0..pp);
+            let old = slots[idx];
+            rewire(model, &mut slots, &mut counts, [idx, idx], |s| {
+                s[idx] = slot
+            });
+            let c = model.cost_with_window_counts(&slots, pairs, &counts);
+            if c < best_cost {
+                best_cost = c;
+                used[old as usize] = false;
+                used[slot as usize] = true;
+            } else {
+                rewire(model, &mut slots, &mut counts, [idx, idx], |s| s[idx] = old);
             }
         } else {
             let i = rng.gen_range(0..pp);
@@ -419,18 +451,45 @@ pub fn optimize_with(
             if i == j {
                 continue;
             }
-            slots.swap(i, j);
-            let c = model.cost_of_slots(&slots, pairs);
+            rewire(model, &mut slots, &mut counts, [i, j], |s| s.swap(i, j));
+            let c = model.cost_with_window_counts(&slots, pairs, &counts);
             if c < best_cost {
                 best_cost = c;
             } else {
-                slots.swap(i, j);
+                rewire(model, &mut slots, &mut counts, [i, j], |s| s.swap(i, j));
             }
         }
     }
-    Some(Placement {
-        stages: slots.iter().map(|&s| model.slot_rect(s)).collect(),
+    Some(slots)
+}
+
+/// The pipeline windows (window `w` joins stages `w` and `w + 1`) next
+/// to either moved stage, each once.
+fn windows_next_to(pp: usize, [i, j]: [usize; 2]) -> impl Iterator<Item = usize> {
+    let near = [i.checked_sub(1), Some(i), j.checked_sub(1), Some(j)];
+    (0..near.len()).filter_map(move |n| {
+        let w = near[n]?;
+        (w + 1 < pp && !near[..n].contains(&Some(w))).then_some(w)
     })
+}
+
+/// Apply `change` to `slots`, keeping `counts` in step: the windows next
+/// to the `moved` stages leave the counts before the change and re-enter
+/// after it.
+fn rewire(
+    model: &PlacementCostModel,
+    slots: &mut [u32],
+    counts: &mut [u32],
+    moved: [usize; 2],
+    change: impl FnOnce(&mut [u32]),
+) {
+    for w in windows_next_to(slots.len(), moved) {
+        model.count_window(counts, slots[w], slots[w + 1], false);
+    }
+    change(slots);
+    for w in windows_next_to(slots.len(), moved) {
+        model.count_window(counts, slots[w], slots[w + 1], true);
+    }
 }
 
 /// Outcome of the node-level Alg. 3 placement climb (§VI-F): one global

@@ -170,10 +170,11 @@ pub struct SchedulerOptions {
     /// bound-ordered ramped waves) and the fault-sweep rate grid
     /// (default: rayon fan-outs). The GA's population decode (the `ga`
     /// field, on by default) still uses the rayon pool, so a session
-    /// with the GA on is not single-threaded. Results and
-    /// [`SearchStats`] are identical either way; enable (builder:
-    /// [`crate::ExplorerBuilder::sequential`]) for benchmarking
-    /// baselines and determinism tests.
+    /// with the GA on is not single-threaded. With this off, a GA nested
+    /// in a fan-out that holds every worker decodes inline on its leg's
+    /// thread. Results and [`SearchStats`] are identical either way;
+    /// enable (builder: [`crate::ExplorerBuilder::sequential`]) for
+    /// benchmarking baselines and determinism tests.
     pub sequential: bool,
 }
 
@@ -343,9 +344,10 @@ fn choose_collective(
 /// evaluate. This is the Alg. 1 loop body, also used directly by the
 /// ablation and baseline experiments.
 ///
-/// Stage profiles and placement cost models go through `cache`, so
-/// they are reused across every plan the cache has seen for this
-/// `(wafer, job)` pair; a one-off call passes `&ProfileCache::new()`.
+/// Stage profiles, placement cost models and clean hill climbs go
+/// through `cache`, so they are reused across every plan the cache has
+/// seen for this `(wafer, job)` pair; a one-off call passes
+/// `&ProfileCache::new()`.
 pub fn schedule_plan(
     wafer: &WaferConfig,
     job: &TrainingJob,
@@ -421,7 +423,7 @@ pub fn schedule_plan(
     });
     let placement = if opts.memory_scheduler {
         match &cost_model {
-            Some(model) => placement::optimize_with(model, pp, &pair_demands, opts.seed)?,
+            Some(model) => cache.placement(model, pp, &pair_demands, opts.seed)?,
             // No pair demands: `optimize_with` would return serpentine
             // unchanged (the boustrophedon layout already minimizes the
             // pipeline term).
@@ -455,64 +457,24 @@ pub fn schedule_plan(
     // Collective selection for this shape.
     let collective = choose_collective(opts, wafer, shape, &stages[..])?;
 
-    let options = EvalOptions {
-        collective,
-        punish: opts.punish,
-        robust: true,
-    };
-    let eval_with = |placement: &Placement, rplan: &RecomputePlan, grants: &[DramGrant]| {
-        evaluate(&EvalInput {
-            wafer,
-            job,
-            parallel,
-            ctx,
-            stages: &stages[..],
-            recompute: rplan,
-            placement,
-            grants,
-            faults,
-            options: options.clone(),
-            cache: None,
-        })
-    };
-    let base_report = eval_with(&placement, &rplan, &grants);
-
-    // Optional GA refinement of placement + recomputation + pairing;
-    // kept only when the full evaluation confirms the improvement.
-    let (placement, rplan, grants, report) = if let Some(params) = &opts.ga {
-        let refined = ga::refine_with_model(
-            &mesh,
-            &stages[..],
-            &rplan,
-            &placement,
-            &overflow,
-            &spare,
-            pp_volume,
-            cap,
-            // wsc-lint: allow(S001, "cost_model is constructed above under the same opts.ga flag that guards this branch")
-            cost_model.as_ref().expect("built when ga is enabled"),
-            params,
-        );
-        let refined_report = eval_with(&refined.placement, &refined.recompute, &refined.grants);
-        if refined_report.feasible
-            && refined_report.iteration.as_secs() < base_report.iteration.as_secs()
-        {
-            (
-                refined.placement,
-                refined.recompute,
-                refined.grants,
-                refined_report,
-            )
-        } else {
-            (placement, rplan, grants, base_report)
-        }
-    } else {
-        (placement, rplan, grants, base_report)
-    };
-    if !report.feasible {
-        return None;
-    }
-    Some(ScheduledConfig {
+    let report = evaluate(&EvalInput {
+        wafer,
+        job,
+        parallel,
+        ctx,
+        stages: &stages[..],
+        recompute: &rplan,
+        placement: &placement,
+        grants: &grants,
+        faults,
+        options: EvalOptions {
+            collective,
+            punish: opts.punish,
+            robust: true,
+        },
+        cache: None,
+    });
+    let cfg = ScheduledConfig {
         parallel,
         plan: plan.clone().with_dp(parallel.dp),
         collective,
@@ -520,7 +482,77 @@ pub fn schedule_plan(
         recompute: rplan,
         grants,
         report,
-    })
+    };
+    let cfg = match &cost_model {
+        Some(model) => ga_refine(wafer, job, cfg, opts, model, faults, cache),
+        None => cfg,
+    };
+    cfg.report.feasible.then_some(cfg)
+}
+
+/// The optional §IV-D GA refinement of a scheduled configuration: evolve
+/// its placement, recomputation and pairing on `model` (built for its
+/// tile shape and pipeline volume) and keep the result only when the
+/// full evaluation confirms it strictly faster. `cfg` comes back as it
+/// is when `opts.ga` is `None`. [`schedule_plan`] runs it on the
+/// schedule it just built; a search leg runs it on its winner, which it
+/// does not schedule again.
+fn ga_refine(
+    wafer: &WaferConfig,
+    job: &TrainingJob,
+    cfg: ScheduledConfig,
+    opts: &SchedulerOptions,
+    model: &PlacementCostModel,
+    faults: Option<&FaultMap>,
+    cache: &ProfileCache,
+) -> ScheduledConfig {
+    let Some(params) = &opts.ga else {
+        return cfg;
+    };
+    let stages = cache.stage_profiles(wafer, job, &cfg.plan, job.microbatches(cfg.parallel.dp));
+    let cap = wafer.dram.capacity;
+    let inputs: Vec<_> = stages.iter().map(|s| s.as_recompute_input()).collect();
+    let (overflow, spare) = overflow_and_spare(&inputs, &cfg.recompute, cap);
+    let refined = ga::refine_with_model(
+        model.mesh(),
+        &stages[..],
+        &cfg.recompute,
+        &cfg.placement,
+        &overflow,
+        &spare,
+        model.pp_volume(),
+        cap,
+        model,
+        params,
+    );
+    let report = evaluate(&EvalInput {
+        wafer,
+        job,
+        parallel: cfg.parallel,
+        ctx: cfg.plan.sharding_ctx(job),
+        stages: &stages[..],
+        recompute: &refined.recompute,
+        placement: &refined.placement,
+        grants: &refined.grants,
+        faults,
+        options: EvalOptions {
+            collective: cfg.collective,
+            punish: opts.punish,
+            robust: true,
+        },
+        cache: None,
+    });
+    if report.feasible && report.iteration.as_secs() < cfg.report.iteration.as_secs() {
+        ScheduledConfig {
+            placement: refined.placement,
+            recompute: refined.recompute,
+            grants: refined.grants,
+            report,
+            ..cfg
+        }
+    } else {
+        cfg
+    }
 }
 
 /// The GCMR (Alg. 2) memory-quantum count for a `pp`-stage pipeline —
@@ -778,19 +810,23 @@ pub(crate) fn explore_impl(
     // is unbudgeted work, and anytime semantics promise best-so-far.
     if opts.ga.is_some() && leg.outcome == Outcome::Complete {
         if let Some((b, bscore)) = leg.best.take() {
-            leg.best = Some(
-                match schedule_plan(wafer, job, &b.plan, opts, None, &cache) {
-                    Some(refined) => {
-                        let rscore = score(&refined, &cache, ctx.deadline);
-                        if rscore <= bscore {
-                            (refined, rscore)
-                        } else {
-                            (b, bscore)
-                        }
+            // The winner's tile and pipeline volume key the cost model
+            // its schedule placed on.
+            leg.best = Some(match b.placement.stages.first() {
+                Some(tile) => {
+                    let mesh = Mesh2D::new(wafer.nx, wafer.ny);
+                    let pp_volume = boundary_bytes(job, &b.plan.sharding_ctx(job)).as_f64();
+                    let model = cache.cost_model(&mesh, tile.w, tile.h, pp_volume);
+                    let refined = ga_refine(wafer, job, b.clone(), opts, &model, None, &cache);
+                    let rscore = score(&refined, &cache, ctx.deadline);
+                    if rscore <= bscore {
+                        (refined, rscore)
+                    } else {
+                        (b, bscore)
                     }
-                    None => (b, bscore),
-                },
-            );
+                }
+                None => (b, bscore),
+            });
         }
     }
     (leg, cache.stats())

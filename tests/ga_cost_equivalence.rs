@@ -44,8 +44,9 @@ proptest! {
         nx in 2usize..9,
         ny in 2usize..9,
         tile_idx in 0usize..4,
-        pp_raw in 2usize..16,
-        n_pairs in 0usize..6,
+        depth in 0usize..3,
+        pp_raw in 2usize..64,
+        n_pairs in 0usize..33,
         ppv in 0.0f64..5.0,
         faulted in 0usize..2,
         fault_rate in 0.0f64..0.4,
@@ -54,7 +55,15 @@ proptest! {
         let (tw, th) = [(1, 1), (2, 1), (1, 2), (2, 2)][tile_idx];
         let (tw, th) = if (nx / tw) * (ny / th) < 2 { (1, 1) } else { (tw, th) };
         let slots = (nx / tw) * (ny / th);
-        let pp = 2 + pp_raw % (slots - 1).max(1);
+        // A third of the cases fill every slot, so no free-slot move can
+        // fire, and a third leave exactly one slot free: the regime of
+        // the search's costliest climbs (40–49 stages on 49 slots with
+        // up to 30 pairs). The rest take any depth from 2 to `slots`.
+        let pp = match depth {
+            0 => slots,
+            1 => (slots - 1).max(2),
+            _ => 2 + pp_raw % (slots - 1).max(1),
+        };
         let mesh = Mesh2D::new(nx, ny);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x51ce_11fe);
         let pairs = random_pairs(&mut rng, pp, n_pairs);
