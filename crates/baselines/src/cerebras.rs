@@ -14,8 +14,8 @@ use wsc_arch::units::{Bytes, FlopRate, Time};
 use wsc_arch::wafer::WaferConfig;
 use wsc_mesh::collective::{all_reduce_time, CollectiveAlgo, GroupShape};
 use wsc_sim::op_cost::DieModel;
-use wsc_sim::profile::profile_layer;
-use wsc_workload::graph::{self, ShardingCtx};
+use wsc_sim::profile::KindProfiles;
+use wsc_workload::graph::ShardingCtx;
 use wsc_workload::memory::model_p_total;
 use wsc_workload::parallel::TpSplitStrategy;
 use wsc_workload::training::TrainingJob;
@@ -55,22 +55,13 @@ pub fn weight_streaming(wafer: &WaferConfig, job: &TrainingJob) -> CerebrasResul
     let alpha = wafer.d2d_link_latency;
     let microbatches = job.microbatches(1) as f64;
 
-    let first_dense = (0..job.model.layers).find(|&l| !graph::is_moe_layer(&job.model, l));
-    let first_moe = (0..job.model.layers).find(|&l| graph::is_moe_layer(&job.model, l));
-    let dense = first_dense.map(|l| profile_layer(&dm, &graph::layer_ops_at(&job.model, l, &ctx)));
-    let moe = first_moe.map(|l| profile_layer(&dm, &graph::layer_ops_at(&job.model, l, &ctx)));
+    let kinds = KindProfiles::new(&dm, &job.model, &ctx);
 
     let mut comp = Time::ZERO;
     let mut collectives = Time::ZERO;
     let mut weight_bytes_total = Bytes::ZERO;
     for l in 0..job.model.layers {
-        let p = if graph::is_moe_layer(&job.model, l) {
-            // wsc-lint: allow(S001, "is_moe_layer(l) implies first_moe found layer l or earlier, so the MoE profile was built")
-            moe.as_ref().expect("moe profile")
-        } else {
-            // wsc-lint: allow(S001, "a non-MoE layer l implies first_dense found layer l or earlier, so the dense profile was built")
-            dense.as_ref().expect("dense profile")
-        };
+        let (p, _) = kinds.of(&job.model, l);
         comp += (p.fwd_time() + p.bwd_time()).scale(microbatches / row_split);
         weight_bytes_total += p.weight_bytes() * wafer.nx as u64;
         // Activation redistribution: the per-layer collectives run on the

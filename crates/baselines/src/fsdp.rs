@@ -14,8 +14,8 @@ use wsc_mesh::collective::{
     GroupShape,
 };
 use wsc_sim::op_cost::DieModel;
-use wsc_sim::profile::profile_layer;
-use wsc_workload::graph::{self, ShardingCtx};
+use wsc_sim::profile::KindProfiles;
+use wsc_workload::graph::ShardingCtx;
 use wsc_workload::parallel::TpSplitStrategy;
 use wsc_workload::training::TrainingJob;
 
@@ -50,9 +50,9 @@ pub fn compare(wafer: &WaferConfig, job: &TrainingJob, group: usize) -> FsdpComp
     let mut comp = Time::ZERO;
     let mut tp_comm = Time::ZERO;
     let mut fsdp_comm = Time::ZERO;
+    let kinds = KindProfiles::new(&dm, &job.model, &tp_ctx);
     for l in 0..job.model.layers {
-        let ops = graph::layer_ops_at(&job.model, l, &tp_ctx);
-        let p = profile_layer(&dm, &ops);
+        let (p, _) = kinds.of(&job.model, l);
         comp += (p.fwd_time() + p.bwd_time()).scale(n_mb as f64);
         tp_comm += all_reduce_time(
             CollectiveAlgo::RingBi,

@@ -14,7 +14,7 @@ use wsc_arch::units::{Bandwidth, Bytes, FlopRate, Mm, Time};
 use wsc_mesh::collective::flat_all_reduce_time;
 use wsc_pipeline::onefb::{simulate, StageTiming};
 use wsc_sim::op_cost::DieModel;
-use wsc_sim::profile::{profile_layer, LayerProfile, RecomputeMenu};
+use wsc_sim::profile::KindProfiles;
 use wsc_workload::graph::{self, ShardingCtx};
 use wsc_workload::memory;
 use wsc_workload::parallel::TpSplitStrategy;
@@ -101,11 +101,7 @@ pub fn evaluate_gpu(
     let n_mb = job.microbatches(dp);
     let cap = gpu.hbm_per_gpu;
 
-    // Per-stage profile (dense/MoE cached).
-    let first_dense = (0..job.model.layers).find(|&l| !graph::is_moe_layer(&job.model, l));
-    let first_moe = (0..job.model.layers).find(|&l| graph::is_moe_layer(&job.model, l));
-    let dense = first_dense.map(|l| profile_layer(&dm, &graph::layer_ops_at(&job.model, l, &ctx)));
-    let moe = first_moe.map(|l| profile_layer(&dm, &graph::layer_ops_at(&job.model, l, &ctx)));
+    let kinds = KindProfiles::new(&dm, &job.model, &ctx);
 
     let mut timings = Vec::with_capacity(pp);
     let mut worst_comp = Time::ZERO;
@@ -119,18 +115,8 @@ pub fn evaluate_gpu(
         let mut bwd = Time::ZERO;
         let mut comm = Time::ZERO;
         let mut ckpt = Bytes::ZERO;
-        let mut dense_n = 0;
-        let mut moe_n = 0;
         for l in lo..hi {
-            let p = if graph::is_moe_layer(&job.model, l) {
-                moe_n += 1;
-                // wsc-lint: allow(S001, "is_moe_layer(l) implies first_moe found layer l or earlier, so the MoE profile was built")
-                moe.as_ref().expect("moe profile")
-            } else {
-                dense_n += 1;
-                // wsc-lint: allow(S001, "a non-MoE layer l implies first_dense found layer l or earlier, so the dense profile was built")
-                dense.as_ref().expect("dense profile")
-            };
+            let (p, _) = kinds.of(&job.model, l);
             fwd += p.fwd_time();
             bwd += p.bwd_time();
             ckpt += p.full_ckpt_bytes();
@@ -142,13 +128,10 @@ pub fn evaluate_gpu(
             bwd += b_comm;
             comm += f_comm + b_comm;
         }
-        // A kind the model lacks has no profile, and the stage hosts no
-        // layer of it.
-        let kinds: Vec<(&LayerProfile, usize)> = [(&dense, dense_n), (&moe, moe_n)]
-            .into_iter()
-            .filter_map(|(profile, layers)| Some((profile.as_ref()?, layers)))
-            .collect();
-        let menu = RecomputeMenu::for_stage(&kinds);
+        let moe = (lo..hi)
+            .filter(|&l| graph::is_moe_layer(&job.model, l))
+            .count();
+        let menu = kinds.menu((hi - lo - moe, moe));
         // Memory: modelP + in-flight checkpoints, per-GPU recomputation.
         let model_p = memory::model_p_per_die(&job.model, tp, pp, s);
         let in_flight = (pp - s).min(n_mb);

@@ -12,9 +12,9 @@
 //! and seam accounting, never the sharded operator graph) share one set
 //! of profiles:
 //!
-//! * [`LayerData`] per `(plan.tp, plan.strategy)` — the die-simulator
-//!   calls, reused across every `pp` and every stage map the search
-//!   sweeps;
+//! * [`KindProfiles`] per `(plan.tp, plan.strategy)` — one die-simulator
+//!   pass per layer kind, reused across every `pp` and every stage map
+//!   the search sweeps;
 //! * stage-profile vectors per `(plan.tp, plan.pp, plan.strategy,
 //!   microbatches)` — reused by the bound pruner, the evaluator, the GA
 //!   refinement, every rate of a fault sweep, and every
@@ -31,44 +31,49 @@
 //! build, a hash and a shared lock, so every caller prices them
 //! directly.
 //!
-//! All entries are pure functions of their keys, so concurrent lookups
-//! from the parallel search are deterministic: a racing miss computes the
-//! same value, and the first insert wins. Maps are behind `RwLock`s —
-//! the steady state is read-only hits, so waves never serialize on the
-//! cache.
+//! Each entry is built once. Every table maps a key to a shared
+//! `OnceLock` cell: a miss inserts the empty cell under the write lock
+//! and builds the value outside it, so a racing miss on the same key
+//! finds the cell and waits for that one build instead of repeating it,
+//! and each table's build count is a pure function of the keys asked.
+//! No build can deadlock: a stage-profile build asks only the layer
+//! table, and no build waits on another key of its own table. Maps are
+//! behind `RwLock`s — the steady state is read-only hits, so waves never
+//! serialize on the cache.
 //!
 //! ## Degradation and recovery
 //!
 //! Because every entry is a pure function of its key, the cache treats
-//! its own contents as disposable: any shard whose lock was poisoned by
-//! a panicking holder is cleared and rebuilt on demand rather than
-//! trusted (`read_recover`/`write_recover`). Each recovery is counted in
-//! [`CacheStats`], and search checkpoints carry the count, so a resumed
-//! session knows whether its ancestor had already survived cache
-//! degradation. On a panic-free run every counter is zero.
+//! its own contents as disposable: a table whose lock was poisoned by a
+//! panicking holder is cleared and rebuilt on demand rather than
+//! trusted. Each recovery is counted in [`CacheStats`], and search
+//! checkpoints carry the count, so a resumed session knows whether its
+//! ancestor had already survived cache degradation. On a panic-free run
+//! every counter is zero.
 
 use crate::costmodel::PlacementCostModel;
 use crate::placement::{self, PairDemand, Placement};
-use crate::stage::{build_layer_data, build_stage_profiles_with, LayerData, StageProfile};
+use crate::stage::{build_stage_profiles_with, StageProfile};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use wsc_arch::units::{Bandwidth, Bytes, Time};
 use wsc_arch::wafer::WaferConfig;
 use wsc_mesh::collective::{all_reduce_time, CollectiveAlgo, GroupShape};
 use wsc_mesh::topology::Mesh2D;
+use wsc_sim::op_cost::DieModel;
+use wsc_sim::profile::KindProfiles;
 use wsc_workload::parallel::{ParallelPlan, TpSplitStrategy};
 use wsc_workload::training::TrainingJob;
 
 /// Lock a memo map for reading, recovering from poison: a panicking
 /// holder may have left the map half-updated, so recovery does not trust
-/// it — the poison flag is cleared and the shard is reset to empty,
-/// which is always safe because every memo value is a pure function of
-/// its key and will simply be rebuilt on the next miss (wsc-lint rule
-/// S001). [`ProfileCache`] counts these recoveries per shard before
-/// delegating here.
-pub(crate) fn read_recover<T: Default>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+/// it — the poison flag is cleared and the map is reset to empty, which
+/// is always safe because every memo value is a pure function of its key
+/// and will simply be rebuilt on the next miss (wsc-lint rule S001).
+fn read_recover<T: Default>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     if lock.is_poisoned() {
         clear_poisoned(lock);
     }
@@ -76,19 +81,62 @@ pub(crate) fn read_recover<T: Default>(lock: &RwLock<T>) -> RwLockReadGuard<'_, 
 }
 
 /// Write-locking twin of [`read_recover`].
-pub(crate) fn write_recover<T: Default>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+fn write_recover<T: Default>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     if lock.is_poisoned() {
         clear_poisoned(lock);
     }
     lock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Reset a poisoned shard: clear the flag, drop the (possibly
+/// Reset a poisoned map: clear the flag, drop the (possibly
 /// half-written) contents. Racing recoveries both reset to empty, which
 /// is idempotent; a miss rebuilds whatever was lost.
 fn clear_poisoned<T: Default>(lock: &RwLock<T>) {
     lock.clear_poison();
     *lock.write().unwrap_or_else(PoisonError::into_inner) = T::default();
+}
+
+/// One memo table: each key's value is built once, into a cell every
+/// caller of that key shares (see module docs).
+#[derive(Debug)]
+struct Table<K, V> {
+    cells: RwLock<HashMap<K, Arc<OnceLock<V>>>>,
+    /// Poisoned maps cleared by [`Table::get`].
+    recoveries: AtomicUsize,
+}
+
+impl<K, V> Default for Table<K, V> {
+    fn default() -> Self {
+        Table {
+            cells: RwLock::default(),
+            recoveries: AtomicUsize::new(0),
+        }
+    }
+}
+
+impl<K: Eq + Hash, V: Clone> Table<K, V> {
+    /// The value of `key`, built by `build` on the first lookup only. A
+    /// lookup that finds the key's cell still being built waits for that
+    /// build. A poisoned map is counted, cleared and rebuilt on demand;
+    /// racing detectors may both count one event — the counter is a
+    /// diagnostic, exactly zero on any panic-free run.
+    fn get(&self, key: K, build: impl FnOnce() -> V) -> V {
+        if self.cells.is_poisoned() {
+            self.recoveries.fetch_add(1, Ordering::Relaxed);
+        }
+        let hit = read_recover(&self.cells).get(&key).map(Arc::clone);
+        let cell = match hit {
+            Some(cell) => cell,
+            None => Arc::clone(write_recover(&self.cells).entry(key).or_default()),
+        };
+        cell.get_or_init(build).clone()
+    }
+
+    /// Number of keys looked up since the map was last cleared.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        read_recover(&self.cells).len()
+    }
 }
 
 type LayerKey = (usize, TpSplitStrategy);
@@ -109,7 +157,7 @@ fn cost_model_key(mesh: &Mesh2D, tile_w: usize, tile_h: usize, pp_volume: f64) -
 /// search leg on the exploration report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
-    /// Poisoned shards cleared and rebuilt (a candidate panicked while
+    /// Poisoned tables cleared and rebuilt (a candidate panicked while
     /// holding a cache lock).
     pub recoveries: usize,
     /// Always 0: the cache stores nothing that could be corrupted after
@@ -123,11 +171,10 @@ pub struct CacheStats {
 /// reused across architectures or training jobs.
 #[derive(Debug, Default)]
 pub struct ProfileCache {
-    layers: RwLock<HashMap<LayerKey, Arc<LayerData>>>,
-    stages: RwLock<HashMap<StageKey, Arc<Vec<StageProfile>>>>,
-    cost_models: RwLock<HashMap<CostModelKey, Arc<PlacementCostModel>>>,
-    climbs: RwLock<HashMap<ClimbKey, Box<[u32]>>>,
-    recoveries: AtomicUsize,
+    layers: Table<LayerKey, Arc<KindProfiles>>,
+    stages: Table<StageKey, Arc<Vec<StageProfile>>>,
+    cost_models: Table<CostModelKey, Arc<PlacementCostModel>>,
+    climbs: Table<ClimbKey, Option<Arc<[u32]>>>,
 }
 
 impl ProfileCache {
@@ -136,63 +183,58 @@ impl ProfileCache {
         ProfileCache::default()
     }
 
-    /// Poison the stage shard's lock: a throwaway thread panics while
+    /// Poison the stage table's lock: a throwaway thread panics while
     /// holding the write guard, exactly what a candidate panic inside a
-    /// cache miss would do. The next access takes the clear-and-count
+    /// cache lookup would do. The next access takes the clear-and-count
     /// recovery path.
     #[cfg(test)]
     fn poison_stages(&self) {
         let outcome = std::thread::scope(|s| {
             s.spawn(|| {
-                let _hold = self.stages.write().unwrap_or_else(PoisonError::into_inner);
-                panic!("poisoning the stage shard");
+                let _hold = self
+                    .stages
+                    .cells
+                    .write()
+                    .unwrap_or_else(PoisonError::into_inner);
+                panic!("poisoning the stage table");
             })
             .join()
         });
         assert!(outcome.is_err(), "the poisoning thread must panic");
     }
 
-    /// Count a pending poison recovery on `lock` before the accessor
-    /// delegates to [`read_recover`]/[`write_recover`]. Racing detectors
-    /// may both count one event — the counters are diagnostics, and on
-    /// any panic-free run they are exactly zero.
-    fn note_poison<T>(&self, lock: &RwLock<T>) {
-        if lock.is_poisoned() {
-            self.recoveries.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// The degradation counters (see [`CacheStats`]).
     pub fn stats(&self) -> CacheStats {
+        let recoveries = [
+            &self.layers.recoveries,
+            &self.stages.recoveries,
+            &self.cost_models.recoveries,
+            &self.climbs.recoveries,
+        ];
         CacheStats {
-            recoveries: self.recoveries.load(Ordering::Relaxed),
+            recoveries: recoveries.iter().map(|r| r.load(Ordering::Relaxed)).sum(),
             corruptions: 0,
         }
     }
 
-    /// The per-layer-kind simulation results for
-    /// `(plan.tp, plan.strategy)` — the only plan axes the die simulator
-    /// sees.
+    /// The layer-kind profiles for `(plan.tp, plan.strategy)` — the only
+    /// plan axes the die simulator sees.
     pub fn layer_data(
         &self,
         wafer: &WaferConfig,
         job: &TrainingJob,
         plan: &ParallelPlan,
-    ) -> Arc<LayerData> {
-        let key = (plan.tp, plan.strategy);
-        self.note_poison(&self.layers);
-        if let Some(hit) = read_recover(&self.layers).get(&key) {
-            return Arc::clone(hit);
-        }
-        // Build outside the lock: racing misses compute identical values.
-        let built = Arc::new(build_layer_data(wafer, job, &plan.sharding_ctx(job)));
-        Arc::clone(write_recover(&self.layers).entry(key).or_insert(built))
+    ) -> Arc<KindProfiles> {
+        self.layers.get((plan.tp, plan.strategy), || {
+            let dm = DieModel::new(wafer.die.clone(), wafer.dram.bandwidth);
+            Arc::new(KindProfiles::new(&dm, &job.model, &plan.sharding_ctx(job)))
+        })
     }
 
     /// Stage profiles for `(plan.tp, plan.pp, plan.strategy,
-    /// microbatches)`, assembled from cached [`LayerData`]. Stage maps
-    /// and TP spans deliberately do not enter the key — they change how
-    /// collectives and boundaries are *priced*, never the profiles.
+    /// microbatches)`, assembled from the cached [`KindProfiles`]. Stage
+    /// maps and TP spans deliberately do not enter the key — they change
+    /// how collectives and boundaries are *priced*, never the profiles.
     pub fn stage_profiles(
         &self,
         wafer: &WaferConfig,
@@ -201,14 +243,10 @@ impl ProfileCache {
         microbatches: usize,
     ) -> Arc<Vec<StageProfile>> {
         let key = (plan.tp, plan.pp, plan.strategy, microbatches);
-        self.note_poison(&self.stages);
-        if let Some(hit) = read_recover(&self.stages).get(&key) {
-            return Arc::clone(hit);
-        }
-        // Build outside the lock: racing misses compute identical values.
-        let layers = self.layer_data(wafer, job, plan);
-        let built = Arc::new(build_stage_profiles_with(&layers, job, plan, microbatches));
-        Arc::clone(write_recover(&self.stages).entry(key).or_insert(built))
+        self.stages.get(key, || {
+            let kinds = self.layer_data(wafer, job, plan);
+            Arc::new(build_stage_profiles_with(&kinds, job, plan, microbatches))
+        })
     }
 
     /// [`all_reduce_time`], unmemoized: the closed form is cheaper than
@@ -238,12 +276,9 @@ impl ProfileCache {
         pp_volume: f64,
     ) -> Arc<PlacementCostModel> {
         let key = cost_model_key(mesh, tile_w, tile_h, pp_volume);
-        self.note_poison(&self.cost_models);
-        if let Some(hit) = read_recover(&self.cost_models).get(&key) {
-            return Arc::clone(hit);
-        }
-        let built = Arc::new(PlacementCostModel::new(*mesh, tile_w, tile_h, pp_volume));
-        Arc::clone(write_recover(&self.cost_models).entry(key).or_insert(built))
+        self.cost_models.get(key, || {
+            Arc::new(PlacementCostModel::new(*mesh, tile_w, tile_h, pp_volume))
+        })
     }
 
     /// [`placement::optimize_with`] on `model`, memoized by the climb's
@@ -271,41 +306,10 @@ impl ProfileCache {
                 .map(|p| (p.sender, p.helper, p.volume.to_bits()))
                 .collect(),
         );
-        self.note_poison(&self.climbs);
-        if let Some(hit) = read_recover(&self.climbs).get(&key) {
-            return Some(model.placement_of(hit));
-        }
-        // Climb outside the lock: racing misses compute identical values.
-        let slots = placement::climb(model, pp, pairs, seed)?;
-        let placement = model.placement_of(&slots);
-        write_recover(&self.climbs)
-            .entry(key)
-            .or_insert_with(|| slots.into_boxed_slice());
-        Some(placement)
-    }
-
-    /// Number of cached cost models.
-    #[cfg(test)]
-    fn cost_model_entries(&self) -> usize {
-        read_recover(&self.cost_models).len()
-    }
-
-    /// Number of memoized climbs.
-    #[cfg(test)]
-    fn climb_entries(&self) -> usize {
-        read_recover(&self.climbs).len()
-    }
-
-    /// Number of cached stage-profile vectors.
-    #[cfg(test)]
-    fn stage_entries(&self) -> usize {
-        read_recover(&self.stages).len()
-    }
-
-    /// Number of cached layer-data entries.
-    #[cfg(test)]
-    fn layer_entries(&self) -> usize {
-        read_recover(&self.layers).len()
+        let slots = self.climbs.get(key, || {
+            placement::climb(model, pp, pairs, seed).map(Arc::from)
+        })?;
+        Some(model.placement_of(&slots))
     }
 }
 
@@ -322,13 +326,14 @@ mod tests {
         let plan = crate::testutil::megatron_plan(4, 14);
         let cache = ProfileCache::new();
         let cached = cache.stage_profiles(&wafer, &job, &plan, 16);
-        let layers = build_layer_data(&wafer, &job, &plan.sharding_ctx(&job));
-        assert_eq!(*cached, build_stage_profiles_with(&layers, &job, &plan, 16));
+        let dm = DieModel::new(wafer.die.clone(), wafer.dram.bandwidth);
+        let kinds = KindProfiles::new(&dm, &job.model, &plan.sharding_ctx(&job));
+        assert_eq!(*cached, build_stage_profiles_with(&kinds, &job, &plan, 16));
         // Second lookup hits the same Arc.
         let again = cache.stage_profiles(&wafer, &job, &plan, 16);
         assert!(Arc::ptr_eq(&cached, &again));
-        assert_eq!(cache.stage_entries(), 1);
-        assert_eq!(cache.layer_entries(), 1);
+        assert_eq!(cache.stages.len(), 1);
+        assert_eq!(cache.layers.len(), 1);
         assert_eq!(cache.stats(), CacheStats::default(), "pristine cache");
     }
 
@@ -340,15 +345,15 @@ mod tests {
         for pp in [2, 4, 7, 14] {
             cache.stage_profiles(&wafer, &job, &crate::testutil::megatron_plan(4, pp), 8);
         }
-        assert_eq!(cache.stage_entries(), 4);
-        assert_eq!(cache.layer_entries(), 1, "one simulator pass for all pp");
+        assert_eq!(cache.stages.len(), 4);
+        assert_eq!(cache.layers.len(), 1, "one simulator pass for all pp");
         // A different stage map or TP span hits the same profile entry:
         // they change pricing, not profiles.
         let mapped = crate::testutil::megatron_plan(4, 14)
             .with_stage_map(wsc_workload::parallel::StageMap::Balanced { wafers: 2 })
             .with_tp_span(2);
         cache.stage_profiles(&wafer, &job, &mapped, 8);
-        assert_eq!(cache.stage_entries(), 4, "stage map must not enter the key");
+        assert_eq!(cache.stages.len(), 4, "stage map must not enter the key");
     }
 
     #[test]
@@ -360,7 +365,7 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "same key must share one model");
         let c = cache.cost_model(&mesh, 1, 4, 1e8);
         assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(cache.cost_model_entries(), 2);
+        assert_eq!(cache.cost_models.len(), 2);
     }
 
     #[test]
@@ -383,18 +388,18 @@ mod tests {
         };
         let megatron = schedule(Megatron, None, &cache).expect("Config 1 schedules D(1)T(1)P(48)");
         assert!(!megatron.grants.is_empty(), "the climb placed pairs");
-        assert_eq!(cache.climb_entries(), 1);
+        assert_eq!(cache.climbs.len(), 1);
         // At tp = 1 the SequenceParallel twin has the same pairs and
         // pipeline volume, so its climb is the memoized one.
         let twin = schedule(SequenceParallel, None, &cache).expect("the twin schedules too");
-        assert_eq!(cache.climb_entries(), 1);
+        assert_eq!(cache.climbs.len(), 1);
         assert_eq!(twin.placement, megatron.placement);
         // A faulted climb prices a model the table has no key for: it
         // climbs afresh, exactly as on an empty cache, and adds nothing.
         let faults = FaultMap::inject_clustered_faults(wafer.nx, wafer.ny, 0.1, 3);
         let faulted =
             schedule(Megatron, Some(&faults), &cache).expect("the faulted wafer schedules");
-        assert_eq!(cache.climb_entries(), 1);
+        assert_eq!(cache.climbs.len(), 1);
         let fresh = schedule(Megatron, Some(&faults), &ProfileCache::new());
         assert_eq!(Some(&faulted), fresh.as_ref());
         assert_ne!(faulted.placement, megatron.placement);
@@ -429,10 +434,53 @@ mod tests {
             !Arc::ptr_eq(&before, &after),
             "the poisoned shard was cleared, not served as-is"
         );
-        assert_eq!(cache.stage_entries(), 1);
+        assert_eq!(cache.stages.len(), 1);
         let stats = cache.stats();
         assert!(stats.recoveries >= 1, "recovery must be counted");
         assert_eq!(stats.corruptions, 0);
+    }
+
+    #[test]
+    fn a_racing_miss_waits_for_the_one_build() {
+        let table: Table<u32, u32> = Table::default();
+        let builds = AtomicUsize::new(0);
+        let (table, builds) = (&table, &builds);
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel();
+        let holders = || {
+            read_recover(&table.cells)
+                .get(&1)
+                .map_or(0, Arc::strong_count)
+        };
+        std::thread::scope(|s| {
+            let first = s.spawn(move || {
+                table.get(1, || {
+                    started_tx.send(()).expect("the test waits for this build");
+                    release_rx.recv().expect("the test releases this build");
+                    builds.fetch_add(1, Ordering::Relaxed);
+                    7
+                })
+            });
+            started_rx.recv().expect("the first build starts");
+            let second = s.spawn(move || {
+                table.get(1, || {
+                    builds.fetch_add(1, Ordering::Relaxed);
+                    8
+                })
+            });
+            // The table and both callers hold the key's cell, so the
+            // second caller found the cell the first is filling.
+            while holders() < 3 {
+                std::thread::yield_now();
+            }
+            release_tx
+                .send(())
+                .expect("the first build waits for release");
+            assert_eq!(first.join().expect("the first caller returns"), 7);
+            assert_eq!(second.join().expect("the second caller returns"), 7);
+        });
+        assert_eq!(builds.load(Ordering::Relaxed), 1, "one build per key");
+        assert_eq!(table.len(), 1);
     }
 
     #[test]

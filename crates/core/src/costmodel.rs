@@ -15,15 +15,15 @@
 //!   per-call path allocation).
 //!
 //! [`PlacementCostModel::cost_of_slots`] re-sums the whole cost of a
-//! slot assignment from those tables: the pipeline links go into a
-//! bitmap and each pair's γ is a scan of its route fragment. The hill
-//! climb ([`crate::placement::optimize_with`]) and the GA
+//! slot assignment from those tables: the pipeline links are held as
+//! per-link window counts (how many pipeline windows route over each
+//! link) and each pair's γ is a scan of its route fragment against
+//! them. The hill climb ([`crate::placement::optimize_with`]) and the GA
 //! ([`crate::ga::refine_with_model`]) hold a placement as the slot id of
 //! every stage. The GA prices every genome this way, and its Alg. 3
 //! allocation orders helpers by [`PlacementCostModel::dist`]. The climb
-//! re-sums the same terms in the same order, but keeps the pipeline
-//! links as per-link window counts that each move updates for the
-//! windows it touches, instead of rebuilding the bitmap.
+//! re-sums the same terms in the same order, but keeps its window
+//! counts across moves, updating only the windows a move touches.
 //!
 //! Results are **bit-identical** to the naive path: γ is an integer, the
 //! per-term factors (`dist`, `volume`, `pp_volume`) are the exact same
@@ -64,31 +64,6 @@ pub(crate) fn link_id(mesh: &Mesh2D, l: DirLink) -> u32 {
 /// simply stay unused).
 pub(crate) fn link_id_space(mesh: &Mesh2D) -> usize {
     4 * mesh.len()
-}
-
-/// A bitmap over directed-link ids — the allocation-free replacement for
-/// the `HashSet<DirLink>` the naive path rebuilds per call.
-pub(crate) struct LinkSet {
-    words: Vec<u64>,
-}
-
-impl LinkSet {
-    /// An empty set sized for `mesh`.
-    pub(crate) fn new(mesh: &Mesh2D) -> Self {
-        LinkSet {
-            words: vec![0; link_id_space(mesh).div_ceil(64)],
-        }
-    }
-
-    /// Insert a link id.
-    pub(crate) fn insert(&mut self, id: u32) {
-        self.words[id as usize / 64] |= 1u64 << (id % 64);
-    }
-
-    /// Membership test.
-    pub(crate) fn contains(&self, id: u32) -> bool {
-        self.words[id as usize / 64] & (1u64 << (id % 64)) != 0
-    }
 }
 
 /// The memoized XY route between two slots, as directed-link ids.
@@ -308,30 +283,15 @@ impl PlacementCostModel {
     /// [`crate::placement::global_cost`] that prices every GA genome
     /// decode.
     pub fn cost_of_slots(&self, stage_slots: &[u32], pairs: &[PairDemand]) -> f64 {
-        if pairs.is_empty() {
-            return self.sum_cost(stage_slots, pairs, |_| false);
-        }
-        let mut member = LinkSet::new(&self.mesh);
-        for w in stage_slots.windows(2) {
-            for &id in &self.frag(w[0], w[1]).both {
-                member.insert(id);
+        // Only the pair terms read the pipeline links.
+        let mut counts = Vec::new();
+        if !pairs.is_empty() {
+            counts = vec![0; link_id_space(&self.mesh)];
+            for w in stage_slots.windows(2) {
+                self.count_window(&mut counts, w[0], w[1], true);
             }
         }
-        self.sum_cost(stage_slots, pairs, |id| member.contains(id))
-    }
-
-    /// [`Self::cost_of_slots`] with the pipeline link set held as
-    /// `counts`, the number of pipeline windows whose route uses each
-    /// link id in either direction ([`Self::count_window`]). The hill
-    /// climb keeps those counts across its moves instead of rebuilding
-    /// the set per candidate.
-    pub(crate) fn cost_with_window_counts(
-        &self,
-        stage_slots: &[u32],
-        pairs: &[PairDemand],
-        counts: &[u32],
-    ) -> f64 {
-        self.sum_cost(stage_slots, pairs, |id| counts[id as usize] > 0)
+        self.cost_with_window_counts(stage_slots, pairs, &counts)
     }
 
     /// Add the route of the pipeline window `a → b` to `counts` (sized
@@ -346,14 +306,17 @@ impl PlacementCostModel {
         }
     }
 
-    /// The Eq. 2 sum in exactly the naive accumulation order: pipeline
-    /// terms first, then one term per pair, whose γ counts the links of
-    /// its route that `on_pipeline` holds.
-    fn sum_cost(
+    /// [`Self::cost_of_slots`] with the pipeline links held as `counts`,
+    /// the number of pipeline windows whose route uses each link id in
+    /// either direction ([`Self::count_window`]); the hill climb keeps
+    /// them across its moves. The Eq. 2 sum runs in exactly the naive
+    /// accumulation order: pipeline terms first, then one term per pair,
+    /// whose γ counts the links of its route that some window uses.
+    pub(crate) fn cost_with_window_counts(
         &self,
         stage_slots: &[u32],
         pairs: &[PairDemand],
-        on_pipeline: impl Fn(u32) -> bool,
+        counts: &[u32],
     ) -> f64 {
         let mut cost = 0.0;
         for w in stage_slots.windows(2) {
@@ -362,7 +325,7 @@ impl PlacementCostModel {
         for pair in pairs {
             let (s, h) = (stage_slots[pair.sender], stage_slots[pair.helper]);
             let route = &self.frag(s, h).fwd;
-            let gamma = route.iter().filter(|&&id| on_pipeline(id)).count() as f64;
+            let gamma = route.iter().filter(|&&id| counts[id as usize] > 0).count() as f64;
             cost += self.dist(s, h) * pair.volume * (1.0 + gamma);
         }
         cost

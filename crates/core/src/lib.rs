@@ -98,7 +98,7 @@ pub use crate::scheduler::{
     SchedulerOptions, SearchStats,
 };
 pub use crate::serving::ServingModel;
-pub use crate::stage::{LayerData, StageProfile};
+pub use crate::stage::StageProfile;
 pub use crate::stats::{percentile, splitmix64, unit_open, SummaryStats};
 pub use crate::wave::{
     CandidateFailure, Outcome, PlanKey, SearchBudget, TruncationReason, WaveCheckpoint,

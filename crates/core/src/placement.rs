@@ -167,14 +167,21 @@ pub fn serpentine(
     tile_h: usize,
 ) -> Option<Placement> {
     let slots = tile_slots(nx, ny, tile_w, tile_h);
-    if slots.len() < pp {
-        return None;
-    }
+    let ids = serpentine_ids(nx / tile_w, ny / tile_h, pp)?;
     Some(Placement {
-        stages: boustrophedon(nx / tile_w, ny / tile_h)
+        stages: ids.iter().map(|&id| slots[id as usize]).collect(),
+    })
+}
+
+/// The slot ids of the [`serpentine`] placement in a `cols × rows` grid
+/// of [`tile_slots`] (row-major ids), or `None` when the grid has fewer
+/// than `pp` slots.
+fn serpentine_ids(cols: usize, rows: usize, pp: usize) -> Option<Vec<u32>> {
+    (cols * rows >= pp).then(|| {
+        boustrophedon(cols, rows)
             .take(pp)
-            .map(|id| slots[id])
-            .collect(),
+            .map(|id| id as u32)
+            .collect()
     })
 }
 
@@ -305,20 +312,16 @@ pub fn slot_is_dead(mesh: &Mesh2D, faults: &FaultMap, slot: &Rect) -> bool {
 /// lowest slot id), in stage order. Returns `false` when the healthy
 /// slots run out — the pipeline does not fit this wafer.
 ///
-/// Shared verbatim by the table-priced and naive fault-aware hill
-/// climbs so both start from the identical seed placement.
-pub(crate) fn remap_dead_slots(slots: &[Rect], masked: &[bool], placement: &mut Placement) -> bool {
+/// `stage_slots` holds each stage's slot id in `slots`. Shared verbatim
+/// by the table-priced and naive fault-aware hill climbs so both start
+/// from the identical seed.
+fn remap_dead_slots(slots: &[Rect], masked: &[bool], stage_slots: &mut [u32]) -> bool {
     let mut used = vec![false; slots.len()];
-    for st in &placement.stages {
-        if let Some(id) = slots.iter().position(|s| s == st) {
-            used[id] = true;
-        }
+    for &id in stage_slots.iter() {
+        used[id as usize] = true;
     }
-    for i in 0..placement.stages.len() {
-        let cur = match slots.iter().position(|s| *s == placement.stages[i]) {
-            Some(id) => id,
-            None => continue,
-        };
+    for stage in stage_slots.iter_mut() {
+        let cur = *stage as usize;
         if !masked[cur] {
             continue;
         }
@@ -335,7 +338,7 @@ pub(crate) fn remap_dead_slots(slots: &[Rect], masked: &[bool], placement: &mut 
         match best {
             Some((id, _)) => {
                 used[id] = true;
-                placement.stages[i] = slots[id];
+                *stage = id as u32;
             }
             None => return false,
         }
@@ -383,17 +386,13 @@ pub(crate) fn climb(
     seed: u64,
 ) -> Option<Vec<u32>> {
     let mesh = model.mesh();
-    let mut base = serpentine(mesh.nx, mesh.ny, pp, model.tile_w(), model.tile_h())?;
-    if model.has_masked() && !remap_dead_slots(model.slots(), model.masked(), &mut base) {
+    // `slots` holds the incumbent best; rejected candidates are undone,
+    // so it always equals the naive loop's `best`.
+    let mut slots = serpentine_ids(mesh.nx / model.tile_w(), mesh.ny / model.tile_h(), pp)?;
+    if model.has_masked() && !remap_dead_slots(model.slots(), model.masked(), &mut slots) {
         // Dead dies leave fewer healthy slots than pipeline stages.
         return None;
     }
-    // `slots` holds the incumbent best; rejected candidates are undone,
-    // so it always equals the naive loop's `best`.
-    let mut slots = model
-        .slot_ids(&base)
-        // wsc-lint: allow(S001, "the serpentine base placement is generated from the same tile grid the model was built with")
-        .expect("serpentine slots lie on the model's tile grid");
     if pairs.is_empty() && !model.faulted() {
         // No balance traffic: the boustrophedon layout already minimizes
         // the pipeline term (all consecutive stages adjacent). On a
@@ -639,10 +638,13 @@ pub fn optimize_naive(
         Some(f) => slots.iter().map(|s| slot_is_dead(mesh, f, s)).collect(),
         None => Vec::new(),
     };
-    let mut base = serpentine(mesh.nx, mesh.ny, pp, tile_w, tile_h)?;
-    if masked.contains(&true) && !remap_dead_slots(&slots, &masked, &mut base) {
+    let mut ids = serpentine_ids(mesh.nx / tile_w, mesh.ny / tile_h, pp)?;
+    if masked.contains(&true) && !remap_dead_slots(&slots, &masked, &mut ids) {
         return None;
     }
+    let base = Placement {
+        stages: ids.iter().map(|&id| slots[id as usize]).collect(),
+    };
     if pairs.is_empty() && faults.is_none_or(FaultMap::is_empty) {
         // No balance traffic: the boustrophedon layout already minimizes
         // the pipeline term (all consecutive stages adjacent).

@@ -4,16 +4,16 @@
 //! A [`StageProfile`] aggregates, for the layers one stage hosts: compute
 //! times, TP-collective volumes, checkpoint footprints, `modelP`, and the
 //! recomputation menu — everything Alg. 1/2/3 and the evaluator need.
-//! A menu depends only on how many dense and MoE layers a stage hosts,
-//! so the stages of a split that host the same mix share one.
+//! Each layer's numbers come from its kind's entry in a
+//! [`KindProfiles`], so assembling any split is arithmetic. A menu
+//! depends only on how many dense and MoE layers a stage hosts, so the
+//! stages of a split that host the same mix share one.
 
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use wsc_arch::units::{Bytes, Flops, Time};
-use wsc_arch::wafer::WaferConfig;
 use wsc_pipeline::recompute::StageRecomputeInput;
-use wsc_sim::op_cost::DieModel;
-use wsc_sim::profile::{profile_layer, LayerProfile, RecomputeMenu};
+use wsc_sim::profile::{KindProfiles, RecomputeMenu};
 use wsc_workload::graph::{self, ShardingCtx};
 use wsc_workload::memory;
 use wsc_workload::parallel::{ParallelPlan, ParallelSpec};
@@ -71,81 +71,20 @@ impl StageProfile {
     }
 }
 
-/// Per-layer-kind simulation results for one `(tp, strategy)` sharding:
-/// everything about a layer that does not depend on the pipeline split.
-///
-/// Both layer kinds of a model (dense and MoE) are profiled exactly once;
-/// [`crate::cache::ProfileCache::stage_profiles`] then assembles stage
-/// profiles for any `pp` from pure arithmetic over this data, sharing one
-/// `LayerData` across every `pp` the search visits.
-#[derive(Debug, Clone)]
-pub struct LayerData {
-    /// Profile of the dense layer kind (when the model has one).
-    pub dense: Option<LayerProfile>,
-    /// Profile of the MoE layer kind (when the model has one).
-    pub moe: Option<LayerProfile>,
-    /// (fwd, bwd) FLOPs of one dense layer per die per micro-batch.
-    pub dense_flops: (Flops, Flops),
-    /// (fwd, bwd) FLOPs of one MoE layer per die per micro-batch.
-    pub moe_flops: (Flops, Flops),
-}
-
-/// Profile both layer kinds of `job.model` for one `(tp, strategy)`
-/// sharding context (the expensive simulator calls behind a
-/// [`crate::cache::ProfileCache`] miss).
-pub(crate) fn build_layer_data(
-    wafer: &WaferConfig,
-    job: &TrainingJob,
-    ctx: &ShardingCtx,
-) -> LayerData {
-    let dm = DieModel::new(wafer.die.clone(), wafer.dram.bandwidth);
-    let model = &job.model;
-    // Two possible layer kinds: dense and MoE. Profile each kind once —
-    // `layer_ops_at` only branches on the kind, so one representative
-    // layer per kind is exact.
-    let first_dense = (0..model.layers).find(|&l| !graph::is_moe_layer(model, l));
-    let first_moe = (0..model.layers).find(|&l| graph::is_moe_layer(model, l));
-    let flops_of = |l: usize| {
-        let s = graph::summarize(&graph::layer_ops_at(model, l, ctx));
-        (s.fwd_flops, s.bwd_flops)
-    };
-    LayerData {
-        dense: first_dense.map(|l| profile_layer(&dm, &graph::layer_ops_at(model, l, ctx))),
-        moe: first_moe.map(|l| profile_layer(&dm, &graph::layer_ops_at(model, l, ctx))),
-        dense_flops: first_dense
-            .map(flops_of)
-            .unwrap_or((Flops::ZERO, Flops::ZERO)),
-        moe_flops: first_moe
-            .map(flops_of)
-            .unwrap_or((Flops::ZERO, Flops::ZERO)),
-    }
-}
-
-/// Assemble the stage profiles of `plan` from pre-profiled
-/// [`LayerData`]: O(layers) arithmetic, no simulator calls. Only
-/// `plan.tp` and `plan.pp` enter; the strategy is already baked into
-/// `layer_data`. One recomputation menu is built per distinct
+/// Assemble the stage profiles of `plan` from `kinds`, the profiles of
+/// the model's layer kinds under `plan`'s sharding: O(layers)
+/// arithmetic, no simulator calls. Only `plan.tp` and `plan.pp` enter;
+/// the strategy is already baked into `kinds`. Every sum runs over the
+/// stage's layers in order. One recomputation menu is built per distinct
 /// `(dense, MoE)` layer count of the split, a few per plan.
 pub(crate) fn build_stage_profiles_with(
-    layer_data: &LayerData,
+    kinds: &KindProfiles,
     job: &TrainingJob,
     plan: &ParallelPlan,
     microbatches: usize,
 ) -> Vec<StageProfile> {
     let model = &job.model;
     let ParallelSpec { tp, pp, .. } = plan.spec();
-    let dense_profile = &layer_data.dense;
-    let moe_profile = &layer_data.moe;
-    let profile_of = |layer_idx: usize| -> &LayerProfile {
-        if graph::is_moe_layer(model, layer_idx) {
-            // wsc-lint: allow(S001, "build_layer_data profiles the MoE layer kind whenever the model contains one")
-            moe_profile.as_ref().expect("moe profile cached")
-        } else {
-            // wsc-lint: allow(S001, "build_layer_data profiles the dense layer kind whenever the model contains one")
-            dense_profile.as_ref().expect("dense profile cached")
-        }
-    };
-
     let mut menus: Vec<((usize, usize), Arc<RecomputeMenu>)> = Vec::new();
     (0..pp)
         .map(|s| {
@@ -159,10 +98,8 @@ pub(crate) fn build_stage_profiles_with(
             let mut ckpt = Bytes::ZERO;
             let mut fwd_flops = Flops::ZERO;
             let mut bwd_flops = Flops::ZERO;
-            let mut dense_count = 0usize;
-            let mut moe_count = 0usize;
             for l in lo..hi {
-                let p = profile_of(l);
+                let (p, summary) = kinds.of(model, l);
                 fwd_compute += p.fwd_time();
                 bwd_compute += p.bwd_time();
                 fwd_comm += p.fwd_comm();
@@ -170,29 +107,15 @@ pub(crate) fn build_stage_profiles_with(
                 fwd_coll += p.ops.iter().filter(|o| o.fwd_comm > Bytes::ZERO).count();
                 bwd_coll += p.ops.iter().filter(|o| o.bwd_comm > Bytes::ZERO).count();
                 ckpt += p.full_ckpt_bytes();
-                if graph::is_moe_layer(model, l) {
-                    moe_count += 1;
-                } else {
-                    dense_count += 1;
-                }
+                fwd_flops += summary.fwd_flops;
+                bwd_flops += summary.bwd_flops;
             }
-            // FLOPs from the op graph directly (profiles carry times
-            // only). Summed per layer in the same order as before the
-            // per-kind caching, so totals stay bit-identical.
-            for l in lo..hi {
-                let (f, b) = if graph::is_moe_layer(model, l) {
-                    layer_data.moe_flops
-                } else {
-                    layer_data.dense_flops
-                };
-                fwd_flops += f;
-                bwd_flops += b;
-            }
-            let mix = (dense_count, moe_count);
+            let moe = (lo..hi).filter(|&l| graph::is_moe_layer(model, l)).count();
+            let mix = (hi - lo - moe, moe);
             let menu = match menus.iter().find(|(m, _)| *m == mix) {
                 Some((_, menu)) => Arc::clone(menu),
                 None => {
-                    let menu = Arc::new(stage_menu(layer_data, mix));
+                    let menu = Arc::new(kinds.menu(mix));
                     menus.push((mix, Arc::clone(&menu)));
                     menu
                 }
@@ -217,17 +140,6 @@ pub(crate) fn build_stage_profiles_with(
         .collect()
 }
 
-/// The recomputation menu of a stage hosting `dense` dense and `moe` MoE
-/// layers. A kind the model lacks has no profile and contributes nothing,
-/// as does a kind the stage hosts no layer of.
-fn stage_menu(layer_data: &LayerData, (dense, moe): (usize, usize)) -> RecomputeMenu {
-    let kinds: Vec<(&LayerProfile, usize)> = [(&layer_data.dense, dense), (&layer_data.moe, moe)]
-        .into_iter()
-        .filter_map(|(profile, layers)| Some((profile.as_ref()?, layers)))
-        .collect();
-    RecomputeMenu::for_stage(&kinds)
-}
-
 /// The inter-stage boundary tensor per micro-batch (what PP transfers).
 pub fn boundary_bytes(job: &TrainingJob, ctx: &ShardingCtx) -> Bytes {
     graph::layer_input_bytes(&job.model, ctx)
@@ -239,6 +151,8 @@ mod tests {
     use crate::cache::ProfileCache;
     use crate::testutil::megatron_plan;
     use wsc_arch::presets;
+    use wsc_sim::op_cost::DieModel;
+    use wsc_sim::profile::profile_layer;
     use wsc_workload::parallel::TpSplitStrategy;
     use wsc_workload::zoo;
 
@@ -293,15 +207,19 @@ mod tests {
     #[test]
     fn stages_with_one_layer_mix_share_one_menu() {
         // Llama3-70B has dense layers only; GShard-137B alternates dense
-        // and MoE layers, so its stages hold different mixes.
+        // and MoE layers (layer 0 dense, layer 1 MoE), so its stages hold
+        // different mixes.
         let wafer = presets::config(3);
+        let dm = DieModel::new(wafer.die.clone(), wafer.dram.bandwidth);
         for model in [zoo::llama3_70b(), zoo::gshard_137b()] {
             let job = TrainingJob::standard(model);
             let model = &job.model;
             let cache = ProfileCache::new();
             for pp in [1, 2, 3, 4, 5, 7, 8, 12] {
                 let plan = megatron_plan(4, pp);
-                let layers = cache.layer_data(&wafer, &job, &plan);
+                let ctx = plan.sharding_ctx(&job);
+                let profile = |l| profile_layer(&dm, &graph::layer_ops_at(model, l, &ctx));
+                let (dense_profile, moe_profile) = (profile(0), profile(1));
                 let stages = cache.stage_profiles(&wafer, &job, &plan, 16);
                 let mixes: Vec<(usize, usize)> = (0..pp)
                     .map(|s| {
@@ -314,11 +232,11 @@ mod tests {
                     // The menu built for this stage alone.
                     let (dense, moe) = mixes[a];
                     let mut kinds = Vec::new();
-                    if let Some(p) = layers.dense.as_ref().filter(|_| dense > 0) {
-                        kinds.push((p, dense));
+                    if dense > 0 {
+                        kinds.push((&dense_profile, dense));
                     }
-                    if let Some(p) = layers.moe.as_ref().filter(|_| moe > 0) {
-                        kinds.push((p, moe));
+                    if moe > 0 {
+                        kinds.push((&moe_profile, moe));
                     }
                     assert_eq!(*stage.menu, RecomputeMenu::for_stage(&kinds));
                     for (b, other) in stages.iter().enumerate() {

@@ -3,13 +3,18 @@
 //! WATOS pre-profiles every operator of a layer on the target die and
 //! stores latency, DRAM traffic and checkpoint footprint. The iterative
 //! explorers (GCMR's dynamic program, the GA) then query these tables
-//! instead of re-running the detailed simulator. A stage's
-//! [`RecomputeMenu`] turns them into `P(m)`: prefix sums over its
-//! checkpoints, cheapest per byte first, which a query binary-searches.
+//! instead of re-running the detailed simulator. A model's layers come
+//! in at most two kinds ([`PerKind`]), so [`KindProfiles`] profiles and
+//! summarizes each kind once and answers every layer from its kind. A
+//! stage's [`RecomputeMenu`] turns the profiles into `P(m)`: prefix sums
+//! over its checkpoints, cheapest per byte first, which a query
+//! binary-searches.
 
 use crate::op_cost::DieModel;
 use serde::{Deserialize, Serialize};
 use wsc_arch::units::{Bytes, Time};
+use wsc_workload::graph::{layer_ops_at, summarize, LayerSummary, PerKind, ShardingCtx};
+use wsc_workload::model::LlmModel;
 use wsc_workload::ops::{OpInstance, OpKind};
 
 /// Profiled costs of one operator.
@@ -97,6 +102,40 @@ pub fn profile_layer(dm: &DieModel, ops: &[OpInstance]) -> LayerProfile {
     }
 }
 
+/// Each layer kind of a model profiled once on one die under one
+/// sharding: the [`LayerProfile`] and the [`LayerSummary`] of the kind's
+/// first layer, which are those of every layer of the kind.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KindProfiles(PerKind<(LayerProfile, LayerSummary)>);
+
+impl KindProfiles {
+    /// Profile and summarize each layer kind of `model` on `dm` under
+    /// `ctx`: one operator graph and one simulator pass per kind.
+    pub fn new(dm: &DieModel, model: &LlmModel, ctx: &ShardingCtx) -> Self {
+        KindProfiles(PerKind::new(model, |l| {
+            let ops = layer_ops_at(model, l, ctx);
+            (profile_layer(dm, &ops), summarize(&ops))
+        }))
+    }
+
+    /// The profile and summary of layer `idx` of `model`, the model this
+    /// was built for.
+    pub fn of(&self, model: &LlmModel, idx: usize) -> &(LayerProfile, LayerSummary) {
+        self.0.of(model, idx)
+    }
+
+    /// The recomputation menu of a stage hosting `dense` dense and `moe`
+    /// MoE layers. A kind the model lacks contributes nothing, as does a
+    /// kind the stage hosts no layer of.
+    pub fn menu(&self, (dense, moe): (usize, usize)) -> RecomputeMenu {
+        let kinds: Vec<(&LayerProfile, usize)> = [(self.0.dense(), dense), (self.0.moe(), moe)]
+            .into_iter()
+            .filter_map(|(kind, layers)| Some((&kind?.0, layers)))
+            .collect();
+        RecomputeMenu::for_stage(&kinds)
+    }
+}
+
 /// The stage-level recomputation menu: `P(m)` as a lookup table.
 ///
 /// The droppable checkpoints of a stage, sorted by recompute time per
@@ -178,8 +217,8 @@ mod tests {
     use proptest::prelude::*;
     use wsc_arch::presets;
     use wsc_arch::units::Bandwidth;
-    use wsc_workload::graph::{layer_ops_at, ShardingCtx};
     use wsc_workload::parallel::TpSplitStrategy;
+    use wsc_workload::training::TrainingJob;
     use wsc_workload::zoo;
 
     fn profile() -> LayerProfile {
@@ -262,6 +301,61 @@ mod tests {
         assert!(p.bwd_time().as_secs() > p.fwd_time().as_secs());
         assert!(p.full_ckpt_bytes() > Bytes::ZERO);
         assert!(p.fwd_comm() > Bytes::ZERO);
+    }
+
+    #[test]
+    fn every_layer_is_its_kinds_entry() {
+        // Every zoo family: dense, MoE alternating with dense layers
+        // (GShard) and all-MoE (DeepSeek-V3, Qwen3-Next), SSM, diffusion
+        // and recommender.
+        let models = [
+            zoo::llama3_70b(),
+            zoo::gshard_137b(),
+            zoo::deepseek_v3(),
+            zoo::qwen3_next_80b(),
+            zoo::mamba_2_8b(),
+            zoo::sd35_large(),
+            zoo::gr_24(),
+        ];
+        let ctxs = [
+            ShardingCtx::new(1, 4096, 4, TpSplitStrategy::Megatron),
+            ShardingCtx::new(2, 2048, 8, TpSplitStrategy::FullReduction),
+            ShardingCtx::new(1, 8192, 2, TpSplitStrategy::SequenceParallel),
+        ];
+        let dm = DieModel::new(presets::big_die(), Bandwidth::tb_per_s(2.0));
+        for model in &models {
+            for ctx in &ctxs {
+                let kinds = KindProfiles::new(&dm, model, ctx);
+                for l in 0..model.layers {
+                    let ops = layer_ops_at(model, l, ctx);
+                    let (profile, summary) = kinds.of(model, l);
+                    assert_eq!(
+                        *profile,
+                        profile_layer(&dm, &ops),
+                        "{} layer {l}",
+                        model.name
+                    );
+                    assert_eq!(*summary, summarize(&ops), "{} layer {l}", model.name);
+                }
+            }
+            // `flops_per_iter` counts each kind once, and still sums the
+            // layers in order.
+            let job = TrainingJob::standard(model.clone());
+            let ctx = ShardingCtx::new(job.micro_batch, job.seq, 1, TpSplitStrategy::Megatron);
+            let per_mb: f64 = (0..model.layers)
+                .map(|l| {
+                    let s = summarize(&layer_ops_at(model, l, &ctx));
+                    s.fwd_flops.as_f64() + s.bwd_flops.as_f64()
+                })
+                .sum();
+            let mbs = job.global_batch as f64 / job.micro_batch as f64;
+            assert_eq!(
+                job.flops_per_iter().as_f64().to_bits(),
+                (per_mb * mbs).to_bits(),
+                "{}",
+                model.name
+            );
+        }
     }
 
     #[test]

@@ -397,6 +397,57 @@ pub fn is_moe_layer(model: &LlmModel, idx: usize) -> bool {
     }
 }
 
+/// One value per layer kind of a model, built from the kind's first layer.
+///
+/// [`layer_ops_at`] tells a model's layers apart only by
+/// [`is_moe_layer`], so a model has at most two layer kinds, dense and
+/// MoE, and the operators of a kind's first layer are those of every
+/// layer of that kind: anything derived from them holds for the whole
+/// kind. This type owns that rule; everything that profiles or counts a
+/// model per layer asks it instead of building every layer's graph.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PerKind<T> {
+    dense: Option<T>,
+    moe: Option<T>,
+}
+
+impl<T> PerKind<T> {
+    /// `build(l)` at the first layer `l` of each kind `model` has.
+    pub fn new(model: &LlmModel, mut build: impl FnMut(usize) -> T) -> Self {
+        let first = |moe: bool| (0..model.layers).find(|&l| is_moe_layer(model, l) == moe);
+        PerKind {
+            dense: first(false).map(&mut build),
+            moe: first(true).map(build),
+        }
+    }
+
+    /// The value of layer `idx`'s kind.
+    ///
+    /// # Panics
+    ///
+    /// When `model` is not the model this was built for and layer `idx`
+    /// is of a kind that model lacks.
+    pub fn of(&self, model: &LlmModel, idx: usize) -> &T {
+        let kind = if is_moe_layer(model, idx) {
+            &self.moe
+        } else {
+            &self.dense
+        };
+        // wsc-lint: allow(S001, "new built a value for every kind the model has, so each of its layers finds its kind's")
+        kind.as_ref().expect("the model has a layer of this kind")
+    }
+
+    /// The dense kind's value, when the model has a dense layer.
+    pub fn dense(&self) -> Option<&T> {
+        self.dense.as_ref()
+    }
+
+    /// The MoE kind's value, when the model has a MoE layer.
+    pub fn moe(&self) -> Option<&T> {
+        self.moe.as_ref()
+    }
+}
+
 /// Build the operator list of layer `idx`, sized per die per micro-batch.
 pub fn layer_ops_at(model: &LlmModel, idx: usize, ctx: &ShardingCtx) -> Vec<OpInstance> {
     match &model.family {

@@ -8,7 +8,7 @@
 //! + FP32 master weights and two moments (12 B) = **16 bytes per
 //!   parameter**, sharded across TP; layers sharded across PP stages.
 
-use crate::graph::{self, ShardingCtx};
+use crate::graph::{self, PerKind, ShardingCtx};
 use crate::model::LlmModel;
 use serde::{Deserialize, Serialize};
 use wsc_arch::units::Bytes;
@@ -70,11 +70,6 @@ pub fn model_p_total(model: &LlmModel) -> Bytes {
     Bytes::new((model.total_params() * BYTES_PER_PARAM).round() as u64)
 }
 
-/// Full activation-checkpoint bytes per die per micro-batch for one layer.
-pub fn layer_ckpt_per_microbatch(model: &LlmModel, layer: usize, ctx: &ShardingCtx) -> Bytes {
-    graph::summarize(&graph::layer_ops_at(model, layer, ctx)).ckpt_bytes
-}
-
 /// Per-stage memory breakdown under 1F1B (drives Fig. 5c).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StageMemory {
@@ -111,9 +106,10 @@ pub fn stage_memory(
     let (lo, hi) = stage_layer_range(model.layers, pp, stage);
     let layer_params: f64 = (lo..hi).map(|_| model.layer_params()).sum();
     let params = (layer_params + embedding_params(model, pp, stage)) / ctx.tp as f64;
-    let ckpt_per_mb: Bytes = (lo..hi)
-        .map(|l| layer_ckpt_per_microbatch(model, l, ctx))
-        .sum();
+    let ckpt = PerKind::new(model, |l| {
+        graph::summarize(&graph::layer_ops_at(model, l, ctx)).ckpt_bytes
+    });
+    let ckpt_per_mb: Bytes = (lo..hi).map(|l| *ckpt.of(model, l)).sum();
     let in_flight = (pp - stage).min(microbatches.max(1));
     StageMemory {
         stage,

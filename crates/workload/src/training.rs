@@ -1,7 +1,7 @@
 //! Training-job description: batch geometry and iteration-level FLOP
 //! accounting (the throughput metric of §V-A).
 
-use crate::graph::{self, ShardingCtx};
+use crate::graph::{self, PerKind, ShardingCtx};
 use crate::model::LlmModel;
 use crate::parallel::TpSplitStrategy;
 use serde::{Deserialize, Serialize};
@@ -66,12 +66,12 @@ impl TrainingJob {
         // Evaluate the unsharded graph (tp = 1) for one micro-batch and
         // scale by micro-batch count.
         let ctx = ShardingCtx::new(self.micro_batch, self.seq, 1, TpSplitStrategy::Megatron);
-        let per_mb: f64 = (0..self.model.layers)
-            .map(|l| {
-                let s = graph::summarize(&graph::layer_ops_at(&self.model, l, &ctx));
-                s.fwd_flops.as_f64() + s.bwd_flops.as_f64()
-            })
-            .sum();
+        let model = &self.model;
+        let kinds = PerKind::new(model, |l| {
+            let s = graph::summarize(&graph::layer_ops_at(model, l, &ctx));
+            s.fwd_flops.as_f64() + s.bwd_flops.as_f64()
+        });
+        let per_mb: f64 = (0..model.layers).map(|l| kinds.of(model, l)).sum();
         let mbs = self.global_batch as f64 / self.micro_batch as f64;
         Flops::new(per_mb * mbs)
     }
