@@ -176,7 +176,7 @@ fn main() -> ExitCode {
     bench.finish(&BenchReport {
         benchmark: "ga refinement + placement hill climb: incremental cost engine vs naive decode"
             .to_string(),
-        threads: rayon::current_num_threads(),
+        threads: bench.pools()[0],
         presets: entries,
     })
 }

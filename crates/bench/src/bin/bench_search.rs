@@ -2,8 +2,8 @@
 //!
 //! Runs each search sweep per preset both with the production
 //! configuration (analytic pruning + parallel waves) and as the
-//! exhaustive sequential baseline (`sequential` + no-prune) — in the
-//! same process, checks the winners agree, and writes the wall times
+//! exhaustive sequential baseline (no-prune on a one-worker pool) — in
+//! the same process, checks the winners agree, and writes the wall times
 //! plus `SearchStats` to `BENCH_search.json` so the perf trajectory is
 //! tracked from PR to PR. Before any timed run, each selected preset's
 //! pruned search runs once untimed, so no pool pays the process's
@@ -43,7 +43,7 @@ use std::process::ExitCode;
 
 use serde::Serialize;
 use watos::{percentile, ExplorationReport, ParallelPlan, SearchBudget, SearchStats};
-use wsc_bench::driver::{run_timed, use_pool, Bench, Opt, Pools, Spec};
+use wsc_bench::driver::{on_pool, run_timed, Bench, Opt, Pools, Spec};
 use wsc_bench::util::{search_presets, SearchPreset};
 
 const SPEC: Spec = Spec {
@@ -163,8 +163,7 @@ fn time_pruned(presets: &[SearchPreset], pools: &[usize]) -> Vec<Vec<Runs>> {
                 order.reverse();
             }
             for k in order {
-                use_pool(pools[k]);
-                runs[k][i].push(run_timed(preset.builder()));
+                runs[k][i].push(on_pool(pools[k], || run_timed(preset.builder())));
             }
         }
     }
@@ -178,7 +177,7 @@ fn measure(bench: &Bench, preset: &SearchPreset, threads: usize, runs: &Runs) ->
     let secs: Vec<f64> = runs.iter().map(|&(_, t)| t).collect();
     let pruned_secs = percentile(&secs, 0.5);
     let pruned = &runs[0].0;
-    let (exhaustive, exhaustive_secs) = run_timed(preset.builder().sequential().no_prune());
+    let (exhaustive, exhaustive_secs) = on_pool(1, || run_timed(preset.builder().no_prune()));
     let (stats, pw) = preset.leg(pruned);
     let (exhaustive_stats, ew) = preset.leg(&exhaustive);
     if pw != ew {

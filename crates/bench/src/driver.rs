@@ -10,9 +10,9 @@
 //! exits 2. A failed contract ([`Bench::fail`]) still writes the report,
 //! then exits 1.
 
-use std::cell::Cell;
 use std::fmt::{Debug, Display};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use serde::Serialize;
@@ -205,7 +205,7 @@ fn usage(spec: &Spec, presets: &[&str]) -> String {
 pub struct Bench {
     /// The parsed command line.
     pub args: Args,
-    failed: Cell<bool>,
+    failed: AtomicBool,
 }
 
 impl Bench {
@@ -230,7 +230,7 @@ impl Bench {
             .collect();
         let bench = Bench {
             args,
-            failed: Cell::new(false),
+            failed: AtomicBool::new(false),
         };
         (bench, selected)
     }
@@ -239,7 +239,7 @@ impl Bench {
     /// report is written.
     pub fn fail(&self, msg: impl Display) {
         eprintln!("{msg}");
-        self.failed.set(true);
+        self.failed.store(true, Ordering::Relaxed);
     }
 
     /// The pool sizes the run uses: the `--threads` list, or the default
@@ -252,21 +252,20 @@ impl Bench {
         }
     }
 
-    /// Run `sweep` once per pool size, on that pool ([`use_pool`]),
+    /// Run `sweep` once per pool size, on that pool ([`on_pool`]),
     /// handing it the pool size and the entries so far. Then measure the
     /// determinism contract: `answer` maps an entry to its cell and its
     /// answer, and every entry must give the same answer as the first
     /// entry of its cell, or the run fails.
-    pub fn sweep_pools<E, K: PartialEq + Debug, A: PartialEq + Debug>(
+    pub fn sweep_pools<E: Send, K: PartialEq + Debug, A: PartialEq + Debug>(
         &self,
-        mut sweep: impl FnMut(usize, &mut Vec<E>),
+        mut sweep: impl FnMut(usize, &mut Vec<E>) + Send,
         answer: impl Fn(&E) -> (K, A),
     ) -> Vec<E> {
         let mut entries = Vec::new();
         let mut pool_of = Vec::new();
         for t in self.pools() {
-            use_pool(t);
-            sweep(t, &mut entries);
+            on_pool(t, || sweep(t, &mut entries));
             pool_of.resize(entries.len(), t);
         }
         let answers: Vec<(K, A)> = entries.iter().map(answer).collect();
@@ -291,7 +290,7 @@ impl Bench {
             Ok(()) => println!("wrote {path}"),
             Err(e) => self.fail(format!("cannot write {path}: {e}")),
         }
-        if self.failed.get() {
+        if self.failed.load(Ordering::Relaxed) {
             ExitCode::from(1)
         } else {
             ExitCode::SUCCESS
@@ -299,10 +298,14 @@ impl Bench {
     }
 }
 
-/// Run the searches that follow on a `threads`-worker pool: pin
-/// `RAYON_NUM_THREADS`, which the vendored rayon reads at call time.
-pub fn use_pool(threads: usize) {
-    std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
+/// Run `op` on a `threads`-worker pool: every parallel call inside it,
+/// and inside the helpers those calls spawn, uses that many workers.
+pub fn on_pool<R: Send>(threads: usize, op: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("a pool always builds")
+        .install(op)
 }
 
 /// Build and run one search, returning its report and wall seconds (the

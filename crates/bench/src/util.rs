@@ -362,11 +362,7 @@ fn llama3_70b_climb() -> HillClimbPreset {
     let pairs = gcmr(&inputs, wafer.dram.capacity, (160 / pp).clamp(3, 16))
         .mem_pairs
         .iter()
-        .map(|p| PairDemand {
-            sender: p.sender,
-            helper: p.helper,
-            volume: p.bytes.as_f64(),
-        })
+        .map(PairDemand::from)
         .collect();
     HillClimbPreset {
         name: "hillclimb-llama3-70b",

@@ -30,8 +30,9 @@ use crate::scheduler::{
 };
 use crate::serving::ServingModel;
 use crate::wave::{
-    run_items, CandidateFailure, EmitCheckpoint, Outcome, SearchBudget, SessionCtx, WaveCheckpoint,
+    CandidateFailure, EmitCheckpoint, Outcome, SearchBudget, SessionCtx, WaveCheckpoint,
 };
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -39,6 +40,7 @@ use thiserror::Error;
 use wsc_arch::units::{FlopRate, Time};
 use wsc_arch::wafer::{MultiWaferConfig, WaferConfig};
 use wsc_arch::AreaModel;
+use wsc_workload::model::ModelFamily;
 use wsc_workload::parallel::TpSplitStrategy;
 use wsc_workload::training::TrainingJob;
 
@@ -75,6 +77,15 @@ pub enum ExplorationError {
         micro: usize,
         /// Global batch in sequences.
         global: usize,
+    },
+    /// The training job's model has a shape the search would divide by
+    /// zero: no attention heads, or a MoE family with `moe_every: 0`.
+    #[error("model `{model}` is unusable: `{field}` must be at least 1")]
+    InvalidModel {
+        /// Model name.
+        model: String,
+        /// The zero field.
+        field: String,
     },
     /// A fault sweep was requested without any rates.
     #[error("fault sweep requested with no rates; pass at least one rate")]
@@ -223,7 +234,7 @@ pub struct BaselineRecord {
 pub struct ExplorationReport {
     /// The training job explored.
     pub job: TrainingJob,
-    /// RNG seed the run used (placement, GA, fault-sweep maps).
+    /// The session seed the run used ([`SchedulerOptions::seed`]).
     pub seed: u64,
     /// Single-wafer outcomes, in candidate order.
     pub single_wafer: Vec<ArchRecord>,
@@ -460,8 +471,8 @@ impl ExplorerBuilder {
 
     /// Add a multi-wafer node candidate (§VI-F). Each node gets its own
     /// pruned `TP × PP × strategy` wave search, honoring the same
-    /// scheduler options (strategies, `prune`, `sequential`, …) as the
-    /// single-wafer sweep; its instrumentation lands in
+    /// scheduler options (strategies, `prune`, …) as the single-wafer
+    /// sweep; its instrumentation lands in
     /// [`MultiWaferRecord::stats`].
     pub fn multi_wafer(mut self, node: MultiWaferConfig) -> Self {
         self.nodes.push(node);
@@ -536,7 +547,8 @@ impl ExplorerBuilder {
         self
     }
 
-    /// RNG seed for every stochastic component (placement, GA, faults).
+    /// The session seed ([`SchedulerOptions::seed`] says what it
+    /// drives; the GA and a fault-aware ensemble carry their own).
     pub fn seed(mut self, seed: u64) -> Self {
         self.opts_mut().seed = seed;
         self
@@ -625,20 +637,6 @@ impl ExplorerBuilder {
         self
     }
 
-    /// Run three fan-outs sequentially: the candidate fan-out, each
-    /// leg's `TP × PP × strategy` work-list (bound phase and waves) and
-    /// the fault-sweep grid (default: rayon fan-outs). Sets
-    /// [`SchedulerOptions::sequential`], the one knob all three read.
-    /// The GA's population decode ([`SchedulerOptions::ga`], on by
-    /// default) still uses the rayon pool; without this knob, a GA
-    /// nested in a fan-out that holds every worker decodes inline.
-    /// Reports are identical either way; this knob exists for
-    /// debugging, benchmarking and the determinism tests.
-    pub fn sequential(mut self) -> Self {
-        self.opts_mut().sequential = true;
-        self
-    }
-
     /// Disable the analytic lower-bound pruner, forcing the exhaustive
     /// sweep. The report is identical (up to [`SearchStats`] counters);
     /// this knob exists for benchmarking and the equivalence tests.
@@ -668,6 +666,17 @@ impl ExplorerBuilder {
             return Err(ExplorationError::InvalidBatchGeometry {
                 micro: job.micro_batch,
                 global: job.global_batch,
+            });
+        }
+        let zero_field = match job.model.family {
+            _ if job.model.heads == 0 => Some("heads"),
+            ModelFamily::MoeTransformer { moe_every: 0, .. } => Some("moe_every"),
+            _ => None,
+        };
+        if let Some(field) = zero_field {
+            return Err(ExplorationError::InvalidModel {
+                model: job.model.name.clone(),
+                field: field.into(),
             });
         }
         let options = self.options.unwrap_or_default();
@@ -939,12 +948,12 @@ impl Explorer {
         let (single_wafer, keys, multi_wafer) = if self.checkpoints.is_some() || resume.is_some() {
             self.run_checkpointed(&ctx, resume)
         } else {
-            let (single, keys): (Vec<ArchRecord>, Vec<Option<f64>>) =
-                run_items(&self.wafers, self.options.sequential, |w| {
-                    self.explore_one(w, &ctx)
-                })
-                .into_iter()
-                .unzip();
+            let legs: Vec<(ArchRecord, Option<f64>)> = self
+                .wafers
+                .par_iter()
+                .map(|w| self.explore_one(w, &ctx))
+                .collect();
+            let (single, keys) = legs.into_iter().unzip();
             let multi: Vec<MultiWaferRecord> = self
                 .nodes
                 .iter()

@@ -47,7 +47,8 @@ pub struct GaParams {
     pub steps: usize,
     /// Elitism proportion ω ∈ [0, 1].
     pub omega: f64,
-    /// RNG seed.
+    /// RNG seed of the GA's populations; the session seed
+    /// ([`crate::SchedulerOptions::seed`]) does not reach the GA.
     pub seed: u64,
 }
 
@@ -165,18 +166,6 @@ fn plan_t_max(stages: &[StageProfile], plan: &RecomputePlan) -> f64 {
         .fold(0.0f64, f64::max)
 }
 
-/// Grants → Eq. 2 pair demands.
-fn grant_pairs(grants: &[DramGrant]) -> Vec<PairDemand> {
-    grants
-        .iter()
-        .map(|gr| PairDemand {
-            sender: gr.sender,
-            helper: gr.helper,
-            volume: gr.bytes.as_f64(),
-        })
-        .collect()
-}
-
 /// Decode a genome into its Alg. 3 allocation (each sender's helper
 /// queue rotated by its bias gene) and its fitness
 /// `t_max × (1 + GlobalCost / (pp_volume·pp + 1))`, `+inf` when some
@@ -198,7 +187,7 @@ fn decode(ctx: &GaCtx<'_>, g: &Genome) -> (DramAllocation, f64) {
                 &overflow,
                 ctx.spare,
             );
-            let pairs = grant_pairs(&alloc.grants);
+            let pairs: Vec<PairDemand> = alloc.grants.iter().map(PairDemand::from).collect();
             let gc = global_cost(ctx.mesh, &placement, ctx.pp_volume, &pairs, None);
             (alloc, plan_t_max(ctx.stages, &plan), gc)
         }
@@ -213,7 +202,8 @@ fn decode(ctx: &GaCtx<'_>, g: &Genome) -> (DramAllocation, f64) {
             };
             let ids = &g.slots;
             let alloc = allocate_by(|s, h| model.dist(ids[s], ids[h]), bias, overflow, ctx.spare);
-            let gc = model.cost_of_slots(ids, &grant_pairs(&alloc.grants));
+            let pairs: Vec<PairDemand> = alloc.grants.iter().map(PairDemand::from).collect();
+            let gc = model.cost_of_slots(ids, &pairs);
             (alloc, t_max, gc)
         }
     };

@@ -126,6 +126,16 @@ pub(crate) mod testutil {
         megatron_plan(tp, 1).sharding_ctx(job)
     }
 
+    /// `op` on a one-worker pool: every fan-out inside it maps inline
+    /// on this thread, the sequential run a parallel one must match.
+    pub(crate) fn on_one_worker<R: Send>(op: impl FnOnce() -> R + Send) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .expect("a pool always builds")
+            .install(op)
+    }
+
     /// What pruning needs of one plan's lower `bound`, given the `score`
     /// of its evaluation (`None` = the evaluator rejects the plan): a
     /// scheduled plan has a bound, and that bound lowered by the waves'

@@ -341,15 +341,7 @@ fn node_placement_pass(
         ctx.boundary.as_f64(),
     )?;
     // GCMR Mem_pairs (Alg. 2) become the Eq. 2 pair demands (Alg. 3).
-    let pairs: Vec<PairDemand> = gplan
-        .mem_pairs
-        .iter()
-        .map(|p| PairDemand {
-            sender: p.sender,
-            helper: p.helper,
-            volume: p.bytes.as_f64(),
-        })
-        .collect();
+    let pairs: Vec<PairDemand> = gplan.mem_pairs.iter().map(PairDemand::from).collect();
     let outcome = optimize_node(&model, ctx.assignment, &pairs, ctx.seed)?;
     let (overflow, spare) =
         overflow_and_spare(inputs, &gplan.as_recompute_plan(), wafer.dram.capacity);
@@ -548,17 +540,17 @@ pub(crate) fn node_work_list(
 /// [`crate::Explorer`]).
 ///
 /// The [`node_work_list`] runs through the one search-leg loop
-/// (`crate::wave::bounded_search`), honoring `opts.prune` /
-/// `opts.sequential` exactly like the single-wafer search and ranking
-/// by clean iteration time. The result — winner *and* `SearchStats` —
-/// is identical to the exhaustive sequential sweep (`prune: false,
-/// sequential: true`) up to the instrumentation counters, and
-/// byte-identical across thread counts. With the `node_placement` knob
-/// on, every evaluated plan gets the node-level Alg. 3 pass (seeded by
-/// `opts.seed`, so the sweep stays a pure deterministic function of its
-/// inputs); the bound is unchanged — the refined schedule still
-/// dominates it, see [`node_lower_bound`]. Returns the leg outcome and
-/// the counters of the leg's profile cache, which the leg drops.
+/// (`crate::wave::bounded_search`), honoring `opts.prune` exactly like
+/// the single-wafer search and ranking by clean iteration time. The
+/// result — winner *and* `SearchStats` — is identical to the exhaustive
+/// sweep (`prune: false`) on one worker up to the instrumentation
+/// counters, and byte-identical across pool sizes. With the
+/// `node_placement` knob on, every evaluated plan gets the node-level
+/// Alg. 3 pass (seeded by `opts.seed`, so the sweep stays a pure
+/// deterministic function of its inputs); the bound is unchanged — the
+/// refined schedule still dominates it, see [`node_lower_bound`].
+/// Returns the leg outcome and the counters of the leg's profile cache,
+/// which the leg drops.
 pub(crate) fn explore_multi_wafer_impl(
     node: &MultiWaferConfig,
     job: &TrainingJob,
@@ -568,7 +560,7 @@ pub(crate) fn explore_multi_wafer_impl(
     let items = node_work_list(node, job, opts);
     let (leg, cache) = bounded_search(
         &items,
-        opts,
+        opts.prune,
         ctx,
         |it, cache| node_lower_bound(node, job, &it.plan, cache),
         |it, cache| {
@@ -703,7 +695,7 @@ pub(crate) fn wafer_loss_sweep_impl(
 mod tests {
     use super::*;
     use crate::scheduler::SearchStats;
-    use crate::testutil::assert_bound_sound;
+    use crate::testutil::{assert_bound_sound, on_one_worker};
     use wsc_arch::presets;
     use wsc_workload::parallel::TpSplitStrategy;
     use wsc_workload::zoo;
@@ -897,28 +889,22 @@ mod tests {
     #[test]
     fn pruned_search_matches_exhaustive_sweep() {
         // The engine invariant, at the multi-wafer level: prune+parallel,
-        // prune+sequential and no-prune+sequential return the same winner;
-        // pruning only changes the instrumentation counters.
+        // prune on one worker and no-prune on one worker return the same
+        // winner; pruning only changes the instrumentation counters.
         let node = presets::multi_wafer_18();
         let job = TrainingJob::standard(zoo::llama3_405b());
         let pruned = search(&node, &job, &seq_par_opts());
-        let pruned_seq = search(
-            &node,
-            &job,
-            &SchedulerOptions {
-                sequential: true,
-                ..seq_par_opts()
-            },
-        );
-        let exhaustive = search(
-            &node,
-            &job,
-            &SchedulerOptions {
-                prune: false,
-                sequential: true,
-                ..seq_par_opts()
-            },
-        );
+        let pruned_seq = on_one_worker(|| search(&node, &job, &seq_par_opts()));
+        let exhaustive = on_one_worker(|| {
+            search(
+                &node,
+                &job,
+                &SchedulerOptions {
+                    prune: false,
+                    ..seq_par_opts()
+                },
+            )
+        });
         assert_eq!(pruned.best, pruned_seq.best);
         assert_eq!(pruned.stats, pruned_seq.stats);
         assert_eq!(pruned.best, exhaustive.best);
@@ -1164,15 +1150,16 @@ mod tests {
             ..seq_par_opts()
         };
         let pruned = search(&node, &job, &opts);
-        let exhaustive = search(
-            &node,
-            &job,
-            &SchedulerOptions {
-                prune: false,
-                sequential: true,
-                ..opts.clone()
-            },
-        );
+        let exhaustive = on_one_worker(|| {
+            search(
+                &node,
+                &job,
+                &SchedulerOptions {
+                    prune: false,
+                    ..opts.clone()
+                },
+            )
+        });
         assert_eq!(pruned.best, exhaustive.best);
         assert_eq!(pruned.stats.visited, exhaustive.stats.visited);
         assert_eq!(exhaustive.stats.pruned, 0);

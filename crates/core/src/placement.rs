@@ -17,6 +17,7 @@
 //! [`optimize_naive`] is its from-scratch reference on [`global_cost`].
 
 use crate::costmodel::{link_id_space, NodeCostModel, PlacementCostModel};
+use crate::dram_alloc::DramGrant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -24,6 +25,7 @@ use std::collections::HashSet;
 use wsc_arch::fault::FaultMap;
 use wsc_mesh::routing::{path_links, xy_path};
 use wsc_mesh::topology::{DirLink, Mesh2D, NodeId};
+use wsc_pipeline::gcmr::MemPair;
 
 /// Link qualities are floored here when inverting, so a dead link prices
 /// as a `1/0.05 = 20×` detour incentive instead of an infinity that
@@ -202,6 +204,28 @@ pub struct PairDemand {
     pub helper: usize,
     /// Relative communication volume (bytes per iteration).
     pub volume: f64,
+}
+
+/// A GCMR `Mem_pair` (Alg. 2) as the Eq. 2 demand of its hosted bytes.
+impl From<&MemPair> for PairDemand {
+    fn from(p: &MemPair) -> Self {
+        PairDemand {
+            sender: p.sender,
+            helper: p.helper,
+            volume: p.bytes.as_f64(),
+        }
+    }
+}
+
+/// An Alg. 3 grant as the Eq. 2 demand of its granted bytes.
+impl From<&DramGrant> for PairDemand {
+    fn from(g: &DramGrant) -> Self {
+        PairDemand {
+            sender: g.sender,
+            helper: g.helper,
+            volume: g.bytes.as_f64(),
+        }
+    }
 }
 
 /// Build the set of links used by the pipeline paths of a placement.

@@ -35,13 +35,12 @@
 //! whole rate grid, so the configuration's stage profiles are built
 //! exactly once no matter how many (rate, policy) points are evaluated
 //! (the winner's search leg dropped its cache when the leg ended), and
-//! the rate grid runs on
-//! the deterministic `crate::wave::run_items` primitive — parallel under
-//! the engine's order-preserving fan-out, sequential when the options
-//! say so, byte-identical either way.
+//! the rate grid fans out over the rayon pool in input order, so the
+//! sweep is byte-identical at any pool size.
 
 use crate::cache::ProfileCache;
 use crate::scheduler::{evaluate_scheduled, schedule_plan, ScheduledConfig, SchedulerOptions};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use wsc_arch::fault::FaultMap;
 use wsc_arch::wafer::WaferConfig;
@@ -120,7 +119,7 @@ pub(crate) fn fault_sweep_impl(
         ga: None,
         ..opts.clone()
     };
-    crate::wave::run_items(rates, opts.sequential, |&rate| {
+    let point = |&rate: &f64| {
         if kind == FaultKind::Wafer {
             // One wafer, no survivors: expected throughput scales by the
             // survival probability for robust and baseline alike.
@@ -176,12 +175,14 @@ pub(crate) fn fault_sweep_impl(
             link_faults: fm.link_fault_count(),
             die_faults: fm.die_fault_count(),
         }
-    })
+    };
+    rates.par_iter().map(point).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::on_one_worker;
     use rand::rngs::StdRng;
     use rand::{Rng as _, SeedableRng as _};
     use wsc_arch::presets;
@@ -323,18 +324,8 @@ mod tests {
     fn sequential_and_parallel_sweeps_agree() {
         let (wafer, job, cfg) = setup();
         let rates = [0.0, 0.2, 0.4];
-        let par = fault_sweep_impl(&wafer, &job, &cfg, FaultKind::Die, &rates, &sweep_opts(3));
-        let seq = fault_sweep_impl(
-            &wafer,
-            &job,
-            &cfg,
-            FaultKind::Die,
-            &rates,
-            &SchedulerOptions {
-                sequential: true,
-                ..sweep_opts(3)
-            },
-        );
+        let run = || fault_sweep_impl(&wafer, &job, &cfg, FaultKind::Die, &rates, &sweep_opts(3));
+        let (seq, par) = (on_one_worker(run), run());
         assert_eq!(par, seq);
     }
 

@@ -92,10 +92,10 @@ impl PlanFilter {
 /// [`crate::Explorer`]. The Alg. 1 single-wafer sweep honors every
 /// knob; the §VI-F multi-wafer sweep ([`crate::multiwafer`]) honors the
 /// search-shaping knobs (`strategies`, `tp_candidates`, `allow_odd_tp`,
-/// `plans`, `prune`, `sequential`) plus `node_placement` (and, with it
-/// on, `seed`, which drives the node-level Alg. 3 hill climb) but fixes
-/// its evaluator to ring collectives + GCMR, so `collectives`,
-/// `recompute`, `memory_scheduler`, `ga` and `punish` do not affect it.
+/// `plans`, `prune`) plus `node_placement` (and, with it on, `seed`,
+/// which drives the node-level Alg. 3 hill climb) but fixes its
+/// evaluator to ring collectives + GCMR, so `collectives`, `recompute`,
+/// `memory_scheduler`, `ga` and `punish` do not affect it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SchedulerOptions {
     /// TP partition strategies to explore (the set `S` of Alg. 1).
@@ -152,9 +152,12 @@ pub struct SchedulerOptions {
     /// [`crate::ExplorerBuilder::node_placement`]. Ignored by the
     /// single-wafer search (which has its own §IV-C memory scheduler).
     pub node_placement: bool,
-    /// RNG seed for placement optimization and the GA. Reports are a
-    /// pure function of this seed — rerunning with the same seed
-    /// reproduces them byte-for-byte at any thread count.
+    /// The session seed: it drives the §IV-C placement hill climb, the
+    /// node-level Alg. 3 climb (`node_placement`) and the fault-sweep
+    /// maps. The GA draws from [`GaParams::seed`] and a fault-aware
+    /// ensemble from [`crate::FaultEnsemble::seed`], not from this.
+    /// Reports are a pure function of these seeds — rerunning with the
+    /// same ones reproduces them byte-for-byte at any pool size.
     pub seed: u64,
     /// Enable the analytic lower-bound pruner: skip full scheduling of a
     /// `(tp, pp, strategy)` point whenever its compute-plus-ideal-
@@ -165,17 +168,6 @@ pub struct SchedulerOptions {
     /// (builder: [`crate::ExplorerBuilder::no_prune`]) only to measure
     /// the exhaustive sweep or stress the equivalence tests.
     pub prune: bool,
-    /// Run three fan-outs sequentially: the [`crate::Explorer`]'s
-    /// candidate fan-out, the search work-list (its bound phase and its
-    /// bound-ordered ramped waves) and the fault-sweep rate grid
-    /// (default: rayon fan-outs). The GA's population decode (the `ga`
-    /// field, on by default) still uses the rayon pool, so a session
-    /// with the GA on is not single-threaded. With this off, a GA nested
-    /// in a fan-out that holds every worker decodes inline on its leg's
-    /// thread. Results and [`SearchStats`] are identical either way;
-    /// enable (builder: [`crate::ExplorerBuilder::sequential`]) for
-    /// benchmarking baselines and determinism tests.
-    pub sequential: bool,
 }
 
 /// Default RNG seed for the scheduler's stochastic components.
@@ -196,7 +188,6 @@ impl Default for SchedulerOptions {
             node_placement: false,
             seed: DEFAULT_SEED,
             prune: true,
-            sequential: false,
         }
     }
 }
@@ -380,8 +371,7 @@ pub fn schedule_plan(
         RecomputeMode::Naive => (naive_recompute(&inputs, cap), Vec::new()),
         RecomputeMode::Gcmr => {
             let g = gcmr(&inputs, cap, quanta);
-            let pairs = g.mem_pairs.clone();
-            (g.as_recompute_plan(), pairs)
+            (g.as_recompute_plan(), g.mem_pairs)
         }
     };
     if !rplan.feasible {
@@ -390,14 +380,7 @@ pub fn schedule_plan(
 
     // Memory scheduler: placement (+ fine-grained DRAM allocation).
     let pp_volume = boundary_bytes(job, &ctx).as_f64();
-    let pair_demands: Vec<PairDemand> = mem_pairs
-        .iter()
-        .map(|p| PairDemand {
-            sender: p.sender,
-            helper: p.helper,
-            volume: p.bytes.as_f64(),
-        })
-        .collect();
+    let pair_demands: Vec<PairDemand> = mem_pairs.iter().map(PairDemand::from).collect();
     // One cost model per (tile shape, pp_volume) is shared through the
     // cache: the hill climb, the GA refinement, and every other search
     // point with this tile shape reuse its distance tables and memoized
@@ -765,9 +748,9 @@ pub(crate) fn work_list(
 /// The intra-wafer [`ParallelPlan`] space ([`work_list`]) runs through
 /// the one search-leg loop (`crate::wave::bounded_search`), ranked and
 /// bounded by `objective`; the winner — and [`SearchStats`] — is
-/// identical to the exhaustive sequential sweep (`prune: false`,
-/// `sequential: true`) up to the instrumentation counters, and
-/// byte-identical across thread counts. The loop body runs without the
+/// identical to the exhaustive sweep (`prune: false`) on one worker up
+/// to the instrumentation counters, and byte-identical across pool
+/// sizes. The loop body runs without the
 /// GA; with `opts.ga` set, the GA then refines the winner once.
 ///
 /// The fault-aware objective keeps the *clean* bound, which stays sound
@@ -798,7 +781,7 @@ pub(crate) fn explore_impl(
     };
     let (mut leg, cache) = bounded_search(
         &items,
-        opts,
+        opts.prune,
         ctx,
         |it, cache| objective.bound(wafer, job, &it.plan, opts, cache),
         |it, cache| schedule_plan(wafer, job, &it.plan, &inner, None, cache),
@@ -869,7 +852,7 @@ pub fn evaluate_scheduled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::assert_bound_sound;
+    use crate::testutil::{assert_bound_sound, on_one_worker};
     use wsc_arch::presets;
     use wsc_workload::zoo;
 
@@ -934,29 +917,23 @@ mod tests {
 
     #[test]
     fn pruned_search_matches_exhaustive_sweep() {
-        // The tentpole invariant: prune+parallel, prune+sequential and
-        // no-prune+sequential all return the same winner; pruning only
-        // changes the instrumentation counters.
+        // The tentpole invariant: prune+parallel, prune on one worker
+        // and no-prune on one worker all return the same winner; pruning
+        // only changes the instrumentation counters.
         let wafer = presets::config(3);
         let job = TrainingJob::standard(zoo::llama2_30b());
         let pruned = search(&wafer, &job, &quick_opts());
-        let pruned_seq = search(
-            &wafer,
-            &job,
-            &SchedulerOptions {
-                sequential: true,
-                ..quick_opts()
-            },
-        );
-        let exhaustive = search(
-            &wafer,
-            &job,
-            &SchedulerOptions {
-                prune: false,
-                sequential: true,
-                ..quick_opts()
-            },
-        );
+        let pruned_seq = on_one_worker(|| search(&wafer, &job, &quick_opts()));
+        let exhaustive = on_one_worker(|| {
+            search(
+                &wafer,
+                &job,
+                &SchedulerOptions {
+                    prune: false,
+                    ..quick_opts()
+                },
+            )
+        });
         assert_eq!(pruned.best, pruned_seq.best);
         assert_eq!(pruned.stats, pruned_seq.stats);
         assert_eq!(pruned.best, exhaustive.best);
@@ -980,17 +957,18 @@ mod tests {
             objective: RobustObjective::Mean,
         };
         let (pruned, _) = explore_impl(&wafer, &job, &quick_opts(), &fa, &SessionCtx::none());
-        let (exhaustive, _) = explore_impl(
-            &wafer,
-            &job,
-            &SchedulerOptions {
-                prune: false,
-                sequential: true,
-                ..quick_opts()
-            },
-            &fa,
-            &SessionCtx::none(),
-        );
+        let (exhaustive, _) = on_one_worker(|| {
+            explore_impl(
+                &wafer,
+                &job,
+                &SchedulerOptions {
+                    prune: false,
+                    ..quick_opts()
+                },
+                &fa,
+                &SessionCtx::none(),
+            )
+        });
         assert_eq!(pruned.best, exhaustive.best);
         assert_eq!(pruned.stats.visited, exhaustive.stats.visited);
         assert!(pruned.stats.pruned > 0, "{:?}", pruned.stats);
@@ -1120,7 +1098,7 @@ mod tests {
         // Duplicate the strategy list: every (tp, pp) point now appears
         // twice with identical iteration times, so the winner is decided
         // purely by the (tp, pp, strategy index) tie-break. The duplicated
-        // search must agree with the plain one, sequentially and in
+        // search must agree with the plain one, on one worker and in
         // parallel.
         let wafer = presets::config(3);
         let job = TrainingJob::standard(zoo::llama2_30b());
@@ -1130,14 +1108,7 @@ mod tests {
             ..quick_opts()
         };
         let dup_par = search(&wafer, &job, &dup_opts);
-        let dup_seq = search(
-            &wafer,
-            &job,
-            &SchedulerOptions {
-                sequential: true,
-                ..dup_opts
-            },
-        );
+        let dup_seq = on_one_worker(|| search(&wafer, &job, &dup_opts));
         assert_eq!(dup_par.best, dup_seq.best);
         assert_eq!(dup_par.stats, dup_seq.stats);
         // Strategy index 0 wins the tie: identical outcome to the plain

@@ -55,7 +55,6 @@
 //! and is byte-identical to the pre-resilience engine.
 
 use crate::cache::ProfileCache;
-use crate::scheduler::SchedulerOptions;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::any::Any;
@@ -69,12 +68,12 @@ use wsc_workload::parallel::ParallelPlan;
 ///
 /// `visited = pruned + evaluated + skipped` always holds (`skipped` is
 /// nonzero only when a [`SearchBudget`] truncated the run). Counts are
-/// deterministic — independent of thread count and of sequential vs
-/// parallel execution — because pruning decisions are taken against the
-/// incumbent from *completed* waves only. The one exception is a
-/// wall-clock deadline: *where* a deadline lands is inherently machine-
-/// dependent, so a deadline-truncated run promises honest counters and a
-/// valid best-so-far, not cross-machine byte-identity.
+/// deterministic — independent of the pool size, one worker included —
+/// because pruning decisions are taken against the incumbent from
+/// *completed* waves only. The one exception is a wall-clock deadline:
+/// *where* a deadline lands is inherently machine-dependent, so a
+/// deadline-truncated run promises honest counters and a valid
+/// best-so-far, not cross-machine byte-identity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SearchStats {
     /// Work-list points enumerated (feasible tile shapes × strategies).
@@ -340,22 +339,6 @@ impl WorkItem {
 /// thread count) keeps them independent of the machine too.
 pub(crate) const SEARCH_WAVE: usize = 16;
 
-/// Map `items` through `f`, sequentially or with the rayon fan-out.
-/// Output order matches input order either way. Shared with the fault
-/// sweeps in `crate::robust`, which evaluate their rate grids on this
-/// exact primitive so sweep determinism is the engine's determinism.
-pub(crate) fn run_items<T: Sync, R: Send, F: Fn(&T) -> R + Sync>(
-    items: &[T],
-    sequential: bool,
-    f: F,
-) -> Vec<R> {
-    if sequential {
-        items.iter().map(&f).collect()
-    } else {
-        items.par_iter().map(f).collect()
-    }
-}
-
 /// Stringify a caught panic payload (the common `&str` / `String` cases;
 /// anything else gets a placeholder so the failure is still recorded).
 fn panic_payload(e: Box<dyn Any + Send>) -> String {
@@ -390,19 +373,19 @@ fn lower_by_margin(bound: f64) -> f64 {
 /// prune/short-circuit semantics held in one place for both legs.
 ///
 /// Points the caller's static precheck decided ([`WorkItem::decided`])
-/// are never handed to `bound` or `eval`. With `opts.prune` set,
-/// `bound` computes an analytic lower bound on `score` per surviving
-/// point (`None` = statically infeasible, counted as pruned); with it
-/// unset, every point gets a `-inf` bound and the wave loop degenerates
-/// to the exhaustive sweep. `eval` schedules one point; `score` is what
+/// are never handed to `bound` or `eval`. With `prune` set, `bound`
+/// computes an analytic lower bound on `score` per surviving point
+/// (`None` = statically infeasible, counted as pruned); with it unset,
+/// every point gets a `-inf` bound and the wave loop degenerates to the
+/// exhaustive sweep. `eval` schedules one point; `score` is what
 /// the incumbent competes on (lower is better), given the cutoff past
 /// which it may give up and return a non-finite score: the waves pass
 /// the session deadline, the re-derivation of a resumed incumbent
 /// passes `None`. A candidate whose score is not finite — a
 /// deadline-interrupted ensemble, an unserveable plan — is dropped as
 /// unscoreable rather than allowed to win a leg with no finite
-/// competitor. `opts.sequential` picks sequential or fan-out
-/// evaluation. `ctx` carries the resilience layer (budget,
+/// competitor. The bound phase and each wave fan out over the rayon
+/// pool in input order. `ctx` carries the resilience layer (budget,
 /// checkpointing, resume); pass [`SessionCtx::none`] for the seed-era
 /// behavior. Each snapshot carries the leg cache's poison-recovery
 /// count in [`WaveCheckpoint::generation`].
@@ -416,7 +399,7 @@ fn lower_by_margin(bound: f64) -> f64 {
 /// plus the leg's cache.
 pub(crate) fn bounded_search<C: Send>(
     items: &[WorkItem],
-    opts: &SchedulerOptions,
+    prune: bool,
     ctx: &SessionCtx<'_>,
     bound: impl Fn(&WorkItem, &ProfileCache) -> Option<f64> + Sync,
     eval: impl Fn(&WorkItem, &ProfileCache) -> Option<C> + Sync,
@@ -439,17 +422,20 @@ pub(crate) fn bounded_search<C: Send>(
     };
     // Points claimed after the deadline, whose bound never started.
     let unbounded = AtomicUsize::new(0);
-    let bounds: Vec<Option<f64>> = if opts.prune {
-        run_items(items, opts.sequential, |it| {
-            if it.decided {
-                None
-            } else if ctx.past_deadline() {
-                unbounded.fetch_add(1, Ordering::Relaxed);
-                None
-            } else {
-                bound(it, &cache).map(lower_by_margin)
-            }
-        })
+    let bounds: Vec<Option<f64>> = if prune {
+        items
+            .par_iter()
+            .map(|it| {
+                if it.decided {
+                    None
+                } else if ctx.past_deadline() {
+                    unbounded.fetch_add(1, Ordering::Relaxed);
+                    None
+                } else {
+                    bound(it, &cache).map(lower_by_margin)
+                }
+            })
+            .collect()
     } else {
         vec![Some(f64::NEG_INFINITY); items.len()]
     };
@@ -462,7 +448,7 @@ pub(crate) fn bounded_search<C: Send>(
         s.is_finite().then_some((c, s))
     };
     let leg = match unbounded.into_inner() {
-        0 => wave_search(items, &bounds, opts.sequential, &ctx, eval, |&(_, s)| s),
+        0 => wave_search(items, &bounds, &ctx, eval, |&(_, s)| s),
         n => {
             let pruned = bounds.iter().filter(|b| b.is_none()).count() - n;
             bound_phase_cut(items, pruned, &ctx, eval)
@@ -555,7 +541,6 @@ fn resumed_incumbent<C>(
 fn wave_search<C: Send>(
     items: &[WorkItem],
     bounds: &[Option<f64>],
-    sequential: bool,
     ctx: &SessionCtx<'_>,
     eval: impl Fn(&WorkItem, Option<Instant>) -> Option<C> + Sync,
     score: impl Fn(&C) -> f64,
@@ -652,9 +637,10 @@ fn wave_search<C: Send>(
             .collect();
         stats.pruned += (wave_end - idx) - wave.len();
         stats.evaluated += wave.len();
-        let results: Vec<Result<Option<C>, String>> = run_items(&wave, sequential, |&(i, _)| {
-            guarded_eval(&eval, &items[i], ctx.deadline)
-        });
+        let results: Vec<Result<Option<C>, String>> = wave
+            .par_iter()
+            .map(|&(i, _)| guarded_eval(&eval, &items[i], ctx.deadline))
+            .collect();
         for (&(i, bound), res) in wave.iter().zip(results) {
             let cfg = match res {
                 Err(payload) => {
@@ -730,6 +716,7 @@ fn checkpoint_at<C>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::on_one_worker;
     use std::sync::Mutex;
     use wsc_workload::parallel::TpSplitStrategy;
 
@@ -751,7 +738,6 @@ mod tests {
         let r = wave_search(
             &its,
             &bounds,
-            true,
             &SessionCtx::none(),
             |it, _| Some(it.plan.tp as f64),
             |&c: &f64| c,
@@ -774,7 +760,6 @@ mod tests {
         let r = wave_search(
             &its,
             &bounds,
-            true,
             &SessionCtx::none(),
             |it, _| Some(it.plan.tp as f64),
             |&c: &f64| c,
@@ -793,7 +778,6 @@ mod tests {
         let r = wave_search(
             &its,
             &bounds,
-            true,
             &SessionCtx::none(),
             |it, _| Some(it.plan.tp as f64),
             |&c: &f64| c,
@@ -813,7 +797,6 @@ mod tests {
         let r = wave_search(
             &its,
             &bounds,
-            true,
             &SessionCtx::none(),
             |it, _| Some((it.plan.tp, 7.0f64)),
             |c: &(usize, f64)| c.1,
@@ -845,14 +828,9 @@ mod tests {
             Some(it.plan.tp as f64)
         };
         for prune in [true, false] {
-            let opts = SchedulerOptions {
-                prune,
-                sequential: true,
-                ..SchedulerOptions::default()
-            };
             let (r, _) = bounded_search(
                 &its,
-                &opts,
+                prune,
                 &SessionCtx::none(),
                 |it, _| bound(it),
                 |it, _| eval(it),
@@ -880,15 +858,8 @@ mod tests {
             .map(|i| Some(((i * 13) % 11) as f64 - (i % 7) as f64))
             .collect();
         let eval = |it: &WorkItem, _: Option<Instant>| Some(((it.plan.tp * 13) % 11) as f64);
-        let seq = wave_search(&its, &bounds, true, &SessionCtx::none(), eval, |&c: &f64| c);
-        let par = wave_search(
-            &its,
-            &bounds,
-            false,
-            &SessionCtx::none(),
-            eval,
-            |&c: &f64| c,
-        );
+        let run = || wave_search(&its, &bounds, &SessionCtx::none(), eval, |&c: &f64| c);
+        let (seq, par) = (on_one_worker(run), run());
         assert_eq!(seq.best, par.best);
         assert_eq!(seq.stats, par.stats);
         assert_eq!(seq.outcome, par.outcome);
@@ -911,7 +882,6 @@ mod tests {
         let r = wave_search(
             &its,
             &bounds,
-            true,
             &ctx,
             |it, _| Some(it.plan.tp as f64),
             |&c: &f64| c,
@@ -950,7 +920,6 @@ mod tests {
         let r = wave_search(
             &its,
             &bounds,
-            true,
             &ctx,
             |it, _| Some(it.plan.tp as f64),
             |&c: &f64| c,
@@ -989,10 +958,6 @@ mod tests {
         for it in &mut its {
             it.decided = it.plan.tp % 5 == 0;
         }
-        let opts = SchedulerOptions {
-            sequential: true,
-            ..SchedulerOptions::default()
-        };
         let calls = AtomicUsize::new(0);
         let bound = |it: &WorkItem, _: &ProfileCache| {
             calls.fetch_add(1, Ordering::Relaxed);
@@ -1015,7 +980,7 @@ mod tests {
             checkpoints: Some((1, &emit)),
             ..SessionCtx::none()
         };
-        let (full, _) = bounded_search(&its, &opts, &ctx, bound, eval, score);
+        let (full, _) = bounded_search(&its, true, &ctx, bound, eval, score);
         assert_eq!(full.outcome, Outcome::Complete);
         assert_eq!(calls.swap(0, Ordering::Relaxed), 24, "undecided points");
         let cps = std::mem::take(
@@ -1029,7 +994,7 @@ mod tests {
             deadline: Some(Instant::now()),
             ..ctx
         };
-        let (fresh, _) = bounded_search(&its, &opts, &expired, bound, eval, score);
+        let (fresh, _) = bounded_search(&its, true, &expired, bound, eval, score);
         assert_eq!(calls.load(Ordering::Relaxed), 0, "a bound started");
         assert_eq!(fresh.outcome, deadline);
         assert_eq!(fresh.best, None);
@@ -1061,7 +1026,7 @@ mod tests {
             resume: Some(cp),
             ..SessionCtx::none()
         };
-        let (resumed, _) = bounded_search(&its, &opts, &resuming, bound, eval, score);
+        let (resumed, _) = bounded_search(&its, true, &resuming, bound, eval, score);
         assert_eq!(
             calls.load(Ordering::Relaxed),
             0,
@@ -1087,7 +1052,8 @@ mod tests {
     #[test]
     fn panicking_candidates_are_isolated_and_never_win() {
         // The best-scoring point panics; the engine must record it and
-        // crown the runner-up, in sequential and parallel mode alike.
+        // crown the runner-up, on one worker and on the default pool
+        // alike.
         let its = items(10);
         let bounds = vec![Some(f64::NEG_INFINITY); 10];
         let eval = |it: &WorkItem, _: Option<Instant>| {
@@ -1096,8 +1062,8 @@ mod tests {
             }
             Some(it.plan.tp as f64)
         };
-        for sequential in [true, false] {
-            let r = wave_search(&its, &bounds, sequential, &SessionCtx::none(), eval, |&c| c);
+        let run = || wave_search(&its, &bounds, &SessionCtx::none(), eval, |&c| c);
+        for r in [on_one_worker(run), run()] {
             assert_eq!(r.best, Some(1.0), "runner-up wins when the best panics");
             assert_eq!(r.failures.len(), 1);
             assert_eq!(r.failures[0].plan.tp, 0);
@@ -1141,7 +1107,7 @@ mod tests {
             checkpoints: Some((1, &emit)),
             ..SessionCtx::none()
         };
-        let full = wave_search(&its, &bounds, true, &ctx, eval, |&c| c);
+        let full = wave_search(&its, &bounds, &ctx, eval, |&c| c);
         let cps = sink
             .0
             .lock()
@@ -1155,7 +1121,6 @@ mod tests {
             let resumed = wave_search(
                 &its,
                 &bounds,
-                true,
                 &SessionCtx {
                     resume: Some(cp),
                     ..SessionCtx::none()
@@ -1189,14 +1154,13 @@ mod tests {
         // prunes the tail — the evaluation cap, not the pruner, must be
         // what ends the truncated run.
         let eval = |it: &WorkItem, _: Option<Instant>| Some((100 + (it.plan.tp * 5) % 17) as f64);
-        let uninterrupted = wave_search(&its, &bounds, true, &SessionCtx::none(), eval, |&c| c);
+        let uninterrupted = wave_search(&its, &bounds, &SessionCtx::none(), eval, |&c| c);
 
         let sink = Capture::default();
         let emit = |cp: &WaveCheckpoint| sink.push(cp);
         let truncated = wave_search(
             &its,
             &bounds,
-            true,
             &SessionCtx {
                 max_evaluations: Some(4),
                 checkpoints: Some((1, &emit)),
@@ -1220,7 +1184,6 @@ mod tests {
         let resumed = wave_search(
             &its,
             &bounds,
-            true,
             &SessionCtx {
                 resume: Some(&last),
                 ..SessionCtx::none()
@@ -1240,7 +1203,7 @@ mod tests {
     #[test]
     fn every_work_list_has_distinct_keys() {
         use crate::multiwafer::node_work_list;
-        use crate::scheduler::{work_list, PlanFilter};
+        use crate::scheduler::{work_list, PlanFilter, SchedulerOptions};
         use wsc_arch::presets;
         use wsc_arch::wafer::MultiWaferConfig;
         use wsc_workload::training::TrainingJob;

@@ -643,8 +643,8 @@ fn rule_d003(ctx: &RuleCtx<'_>) -> Vec<Finding> {
                     format!(
                         "parallel `{name}` outside the wave engine: rayon's merge tree depends \
                          on scheduling, so the result is only deterministic for exactly \
-                         associative operators; route the reduction through \
-                         `watos::wave::run_items` or an index-ordered `.map().collect()`"
+                         associative operators; collect in input order with \
+                         `.map().collect()` and reduce the collected results in order"
                     ),
                 ));
             }

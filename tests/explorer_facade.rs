@@ -8,6 +8,8 @@ use watos::{
 use wsc_arch::presets;
 use wsc_arch::units::{Bandwidth, Bytes, Time};
 use wsc_arch::wafer::WaferConfig;
+use wsc_bench::driver::on_pool;
+use wsc_workload::model::ModelFamily;
 use wsc_workload::parallel::TpSplitStrategy;
 use wsc_workload::training::TrainingJob;
 use wsc_workload::zoo;
@@ -64,6 +66,49 @@ fn invalid_batch_geometry_is_rejected() {
         ExplorationError::InvalidBatchGeometry {
             micro: 64,
             global: 16
+        }
+    );
+}
+
+#[test]
+fn a_model_without_heads_is_rejected() {
+    // `head_dim` divides the hidden size by the head count.
+    let mut model = zoo::llama2_30b();
+    model.heads = 0;
+    let name = model.name.clone();
+    let err = Explorer::builder()
+        .job(TrainingJob::standard(model))
+        .wafer(presets::config(3))
+        .build()
+        .unwrap_err();
+    assert_eq!(
+        err,
+        ExplorationError::InvalidModel {
+            model: name,
+            field: "heads".into()
+        }
+    );
+}
+
+#[test]
+fn a_moe_model_with_no_moe_layer_interval_is_rejected() {
+    // Which layers are MoE is `idx % moe_every`.
+    let mut model = zoo::gshard_137b();
+    let ModelFamily::MoeTransformer { moe_every, .. } = &mut model.family else {
+        panic!("GShard-137B is a MoE model");
+    };
+    *moe_every = 0;
+    let name = model.name.clone();
+    let err = Explorer::builder()
+        .job(TrainingJob::standard(model))
+        .wafer(presets::config(3))
+        .build()
+        .unwrap_err();
+    assert_eq!(
+        err,
+        ExplorationError::InvalidModel {
+            model: name,
+            field: "moe_every".into()
         }
     );
 }
@@ -205,16 +250,7 @@ fn report_json_captures_every_section() {
 #[test]
 fn parallel_and_sequential_reports_are_byte_identical() {
     let parallel = full_report();
-    let sequential = quick()
-        .wafer(presets::config(3))
-        .wafer(presets::config(4))
-        .multi_wafer(presets::multi_wafer_18())
-        .with_faults([FaultKind::Link, FaultKind::Die], [0.0, 0.2])
-        .seed(7)
-        .sequential()
-        .build()
-        .expect("valid")
-        .run();
+    let sequential = on_pool(1, full_report);
     assert_eq!(parallel, sequential);
     assert_eq!(parallel.to_json(), sequential.to_json());
 }

@@ -2,7 +2,7 @@
 //! `docs/ARCHITECTURE.md`): across randomized fault storms the engine
 //! must return a valid report with every panic isolated, a failed
 //! candidate must never be crowned, a storm must replay byte-identically
-//! in a sequential and a parallel session, killing a session at any
+//! on a one-worker pool and on the default pool, killing a session at any
 //! checkpoint then resuming must reproduce the uninterrupted run
 //! bit-for-bit, a checkpoint from another session must be refused, an
 //! expired deadline must truncate with honest counters, a leg resumed
@@ -29,6 +29,7 @@ use watos::{
 };
 use wsc_arch::presets;
 use wsc_arch::wafer::{MultiWaferConfig, WaferConfig};
+use wsc_bench::driver::on_pool;
 use wsc_serve::{Trace, TraceError};
 use wsc_workload::serving::ServingWorkload;
 use wsc_workload::training::TrainingJob;
@@ -154,7 +155,7 @@ fn small_job(layers: usize) -> TrainingJob {
     TrainingJob::with_batch(model, 8, 2, 1024)
 }
 
-/// The fixture session: one shrunken wafer, no GA, parallel evaluation.
+/// The fixture session: one shrunken wafer, no GA.
 fn fixture(wafer: &WaferConfig, job: &TrainingJob, seed: u64) -> ExplorerBuilder {
     Explorer::builder()
         .job(job.clone())
@@ -163,11 +164,6 @@ fn fixture(wafer: &WaferConfig, job: &TrainingJob, seed: u64) -> ExplorerBuilder
         .seed(seed)
         // Shrunken wafers need not satisfy the full floorplan model.
         .allow_invalid_architectures()
-}
-
-/// The common base session: the fixture, evaluated sequentially.
-fn base(wafer: &WaferConfig, job: &TrainingJob, seed: u64) -> ExplorerBuilder {
-    fixture(wafer, job, seed).sequential()
 }
 
 proptest! {
@@ -186,7 +182,7 @@ proptest! {
         let run = |session: ExplorerBuilder| {
             session.serving_model(storm.clone()).build().expect("valid session").run()
         };
-        let stormy = run(base(&wafer, &job, seed));
+        let stormy = on_pool(1, || run(fixture(&wafer, &job, seed)));
 
         // 1. The engine returned (every panic was isolated) and the
         //    report is still a valid, serializable document.
@@ -210,8 +206,8 @@ proptest! {
         let s = stormy.search_stats();
         prop_assert_eq!(s.visited, s.pruned + s.evaluated + s.skipped);
 
-        // 4. The same storm replays byte-identically in a parallel
-        //    session: failures, counters and winner.
+        // 4. The same storm replays byte-identically on the default
+        //    pool: failures, counters and winner.
         prop_assert_eq!(stormy.to_json(), run(fixture(&wafer, &job, seed)).to_json());
     }
 }
@@ -228,7 +224,7 @@ proptest! {
         let wafer = small_wafer(cfg_idx);
         let job = small_job(layers);
         // A wafer leg, then a node leg: frontiers land on both sides.
-        let session = || base(&wafer, &job, seed).multi_wafer(small_node(&wafer));
+        let session = || fixture(&wafer, &job, seed).multi_wafer(small_node(&wafer));
 
         // The uninterrupted reference run.
         let full = session().build().expect("valid session").run();
@@ -294,7 +290,7 @@ proptest! {
 fn shrunken_fixture_searches_a_real_space() {
     let wafer = small_wafer(2);
     let job = small_job(6);
-    let report = base(&wafer, &job, 42)
+    let report = fixture(&wafer, &job, 42)
         .multi_wafer(small_node(&wafer))
         .build()
         .expect("valid session")
@@ -318,7 +314,7 @@ fn high_rate_storms_actually_produce_incidents() {
         panic_rate: 0.95,
         delay_rate: 0.0,
     };
-    let report = base(&wafer, &job, 7)
+    let report = fixture(&wafer, &job, 7)
         .serving_model(Arc::new(storm))
         .build()
         .expect("valid session")
@@ -333,7 +329,7 @@ fn high_rate_storms_actually_produce_incidents() {
 /// leg boundary whose one completed leg ran on `wafer`.
 fn final_checkpoint(wafer: &WaferConfig, seed: u64) -> SearchCheckpoint {
     let sink = Arc::new(MemorySink::new());
-    base(wafer, &small_job(6), seed)
+    fixture(wafer, &small_job(6), seed)
         .checkpoint_every(1, sink.clone())
         .build()
         .expect("valid session")
@@ -346,7 +342,7 @@ fn final_checkpoint(wafer: &WaferConfig, seed: u64) -> SearchCheckpoint {
 fn resume_refuses_a_checkpoint_from_another_seed() {
     let wafer = small_wafer(2);
     let checkpoint = final_checkpoint(&wafer, 7);
-    let resumed = base(&wafer, &small_job(6), 8)
+    let resumed = fixture(&wafer, &small_job(6), 8)
         .build()
         .expect("valid session")
         .resume(&checkpoint);
@@ -362,7 +358,7 @@ fn resume_refuses_a_checkpoint_from_another_seed() {
 #[test]
 fn resume_refuses_a_checkpoint_from_another_candidate() {
     let checkpoint = final_checkpoint(&small_wafer(2), 7);
-    let resumed = base(&small_wafer(3), &small_job(6), 7)
+    let resumed = fixture(&small_wafer(3), &small_job(6), 7)
         .build()
         .expect("valid session")
         .resume(&checkpoint);
@@ -382,7 +378,7 @@ fn resume_refuses_a_frontier_with_hostile_counters() {
     stats.evaluated = usize::MAX;
     stats.pruned = usize::MAX;
     let wafer = small_wafer(2);
-    let resumed = base(&wafer, &small_job(6), 7)
+    let resumed = fixture(&wafer, &small_job(6), 7)
         .multi_wafer(small_node(&wafer))
         .build()
         .expect("valid session")
@@ -406,7 +402,7 @@ fn resume_refuses_a_malformed_completed_record() {
         .as_mut()
         .expect("the fixture leg finds a winner");
     winner.placement.stages.pop();
-    let resumed = base(&wafer, &small_job(6), 7)
+    let resumed = fixture(&wafer, &small_job(6), 7)
         .fault_aware(FaultEnsemble::clustered(0.2, 2, 11), RobustObjective::Mean)
         .build()
         .expect("valid session")
@@ -444,7 +440,7 @@ fn an_expired_deadline_truncates_with_honest_counters() {
 #[test]
 fn a_deadline_beyond_the_clock_is_no_deadline() {
     let (wafer, job) = (small_wafer(2), small_job(6));
-    let session = || base(&wafer, &job, 42).multi_wafer(small_node(&wafer));
+    let session = || fixture(&wafer, &job, 42).multi_wafer(small_node(&wafer));
     let unbudgeted = session().build().expect("valid session").run().to_json();
     for secs in [1e19, 1e20, 1e300, f64::MAX] {
         let report = session()
@@ -543,7 +539,7 @@ fn real_documents() -> &'static [String; 3] {
     DOCS.get_or_init(|| {
         let wafer = small_wafer(2);
         let sink = Arc::new(MemorySink::new());
-        let report = base(&wafer, &small_job(6), 7)
+        let report = fixture(&wafer, &small_job(6), 7)
             .multi_wafer(small_node(&wafer))
             .checkpoint_every(1, sink.clone())
             .build()

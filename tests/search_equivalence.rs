@@ -2,14 +2,15 @@
 //! across randomized jobs, wafer geometries and seeds, the pruned +
 //! parallel + memoized sweep — single-wafer (Alg. 1) *and* multi-wafer
 //! (§VI-F) — returns a report byte-identical (up to the `SearchStats`
-//! instrumentation) to the exhaustive sequential sweep — same winner,
-//! same iteration time, same parallel spec.
+//! instrumentation) to the exhaustive sweep on a one-worker pool — same
+//! winner, same iteration time, same parallel spec.
 
 use proptest::prelude::*;
 use watos::{ExplorationReport, Explorer, FaultEnsemble, PlanFilter, RobustObjective, SearchStats};
 use wsc_arch::presets;
 use wsc_arch::units::{Bandwidth, Time};
 use wsc_arch::wafer::{MultiWaferConfig, WaferConfig};
+use wsc_bench::driver::on_pool;
 use wsc_workload::training::TrainingJob;
 use wsc_workload::zoo;
 
@@ -49,7 +50,7 @@ fn run(wafer: &WaferConfig, job: &TrainingJob, seed: u64, exhaustive: bool) -> E
         b = b.fault_aware(FaultEnsemble::clustered(0.15, 2, seed), objective);
     }
     if exhaustive {
-        b = b.sequential().no_prune();
+        return on_pool(1, || b.no_prune().build().expect("valid exploration").run());
     }
     b.build().expect("valid exploration").run()
 }
@@ -122,7 +123,7 @@ fn run_node(
         b = b.node_placement();
     }
     if exhaustive {
-        b = b.sequential().no_prune();
+        return on_pool(1, || b.no_prune().build().expect("valid exploration").run());
     }
     b.build().expect("valid exploration").run()
 }

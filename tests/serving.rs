@@ -7,6 +7,7 @@ use proptest::prelude::*;
 use watos::scheduler::SchedulerOptions;
 use watos::{ExplorationError, Explorer, FaultEnsemble, ProfileCache, RobustObjective};
 use wsc_arch::presets;
+use wsc_bench::driver::on_pool;
 use wsc_serve::{
     simulate, PhaseCost, ServingExplorerExt, ServingSlo, SimConfig, SloServingModel, Trace,
 };
@@ -20,7 +21,7 @@ fn small_workload(rate_rps: f64, requests: usize) -> ServingWorkload {
 
 /// The serving bound's pruning contract, end to end: with the analytic
 /// bound active, the wave search must crown exactly the winner the
-/// exhaustive sequential sweep finds.
+/// exhaustive sweep finds on one worker.
 #[test]
 fn pruned_serving_search_equals_exhaustive() {
     let opts = SchedulerOptions {
@@ -28,14 +29,16 @@ fn pruned_serving_search_equals_exhaustive() {
         ..SchedulerOptions::default()
     };
     let build = |exhaustive: bool| {
-        let mut b = Explorer::builder()
+        let b = Explorer::builder()
             .serving(small_workload(8.0, 24), ServingSlo::ttft(1.0))
             .wafer(presets::config(3))
             .options(opts.clone())
             .no_ga()
             .seed(7);
         if exhaustive {
-            b = b.no_prune().sequential();
+            return on_pool(1, || {
+                b.no_prune().build().expect("valid serving search").run()
+            });
         }
         b.build().expect("valid serving search").run()
     };
