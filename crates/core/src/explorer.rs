@@ -71,12 +71,17 @@ pub enum ExplorationError {
         list: String,
     },
     /// The training job's batch geometry is unusable.
-    #[error("invalid batch geometry: micro-batch {micro} must be in 1..=global batch {global}")]
+    #[error(
+        "invalid batch geometry: micro-batch {micro} must be in 1..=global batch {global} \
+         and sequence length {seq} at least 1"
+    )]
     InvalidBatchGeometry {
         /// Sequences per micro-batch.
         micro: usize,
         /// Global batch in sequences.
         global: usize,
+        /// Tokens per sequence.
+        seq: usize,
     },
     /// The training job's model has a shape the search would divide by
     /// zero: no attention heads, or a MoE family with `moe_every: 0`.
@@ -662,10 +667,15 @@ impl ExplorerBuilder {
         if self.wafers.is_empty() && self.nodes.is_empty() {
             return Err(ExplorationError::NoCandidates);
         }
-        if job.micro_batch == 0 || job.global_batch == 0 || job.micro_batch > job.global_batch {
+        if job.micro_batch == 0
+            || job.global_batch == 0
+            || job.micro_batch > job.global_batch
+            || job.seq == 0
+        {
             return Err(ExplorationError::InvalidBatchGeometry {
                 micro: job.micro_batch,
                 global: job.global_batch,
+                seq: job.seq,
             });
         }
         let zero_field = match job.model.family {

@@ -19,15 +19,26 @@ pub fn percentile(samples: &[f64], q: f64) -> f64 {
     if samples.is_empty() {
         return f64::INFINITY;
     }
+    nearest_rank(&sorted(samples), q)
+}
+
+fn sorted(samples: &[f64]) -> Vec<f64> {
     let mut sorted = samples.to_vec();
     sorted.sort_by(f64::total_cmp);
+    sorted
+}
+
+/// [`percentile`] of a non-empty population already in
+/// [`f64::total_cmp`] order.
+fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
     let idx = ((sorted.len() as f64 * q).ceil() as usize).clamp(1, sorted.len()) - 1;
     sorted[idx]
 }
 
 /// The p50/p95/p99 + mean/max digest of one latency (or any scalar)
-/// population. Percentiles use [`percentile`]; the mean sums in slice
-/// order, so the digest is a pure function of the sample sequence.
+/// population. Percentiles equal [`percentile`]'s, read from one sorted
+/// copy; the mean sums in slice order, so the digest is a pure function
+/// of the sample sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SummaryStats {
     /// Number of samples folded in.
@@ -50,12 +61,13 @@ impl SummaryStats {
         if samples.is_empty() {
             return None;
         }
+        let sorted = sorted(samples);
         Some(SummaryStats {
             count: samples.len(),
             mean: samples.iter().sum::<f64>() / samples.len() as f64,
-            p50: percentile(samples, 0.50),
-            p95: percentile(samples, 0.95),
-            p99: percentile(samples, 0.99),
+            p50: nearest_rank(&sorted, 0.50),
+            p95: nearest_rank(&sorted, 0.95),
+            p99: nearest_rank(&sorted, 0.99),
             max: samples.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b)),
         })
     }
@@ -115,6 +127,40 @@ mod tests {
         assert_eq!(a.count, 6);
         assert_eq!(a.max, 0.9);
         assert!(a.p50 <= a.p95 && a.p95 <= a.p99 && a.p99 <= a.max);
+    }
+
+    #[test]
+    fn digest_percentiles_equal_percentile() {
+        let special = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for case in 0..500u64 {
+            let word = |i: u64| splitmix64(case, i);
+            let len = 1 + (word(0) % 64) as usize;
+            // Draws from a few values, so duplicates are common.
+            let pool: Vec<f64> = (1..=8)
+                .map(|i| match word(i) % 3 {
+                    0 => special[(word(i + 100) % special.len() as u64) as usize],
+                    _ => unit_open(word(i + 200)) * 4.0 - 2.0,
+                })
+                .collect();
+            let samples: Vec<f64> = (0..len as u64)
+                .map(|i| pool[(word(1000 + i) % 8) as usize])
+                .collect();
+            let digest = SummaryStats::from_samples(&samples).unwrap();
+            for (got, q) in [(digest.p50, 0.50), (digest.p95, 0.95), (digest.p99, 0.99)] {
+                assert_eq!(
+                    got.to_bits(),
+                    percentile(&samples, q).to_bits(),
+                    "{samples:?} at {q}"
+                );
+            }
+        }
     }
 
     #[test]

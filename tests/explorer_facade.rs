@@ -55,19 +55,34 @@ fn empty_strategy_list_is_rejected() {
 
 #[test]
 fn invalid_batch_geometry_is_rejected() {
-    let job = TrainingJob::with_batch(zoo::llama2_30b(), 16, 64, 4096);
-    let err = Explorer::builder()
-        .job(job)
-        .wafer(presets::config(3))
-        .build()
-        .unwrap_err();
+    let build = |global, micro, seq| {
+        let job = TrainingJob::with_batch(zoo::llama2_30b(), global, micro, seq);
+        Explorer::builder()
+            .job(job)
+            .wafer(presets::config(3))
+            .build()
+            .unwrap_err()
+    };
+    assert_eq!(
+        build(16, 64, 4096),
+        ExplorationError::InvalidBatchGeometry {
+            micro: 64,
+            global: 16,
+            seq: 4096
+        }
+    );
+    // The sharding context would clamp a zero-token sequence to one
+    // token and score that job instead.
+    let err = build(16, 4, 0);
     assert_eq!(
         err,
         ExplorationError::InvalidBatchGeometry {
-            micro: 64,
-            global: 16
+            micro: 4,
+            global: 16,
+            seq: 0
         }
     );
+    assert!(err.to_string().contains("sequence length 0"), "{err}");
 }
 
 #[test]
