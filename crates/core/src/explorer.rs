@@ -30,7 +30,7 @@ use crate::scheduler::{
 };
 use crate::serving::ServingModel;
 use crate::wave::{
-    CandidateFailure, EmitCheckpoint, Outcome, SearchBudget, SessionCtx, WaveCheckpoint,
+    CandidateFailure, Cutoff, EmitCheckpoint, Outcome, SearchBudget, SessionCtx, WaveCheckpoint,
 };
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -1093,9 +1093,13 @@ impl Explorer {
     /// no feasible schedule or scores non-finite.
     fn rescore(&self, rec: &ArchRecord) -> Option<f64> {
         let cfg = rec.best.as_ref().filter(|c| c.report.feasible)?;
-        let key = self
-            .objective
-            .score(&rec.wafer, &self.job, cfg, &ProfileCache::new(), None);
+        let key = self.objective.score(
+            &rec.wafer,
+            &self.job,
+            cfg,
+            &ProfileCache::new(),
+            Cutoff::NONE,
+        );
         key.is_finite().then_some(key)
     }
 

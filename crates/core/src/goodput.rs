@@ -35,11 +35,16 @@
 //! bound that exceeds the incumbent's ensemble score proves the
 //! candidate cannot win. The `search_equivalence` proptests pin
 //! pruned ≡ exhaustive byte-identity with the fault axes enabled.
+//!
+//! The same incumbent also ends a candidate's ensemble early: once the
+//! samples scored so far prove its aggregate *strictly* above the
+//! incumbent of the search's completed waves, it has lost, and the
+//! remaining samples are skipped.
 
 use crate::cache::ProfileCache;
 use crate::scheduler::{evaluate_scheduled, ScheduledConfig};
+use crate::wave::Cutoff;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 use thiserror::Error;
 use wsc_arch::fault::FaultMap;
 use wsc_arch::units::Time;
@@ -175,6 +180,27 @@ impl RobustObjective {
             RobustObjective::P95 => crate::stats::percentile(samples, 0.95),
         }
     }
+
+    /// Whether `prefix`, the first samples of an ensemble of `samples`
+    /// in sample order, proves the aggregate of the whole ensemble
+    /// strictly above `incumbent`, whatever the remaining samples are
+    /// (NaN included). Samples are effective seconds: non-negative, or
+    /// `INFINITY` for an infeasible wafer.
+    ///
+    /// * `Worst`: one sample is above the incumbent, so the max is.
+    /// * `P95`: more samples are above than the nearest rank skips (the
+    ///   `samples − rank` largest), so the ranked sample is above too.
+    /// * `Mean`: the slice-order prefix sum over `samples` is already
+    ///   above. Non-negative terms never lower a float sum, so the full
+    ///   sum, and its mean, can only be larger.
+    pub(crate) fn exceeds(&self, prefix: &[f64], samples: usize, incumbent: f64) -> bool {
+        let above = || prefix.iter().filter(|&&s| s > incumbent).count();
+        match self {
+            RobustObjective::Worst => above() > 0,
+            RobustObjective::P95 => above() + crate::stats::rank(samples, 0.95) > samples,
+            RobustObjective::Mean => prefix.iter().sum::<f64>() / samples as f64 > incumbent,
+        }
+    }
 }
 
 /// A seeded Monte-Carlo population of clustered-defect wafers plus the
@@ -208,15 +234,18 @@ impl FaultEnsemble {
     /// function of the ensemble parameters and the grid.
     pub fn sample_maps(&self, nx: usize, ny: usize) -> Vec<FaultMap> {
         (0..self.samples)
-            .map(|i| {
-                FaultMap::inject_clustered_faults(
-                    nx,
-                    ny,
-                    self.rate,
-                    crate::stats::splitmix64(self.seed, i as u64),
-                )
-            })
+            .map(|i| self.sample_map(i, nx, ny))
             .collect()
+    }
+
+    /// Sample `i` of [`FaultEnsemble::sample_maps`].
+    fn sample_map(&self, i: usize, nx: usize, ny: usize) -> FaultMap {
+        FaultMap::inject_clustered_faults(
+            nx,
+            ny,
+            self.rate,
+            crate::stats::splitmix64(self.seed, i as u64),
+        )
     }
 }
 
@@ -252,17 +281,19 @@ pub fn ensemble_effective_secs(
     objective: RobustObjective,
     cache: &ProfileCache,
 ) -> f64 {
-    ensemble_effective_secs_within(wafer, job, cfg, ensemble, objective, cache, None)
+    ensemble_effective_secs_within(wafer, job, cfg, ensemble, objective, cache, Cutoff::NONE)
 }
 
-/// [`ensemble_effective_secs`] with an optional wall-clock cutoff: the
-/// fault-aware score loops over every ensemble sample, which for large
-/// ensembles is the single most expensive step of a candidate
-/// evaluation — an anytime search must be able to bail out of it
-/// mid-candidate. Past the cutoff the remaining samples are not
-/// evaluated and the score degrades to `INFINITY`, which the search
-/// treats as "candidate not scored" (it keeps its incumbent and the next
-/// wave boundary honors the deadline).
+/// [`ensemble_effective_secs`] under a [`Cutoff`]: the fault-aware
+/// score loops over every ensemble sample, the most expensive step of a
+/// candidate evaluation, and stops early on either of the cutoff's two
+/// grounds. Past the deadline an anytime search bails out
+/// mid-candidate; once the samples so far prove the aggregate strictly
+/// above the incumbent ([`RobustObjective::exceeds`]) the candidate has
+/// lost. Either way the remaining samples are not evaluated and the
+/// score is `INFINITY`, which the search treats as "candidate not
+/// scored": it keeps its incumbent, and the next wave boundary honors
+/// the deadline. An uncut score is bit for bit the full aggregate.
 pub(crate) fn ensemble_effective_secs_within(
     wafer: &WaferConfig,
     job: &TrainingJob,
@@ -270,39 +301,51 @@ pub(crate) fn ensemble_effective_secs_within(
     ensemble: &FaultEnsemble,
     objective: RobustObjective,
     cache: &ProfileCache,
-    cutoff: Option<Instant>,
+    cutoff: Cutoff,
 ) -> f64 {
-    per_sample_secs(wafer, job, cfg, ensemble, cache, cutoff).map_or(f64::INFINITY, |per_sample| {
-        objective.aggregate_secs(&per_sample)
-    })
+    per_sample_secs(wafer, job, cfg, ensemble, objective, cache, cutoff)
+        .map_or(f64::INFINITY, |per_sample| {
+            objective.aggregate_secs(&per_sample)
+        })
 }
 
 /// The effective seconds of `cfg` on every ensemble sample, in sample
-/// order; `None` once the wall-clock `cutoff` passes.
+/// order, each sample's map drawn only when it is scored; `None` when
+/// the cutoff stops the loop ([`until_cut`]).
 fn per_sample_secs(
     wafer: &WaferConfig,
     job: &TrainingJob,
     cfg: &ScheduledConfig,
     ensemble: &FaultEnsemble,
+    objective: RobustObjective,
     cache: &ProfileCache,
-    cutoff: Option<Instant>,
+    cutoff: Cutoff,
 ) -> Option<Vec<f64>> {
-    let mut per_sample = Vec::with_capacity(ensemble.samples);
-    for m in ensemble.sample_maps(wafer.nx, wafer.ny) {
-        // wsc-lint: allow(D004, "the anytime deadline must be able to interrupt the per-sample ensemble loop; an expired cutoff degrades the score to INFINITY rather than blocking past the budget")
-        if cutoff.is_some_and(|dl| Instant::now() >= dl) {
+    until_cut(objective, ensemble.samples, cutoff, |i| {
+        let map = ensemble.sample_map(i, wafer.nx, wafer.ny);
+        effective_iteration_secs(wafer, job, cfg, &map, &ensemble.checkpoint, cache)
+    })
+}
+
+/// The ensemble loop: `sample(i)` for every sample `i < samples`, in
+/// order, or `None` as soon as the cutoff's deadline has passed or the
+/// values so far prove `objective`'s aggregate strictly above its
+/// incumbent ([`RobustObjective::exceeds`]), before the next sample
+/// is drawn.
+fn until_cut(
+    objective: RobustObjective,
+    samples: usize,
+    cutoff: Cutoff,
+    mut sample: impl FnMut(usize) -> f64,
+) -> Option<Vec<f64>> {
+    let mut values = Vec::with_capacity(samples);
+    for i in 0..samples {
+        if cutoff.past_deadline() || objective.exceeds(&values, samples, cutoff.incumbent) {
             return None;
         }
-        per_sample.push(effective_iteration_secs(
-            wafer,
-            job,
-            cfg,
-            &m,
-            &ensemble.checkpoint,
-            cache,
-        ));
+        values.push(sample(i));
     }
-    Some(per_sample)
+    Some(values)
 }
 
 /// Ensemble goodput of `cfg` in useful FLOP/s: the clean iteration's
@@ -323,7 +366,8 @@ pub fn ensemble_goodput(
         return Err(GoodputError::EmptySamples);
     }
     // No cutoff, so every sample is scored.
-    let per_sample = per_sample_secs(wafer, job, cfg, ensemble, cache, None).unwrap_or_default();
+    let per_sample = per_sample_secs(wafer, job, cfg, ensemble, objective, cache, Cutoff::NONE)
+        .unwrap_or_default();
     let infeasible = per_sample.iter().filter(|s| !s.is_finite()).count();
     if infeasible == per_sample.len() {
         return Err(GoodputError::AllSamplesInfeasible {
@@ -347,6 +391,7 @@ pub fn ensemble_goodput(
 mod tests {
     use super::*;
     use crate::scheduler::{schedule_plan, SchedulerOptions};
+    use std::time::Instant;
     use wsc_arch::presets;
     use wsc_workload::parallel::{ParallelPlan, TpSplitStrategy};
     use wsc_workload::zoo;
@@ -509,6 +554,99 @@ mod tests {
         assert!(err.to_string().contains("infeasible"), "{err}");
     }
 
+    /// One objective's score of `values` through the ensemble loop under
+    /// `incumbent`; `None` when the loop cut it.
+    fn cut_score(objective: RobustObjective, values: &[f64], incumbent: f64) -> Option<f64> {
+        let cutoff = Cutoff {
+            incumbent,
+            ..Cutoff::NONE
+        };
+        until_cut(objective, values.len(), cutoff, |i| values[i])
+            .map(|all| objective.aggregate_secs(&all))
+    }
+
+    /// Whether a candidate scoring `aggregate` could still tie or beat
+    /// `incumbent` (never, when either is NaN).
+    fn could_win(aggregate: f64, incumbent: f64) -> bool {
+        aggregate <= incumbent
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn the_cut_never_drops_a_score_at_or_below_the_incumbent(
+            seed in 0u64..u64::MAX,
+            n in 1usize..48,
+        ) {
+            let mut index = 0u64;
+            let mut word = || {
+                index += 1;
+                crate::stats::splitmix64(seed, index)
+            };
+            // Effective seconds drawn from a few values, so ties and
+            // samples exactly at the cutoff are common, with 0, +inf
+            // and NaN (of either sign) among them.
+            let special = [0.0, f64::INFINITY, f64::NAN, -f64::NAN];
+            let pool: Vec<f64> = (0..6)
+                .map(|_| match word() % 3 {
+                    0 => special[(word() % 4) as usize],
+                    _ => crate::stats::unit_open(word()) * 8.0,
+                })
+                .collect();
+            let values: Vec<f64> = (0..n).map(|_| pool[(word() % 6) as usize]).collect();
+            for objective in [
+                RobustObjective::Mean,
+                RobustObjective::Worst,
+                RobustObjective::P95,
+            ] {
+                let exact = objective.aggregate_secs(&values);
+                // A cutoff equal to the exact score never cuts, so a tie
+                // still reaches the key tie-break; no cutoff never cuts.
+                for incumbent in [exact, f64::INFINITY] {
+                    let uncut = cut_score(objective, &values, incumbent);
+                    proptest::prop_assert_eq!(
+                        uncut.map(f64::to_bits),
+                        Some(exact.to_bits()),
+                        "{:?} of {:?} cut at {}", objective, values, incumbent
+                    );
+                }
+                let drawn = values[(word() % n as u64) as usize];
+                let above = exact + crate::stats::unit_open(word());
+                for incumbent in [drawn, pool[(word() % 6) as usize], above, 0.0, f64::NAN] {
+                    // An uncut score is the aggregate over all samples,
+                    // bit for bit; a cut one could not have won.
+                    match cut_score(objective, &values, incumbent) {
+                        Some(score) => proptest::prop_assert_eq!(
+                            score.to_bits(),
+                            exact.to_bits(),
+                            "{:?} of {:?} at {}", objective, values, incumbent
+                        ),
+                        None => proptest::prop_assert!(
+                            !could_win(exact, incumbent),
+                            "{:?} cut {:?} (aggregate {}) at {}",
+                            objective, values, exact, incumbent
+                        ),
+                    }
+                    // A prefix that cuts completes to an aggregate above
+                    // the cutoff, with its own tail or with all zeros.
+                    for k in 0..=n {
+                        if objective.exceeds(&values[..k], n, incumbent) {
+                            let mut zeros = values[..k].to_vec();
+                            zeros.resize(n, 0.0);
+                            for tail in [&values, &zeros] {
+                                let aggregate = objective.aggregate_secs(tail);
+                                proptest::prop_assert!(
+                                    !could_win(aggregate, incumbent),
+                                    "{:?}: prefix {:?} cut at {} but {:?} aggregates to {}",
+                                    objective, &values[..k], incumbent, tail, aggregate
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn expired_cutoff_degrades_the_ensemble_score_to_infinity() {
         let (wafer, job, cfg) = setup();
@@ -521,7 +659,7 @@ mod tests {
             &ensemble,
             RobustObjective::Mean,
             &cache,
-            None,
+            Cutoff::NONE,
         );
         assert!(finite.is_finite());
         let expired = Instant::now() - std::time::Duration::from_secs(1);
@@ -532,7 +670,10 @@ mod tests {
             &ensemble,
             RobustObjective::Mean,
             &cache,
-            Some(expired),
+            Cutoff {
+                deadline: Some(expired),
+                ..Cutoff::NONE
+            },
         );
         assert_eq!(cut, f64::INFINITY, "past the deadline no score is produced");
     }

@@ -27,10 +27,9 @@ use crate::goodput::{ensemble_effective_secs_within, FaultEnsemble, RobustObject
 use crate::placement::{self, PairDemand, Placement};
 use crate::serving::ServingModel;
 use crate::stage::{boundary_bytes, StageProfile};
-use crate::wave::{bounded_search, LegOutcome, Outcome, SessionCtx, WorkItem};
+use crate::wave::{bounded_search, Cutoff, LegOutcome, Outcome, SessionCtx, WorkItem};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use std::time::Instant;
 use wsc_arch::fault::FaultMap;
 use wsc_arch::units::{Bandwidth, Bytes, Time};
 use wsc_arch::wafer::WaferConfig;
@@ -676,16 +675,20 @@ impl Objective {
         }
     }
 
-    /// The score `cfg` competes on; lower is better. Past `cutoff` the
-    /// fault-aware ensemble loop stops and scores `INFINITY`, which the
-    /// search drops as unscoreable.
+    /// The score `cfg` competes on; lower is better. Only the
+    /// fault-aware ensemble loop reads `cutoff`: past its deadline, or
+    /// once the samples so far prove the aggregate strictly above its
+    /// incumbent (`RobustObjective::exceeds`), the loop stops and scores
+    /// `INFINITY`, which the search drops as unscoreable. The incumbent
+    /// is a score the caller already holds, so a cut candidate could
+    /// not have won; [`Cutoff::NONE`] scores in full.
     pub(crate) fn score(
         &self,
         wafer: &WaferConfig,
         job: &TrainingJob,
         cfg: &ScheduledConfig,
         cache: &ProfileCache,
-        cutoff: Option<Instant>,
+        cutoff: Cutoff,
     ) -> f64 {
         match self {
             Objective::Clean => cfg.report.iteration.as_secs(),
@@ -773,10 +776,8 @@ pub(crate) fn explore_impl(
         ga: None,
         ..opts.clone()
     };
-    // The engine hands the ensemble loop its cutoff: the session
-    // deadline in the waves, none when it re-derives a resumed
-    // incumbent.
-    let score = |cfg: &ScheduledConfig, cache: &ProfileCache, cutoff: Option<Instant>| {
+    // The engine hands the ensemble loop its cutoff (`Cutoff`).
+    let score = |cfg: &ScheduledConfig, cache: &ProfileCache, cutoff: Cutoff| {
         objective.score(wafer, job, cfg, cache, cutoff)
     };
     let (mut leg, cache) = bounded_search(
@@ -789,8 +790,10 @@ pub(crate) fn explore_impl(
     );
 
     // GA refinement of the winner, kept only when it wins on the same
-    // score the search ranked by. A truncated leg skips it: refinement
-    // is unbudgeted work, and anytime semantics promise best-so-far.
+    // score the search ranked by (`rscore <= bscore`), so its score may
+    // stop once it is provably above the winner's. A truncated leg
+    // skips it: refinement is unbudgeted work, and anytime semantics
+    // promise best-so-far.
     if opts.ga.is_some() && leg.outcome == Outcome::Complete {
         if let Some((b, bscore)) = leg.best.take() {
             // The winner's tile and pipeline volume key the cost model
@@ -801,7 +804,11 @@ pub(crate) fn explore_impl(
                     let pp_volume = boundary_bytes(job, &b.plan.sharding_ctx(job)).as_f64();
                     let model = cache.cost_model(&mesh, tile.w, tile.h, pp_volume);
                     let refined = ga_refine(wafer, job, b.clone(), opts, &model, None, &cache);
-                    let rscore = score(&refined, &cache, ctx.deadline);
+                    let cutoff = Cutoff {
+                        deadline: ctx.deadline,
+                        incumbent: bscore,
+                    };
+                    let rscore = score(&refined, &cache, cutoff);
                     if rscore <= bscore {
                         (refined, rscore)
                     } else {
@@ -945,47 +952,54 @@ mod tests {
 
     #[test]
     fn fault_aware_search_matches_exhaustive_sweep() {
-        // Clean-bound pruning stays sound when candidates are ranked by
-        // ensemble effective seconds: the pruned fault-aware search and
-        // the exhaustive one return the identical winner.
+        // Clean-bound pruning and the cut above the incumbent stay sound
+        // when candidates are ranked by ensemble effective seconds: for
+        // every objective, the pruned fault-aware search and the
+        // exhaustive one, which never cuts, return the identical winner,
+        // scored as the uncut public entry point scores it.
         use crate::goodput::ensemble_effective_secs;
         let wafer = presets::config(3);
         let job = TrainingJob::standard(zoo::llama2_30b());
-        let ensemble = FaultEnsemble::clustered(0.2, 3, 11);
-        let fa = Objective::FaultAware {
-            ensemble: ensemble.clone(),
-            objective: RobustObjective::Mean,
-        };
-        let (pruned, _) = explore_impl(&wafer, &job, &quick_opts(), &fa, &SessionCtx::none());
-        let (exhaustive, _) = on_one_worker(|| {
-            explore_impl(
+        let ensemble = FaultEnsemble::clustered(0.2, 4, 11);
+        for objective in [
+            RobustObjective::Mean,
+            RobustObjective::Worst,
+            RobustObjective::P95,
+        ] {
+            let fa = Objective::FaultAware {
+                ensemble: ensemble.clone(),
+                objective,
+            };
+            let (pruned, _) = explore_impl(&wafer, &job, &quick_opts(), &fa, &SessionCtx::none());
+            let (exhaustive, _) = on_one_worker(|| {
+                explore_impl(
+                    &wafer,
+                    &job,
+                    &SchedulerOptions {
+                        prune: false,
+                        ..quick_opts()
+                    },
+                    &fa,
+                    &SessionCtx::none(),
+                )
+            });
+            assert_eq!(pruned.best, exhaustive.best, "{objective:?}");
+            assert_eq!(pruned.stats.visited, exhaustive.stats.visited);
+            assert!(pruned.stats.pruned > 0, "{objective:?}: {:?}", pruned.stats);
+            let (best, score) = pruned.best.expect("feasible");
+            let uncut = ensemble_effective_secs(
                 &wafer,
                 &job,
-                &SchedulerOptions {
-                    prune: false,
-                    ..quick_opts()
-                },
-                &fa,
-                &SessionCtx::none(),
-            )
-        });
-        assert_eq!(pruned.best, exhaustive.best);
-        assert_eq!(pruned.stats.visited, exhaustive.stats.visited);
-        assert!(pruned.stats.pruned > 0, "{:?}", pruned.stats);
-        let (best, score) = pruned.best.expect("feasible");
-        // The ensemble score the winner was ranked by dominates its
-        // clean iteration time (the pruning-soundness inequality).
-        let cache = ProfileCache::new();
-        let s = ensemble_effective_secs(
-            &wafer,
-            &job,
-            &best,
-            &ensemble,
-            RobustObjective::Mean,
-            &cache,
-        );
-        assert_eq!(s, score);
-        assert!(s >= best.report.iteration.as_secs());
+                &best,
+                &ensemble,
+                objective,
+                &ProfileCache::new(),
+            );
+            assert_eq!(uncut.to_bits(), score.to_bits(), "{objective:?}");
+            // The ensemble score the winner was ranked by dominates its
+            // clean iteration time (the pruning-soundness inequality).
+            assert!(score >= best.report.iteration.as_secs());
+        }
     }
 
     /// A serving model whose score reads the cache: the clean iteration
@@ -1044,7 +1058,8 @@ mod tests {
                 let opts = SchedulerOptions { ga, ..quick_opts() };
                 let (leg, _) = explore_impl(&wafer, &job, &opts, objective, &SessionCtx::none());
                 let (best, score) = leg.best.expect("feasible");
-                let fresh = objective.score(&wafer, &job, &best, &ProfileCache::new(), None);
+                let fresh =
+                    objective.score(&wafer, &job, &best, &ProfileCache::new(), Cutoff::NONE);
                 assert_eq!(
                     score.to_bits(),
                     fresh.to_bits(),

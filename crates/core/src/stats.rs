@@ -31,14 +31,20 @@ fn sorted(samples: &[f64]) -> Vec<f64> {
 /// [`percentile`] of a non-empty population already in
 /// [`f64::total_cmp`] order.
 fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
-    let idx = ((sorted.len() as f64 * q).ceil() as usize).clamp(1, sorted.len()) - 1;
-    sorted[idx]
+    sorted[rank(sorted.len(), q) - 1]
+}
+
+/// The 1-based nearest rank of the `q`-quantile in a population of
+/// `len >= 1` samples: `ceil(len * q)`, clamped to `1..=len`.
+pub(crate) fn rank(len: usize, q: f64) -> usize {
+    ((len as f64 * q).ceil() as usize).clamp(1, len)
 }
 
 /// The p50/p95/p99 + mean/max digest of one latency (or any scalar)
-/// population. Percentiles equal [`percentile`]'s, read from one sorted
-/// copy; the mean sums in slice order, so the digest is a pure function
-/// of the sample sequence.
+/// population. Percentiles and the max are read from one copy sorted by
+/// [`f64::total_cmp`], so they agree on NaN (the max is
+/// [`percentile`]`(samples, 1.0)`); the mean sums in slice order, so the
+/// digest is a pure function of the sample sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SummaryStats {
     /// Number of samples folded in.
@@ -51,7 +57,7 @@ pub struct SummaryStats {
     pub p95: f64,
     /// 99th percentile (nearest-rank).
     pub p99: f64,
-    /// Largest sample.
+    /// Largest sample in the percentiles' total order.
     pub max: f64,
 }
 
@@ -68,7 +74,7 @@ impl SummaryStats {
             p50: nearest_rank(&sorted, 0.50),
             p95: nearest_rank(&sorted, 0.95),
             p99: nearest_rank(&sorted, 0.99),
-            max: samples.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b)),
+            max: nearest_rank(&sorted, 1.0),
         })
     }
 }
@@ -153,7 +159,12 @@ mod tests {
                 .map(|i| pool[(word(1000 + i) % 8) as usize])
                 .collect();
             let digest = SummaryStats::from_samples(&samples).unwrap();
-            for (got, q) in [(digest.p50, 0.50), (digest.p95, 0.95), (digest.p99, 0.99)] {
+            for (got, q) in [
+                (digest.p50, 0.50),
+                (digest.p95, 0.95),
+                (digest.p99, 0.99),
+                (digest.max, 1.0),
+            ] {
                 assert_eq!(
                     got.to_bits(),
                     percentile(&samples, q).to_bits(),

@@ -24,6 +24,10 @@
 //!   pruned. Every bound is first lowered by [`BOUND_MARGIN`] so float
 //!   rounding cannot lift a bound above the score it bounds, and debug
 //!   builds check `bound <= score` on every evaluated candidate.
+//! * **Cut above the incumbent.** A score call may stop once it
+//!   provably lands strictly above the incumbent of the completed waves
+//!   (see [`Cutoff`]); the candidate has lost, so no winner or counter
+//!   moves.
 //! * **Ramped waves.** Wave widths ramp `1, 2, 4, 8, 16, 16, …`
 //!   ([`SEARCH_WAVE`] caps the width). The first wave used to evaluate
 //!   16 points with no incumbent at all; since the work-list is sorted
@@ -48,8 +52,8 @@
 //! [`WaveCheckpoint`] to a receiver closure; resuming from one
 //! restores the cursor, the counters and the failure log, re-derives the
 //! incumbent by re-evaluating its key (evaluation is a pure function,
-//! and the re-derivation scores without the deadline cutoff, so an
-//! expired deadline cannot drop it), and provably converges to the same
+//! and the re-derivation scores without a [`Cutoff`], so an expired
+//! deadline cannot drop it), and provably converges to the same
 //! winner as the uninterrupted run.
 //! A run with no budget and no checkpointing takes none of these paths
 //! and is byte-identical to the pre-resilience engine.
@@ -273,8 +277,45 @@ impl SessionCtx<'_> {
 
     /// Whether the wall-clock deadline has passed (never, without one).
     fn past_deadline(&self) -> bool {
-        // wsc-lint: allow(D004, "the anytime deadline is the one place library code must read the wall clock; results stay best-so-far-valid and the counters stay honest, as documented on SearchStats")
-        self.deadline.is_some_and(|dl| Instant::now() >= dl)
+        passed(self.deadline)
+    }
+}
+
+/// Whether `deadline` has passed (never, without one).
+fn passed(deadline: Option<Instant>) -> bool {
+    // wsc-lint: allow(D004, "the anytime deadline is the one place library code must read the wall clock; results stay best-so-far-valid and the counters stay honest, as documented on SearchStats")
+    deadline.is_some_and(|dl| Instant::now() >= dl)
+}
+
+/// The point past which a candidate's `score` may give up and return
+/// `INFINITY`, which the waves drop as unscoreable: the deadline and
+/// the incumbent, in one value. The waves pass the session deadline and
+/// the best score of the completed waves, fixed before each wave
+/// starts, so which candidates are cut does not depend on the thread
+/// count. Exhaustive mode passes no incumbent, and the re-derivation of
+/// a resumed incumbent passes [`Cutoff::NONE`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Cutoff {
+    /// Wall-clock deadline; once it passes no further work starts.
+    pub deadline: Option<Instant>,
+    /// The score to beat (`INFINITY` = none). A candidate whose score
+    /// is provably *strictly* above it cannot win: the leg already
+    /// holds a better score, and the wave filter already put the
+    /// candidate's bound at or below it. A score equal to it is never
+    /// cut, so ties still reach the key tie-break.
+    pub incumbent: f64,
+}
+
+impl Cutoff {
+    /// Score in full: no deadline and no incumbent.
+    pub const NONE: Cutoff = Cutoff {
+        deadline: None,
+        incumbent: f64::INFINITY,
+    };
+
+    /// Whether the deadline has passed (never, without one).
+    pub fn past_deadline(&self) -> bool {
+        passed(self.deadline)
     }
 }
 
@@ -378,17 +419,22 @@ fn lower_by_margin(bound: f64) -> f64 {
 /// (`None` = statically infeasible, counted as pruned); with it unset,
 /// every point gets a `-inf` bound and the wave loop degenerates to the
 /// exhaustive sweep. `eval` schedules one point; `score` is what
-/// the incumbent competes on (lower is better), given the cutoff past
-/// which it may give up and return a non-finite score: the waves pass
-/// the session deadline, the re-derivation of a resumed incumbent
-/// passes `None`. A candidate whose score is not finite — a
-/// deadline-interrupted ensemble, an unserveable plan — is dropped as
-/// unscoreable rather than allowed to win a leg with no finite
-/// competitor. The bound phase and each wave fan out over the rayon
-/// pool in input order. `ctx` carries the resilience layer (budget,
-/// checkpointing, resume); pass [`SessionCtx::none`] for the seed-era
-/// behavior. Each snapshot carries the leg cache's poison-recovery
-/// count in [`WaveCheckpoint::generation`].
+/// the incumbent competes on (lower is better), given the [`Cutoff`]
+/// past which it may give up and return `INFINITY`. The waves pass the
+/// session deadline and, in the pruned mode, the best score of the
+/// completed waves: a score that provably lands strictly above that
+/// incumbent can stop early, since the candidate cannot win. The
+/// exhaustive mode passes no incumbent and the re-derivation of a
+/// resumed incumbent passes [`Cutoff::NONE`], so neither ever cuts,
+/// and pruned ≡ exhaustive also pins the cut. No answer moves: the
+/// best score after each wave is the same with or without the cut, so
+/// the pruning decisions, the counters and the winner are too. A
+/// candidate whose score is not finite is dropped (see
+/// [`wave_search`]). The bound phase and each wave fan out over the
+/// rayon pool in input order. `ctx` carries the resilience layer
+/// (budget, checkpointing, resume); pass [`SessionCtx::none`] for the
+/// seed-era behavior. Each snapshot carries the leg cache's
+/// poison-recovery count in [`WaveCheckpoint::generation`].
 ///
 /// The deadline is also checked as each bound is claimed: once it has
 /// passed no bound starts, and the leg ends before its first wave
@@ -403,7 +449,7 @@ pub(crate) fn bounded_search<C: Send>(
     ctx: &SessionCtx<'_>,
     bound: impl Fn(&WorkItem, &ProfileCache) -> Option<f64> + Sync,
     eval: impl Fn(&WorkItem, &ProfileCache) -> Option<C> + Sync,
-    score: impl Fn(&C, &ProfileCache, Option<Instant>) -> f64 + Sync,
+    score: impl Fn(&C, &ProfileCache, Cutoff) -> f64 + Sync,
 ) -> (LegOutcome<(C, f64)>, ProfileCache) {
     let cache = ProfileCache::new();
     // Snapshots carry the poison recoveries of the cache the leg owns.
@@ -439,19 +485,27 @@ pub(crate) fn bounded_search<C: Send>(
     } else {
         vec![Some(f64::NEG_INFINITY); items.len()]
     };
-    let eval = |it: &WorkItem, cutoff: Option<Instant>| {
+    let eval = |it: &WorkItem, cutoff: Cutoff| {
         if it.decided {
             return None;
         }
         let c = eval(it, &cache)?;
+        let cutoff = if prune {
+            cutoff
+        } else {
+            Cutoff {
+                incumbent: f64::INFINITY,
+                ..cutoff
+            }
+        };
         let s = score(&c, &cache, cutoff);
-        s.is_finite().then_some((c, s))
+        Some((c, s))
     };
     let leg = match unbounded.into_inner() {
         0 => wave_search(items, &bounds, &ctx, eval, |&(_, s)| s),
         n => {
             let pruned = bounds.iter().filter(|b| b.is_none()).count() - n;
-            bound_phase_cut(items, pruned, &ctx, eval)
+            bound_phase_cut(items, pruned, &ctx, eval, |&(_, s)| s)
         }
     };
     (leg, cache)
@@ -461,18 +515,19 @@ pub(crate) fn bounded_search<C: Send>(
 /// so every point neither the precheck nor its bound pruned (`pruned`
 /// of them were) is skipped. A resumed leg keeps its snapshot's
 /// counters and failure log, re-derives its incumbent as the wave loop
-/// does (without the deadline cutoff), and skips what those counters
-/// leave unaccounted. The cut emits no snapshot: a cursor indexes the
-/// full bound order, which the cut leg never built.
+/// does (without a cutoff), and skips what those counters leave
+/// unaccounted. The cut emits no snapshot: a cursor indexes the full
+/// bound order, which the cut leg never built.
 fn bound_phase_cut<C>(
     items: &[WorkItem],
     pruned: usize,
     ctx: &SessionCtx<'_>,
-    eval: impl Fn(&WorkItem, Option<Instant>) -> Option<C>,
+    eval: impl Fn(&WorkItem, Cutoff) -> Option<C>,
+    score: impl Fn(&C) -> f64,
 ) -> LegOutcome<C> {
     let (mut stats, best, failures) = match ctx.resume {
         Some(cp) => {
-            let best = resumed_incumbent(items, cp, &eval);
+            let best = resumed_incumbent(items, cp, &eval, &score);
             (cp.stats, best.map(|(c, _)| c), cp.failures.clone())
         }
         None => {
@@ -502,9 +557,9 @@ fn bound_phase_cut<C>(
 /// boundary is the memo caches, whose poison recovery clears any shard
 /// a panicking holder left behind (`crate::cache`).
 fn guarded_eval<C>(
-    eval: &impl Fn(&WorkItem, Option<Instant>) -> Option<C>,
+    eval: &impl Fn(&WorkItem, Cutoff) -> Option<C>,
     item: &WorkItem,
-    cutoff: Option<Instant>,
+    cutoff: Cutoff,
 ) -> Result<Option<C>, String> {
     catch_unwind(AssertUnwindSafe(|| eval(item, cutoff))).map_err(panic_payload)
 }
@@ -514,35 +569,43 @@ fn guarded_eval<C>(
 /// and the (freshly rebuilt) caches, so this reproduces the exact
 /// checkpointed configuration. It runs without a cutoff: the incumbent
 /// was scored in full once, and a deadline that has passed since must
-/// not drop it. The re-evaluation is bookkeeping-free, so the resumed
-/// counters match an uninterrupted run's.
+/// not drop it. A snapshot is untrusted input, so a key whose score is
+/// not finite names no incumbent. The re-evaluation is
+/// bookkeeping-free, so the resumed counters match an uninterrupted
+/// run's.
 fn resumed_incumbent<C>(
     items: &[WorkItem],
     cp: &WaveCheckpoint,
-    eval: &impl Fn(&WorkItem, Option<Instant>) -> Option<C>,
+    eval: &impl Fn(&WorkItem, Cutoff) -> Option<C>,
+    score: &impl Fn(&C) -> f64,
 ) -> Option<(C, PlanKey)> {
     let key = cp.best_key?;
     let item = items.iter().find(|it| it.key() == key)?;
-    Some((guarded_eval(eval, item, None).ok()??, key))
+    let best = guarded_eval(eval, item, Cutoff::NONE).ok()??;
+    score(&best).is_finite().then_some((best, key))
 }
 
 /// The bound-ordered wave loop behind [`bounded_search`].
 ///
 /// `bounds[i]` is the analytic lower bound of `items[i]`; `None` marks a
 /// statically infeasible point (it is counted as pruned and never
-/// evaluated). `eval` receives the session deadline as its cutoff; it
-/// runs inside a `catch_unwind` guard, so a panicking candidate is
-/// recorded as a [`CandidateFailure`] instead of unwinding out of the
-/// search. Debug builds check every scored candidate's bound against
-/// its score outside that guard, so an unsound bound fails loudly
-/// instead of becoming an incident. Returns the winner (smallest score,
-/// ties to the smallest [`WorkItem::key`]) plus the [`SearchStats`],
-/// the [`Outcome`] and the failure log.
+/// evaluated). `eval` receives its [`Cutoff`]: the session deadline and
+/// the incumbent's score from the completed waves. It runs inside a
+/// `catch_unwind` guard, so a panicking candidate is recorded as a
+/// [`CandidateFailure`] instead of unwinding out of the search. Debug
+/// builds check every scored candidate's bound against its score
+/// outside that guard, so an unsound bound fails loudly instead of
+/// becoming an incident. A candidate whose score is not finite — cut
+/// above the incumbent, a deadline-interrupted ensemble, an
+/// unserveable plan — is then dropped as unscoreable rather than
+/// allowed to win a leg with no finite competitor. Returns the winner
+/// (smallest score, ties to the smallest [`WorkItem::key`]) plus the
+/// [`SearchStats`], the [`Outcome`] and the failure log.
 fn wave_search<C: Send>(
     items: &[WorkItem],
     bounds: &[Option<f64>],
     ctx: &SessionCtx<'_>,
-    eval: impl Fn(&WorkItem, Option<Instant>) -> Option<C> + Sync,
+    eval: impl Fn(&WorkItem, Cutoff) -> Option<C> + Sync,
     score: impl Fn(&C) -> f64,
 ) -> LegOutcome<C> {
     debug_assert_eq!(items.len(), bounds.len());
@@ -571,7 +634,7 @@ fn wave_search<C: Send>(
         failures = cp.failures.clone();
         idx = cp.cursor.min(order.len());
         wave_no = cp.wave_no;
-        best = resumed_incumbent(items, cp, &eval);
+        best = resumed_incumbent(items, cp, &eval, &score);
     } else {
         stats = SearchStats {
             visited: items.len(),
@@ -637,9 +700,13 @@ fn wave_search<C: Send>(
             .collect();
         stats.pruned += (wave_end - idx) - wave.len();
         stats.evaluated += wave.len();
+        let cutoff = Cutoff {
+            deadline: ctx.deadline,
+            incumbent: best.as_ref().map_or(f64::INFINITY, |(b, _)| score(b)),
+        };
         let results: Vec<Result<Option<C>, String>> = wave
             .par_iter()
-            .map(|&(i, _)| guarded_eval(&eval, &items[i], ctx.deadline))
+            .map(|&(i, _)| guarded_eval(&eval, &items[i], cutoff))
             .collect();
         for (&(i, bound), res) in wave.iter().zip(results) {
             let cfg = match res {
@@ -657,13 +724,19 @@ fn wave_search<C: Send>(
                 Ok(None) => continue,
                 Ok(Some(cfg)) => cfg,
             };
-            let key = items[i].key();
             let s = score(&cfg);
+            // A cut score is `INFINITY`, which no bound exceeds: the
+            // candidate's true score lies above the incumbent, and the
+            // wave filter put its bound at or below the incumbent.
             debug_assert!(
-                bound <= s,
+                s.is_nan() || bound <= s,
                 "bound {bound} exceeds score {s} of {}",
                 items[i].plan
             );
+            if !s.is_finite() {
+                continue;
+            }
+            let key = items[i].key();
             let better = match &best {
                 None => true,
                 Some((b, best_key)) => {
@@ -857,7 +930,7 @@ mod tests {
         let bounds: Vec<Option<f64>> = (0..50)
             .map(|i| Some(((i * 13) % 11) as f64 - (i % 7) as f64))
             .collect();
-        let eval = |it: &WorkItem, _: Option<Instant>| Some(((it.plan.tp * 13) % 11) as f64);
+        let eval = |it: &WorkItem, _: Cutoff| Some(((it.plan.tp * 13) % 11) as f64);
         let run = || wave_search(&its, &bounds, &SessionCtx::none(), eval, |&c: &f64| c);
         let (seq, par) = (on_one_worker(run), run());
         assert_eq!(seq.best, par.best);
@@ -948,6 +1021,100 @@ mod tests {
     }
 
     #[test]
+    fn only_the_pruned_waves_hand_score_an_incumbent() {
+        // Every point survives its bound of 0 and scores `100 − tp`, so
+        // each wave improves on the last. The pruned waves pass the best
+        // score of the completed waves; the exhaustive sweep and the
+        // re-derivation of a resumed incumbent pass none.
+        let its = items(12);
+        let seen = Mutex::new(Vec::new());
+        let score = |&c: &f64, _: &ProfileCache, cutoff: Cutoff| {
+            seen.lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .push((100.0 - c, cutoff.incumbent));
+            c
+        };
+        let run = |prune: bool, ctx: &SessionCtx<'_>| {
+            bounded_search(
+                &its,
+                prune,
+                ctx,
+                |_, _| Some(0.0),
+                |it, _| Some(100.0 - it.plan.tp as f64),
+                score,
+            );
+            let mut seen = std::mem::take(
+                &mut *seen
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner),
+            );
+            seen.sort_by(|a, b| a.0.total_cmp(&b.0));
+            seen
+        };
+        let inf = f64::INFINITY;
+        // Waves {0}, {1, 2}, {3..=6}, {7..=11}.
+        let incumbent = |tp: usize| [inf, 100.0, 98.0, 94.0][(tp + 1).ilog2() as usize];
+        let pruned: Vec<(f64, f64)> = (0..12).map(|tp| (tp as f64, incumbent(tp))).collect();
+        assert_eq!(run(true, &SessionCtx::none()), pruned);
+        let exhaustive: Vec<(f64, f64)> = (0..12).map(|tp| (tp as f64, inf)).collect();
+        assert_eq!(run(false, &SessionCtx::none()), exhaustive);
+
+        let sink = Capture::default();
+        let emit = |cp: &WaveCheckpoint| sink.push(cp);
+        let ctx = SessionCtx {
+            checkpoints: Some((1, &emit)),
+            ..SessionCtx::none()
+        };
+        run(true, &ctx);
+        let cp = sink
+            .0
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)[1]
+            .clone();
+        assert_eq!((cp.cursor, cp.best_score), (3, Some(98.0)));
+        let resume = SessionCtx {
+            resume: Some(&cp),
+            ..SessionCtx::none()
+        };
+        let mut resumed = vec![(2.0, inf)];
+        resumed.extend(&pruned[3..]);
+        assert_eq!(run(true, &resume), resumed);
+    }
+
+    #[test]
+    fn a_cut_above_the_incumbent_moves_no_answer() {
+        // A score that gives up whenever it lands strictly above its
+        // incumbent returns the winner and counters of one that never
+        // does, on one worker and on the default pool.
+        let its = items(60);
+        let bounds = |it: &WorkItem, _: &ProfileCache| {
+            let i = it.plan.tp;
+            Some(((i * 13) % 29) as f64 - ((i * 7) % 5) as f64)
+        };
+        let eval = |it: &WorkItem, _: &ProfileCache| Some(((it.plan.tp * 13) % 29) as f64);
+        let full = |&c: &f64, _: &ProfileCache, _: Cutoff| c;
+        let cuts = AtomicUsize::new(0);
+        let cut = |&c: &f64, _: &ProfileCache, cutoff: Cutoff| {
+            if c > cutoff.incumbent {
+                cuts.fetch_add(1, Ordering::Relaxed);
+                f64::INFINITY
+            } else {
+                c
+            }
+        };
+        let run = |score: &(dyn Fn(&f64, &ProfileCache, Cutoff) -> f64 + Sync)| {
+            bounded_search(&its, true, &SessionCtx::none(), bounds, eval, score).0
+        };
+        let reference = on_one_worker(|| run(&full));
+        for leg in [run(&cut), on_one_worker(|| run(&cut))] {
+            assert_eq!(leg.best, reference.best);
+            assert_eq!(leg.stats, reference.stats);
+            assert_eq!(leg.outcome, Outcome::Complete);
+        }
+        assert!(cuts.into_inner() > 0, "no candidate was cut");
+    }
+
+    #[test]
     fn an_expired_deadline_starts_no_bound() {
         // A deadline that passed before the bound phase: `bound` is never
         // called and no wave starts. A fresh leg skips every point the
@@ -970,7 +1137,7 @@ mod tests {
             }
             Some((100 + (it.plan.tp * 5) % 17) as f64)
         };
-        let score = |&c: &f64, _: &ProfileCache, _: Option<Instant>| c;
+        let score = |&c: &f64, _: &ProfileCache, _: Cutoff| c;
         let deadline = Outcome::Truncated {
             reason: TruncationReason::Deadline,
         };
@@ -1056,7 +1223,7 @@ mod tests {
         // alike.
         let its = items(10);
         let bounds = vec![Some(f64::NEG_INFINITY); 10];
-        let eval = |it: &WorkItem, _: Option<Instant>| {
+        let eval = |it: &WorkItem, _: Cutoff| {
             if it.plan.tp == 0 {
                 panic!("seeded failure: best candidate blows up");
             }
@@ -1095,7 +1262,7 @@ mod tests {
         let bounds: Vec<Option<f64>> = (0..60)
             .map(|i| Some(((i * 13) % 29) as f64 - ((i * 7) % 5) as f64))
             .collect();
-        let eval = |it: &WorkItem, _: Option<Instant>| {
+        let eval = |it: &WorkItem, _: Cutoff| {
             if it.plan.tp.is_multiple_of(17) && it.plan.tp > 0 {
                 panic!("seeded failure");
             }
@@ -1153,7 +1320,7 @@ mod tests {
         // Scores sit strictly above every bound so the incumbent never
         // prunes the tail — the evaluation cap, not the pruner, must be
         // what ends the truncated run.
-        let eval = |it: &WorkItem, _: Option<Instant>| Some((100 + (it.plan.tp * 5) % 17) as f64);
+        let eval = |it: &WorkItem, _: Cutoff| Some((100 + (it.plan.tp * 5) % 17) as f64);
         let uninterrupted = wave_search(&its, &bounds, &SessionCtx::none(), eval, |&c| c);
 
         let sink = Capture::default();

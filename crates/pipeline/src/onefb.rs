@@ -4,7 +4,7 @@
 //! `w = p − 1 − s` warm-up forwards, then alternates forward/backward in
 //! the steady phase, then drains `w` backwards. Timing takes one pass
 //! over the task dependency DAG, in an order the DAG allows, and times
-//! each of the `2·p·n` tasks exactly once (O(p·n) work), so
+//! each of the `2·p·n` tasks exactly once (O(p·n) work, O(p²) state), so
 //! heterogeneous per-stage times (recomputation! imbalanced layers!) are
 //! handled exactly — this is what exposes the "imbalance bubble" of
 //! Fig. 8.
@@ -113,6 +113,16 @@ fn stage_order(s: usize, p: usize, n: usize) -> Vec<Task> {
 /// `fwd` or `bwd` on any stage, or `p2p` on any stage but the last
 /// (whose `p2p` is never read), makes the iteration +∞.
 ///
+/// Each stage keeps the completion times of only its last `min(p, n)`
+/// (rounded up to a power of two) forwards and backwards, in rings
+/// indexed by micro-batch: O(p²) state instead of O(p·n). No unread
+/// completion is overwritten. The reader of `Fwd(s, i)` is `Fwd(s + 1,
+/// i)` (or `Bwd(s, i)` on the last stage); stage `s` times `Fwd(s, i +
+/// p)` only after its `Bwd(s, i)`, which waits for `Bwd(s + 1, i)` and
+/// so for `Fwd(s + 1, i)`. The reader of `Bwd(s, i)` is `Bwd(s − 1, i)`;
+/// `Bwd(s, i + p)` waits for `Fwd(s − 1, i + p)`, which stage `s − 1`
+/// times only after its `Bwd(s − 1, i)`.
+///
 /// # Panics
 ///
 /// Panics if `stages` is empty or `microbatches` is zero.
@@ -122,10 +132,12 @@ pub fn simulate(stages: &[StageTiming], microbatches: usize) -> PipelineTiming {
     assert!(p > 0, "pipeline needs at least one stage");
     assert!(n > 0, "need at least one micro-batch");
 
-    // Completion times of each task: +∞ until timed, and for good when
-    // the end is NaN.
-    let mut f_done = vec![vec![f64::INFINITY; n]; p];
-    let mut b_done = vec![vec![f64::INFINITY; n]; p];
+    // Completion times of each stage's recent tasks, `Fwd(s, i)` at
+    // `f_done[at(s, i)]`: +∞ for a task whose end is NaN.
+    let ring = p.min(n).next_power_of_two();
+    let at = |s: usize, i: usize| s * ring + (i & (ring - 1));
+    let mut f_done = vec![f64::INFINITY; p * ring];
+    let mut b_done = vec![f64::INFINITY; p * ring];
     // Forwards and backwards timed per stage. A stage times each kind in
     // micro-batch order, so `Fwd(s, i)` is timed iff `fwd_timed[s] > i`
     // (+∞ is a legal completion time, so it cannot be the flag), and the
@@ -141,11 +153,11 @@ pub fn simulate(stages: &[StageTiming], microbatches: usize) -> PipelineTiming {
                 let dep = match task {
                     Task::Fwd(_) if s == 0 => 0.0,
                     Task::Fwd(i) if fwd_timed[s - 1] > i => {
-                        f_done[s - 1][i] + stages[s - 1].p2p.as_secs()
+                        f_done[at(s - 1, i)] + stages[s - 1].p2p.as_secs()
                     }
-                    Task::Bwd(i) if s == p - 1 => f_done[s][i],
+                    Task::Bwd(i) if s == p - 1 => f_done[at(s, i)],
                     Task::Bwd(i) if bwd_timed[s + 1] > i => {
-                        b_done[s + 1][i] + stages[s].p2p.as_secs()
+                        b_done[at(s + 1, i)] + stages[s].p2p.as_secs()
                     }
                     // The task it waits on is not timed yet.
                     _ => break,
@@ -159,16 +171,14 @@ pub fn simulate(stages: &[StageTiming], microbatches: usize) -> PipelineTiming {
                 let (end, done) = match task {
                     Task::Fwd(i) => {
                         fwd_timed[s] += 1;
-                        (start + stages[s].fwd.as_secs(), &mut f_done[s][i])
+                        (start + stages[s].fwd.as_secs(), &mut f_done[at(s, i)])
                     }
                     Task::Bwd(i) => {
                         bwd_timed[s] += 1;
-                        (start + stages[s].bwd.as_secs(), &mut b_done[s][i])
+                        (start + stages[s].bwd.as_secs(), &mut b_done[at(s, i)])
                     }
                 };
-                if !end.is_nan() {
-                    *done = end;
-                }
+                *done = if end.is_nan() { f64::INFINITY } else { end };
                 clock[s] = end;
                 advanced = true;
             }
@@ -178,7 +188,16 @@ pub fn simulate(stages: &[StageTiming], microbatches: usize) -> PipelineTiming {
         }
     }
 
-    let iteration = (0..p).map(|s| b_done[s][n - 1]).fold(0.0f64, f64::max);
+    // A stage that stalled never timed its last backward: +∞.
+    let iteration = (0..p)
+        .map(|s| {
+            if bwd_timed[s] == n {
+                b_done[at(s, n - 1)]
+            } else {
+                f64::INFINITY
+            }
+        })
+        .fold(0.0f64, f64::max);
     let stage_busy: Vec<Time> = stages
         .iter()
         .map(|st| (st.fwd + st.bwd).scale(n as f64))
@@ -506,6 +525,29 @@ mod tests {
                                 "{field} = {bad:?} on stage {s} of {p}, n = {n}"
                             );
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_stage_that_overflows_midway_matches_reference() {
+        // A huge but finite stage time overflows a completion to +∞ only
+        // after a few micro-batches, so stages stall after their rings
+        // have wrapped: a stalled stage's last backward is still +∞.
+        let huge = Time::from_secs(f64::MAX / 4.0);
+        for p in 1..=5 {
+            for n in [1, 3, 9, 40] {
+                for s in 0..p {
+                    for field in 0..3 {
+                        let mut stages = uniform(p, 1.0, 2.0);
+                        match field {
+                            0 => stages[s].fwd = huge,
+                            1 => stages[s].bwd = huge,
+                            _ => stages[s].p2p = huge,
+                        }
+                        assert_matches_reference(&stages, n);
                     }
                 }
             }

@@ -140,7 +140,8 @@ pub struct ServingReport {
     pub throughput_tok_s: f64,
     /// Time-to-first-token digest.
     pub ttft: SummaryStats,
-    /// Time-between-tokens digest.
+    /// Time-between-tokens digest over the requests with more than one
+    /// output token.
     pub tbt: SummaryStats,
     /// End-to-end latency digest.
     pub e2e: SummaryStats,
@@ -472,11 +473,14 @@ fn report(cost: &PhaseCost, trace: &Trace, slo: &ServingSlo, out: Outcome) -> Se
         makespan_s: makespan,
         throughput_tok_s: out_tokens as f64 / makespan,
         ttft: digest(per_request.iter().map(|m| m.ttft_s).collect()),
+        // Only a request with a second token has a time between tokens;
+        // its TBT may be any value, zero and NaN included.
         tbt: digest(
             per_request
                 .iter()
-                .filter(|m| m.tbt_s > 0.0)
-                .map(|m| m.tbt_s)
+                .zip(&trace.requests)
+                .filter(|(_, r)| r.output_tokens > 1)
+                .map(|(m, _)| m.tbt_s)
                 .collect(),
         ),
         e2e: digest(per_request.iter().map(|m| m.e2e_s).collect()),
@@ -802,6 +806,37 @@ mod tests {
         let (cadence, traversal) = StageKinds::new(&cost).decode_step(4, 100);
         assert!((traversal - cadence).is_nan(), "the emit bound must be NaN");
         assert_matches_per_step(&cost, &workload_trace(), &SimConfig::default());
+    }
+
+    #[test]
+    fn tbt_digests_every_multi_token_request() {
+        // TBT samples every request with a second token, whatever its
+        // value: a zero-cost plan makes each one exactly 0, and a stage
+        // that never streams its weights makes every latency NaN. The
+        // max then sorts NaN as the percentiles do (it read -inf).
+        let trace = workload_trace();
+        let multi = trace
+            .requests
+            .iter()
+            .filter(|r| r.output_tokens > 1)
+            .count();
+        assert!(multi > 0);
+        let serve = |kind: [f64; 4]| {
+            simulate(
+                &plan(&[kind], 1, usize::MAX),
+                &trace,
+                &SimConfig::default(),
+                &ServingSlo::ttft(1.0),
+            )
+            .expect("the trace fits")
+        };
+        let free = serve([0.0; 4]);
+        assert_eq!((free.tbt.count, free.tbt.max), (multi, 0.0));
+        let stuck = serve([2e-5, f64::INFINITY, 1e-6, 3e-8]);
+        assert_eq!(stuck.tbt.count, multi);
+        for digest in [stuck.ttft, stuck.tbt, stuck.e2e] {
+            assert!(digest.p50.is_nan() && digest.max.is_nan(), "{digest:?}");
+        }
     }
 
     #[test]
