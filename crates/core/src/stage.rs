@@ -22,8 +22,6 @@ use wsc_workload::training::TrainingJob;
 /// Aggregated profile of one pipeline stage (per die, per micro-batch).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StageProfile {
-    /// Stage index.
-    pub stage: usize,
     /// Layers hosted.
     pub layers: usize,
     /// Forward compute time per micro-batch (no collectives).
@@ -46,8 +44,6 @@ pub struct StageProfile {
     pub in_flight: usize,
     /// Forward FLOPs per micro-batch per die (useful work accounting).
     pub fwd_flops: Flops,
-    /// Backward FLOPs per micro-batch per die.
-    pub bwd_flops: Flops,
     /// Recomputation menu of this stage, shared with every stage of the
     /// split that hosts the same number of dense and MoE layers.
     pub menu: Arc<RecomputeMenu>,
@@ -97,7 +93,6 @@ pub(crate) fn build_stage_profiles_with(
             let mut bwd_coll = 0usize;
             let mut ckpt = Bytes::ZERO;
             let mut fwd_flops = Flops::ZERO;
-            let mut bwd_flops = Flops::ZERO;
             for l in lo..hi {
                 let (p, summary) = kinds.of(model, l);
                 fwd_compute += p.fwd_time();
@@ -108,7 +103,6 @@ pub(crate) fn build_stage_profiles_with(
                 bwd_coll += p.ops.iter().filter(|o| o.bwd_comm > Bytes::ZERO).count();
                 ckpt += p.full_ckpt_bytes();
                 fwd_flops += summary.fwd_flops;
-                bwd_flops += summary.bwd_flops;
             }
             let moe = (lo..hi).filter(|&l| graph::is_moe_layer(model, l)).count();
             let mix = (hi - lo - moe, moe);
@@ -121,7 +115,6 @@ pub(crate) fn build_stage_profiles_with(
                 }
             };
             StageProfile {
-                stage: s,
                 layers: hi - lo,
                 fwd_compute,
                 bwd_compute,
@@ -133,7 +126,6 @@ pub(crate) fn build_stage_profiles_with(
                 model_p: memory::model_p_per_die(model, tp, pp, s),
                 in_flight: (pp - s).min(microbatches.max(1)),
                 fwd_flops,
-                bwd_flops,
                 menu,
             }
         })

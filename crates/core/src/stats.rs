@@ -3,7 +3,8 @@
 //! One percentile implementation for every consumer — the robust
 //! fault objectives in [`crate::goodput`] and the serving latency
 //! summaries in `wsc-serve` — so "p95" can never mean two different
-//! index formulas in two corners of the repo. Sorting uses
+//! index formulas in two corners of the repo. Sorting puts NaN, of
+//! either sign, after every number and otherwise follows
 //! [`f64::total_cmp`], so ties (and any non-finite stragglers) order
 //! by the total order on f64 bits and every caller is deterministic
 //! across thread counts by construction.
@@ -22,14 +23,16 @@ pub fn percentile(samples: &[f64], q: f64) -> f64 {
     nearest_rank(&sorted(samples), q)
 }
 
+/// `samples` in [`f64::total_cmp`] order, except that NaN of either sign
+/// ranks after every number: `total_cmp` alone puts a NaN with its sign
+/// bit set below −∞, where it would rank as the best sample.
 fn sorted(samples: &[f64]) -> Vec<f64> {
     let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
+    sorted.sort_by(|a, b| a.is_nan().cmp(&b.is_nan()).then(a.total_cmp(b)));
     sorted
 }
 
-/// [`percentile`] of a non-empty population already in
-/// [`f64::total_cmp`] order.
+/// [`percentile`] of a non-empty population already in [`sorted`] order.
 fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
     sorted[rank(sorted.len(), q) - 1]
 }
@@ -41,8 +44,8 @@ pub(crate) fn rank(len: usize, q: f64) -> usize {
 }
 
 /// The p50/p95/p99 + mean/max digest of one latency (or any scalar)
-/// population. Percentiles and the max are read from one copy sorted by
-/// [`f64::total_cmp`], so they agree on NaN (the max is
+/// population. Percentiles and the max are read from one sorted copy,
+/// NaN last, so they agree on NaN (the max is
 /// [`percentile`]`(samples, 1.0)`); the mean sums in slice order, so the
 /// digest is a pure function of the sample sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -57,7 +60,7 @@ pub struct SummaryStats {
     pub p95: f64,
     /// 99th percentile (nearest-rank).
     pub p99: f64,
-    /// Largest sample in the percentiles' total order.
+    /// Largest sample in the percentiles' order: NaN if any sample is.
     pub max: f64,
 }
 
@@ -171,6 +174,22 @@ mod tests {
                     "{samples:?} at {q}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn nan_of_either_sign_ranks_last() {
+        for nan in [f64::NAN, -f64::NAN] {
+            let digest = SummaryStats::from_samples(&[0.1, 0.2, nan]).unwrap();
+            assert_eq!(digest.p50, 0.2);
+            assert!(digest.p95.is_nan() && digest.max.is_nan());
+            let samples = [nan, f64::NEG_INFINITY, 3.0, nan, f64::INFINITY, -1.0];
+            let want = [f64::NEG_INFINITY, -1.0, 3.0, f64::INFINITY];
+            for (rank, want) in want.into_iter().enumerate() {
+                let q = (rank + 1) as f64 / samples.len() as f64;
+                assert_eq!(percentile(&samples, q), want, "{nan:?} at {q}");
+            }
+            assert!(percentile(&samples, 5.0 / 6.0).is_nan());
         }
     }
 

@@ -1,10 +1,11 @@
 //! The 1F1B pipeline schedule (Fig. 8a) and its timing model.
 //!
 //! For `p` stages and `n` micro-batches, stage `s` (0-based) runs
-//! `w = p − 1 − s` warm-up forwards, then alternates forward/backward in
-//! the steady phase, then drains `w` backwards. Timing takes one pass
-//! over the task dependency DAG, in an order the DAG allows, and times
-//! each of the `2·p·n` tasks exactly once (O(p·n) work, O(p²) state), so
+//! `w = min(p − 1 − s, n)` warm-up forwards, then alternates
+//! forward/backward in the steady phase, then drains `w` backwards.
+//! Timing sweeps the schedule once in step order and times each of the
+//! `2·p·n` tasks exactly once (O(p·n) work), keeping per stage only its
+//! clock and its latest completion of each kind (O(p) state), so
 //! heterogeneous per-stage times (recomputation! imbalanced layers!) are
 //! handled exactly — this is what exposes the "imbalance bubble" of
 //! Fig. 8.
@@ -46,82 +47,66 @@ impl PipelineTiming {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Task {
-    Fwd(usize),
-    Bwd(usize),
+/// Whether task `k` of stage `s`'s 1F1B order, out of `p` stages with
+/// `n` micro-batches, is a forward: the `w = min(p − 1 − s, n)` warm-up
+/// forwards, then every other task until the forwards run out.
+fn is_forward(s: usize, p: usize, n: usize, k: usize) -> bool {
+    let w = (p - 1 - s).min(n);
+    k < w || (k < 2 * n - w && (k - w).is_multiple_of(2))
 }
 
-/// Task `k` of stage `s`'s 1F1B order, out of `p` stages with `n`
-/// micro-batches, or `None` past the last of its `2n` tasks: `w =
-/// min(p − 1 − s, n)` warm-up forwards, then a forward and a backward
-/// in turn until the forwards run out, then the remaining backwards.
-/// Closed form, so `simulate` keeps no per-stage order list.
-fn task_at(s: usize, p: usize, n: usize, k: usize) -> Option<Task> {
-    let w = (p - 1 - s).min(n);
-    let steady_end = w + 2 * (n - w);
-    if k < w {
-        Some(Task::Fwd(k))
-    } else if k < steady_end {
-        let j = k - w;
-        Some(if j.is_multiple_of(2) {
-            Task::Fwd(w + j / 2)
+/// One stage's state in [`simulate`]'s sweep. The clock starts at 0; the
+/// sweep writes each completion before it reads it, so their defaults
+/// are never read.
+#[derive(Clone, Copy, Default)]
+struct Lane {
+    /// End of the stage's last timed task; a NaN end stays NaN here.
+    clock: f64,
+    /// Completion of the stage's latest forward and latest backward: +∞
+    /// for a NaN end, and for every task after the stage stalled.
+    fwd: f64,
+    bwd: f64,
+    /// A dependency was non-finite: the stage times nothing more.
+    stalled: bool,
+}
+
+impl Lane {
+    /// Time the stage's next task, `dur` long, once `dep` has passed, and
+    /// return its completion.
+    fn run(&mut self, dep: f64, dur: Time) -> f64 {
+        self.stalled |= !dep.is_finite();
+        if self.stalled {
+            return f64::INFINITY;
+        }
+        let end = self.clock.max(dep) + dur.as_secs();
+        self.clock = end;
+        if end.is_nan() {
+            f64::INFINITY
         } else {
-            Task::Bwd(j / 2)
-        })
-    } else if k < 2 * n {
-        Some(Task::Bwd(k - n))
-    } else {
-        None
-    }
-}
-
-/// The 1F1B task order of stage `s` out of `p` with `n` micro-batches,
-/// as a list: the reference [`task_at`] is checked against.
-#[cfg(test)]
-fn stage_order(s: usize, p: usize, n: usize) -> Vec<Task> {
-    let w = (p - 1 - s).min(n);
-    let mut order = Vec::with_capacity(2 * n);
-    for i in 0..w {
-        order.push(Task::Fwd(i));
-    }
-    let mut next_f = w;
-    let mut next_b = 0;
-    while next_f < n || next_b < n {
-        if next_f < n {
-            order.push(Task::Fwd(next_f));
-            next_f += 1;
-        }
-        if next_b < n && next_b < next_f {
-            order.push(Task::Bwd(next_b));
-            next_b += 1;
+            end
         }
     }
-    order
 }
 
 /// Simulate one 1F1B iteration with per-stage timings.
 ///
-/// One pass in dependency order: each stage walks its 1F1B task order
-/// with its own clock, and times its next task as soon as the task it
-/// waits on has been timed — `Fwd(s − 1, i)` for `Fwd(s, i)`,
-/// `Bwd(s + 1, i)` for `Bwd(s, i)`. The pass goes round the stages until
-/// none advances, so each of the `2·p·n` tasks is timed exactly once:
-/// O(p·n) work, plus one scan of the `p` stages per round.
+/// One sweep in step order: round `k < 2n` times task `k` of every
+/// stage, the forwards from stage 0 up, then the backwards from stage
+/// `p − 1` down. A task starts once its stage's clock and the task it
+/// waits on have passed: `Fwd(s − 1, i)` plus stage `s − 1`'s `p2p` for
+/// `Fwd(s, i)`, `Bwd(s + 1, i)` plus stage `s`'s `p2p` for `Bwd(s, i)`,
+/// and its own `Fwd(i)` for the last stage's `Bwd(i)`. That task sits at
+/// index `k` (timed earlier in the same sweep) or `k − 1` of its
+/// neighbour's order, with no later task of its kind up to index `k`, so
+/// it is the neighbour's latest completion of its kind. Each of the
+/// `2·p·n` tasks is timed once (O(p·n) work), and each stage keeps its
+/// clock and two completions (O(p) state).
 ///
-/// A stage stalls for good at a non-finite dependency. So a NaN or +∞
-/// `fwd` or `bwd` on any stage, or `p2p` on any stage but the last
-/// (whose `p2p` is never read), makes the iteration +∞.
-///
-/// Each stage keeps the completion times of only its last `min(p, n)`
-/// (rounded up to a power of two) forwards and backwards, in rings
-/// indexed by micro-batch: O(p²) state instead of O(p·n). No unread
-/// completion is overwritten. The reader of `Fwd(s, i)` is `Fwd(s + 1,
-/// i)` (or `Bwd(s, i)` on the last stage); stage `s` times `Fwd(s, i +
-/// p)` only after its `Bwd(s, i)`, which waits for `Bwd(s + 1, i)` and
-/// so for `Fwd(s + 1, i)`. The reader of `Bwd(s, i)` is `Bwd(s − 1, i)`;
-/// `Bwd(s, i + p)` waits for `Fwd(s − 1, i + p)`, which stage `s − 1`
-/// times only after its `Bwd(s − 1, i)`.
+/// A stage stalls for good at a non-finite dependency, and every task it
+/// would time after that completes at +∞, which stalls the stages that
+/// wait on it. So a NaN or +∞ `fwd` or `bwd` on any stage, or `p2p` on
+/// any stage but the last (whose `p2p` is never read), makes the
+/// iteration +∞.
 ///
 /// # Panics
 ///
@@ -132,72 +117,32 @@ pub fn simulate(stages: &[StageTiming], microbatches: usize) -> PipelineTiming {
     assert!(p > 0, "pipeline needs at least one stage");
     assert!(n > 0, "need at least one micro-batch");
 
-    // Completion times of each stage's recent tasks, `Fwd(s, i)` at
-    // `f_done[at(s, i)]`: +∞ for a task whose end is NaN.
-    let ring = p.min(n).next_power_of_two();
-    let at = |s: usize, i: usize| s * ring + (i & (ring - 1));
-    let mut f_done = vec![f64::INFINITY; p * ring];
-    let mut b_done = vec![f64::INFINITY; p * ring];
-    // Forwards and backwards timed per stage. A stage times each kind in
-    // micro-batch order, so `Fwd(s, i)` is timed iff `fwd_timed[s] > i`
-    // (+∞ is a legal completion time, so it cannot be the flag), and the
-    // stage's next task is its task `fwd_timed[s] + bwd_timed[s]`.
-    let mut fwd_timed = vec![0usize; p];
-    let mut bwd_timed = vec![0usize; p];
-    let mut clock = vec![0.0f64; p];
-
-    loop {
-        let mut advanced = false;
+    let mut lanes = vec![Lane::default(); p];
+    for k in 0..2 * n {
         for s in 0..p {
-            while let Some(task) = task_at(s, p, n, fwd_timed[s] + bwd_timed[s]) {
-                let dep = match task {
-                    Task::Fwd(_) if s == 0 => 0.0,
-                    Task::Fwd(i) if fwd_timed[s - 1] > i => {
-                        f_done[at(s - 1, i)] + stages[s - 1].p2p.as_secs()
-                    }
-                    Task::Bwd(i) if s == p - 1 => f_done[at(s, i)],
-                    Task::Bwd(i) if bwd_timed[s + 1] > i => {
-                        b_done[at(s + 1, i)] + stages[s].p2p.as_secs()
-                    }
-                    // The task it waits on is not timed yet.
-                    _ => break,
+            if is_forward(s, p, n, k) {
+                let dep = if s == 0 {
+                    0.0
+                } else {
+                    lanes[s - 1].fwd + stages[s - 1].p2p.as_secs()
                 };
-                // A timed completion never changes, so a non-finite
-                // dependency stalls the stage for good.
-                if !dep.is_finite() {
-                    break;
-                }
-                let start = clock[s].max(dep);
-                let (end, done) = match task {
-                    Task::Fwd(i) => {
-                        fwd_timed[s] += 1;
-                        (start + stages[s].fwd.as_secs(), &mut f_done[at(s, i)])
-                    }
-                    Task::Bwd(i) => {
-                        bwd_timed[s] += 1;
-                        (start + stages[s].bwd.as_secs(), &mut b_done[at(s, i)])
-                    }
-                };
-                *done = if end.is_nan() { f64::INFINITY } else { end };
-                clock[s] = end;
-                advanced = true;
+                lanes[s].fwd = lanes[s].run(dep, stages[s].fwd);
             }
         }
-        if !advanced {
-            break;
+        for s in (0..p).rev() {
+            if !is_forward(s, p, n, k) {
+                let dep = if s == p - 1 {
+                    lanes[s].fwd
+                } else {
+                    lanes[s + 1].bwd + stages[s].p2p.as_secs()
+                };
+                lanes[s].bwd = lanes[s].run(dep, stages[s].bwd);
+            }
         }
     }
 
-    // A stage that stalled never timed its last backward: +∞.
-    let iteration = (0..p)
-        .map(|s| {
-            if bwd_timed[s] == n {
-                b_done[at(s, n - 1)]
-            } else {
-                f64::INFINITY
-            }
-        })
-        .fold(0.0f64, f64::max);
+    // Each stage's last task is its last backward.
+    let iteration = lanes.iter().map(|l| l.bwd).fold(0.0f64, f64::max);
     let stage_busy: Vec<Time> = stages
         .iter()
         .map(|st| (st.fwd + st.bwd).scale(n as f64))
@@ -222,6 +167,36 @@ pub fn homogeneous_bound(fwd: Time, bwd: Time, p: usize, n: usize) -> Time {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Task {
+        Fwd(usize),
+        Bwd(usize),
+    }
+
+    /// The 1F1B task order of stage `s` out of `p` with `n` micro-batches,
+    /// as a list: the schedule [`is_forward`] and the fix-point reference
+    /// are checked against.
+    fn stage_order(s: usize, p: usize, n: usize) -> Vec<Task> {
+        let w = (p - 1 - s).min(n);
+        let mut order = Vec::with_capacity(2 * n);
+        for i in 0..w {
+            order.push(Task::Fwd(i));
+        }
+        let mut next_f = w;
+        let mut next_b = 0;
+        while next_f < n || next_b < n {
+            if next_f < n {
+                order.push(Task::Fwd(next_f));
+                next_f += 1;
+            }
+            if next_b < n && next_b < next_f {
+                order.push(Task::Bwd(next_b));
+                next_b += 1;
+            }
+        }
+        order
+    }
 
     /// The fix-point relaxation `simulate` replaced: re-sweep every
     /// stage until no completion time changes. The reference the one-pass
@@ -400,16 +375,62 @@ mod tests {
     }
 
     #[test]
-    fn task_at_matches_the_order_list() {
+    fn is_forward_matches_the_order_list() {
         for p in 1..=12 {
             for n in 1..=20 {
                 for s in 0..p {
                     let order = stage_order(s, p, n);
-                    for k in 0..=2 * n {
+                    assert_eq!(order.len(), 2 * n);
+                    for (k, task) in order.iter().enumerate() {
                         assert_eq!(
-                            task_at(s, p, n, k),
-                            order.get(k).copied(),
+                            is_forward(s, p, n, k),
+                            matches!(task, Task::Fwd(_)),
                             "{s} {p} {n} {k}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The premise of `simulate`'s sweep: in round `k`, the task a stage
+    /// waits on is already timed and is its neighbour's latest completion
+    /// of that kind.
+    #[test]
+    fn each_task_waits_on_its_neighbours_latest_completion() {
+        for p in 1..=12 {
+            for n in 1..=20 {
+                let orders: Vec<Vec<Task>> = (0..p).map(|s| stage_order(s, p, n)).collect();
+                for s in 0..p {
+                    for (k, &task) in orders[s].iter().enumerate() {
+                        let case =
+                            || format!("{task:?} at index {k} of stage {s}, p = {p}, n = {n}");
+                        // The neighbour it waits on and that neighbour's
+                        // task. The forwards sweep from stage 0 up and the
+                        // backwards from stage p − 1 down, so the
+                        // neighbour's task `k` of that kind is timed first.
+                        let (t, dep) = match task {
+                            Task::Fwd(_) if s == 0 => continue,
+                            Task::Fwd(i) => (s - 1, Task::Fwd(i)),
+                            Task::Bwd(i) if s == p - 1 => {
+                                let latest = orders[s][..k]
+                                    .iter()
+                                    .rev()
+                                    .find(|t| matches!(t, Task::Fwd(_)));
+                                assert_eq!(latest, Some(&Task::Fwd(i)), "{}", case());
+                                continue;
+                            }
+                            Task::Bwd(i) => (s + 1, Task::Bwd(i)),
+                        };
+                        let j = orders[t].iter().position(|&d| d == dep).unwrap();
+                        assert!(j == k || j + 1 == k, "{}: {dep:?} at {j}", case());
+                        let kind = std::mem::discriminant(&dep);
+                        assert!(
+                            !orders[t][j + 1..=k]
+                                .iter()
+                                .any(|d| std::mem::discriminant(d) == kind),
+                            "{}: stage {t} times another of its kind by index {k}",
+                            case()
                         );
                     }
                 }
@@ -450,20 +471,23 @@ mod tests {
         let _ = simulate(&[], 4);
     }
 
-    /// `simulate` equals the fix-point reference, down to the bits of the
-    /// iteration time.
+    /// `simulate` equals the fix-point reference, down to the bits of
+    /// every field.
     fn assert_matches_reference(stages: &[StageTiming], n: usize) -> PipelineTiming {
         let got = simulate(stages, n);
         let want = fixpoint_reference(stages, n);
+        let bits = |t: &PipelineTiming| {
+            std::iter::once(t.iteration)
+                .chain(t.stage_busy.iter().copied())
+                .chain(t.stage_bubble.iter().copied())
+                .map(|t| t.as_secs().to_bits())
+                .collect::<Vec<_>>()
+        };
         assert_eq!(
-            got,
-            want,
-            "p = {}, n = {n}, stages {stages:?}",
+            bits(&got),
+            bits(&want),
+            "p = {}, n = {n}, stages {stages:?}: {got:?} vs {want:?}",
             stages.len()
-        );
-        assert_eq!(
-            got.iteration.as_secs().to_bits(),
-            want.iteration.as_secs().to_bits()
         );
         got
     }
@@ -477,12 +501,30 @@ mod tests {
             bwd in proptest::collection::vec(0.0f64..10e-3, 64..65),
             p2p in proptest::collection::vec(0.0f64..1e-3, 64..65),
             zero_p2p in proptest::collection::vec(0u8..4, 64..65),
+            // About `specials` of a case's `3p` times are special.
+            specials in 0usize..4,
+            picks in proptest::collection::vec(0usize..1 << 20, 192..193),
         ) {
+            // `secs`, or one of 0, NaN of either sign, +∞ and a finite
+            // time whose sums overflow to +∞.
+            let time = |secs: f64, slot: usize| {
+                let (pick, t) = (picks[slot], Time::from_secs(secs));
+                if pick % (3 * p) >= specials {
+                    return t;
+                }
+                match pick / (3 * p) % 5 {
+                    0 => Time::ZERO,
+                    1 => t * f64::NAN,
+                    2 => t * -f64::NAN,
+                    3 => Time::INFINITY,
+                    _ => Time::from_secs(f64::MAX / 4.0),
+                }
+            };
             let stages: Vec<StageTiming> = (0..p)
                 .map(|s| StageTiming {
-                    fwd: Time::from_secs(fwd[s]),
-                    bwd: Time::from_secs(bwd[s]),
-                    p2p: Time::from_secs(if zero_p2p[s] == 0 { 0.0 } else { p2p[s] }),
+                    fwd: time(fwd[s], 3 * s),
+                    bwd: time(bwd[s], 3 * s + 1),
+                    p2p: time(if zero_p2p[s] == 0 { 0.0 } else { p2p[s] }, 3 * s + 2),
                 })
                 .collect();
             assert_matches_reference(&stages, n);
@@ -534,8 +576,8 @@ mod tests {
     #[test]
     fn a_stage_that_overflows_midway_matches_reference() {
         // A huge but finite stage time overflows a completion to +∞ only
-        // after a few micro-batches, so stages stall after their rings
-        // have wrapped: a stalled stage's last backward is still +∞.
+        // after a few micro-batches, so stages stall midway, after timing
+        // finite completions: a stalled stage's last backward is still +∞.
         let huge = Time::from_secs(f64::MAX / 4.0);
         for p in 1..=5 {
             for n in [1, 3, 9, 40] {

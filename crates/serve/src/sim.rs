@@ -26,9 +26,9 @@
 //! `step_secs`.
 //!
 //! Everything is pure arithmetic over the trace: `Vec`s, FCFS
-//! order and `f64::total_cmp` digests — no clocks, no entropy, no
-//! hash-order iteration — so one trace yields one report, bit-exact
-//! across runs and thread counts.
+//! order and `f64::total_cmp` digests with NaN last — no clocks, no
+//! entropy, no hash-order iteration — so one trace yields one report,
+//! bit-exact across runs and thread counts.
 
 use crate::cost::PhaseCost;
 use crate::kv::KvTracker;

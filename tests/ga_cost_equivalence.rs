@@ -90,7 +90,7 @@ proptest! {
 /// A synthetic stage profile: only the fields the GA decode reads are
 /// meaningful (compute times, in-flight count, recompute menu); the
 /// rest stay zero.
-fn random_stage(rng: &mut StdRng, stage: usize) -> StageProfile {
+fn random_stage(rng: &mut StdRng) -> StageProfile {
     let n_ops = rng.gen_range(1..4);
     let ops: Vec<OpProfile> = (0..n_ops)
         .map(|i| OpProfile {
@@ -109,7 +109,6 @@ fn random_stage(rng: &mut StdRng, stage: usize) -> StageProfile {
     let layers = rng.gen_range(1..4);
     let menu = Arc::new(RecomputeMenu::for_stage(&[(&LayerProfile { ops }, layers)]));
     StageProfile {
-        stage,
         layers,
         fwd_compute: Time::from_micros(rng.gen_range(10.0..2_000.0)),
         bwd_compute: Time::from_micros(rng.gen_range(10.0..4_000.0)),
@@ -121,7 +120,6 @@ fn random_stage(rng: &mut StdRng, stage: usize) -> StageProfile {
         model_p: Bytes::gib(rng.gen_range(1..8)),
         in_flight: rng.gen_range(1..7),
         fwd_flops: Flops::ZERO,
-        bwd_flops: Flops::ZERO,
         menu,
     }
 }
@@ -145,7 +143,7 @@ proptest! {
         let mesh = Mesh2D::new(nx, ny);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x6a5e_77a1);
 
-        let stages: Vec<StageProfile> = (0..pp).map(|s| random_stage(&mut rng, s)).collect();
+        let stages: Vec<StageProfile> = (0..pp).map(|_| random_stage(&mut rng)).collect();
         // A base plan with some stages already recomputing (so Op1/Op2
         // interact with non-trivial saved/recompute baselines).
         let mut plan = RecomputePlan::none(pp);
