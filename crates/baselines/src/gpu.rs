@@ -168,8 +168,7 @@ pub fn evaluate_gpu(
     if !feasible {
         return GpuPerf::infeasible();
     }
-    let timing = simulate(&timings, n_mb);
-    let mut iteration = timing.iteration;
+    let mut iteration = simulate(&timings, n_mb);
     // DP gradient all-reduce: NVLink within a node, IB across nodes.
     if dp > 1 {
         let grads = Bytes::new((job.model.total_params() * 2.0 / (tp * pp) as f64) as u64);

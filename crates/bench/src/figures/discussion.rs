@@ -276,7 +276,7 @@ pub fn fig23(quick: bool) -> String {
                     }
                 })
                 .collect();
-            simulate(&timings, n_mb).iteration.as_secs() + extra
+            simulate(&timings, n_mb).as_secs() + extra
         };
 
         // WATOS: TP=4 in-group, 12 pipeline stages across groups.

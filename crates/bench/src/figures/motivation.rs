@@ -11,7 +11,7 @@ use wsc_arch::units::{Bandwidth, Bytes, Time};
 use wsc_arch::wafer::WaferConfig;
 use wsc_mesh::collective::{ring_busy_links, ring_link_utilization, GroupShape};
 use wsc_pipeline::gcmr::gcmr;
-use wsc_pipeline::onefb::{simulate, StageTiming};
+use wsc_pipeline::onefb::{bubble_fraction, simulate, StageTiming};
 use wsc_pipeline::recompute::{naive_recompute, planned_memory, StageRecomputeInput};
 use wsc_sim::op_cost::DieModel;
 use wsc_sim::profile::{profile_layer, RecomputeMenu};
@@ -309,10 +309,11 @@ pub fn fig8(_quick: bool) -> String {
                 p2p: Time::ZERO,
             })
             .collect();
-        simulate(&stages, n_mb)
+        let iteration = simulate(&stages, n_mb);
+        (iteration, bubble_fraction(&stages, n_mb, iteration))
     };
-    let t_naive = run(&naive.recompute_time);
-    let t_gcmr = run(&plan.recompute_time);
+    let (t_naive, bubble_naive) = run(&naive.recompute_time);
+    let (t_gcmr, bubble_gcmr) = run(&plan.recompute_time);
     let mem_naive = planned_memory(&inputs, &naive);
     let mem_gcmr = planned_memory(&inputs, &plan.as_recompute_plan());
     let util = |mems: &[Bytes]| -> f64 {
@@ -330,15 +331,15 @@ pub fn fig8(_quick: bool) -> String {
     ]);
     t.row(vec![
         "naive".to_string(),
-        f3(t_naive.iteration.as_secs()),
-        f2(t_naive.bubble_fraction()),
+        f3(t_naive.as_secs()),
+        f2(bubble_naive),
         f2(util(&mem_naive)),
         f3(naive.total_recompute().as_secs()),
     ]);
     t.row(vec![
         "GCMR".to_string(),
-        f3(t_gcmr.iteration.as_secs()),
-        f2(t_gcmr.bubble_fraction()),
+        f3(t_gcmr.as_secs()),
+        f2(bubble_gcmr),
         f2(util(&mem_gcmr)),
         f3(plan.as_recompute_plan().total_recompute().as_secs()),
     ]);

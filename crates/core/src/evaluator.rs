@@ -76,6 +76,11 @@ impl PerfReport {
     }
 }
 
+/// The link-punishment factor (§IV-E-2) of [`EvalOptions::default`],
+/// [`crate::SchedulerOptions::default`] and
+/// [`crate::scheduler::evaluate_scheduled`].
+pub(crate) const DEFAULT_PUNISH: f64 = 4.0;
+
 /// Evaluator knobs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EvalOptions {
@@ -92,7 +97,7 @@ impl Default for EvalOptions {
     fn default() -> Self {
         EvalOptions {
             collective: CollectiveAlgo::RingBi,
-            punish: 4.0,
+            punish: DEFAULT_PUNISH,
             robust: true,
         }
     }
@@ -361,8 +366,7 @@ pub fn evaluate(input: &EvalInput<'_>) -> PerfReport {
     }
 
     // ---- 1F1B timing. ----
-    let timing = simulate(&timings, n_mb);
-    let mut iteration = timing.iteration;
+    let mut iteration = simulate(&timings, n_mb);
 
     // ---- DP gradient all-reduce (when DP replicas exist). ----
     iteration += dp_allreduce_time(input.options.collective, wafer, job, input.ctx.tp, pp, dp);

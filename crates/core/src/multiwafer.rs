@@ -238,7 +238,7 @@ fn evaluate_multi_wafer_plan_impl(
         });
     }
     let dp_time = dp_allreduce_time(RING, wafer, job, plan.tp, pp, dp);
-    let mut iteration = simulate(&timings, n_mb).iteration + dp_time;
+    let mut iteration = simulate(&timings, n_mb) + dp_time;
 
     // Node-level Alg. 3 (behind the `node_placement` knob): re-place the
     // stages on the seam-extended cost model, re-grant DRAM borrowing
@@ -256,7 +256,7 @@ fn evaluate_multi_wafer_plan_impl(
             seed,
         };
         if let Some((refined, stats)) = node_placement_pass(&ctx_pass, &timings, &inputs, &gplan) {
-            let refined_iteration = simulate(&refined, n_mb).iteration + dp_time;
+            let refined_iteration = simulate(&refined, n_mb) + dp_time;
             let kept = refined_iteration < iteration;
             if kept {
                 iteration = refined_iteration;

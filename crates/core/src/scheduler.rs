@@ -21,7 +21,7 @@
 use crate::cache::{CacheStats, ProfileCache};
 use crate::costmodel::PlacementCostModel;
 use crate::dram_alloc::{allocate, DramGrant};
-use crate::evaluator::{self, evaluate, EvalInput, EvalOptions, PerfReport};
+use crate::evaluator::{self, evaluate, EvalInput, EvalOptions, PerfReport, DEFAULT_PUNISH};
 use crate::ga::{self, GaParams};
 use crate::goodput::{ensemble_effective_secs_within, FaultEnsemble, RobustObjective};
 use crate::placement::{self, PairDemand, Placement};
@@ -128,6 +128,10 @@ pub struct SchedulerOptions {
     pub ga: Option<GaParams>,
     /// Link-punishment factor for PP routing: how strongly the traffic
     /// assigner penalizes pipeline hops over contended links.
+    /// [`schedule_plan`] and the GA evaluate with it; fault sweeps and
+    /// fault-aware ensemble scoring re-price the scheduled configuration
+    /// through [`evaluate_scheduled`] at the default factor (4.0),
+    /// whatever this field holds.
     pub punish: f64,
     /// Explicit TP candidates (`None` = automatic: 1 and every even
     /// degree up to 16 that embeds as a rectangle). Set to pin the sweep
@@ -181,7 +185,7 @@ impl Default for SchedulerOptions {
             recompute: RecomputeMode::Gcmr,
             memory_scheduler: true,
             ga: Some(GaParams::default()),
-            punish: 4.0,
+            punish: DEFAULT_PUNISH,
             tp_candidates: None,
             plans: PlanFilter::default(),
             node_placement: false,
@@ -790,10 +794,10 @@ pub(crate) fn explore_impl(
     );
 
     // GA refinement of the winner, kept only when it wins on the same
-    // score the search ranked by (`rscore <= bscore`), so its score may
-    // stop once it is provably above the winner's. A truncated leg
-    // skips it: refinement is unbudgeted work, and anytime semantics
-    // promise best-so-far.
+    // score the search ranked by (`rscore <= bscore`). Only the deadline
+    // cuts its score: a score cut above the winner's would drop the
+    // refinement all the same. A truncated leg skips it: refinement is
+    // unbudgeted work, and anytime semantics promise best-so-far.
     if opts.ga.is_some() && leg.outcome == Outcome::Complete {
         if let Some((b, bscore)) = leg.best.take() {
             // The winner's tile and pipeline volume key the cost model
@@ -806,7 +810,7 @@ pub(crate) fn explore_impl(
                     let refined = ga_refine(wafer, job, b.clone(), opts, &model, None, &cache);
                     let cutoff = Cutoff {
                         deadline: ctx.deadline,
-                        incumbent: bscore,
+                        incumbent: f64::INFINITY,
                     };
                     let rscore = score(&refined, &cache, cutoff);
                     if rscore <= bscore {
@@ -823,7 +827,8 @@ pub(crate) fn explore_impl(
 }
 
 /// Re-evaluate a scheduled configuration under faults (Fig. 22) or with a
-/// different robustness policy. Stage profiles come from `cache`, so
+/// different robustness policy, at the default link-punishment factor
+/// (see [`SchedulerOptions::punish`]). Stage profiles come from `cache`, so
 /// sweeps that re-evaluate the same configuration many times (fault
 /// rates, robust vs baseline policies) build them exactly once.
 pub fn evaluate_scheduled(
@@ -849,7 +854,7 @@ pub fn evaluate_scheduled(
         faults,
         options: EvalOptions {
             collective: cfg.collective,
-            punish: 4.0,
+            punish: DEFAULT_PUNISH,
             robust,
         },
         cache: None,

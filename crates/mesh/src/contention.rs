@@ -20,8 +20,6 @@ pub enum TaskKind {
     Pipeline,
     /// Sender→Helper activation-checkpoint balancing.
     ActivationBalance,
-    /// Anything else (weight streaming, DP gradients, …).
-    Other,
 }
 
 /// A point-to-point communication task.

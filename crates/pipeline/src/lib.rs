@@ -14,8 +14,8 @@
 //!     bwd: Time::from_millis(2.0),
 //!     p2p: Time::ZERO,
 //! };
-//! let timing = simulate(&vec![stage; 4], 8);
-//! assert!(timing.iteration.as_millis() >= 8.0 * 3.0);
+//! let iteration = simulate(&vec![stage; 4], 8);
+//! assert!(iteration.as_millis() >= 8.0 * 3.0);
 //! ```
 
 pub mod gcmr;
@@ -23,5 +23,5 @@ pub mod onefb;
 pub mod recompute;
 
 pub use crate::gcmr::{gcmr, GcmrPlan, MemPair};
-pub use crate::onefb::{homogeneous_bound, simulate, PipelineTiming, StageTiming};
+pub use crate::onefb::{bubble_fraction, simulate, StageTiming};
 pub use crate::recompute::{naive_recompute, planned_memory, RecomputePlan, StageRecomputeInput};

@@ -3,12 +3,13 @@
 //! For `p` stages and `n` micro-batches, stage `s` (0-based) runs
 //! `w = min(p − 1 − s, n)` warm-up forwards, then alternates
 //! forward/backward in the steady phase, then drains `w` backwards.
-//! Timing sweeps the schedule once in step order and times each of the
-//! `2·p·n` tasks exactly once (O(p·n) work), keeping per stage only its
-//! clock and its latest completion of each kind (O(p) state), so
-//! heterogeneous per-stage times (recomputation! imbalanced layers!) are
-//! handled exactly — this is what exposes the "imbalance bubble" of
-//! Fig. 8.
+//! [`simulate`] sweeps the schedule once in step order and times each of
+//! the `2·p·n` tasks exactly once (O(p·n) work), keeping per stage only
+//! its clock and its latest completion of each kind (O(p) state), and
+//! returns the iteration time. Heterogeneous per-stage times
+//! (recomputation! imbalanced layers!) are handled exactly — this is
+//! what exposes the "imbalance bubble" of Fig. 8, which
+//! [`bubble_fraction`] reads off that time.
 
 use serde::{Deserialize, Serialize};
 use wsc_arch::units::Time;
@@ -22,29 +23,6 @@ pub struct StageTiming {
     pub bwd: Time,
     /// Inter-stage activation/gradient transfer to the next stage.
     pub p2p: Time,
-}
-
-/// Result of simulating one 1F1B iteration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PipelineTiming {
-    /// End-to-end iteration latency (last backward completes).
-    pub iteration: Time,
-    /// Per-stage busy time: `(fwd + bwd) · n`, so TP collectives and
-    /// recomputation included (see [`StageTiming`]); p2p excluded.
-    pub stage_busy: Vec<Time>,
-    /// Per-stage bubble (idle) time.
-    pub stage_bubble: Vec<Time>,
-}
-
-impl PipelineTiming {
-    /// Mean pipeline-bubble fraction across stages.
-    pub fn bubble_fraction(&self) -> f64 {
-        if self.iteration.as_secs() <= 0.0 {
-            return 0.0;
-        }
-        let total: f64 = self.stage_bubble.iter().map(|t| t.as_secs()).sum();
-        total / (self.iteration.as_secs() * self.stage_bubble.len() as f64)
-    }
 }
 
 /// Whether task `k` of stage `s`'s 1F1B order, out of `p` stages with
@@ -63,32 +41,28 @@ struct Lane {
     /// End of the stage's last timed task; a NaN end stays NaN here.
     clock: f64,
     /// Completion of the stage's latest forward and latest backward: +∞
-    /// for a NaN end, and for every task after the stage stalled.
+    /// for a NaN end or a non-finite dependency.
     fwd: f64,
     bwd: f64,
-    /// A dependency was non-finite: the stage times nothing more.
-    stalled: bool,
 }
 
 impl Lane {
     /// Time the stage's next task, `dur` long, once `dep` has passed, and
-    /// return its completion.
+    /// return its completion. A non-finite `dep` times nothing: the task
+    /// completes at +∞ and the clock stays.
     fn run(&mut self, dep: f64, dur: Time) -> f64 {
-        self.stalled |= !dep.is_finite();
-        if self.stalled {
-            return f64::INFINITY;
+        if dep.is_finite() {
+            self.clock = self.clock.max(dep) + dur.as_secs();
+            if !self.clock.is_nan() {
+                return self.clock;
+            }
         }
-        let end = self.clock.max(dep) + dur.as_secs();
-        self.clock = end;
-        if end.is_nan() {
-            f64::INFINITY
-        } else {
-            end
-        }
+        f64::INFINITY
     }
 }
 
-/// Simulate one 1F1B iteration with per-stage timings.
+/// The iteration time of one 1F1B iteration with per-stage timings: the
+/// completion of the last backward.
 ///
 /// One sweep in step order: round `k < 2n` times task `k` of every
 /// stage, the forwards from stage 0 up, then the backwards from stage
@@ -98,20 +72,20 @@ impl Lane {
 /// and its own `Fwd(i)` for the last stage's `Bwd(i)`. That task sits at
 /// index `k` (timed earlier in the same sweep) or `k − 1` of its
 /// neighbour's order, with no later task of its kind up to index `k`, so
-/// it is the neighbour's latest completion of its kind. Each of the
-/// `2·p·n` tasks is timed once (O(p·n) work), and each stage keeps its
-/// clock and two completions (O(p) state).
+/// it is the neighbour's latest completion of its kind.
 ///
-/// A stage stalls for good at a non-finite dependency, and every task it
-/// would time after that completes at +∞, which stalls the stages that
-/// wait on it. So a NaN or +∞ `fwd` or `bwd` on any stage, or `p2p` on
-/// any stage but the last (whose `p2p` is never read), makes the
-/// iteration +∞.
+/// A task whose dependency is not finite completes at +∞ and leaves its
+/// stage's clock as it is, and a NaN end counts as +∞. The iteration is
+/// +∞ as soon as any task's completion is: a NaN or +∞ `fwd`, `bwd` or
+/// `p2p` meets every micro-batch (the last stage's `p2p` is never read),
+/// and with finite times a stage's completions of one kind never
+/// decrease, so an overflowing sum reaches the last micro-batch too,
+/// whose chain sets every stage's last backward.
 ///
 /// # Panics
 ///
 /// Panics if `stages` is empty or `microbatches` is zero.
-pub fn simulate(stages: &[StageTiming], microbatches: usize) -> PipelineTiming {
+pub fn simulate(stages: &[StageTiming], microbatches: usize) -> Time {
     let p = stages.len();
     let n = microbatches;
     assert!(p > 0, "pipeline needs at least one stage");
@@ -142,26 +116,23 @@ pub fn simulate(stages: &[StageTiming], microbatches: usize) -> PipelineTiming {
     }
 
     // Each stage's last task is its last backward.
-    let iteration = lanes.iter().map(|l| l.bwd).fold(0.0f64, f64::max);
-    let stage_busy: Vec<Time> = stages
-        .iter()
-        .map(|st| (st.fwd + st.bwd).scale(n as f64))
-        .collect();
-    let stage_bubble: Vec<Time> = stage_busy
-        .iter()
-        .map(|busy| Time::from_secs((iteration - busy.as_secs()).max(0.0)))
-        .collect();
-    PipelineTiming {
-        iteration: Time::from_secs(iteration),
-        stage_busy,
-        stage_bubble,
-    }
+    Time::from_secs(lanes.iter().map(|l| l.bwd).fold(0.0f64, f64::max))
 }
 
-/// Closed-form 1F1B iteration time for *homogeneous* stages — the classic
-/// `(n + p − 1) · (f + b)` bound, used as a cross-check.
-pub fn homogeneous_bound(fwd: Time, bwd: Time, p: usize, n: usize) -> Time {
-    (fwd + bwd).scale((n + p - 1) as f64)
+/// Mean pipeline-bubble fraction across `stages` over an `iteration` of
+/// `microbatches`: each stage idles for the iteration minus its busy
+/// `(fwd + bwd) · n`, p2p excluded.
+pub fn bubble_fraction(stages: &[StageTiming], microbatches: usize, iteration: Time) -> f64 {
+    let iteration = iteration.as_secs();
+    if iteration <= 0.0 {
+        return 0.0;
+    }
+    let busy = |st: &StageTiming| (st.fwd + st.bwd).scale(microbatches as f64).as_secs();
+    let idle: f64 = stages
+        .iter()
+        .map(|st| (iteration - busy(st)).max(0.0))
+        .sum();
+    idle / (iteration * stages.len() as f64)
 }
 
 #[cfg(test)]
@@ -199,9 +170,10 @@ mod tests {
     }
 
     /// The fix-point relaxation `simulate` replaced: re-sweep every
-    /// stage until no completion time changes. The reference the one-pass
-    /// timing must match bit for bit.
-    fn fixpoint_reference(stages: &[StageTiming], microbatches: usize) -> PipelineTiming {
+    /// stage until no completion time changes, and stall a stage for good
+    /// at a non-finite dependency. The reference the one-pass timing must
+    /// match bit for bit.
+    fn fixpoint_reference(stages: &[StageTiming], microbatches: usize) -> Time {
         let p = stages.len();
         let n = microbatches;
         assert!(p > 0, "pipeline needs at least one stage");
@@ -263,19 +235,7 @@ mod tests {
         }
 
         let iteration = (0..p).map(|s| b_done[s][n - 1]).fold(0.0f64, f64::max);
-        let stage_busy: Vec<Time> = stages
-            .iter()
-            .map(|st| (st.fwd + st.bwd).scale(n as f64))
-            .collect();
-        let stage_bubble: Vec<Time> = stage_busy
-            .iter()
-            .map(|busy| Time::from_secs((iteration - busy.as_secs()).max(0.0)))
-            .collect();
-        PipelineTiming {
-            iteration: Time::from_secs(iteration),
-            stage_busy,
-            stage_bubble,
-        }
+        Time::from_secs(iteration)
     }
 
     fn uniform(p: usize, f_ms: f64, b_ms: f64) -> Vec<StageTiming> {
@@ -289,11 +249,18 @@ mod tests {
         ]
     }
 
+    /// The bubble fraction of `p` uniform stages (1 ms forward, 2 ms
+    /// backward) over `n` micro-batches.
+    fn uniform_bubble(p: usize, n: usize) -> f64 {
+        let stages = uniform(p, 1.0, 2.0);
+        bubble_fraction(&stages, n, simulate(&stages, n))
+    }
+
     #[test]
     fn single_stage_has_no_bubble() {
         let t = simulate(&uniform(1, 1.0, 2.0), 8);
-        assert!((t.iteration.as_millis() - 8.0 * 3.0).abs() < 1e-9);
-        assert!(t.bubble_fraction() < 1e-9);
+        assert!((t.as_millis() - 8.0 * 3.0).abs() < 1e-9);
+        assert!(uniform_bubble(1, 8) < 1e-9);
     }
 
     #[test]
@@ -302,29 +269,23 @@ mod tests {
         let p = 4;
         let n = 8;
         let t = simulate(&uniform(p, 1.0, 2.0), n);
-        let bound = homogeneous_bound(Time::from_millis(1.0), Time::from_millis(2.0), p, n);
+        let bound = Time::from_millis(1.0 + 2.0).scale((n + p - 1) as f64);
         assert!(
-            (t.iteration.as_secs() - bound.as_secs()).abs() / bound.as_secs() < 1e-9,
-            "sim {} vs bound {}",
-            t.iteration,
-            bound
+            (t.as_secs() - bound.as_secs()).abs() / bound.as_secs() < 1e-9,
+            "sim {t} vs bound {bound}"
         );
     }
 
     #[test]
     fn more_stages_more_bubble() {
-        let n = 8;
-        let b2 = simulate(&uniform(2, 1.0, 2.0), n).bubble_fraction();
-        let b8 = simulate(&uniform(8, 1.0, 2.0), n).bubble_fraction();
+        let b2 = uniform_bubble(2, 8);
+        let b8 = uniform_bubble(8, 8);
         assert!(b8 > b2, "p=8 bubble {b8} should exceed p=2 bubble {b2}");
     }
 
     #[test]
     fn more_microbatches_amortize_bubble() {
-        let p = 4;
-        let b4 = simulate(&uniform(p, 1.0, 2.0), 4).bubble_fraction();
-        let b32 = simulate(&uniform(p, 1.0, 2.0), 32).bubble_fraction();
-        assert!(b32 < b4);
+        assert!(uniform_bubble(4, 32) < uniform_bubble(4, 4));
     }
 
     #[test]
@@ -333,16 +294,7 @@ mod tests {
         stages[1].bwd = Time::from_millis(6.0); // heavy recompute at stage 1
         let t = simulate(&stages, 16);
         // Iteration is at least the slow stage's serial work.
-        assert!(t.iteration.as_millis() >= 16.0 * 7.0);
-        // The slow stage has the least bubble.
-        let min_idx = t
-            .stage_bubble
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap()
-            .0;
-        assert_eq!(min_idx, 1);
+        assert!(t.as_millis() >= 16.0 * 7.0);
     }
 
     #[test]
@@ -360,7 +312,7 @@ mod tests {
             s[0].bwd = Time::from_millis(2.0 + 3.0); // all recompute at stage 0
             simulate(&s, 5)
         };
-        assert!(imbalanced.iteration.as_secs() > balanced.iteration.as_secs());
+        assert!(imbalanced > balanced);
     }
 
     #[test]
@@ -371,7 +323,7 @@ mod tests {
             st.p2p = Time::from_millis(0.5);
         }
         let with_p2p = simulate(&stages, 8);
-        assert!(with_p2p.iteration.as_secs() > no_p2p.iteration.as_secs());
+        assert!(with_p2p > no_p2p);
     }
 
     #[test]
@@ -471,21 +423,13 @@ mod tests {
         let _ = simulate(&[], 4);
     }
 
-    /// `simulate` equals the fix-point reference, down to the bits of
-    /// every field.
-    fn assert_matches_reference(stages: &[StageTiming], n: usize) -> PipelineTiming {
+    /// `simulate` equals the fix-point reference, down to the bits.
+    fn assert_matches_reference(stages: &[StageTiming], n: usize) -> Time {
         let got = simulate(stages, n);
         let want = fixpoint_reference(stages, n);
-        let bits = |t: &PipelineTiming| {
-            std::iter::once(t.iteration)
-                .chain(t.stage_busy.iter().copied())
-                .chain(t.stage_bubble.iter().copied())
-                .map(|t| t.as_secs().to_bits())
-                .collect::<Vec<_>>()
-        };
         assert_eq!(
-            bits(&got),
-            bits(&want),
+            got.as_secs().to_bits(),
+            want.as_secs().to_bits(),
             "p = {}, n = {n}, stages {stages:?}: {got:?} vs {want:?}",
             stages.len()
         );
@@ -545,7 +489,7 @@ mod tests {
                         ..st
                     })
                     .collect::<Vec<_>>();
-                let clean_iteration = simulate(&clean, n).iteration;
+                let clean_iteration = simulate(&clean, n);
                 for s in 0..p {
                     for field in ["fwd", "bwd", "p2p"] {
                         for bad in [nan, inf] {
@@ -562,10 +506,7 @@ mod tests {
                             } else {
                                 Time::INFINITY
                             };
-                            assert_eq!(
-                                t.iteration, want,
-                                "{field} = {bad:?} on stage {s} of {p}, n = {n}"
-                            );
+                            assert_eq!(t, want, "{field} = {bad:?} on stage {s} of {p}, n = {n}");
                         }
                     }
                 }
@@ -576,8 +517,9 @@ mod tests {
     #[test]
     fn a_stage_that_overflows_midway_matches_reference() {
         // A huge but finite stage time overflows a completion to +∞ only
-        // after a few micro-batches, so stages stall midway, after timing
-        // finite completions: a stalled stage's last backward is still +∞.
+        // after a few micro-batches, so stages meet a non-finite
+        // dependency midway, after timing finite completions: the
+        // reference stalls there, and its iteration is still +∞.
         let huge = Time::from_secs(f64::MAX / 4.0);
         for p in 1..=5 {
             for n in [1, 3, 9, 40] {

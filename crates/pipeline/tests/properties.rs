@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use wsc_arch::units::Time;
-use wsc_pipeline::onefb::{homogeneous_bound, simulate, StageTiming};
+use wsc_pipeline::onefb::{bubble_fraction, simulate, StageTiming};
 
 fn stages(p: usize, f_us: &[u32], b_us: &[u32]) -> Vec<StageTiming> {
     (0..p)
@@ -28,7 +28,7 @@ proptest! {
             .iter()
             .map(|s| (s.fwd + s.bwd).as_secs() * n as f64)
             .fold(0.0f64, f64::max);
-        prop_assert!(t.iteration.as_secs() >= busiest - 1e-12);
+        prop_assert!(t.as_secs() >= busiest - 1e-12);
     }
 
     #[test]
@@ -42,7 +42,7 @@ proptest! {
         let st = stages(p, &f, &b);
         let t = simulate(&st, n);
         let serial: f64 = st.iter().map(|s| (s.fwd + s.bwd).as_secs() * n as f64).sum();
-        prop_assert!(t.iteration.as_secs() <= serial + 1e-9);
+        prop_assert!(t.as_secs() <= serial + 1e-9);
     }
 
     #[test]
@@ -62,8 +62,8 @@ proptest! {
             p
         ];
         let t = simulate(&st, n);
-        let bound = homogeneous_bound(st[0].fwd, st[0].bwd, p, n);
-        let rel = (t.iteration.as_secs() - bound.as_secs()).abs() / bound.as_secs();
+        let bound = (st[0].fwd + st[0].bwd).scale((n + p - 1) as f64);
+        let rel = (t.as_secs() - bound.as_secs()).abs() / bound.as_secs();
         prop_assert!(rel < 1e-9, "rel {rel}");
     }
 
@@ -82,7 +82,7 @@ proptest! {
         slower[idx].bwd += Time::from_micros(extra_us as f64);
         let t0 = simulate(&base, n);
         let t1 = simulate(&slower, n);
-        prop_assert!(t1.iteration.as_secs() >= t0.iteration.as_secs() - 1e-12);
+        prop_assert!(t1.as_secs() >= t0.as_secs() - 1e-12);
     }
 
     #[test]
@@ -98,8 +98,8 @@ proptest! {
             };
             p
         ];
-        let few = simulate(&st, 4).bubble_fraction();
-        let many = simulate(&st, 64).bubble_fraction();
+        let few = bubble_fraction(&st, 4, simulate(&st, 4));
+        let many = bubble_fraction(&st, 64, simulate(&st, 64));
         prop_assert!(many <= few + 1e-12);
     }
 }

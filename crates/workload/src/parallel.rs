@@ -66,15 +66,6 @@ pub enum TpSplitStrategy {
 }
 
 impl TpSplitStrategy {
-    /// All strategies, in exploration order.
-    pub fn all() -> [TpSplitStrategy; 3] {
-        [
-            TpSplitStrategy::Megatron,
-            TpSplitStrategy::SequenceParallel,
-            TpSplitStrategy::FullReduction,
-        ]
-    }
-
     /// Sharding factor applied to activations that Megatron replicates
     /// (norm outputs, residuals): 1.0 = replicated, 1/tp = sharded.
     pub fn replicated_act_factor(self, tp: usize) -> f64 {
